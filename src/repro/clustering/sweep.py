@@ -3,8 +3,10 @@
 Every heat-kernel local clustering algorithm shares this second phase
 (§2.2): sort the support of the approximate HKPR vector by descending
 degree-normalized value, scan the prefixes ``S*_1 ⊂ S*_2 ⊂ ...``, and return
-the prefix with the smallest conductance.  Maintaining the prefix volume and
-cut incrementally makes the scan ``O(|S*| log |S*| + vol(S*))``.
+the prefix with the smallest conductance.  Every prefix's volume and cut
+are prefix sums over the ranking (a node's edges to earlier-ranked nodes
+stop being cut edges when it joins), so the scan is a few array passes and
+costs ``O(|S*| log |S*| + vol(S*))``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.engine.vectorized import neighbor_rows
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
 from repro.hkpr.result import HKPRResult
@@ -77,51 +80,44 @@ def sweep_from_ranking(
     volume_limit = (
         max_cluster_volume if max_cluster_volume is not None else graph.total_volume // 2
     )
+    nodes = np.asarray(ranking, dtype=np.int64)
+    invalid = (nodes < 0) | (nodes >= graph.num_nodes)
+    if invalid.any():
+        bad = int(nodes[np.flatnonzero(invalid)[0]])
+        raise ParameterError(f"node {bad} is not in the graph")
+    # Repeats are ignored: each node joins the prefix at its first rank.
+    _, first = np.unique(nodes, return_index=True)
+    first.sort()
+    nodes = nodes[first]
+    size = nodes.size
 
-    # Array-backed prefix membership: testing which neighbors are already in
-    # the prefix is one boolean gather per node instead of a per-neighbor
-    # set lookup.
-    in_prefix = np.zeros(graph.num_nodes, dtype=bool)
-    prefix_volume = 0
-    prefix_cut = 0
-    best_conductance = float("inf")
-    best_size = 0
-    profile: list[float] = []
-    order: list[int] = []
+    # A node's internal edges are those to neighbours ranked before it.
+    degrees = graph.degrees[nodes]
+    rank = np.full(graph.num_nodes, size, dtype=np.int64)
+    rank[nodes] = np.arange(size)
+    rows = np.repeat(np.arange(size), degrees)
+    neighbor_rank = rank[neighbor_rows(graph, nodes, degrees)]
+    internal_edges = np.bincount(rows[neighbor_rank < rows], minlength=size)
+    prefix_volume = np.cumsum(degrees)
+    prefix_cut = np.cumsum(degrees - 2 * internal_edges)
 
-    for node in ranking:
-        node = int(node)
-        if not graph.has_node(node):
-            raise ParameterError(f"node {node} is not in the graph")
-        if in_prefix[node]:
-            continue
-        order.append(node)
-
-        degree = graph.degree(node)
-        internal_edges = int(np.count_nonzero(in_prefix[graph.neighbors(node)]))
-        in_prefix[node] = True
-        prefix_volume += degree
-        # Adding the node turns its internal edges from cut edges into
-        # internal ones and its external edges into new cut edges.
-        prefix_cut += degree - 2 * internal_edges
-
-        complement_volume = graph.total_volume - prefix_volume
-        denominator = min(prefix_volume, complement_volume)
-        phi = 1.0 if denominator <= 0 else prefix_cut / denominator
-        profile.append(phi)
-
-        if phi < best_conductance and prefix_volume <= max(volume_limit, degree):
-            best_conductance = phi
-            best_size = len(order)
-
-    if best_size == 0:
+    denominator = np.minimum(prefix_volume, graph.total_volume - prefix_volume)
+    positive = denominator > 0
+    profile = np.ones(size)
+    profile[positive] = prefix_cut[positive] / denominator[positive]
+    eligible = prefix_volume <= np.maximum(volume_limit, degrees)
+    if eligible.any():
+        best_size = int(np.argmin(np.where(eligible, profile, np.inf))) + 1
+    else:
         best_size = 1
-        best_conductance = profile[0]
+    # Indexing the ranking (not nodes.tolist()) shares its int objects with
+    # the lists returned here, which callers keep.
+    order = [int(ranking[i]) for i in first.tolist()]
     return SweepResult(
         cluster=set(order[:best_size]),
-        conductance=best_conductance,
+        conductance=float(profile[best_size - 1]),
         sweep_order=order,
-        conductance_profile=profile,
+        conductance_profile=profile.tolist(),
         best_prefix_size=best_size,
     )
 

@@ -50,6 +50,18 @@ def _neighbor_gather(graph):
     return csr_gather
 
 
+def neighbor_rows(graph, nodes: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Every neighbor of ``nodes``, row after row, in one gather.
+
+    ``degrees`` must be ``graph.degrees[nodes]``.  HK-Push+ and the sweep
+    expand whole adjacency rows through :func:`_neighbor_gather`, so they
+    read a :class:`~repro.dynamic.delta.DeltaGraph` overlay as the walk
+    kernels do.
+    """
+    offsets = np.arange(int(degrees.sum())) - np.repeat(np.cumsum(degrees) - degrees, degrees)
+    return _neighbor_gather(graph)(np.repeat(nodes, degrees), offsets)
+
+
 def _validated_starts(graph: Graph, start_nodes) -> np.ndarray:
     """Copy of ``start_nodes`` with the reference backend's validation.
 

@@ -197,7 +197,7 @@ class TeaPlusPlan:
         self._start_values: np.ndarray | None = None
         self._increment = 0.0
 
-        if residues.max_normalized_sum(graph) <= params.absolute_error_target():
+        if push_outcome.satisfied_early_exit:
             self.early_exit = True
             self._offset = 0.0
             return

@@ -12,13 +12,24 @@ HK-Push+ differs from HK-Push (Algorithm 1) in three ways, all aimed at the
    ``d(v)``, matching Line 5 of Algorithm 4).
 3. The maximum hop ``K`` is fixed up front (Eq. 20), so the above-threshold
    test never needs re-evaluation when ``K`` would otherwise change.
+
+The push runs one hop at a time.  Pushing hop ``k`` only ever creates
+hop-``k+1`` residue, so every above-threshold hop-``k`` entry is pushed in
+one array step: their neighbours are gathered through the walk kernels'
+batch accessor (so a :class:`~repro.dynamic.delta.DeltaGraph` overlay works
+unchanged) and the shares are scatter-added with ``np.unique`` +
+``np.bincount``.  The budget is cut exactly inside a hop, taking its
+entries in ascending node-id order, and the Theorem-2 test runs between
+hops on per-hop maxima kept as the push goes, so it never rescans the
+residues.  Residue layers come out in node-id order.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
@@ -34,11 +45,24 @@ from repro.utils.sparsevec import SparseVector
 
 @dataclass
 class PushPlusOutcome(PushOutcome):
-    """HK-Push+ outcome: a :class:`PushOutcome` plus its termination reason."""
+    """HK-Push+ outcome: a :class:`PushOutcome` plus its termination state.
+
+    ``normalized_residue_sum`` is the Theorem-2 quantity
+    ``sum_k max_u r^(k)[u]/d(u)`` of the returned residues (what
+    :meth:`ResidueVectors.max_normalized_sum` would compute), and
+    ``satisfied_early_exit`` says whether it is at most ``eps_r * delta``.
+    """
 
     satisfied_early_exit: bool = False
     budget_exhausted: bool = False
     pushes_used: int = 0
+    normalized_residue_sum: float = 0.0
+
+
+def _max_normalized(values: np.ndarray, degrees: np.ndarray) -> float:
+    """``max_u r[u] / d(u)`` over one hop's entries (0.0 when there are none)."""
+    linked = degrees > 0
+    return float((values[linked] / degrees[linked]).max(initial=0.0))
 
 
 def hk_push_plus(
@@ -51,7 +75,6 @@ def hk_push_plus(
     weights: PoissonWeights,
     *,
     counters: OperationCounters | None = None,
-    check_interval: int = 64,
     deadline: Deadline | None = None,
 ) -> PushPlusOutcome:
     """Run HK-Push+ (Algorithm 4) from ``seed_node``.
@@ -60,20 +83,17 @@ def hk_push_plus(
     ----------
     eps_r, delta:
         Error parameters; the push threshold is ``eps_r * delta / max_hop * d(v)``
-        and the early-exit target is ``eps_r * delta``.
+        and the early-exit target is ``eps_r * delta``.  The early-exit
+        condition is tested between hops.
     max_hop:
         The hop cap ``K``; residues are only created for hops ``0..K``.
     push_budget:
         Maximum number of push operations ``n_p`` (each push round on node
-        ``v`` accounts for ``d(v)`` operations).
-    check_interval:
-        The early-exit condition ``sum_k max_u r^(k)[u]/d(u) <= eps_r*delta``
-        costs O(#residue entries) to evaluate, so it is checked every
-        ``check_interval`` push rounds rather than after every one.  This is
-        an implementation schedule choice only; correctness is unaffected.
+        ``v`` accounts for ``d(v)`` operations).  The round that reaches the
+        budget still runs, so ``pushes_used - d(last pushed) < n_p``.
     deadline:
         Optional cooperative :class:`~repro.utils.Deadline`; checked once
-        per push round with the round's cost (the node's degree).
+        per hop with the hop's cost (the pushed nodes' total degree).
 
     Returns
     -------
@@ -91,73 +111,74 @@ def hk_push_plus(
     if deadline is not None:
         deadline.bind(counters)
 
+    # Deferred: repro.engine imports this package while it initializes.
+    from repro.engine.vectorized import neighbor_rows
+
     absolute_target = eps_r * delta
     push_threshold_per_degree = absolute_target / max_hop
+    degrees = graph.degrees
 
-    reserve = SparseVector()
     residues = ResidueVectors(max_hop)
-    residues.set(0, seed_node, 1.0)
-
-    frontier: deque[tuple[int, int]] = deque([(0, seed_node)])
-    queued: set[tuple[int, int]] = {(0, seed_node)}
+    maxima: list[float] = []  # max_u r^(k)[u]/d(u) of each finished hop
+    reserve_nodes: list[np.ndarray] = []
+    reserve_values: list[np.ndarray] = []
+    # The current hop's residues, sorted by node id.
+    nodes = np.array([seed_node], dtype=np.int64)
+    values = np.ones(1)
+    current_max = _max_normalized(values, degrees[nodes])
     pushes_used = 0
-    rounds = 0
-    satisfied = False
     exhausted = False
 
-    while frontier:
-        hop, node = frontier.popleft()
-        queued.discard((hop, node))
-        if hop >= max_hop:
-            continue
-        degree = graph.degree(node)
-        residue = residues.get(hop, node)
-        if residue <= push_threshold_per_degree * degree or residue <= 0.0:
-            continue
-        if deadline is not None:
-            deadline.check(max(degree, 1))
-
-        # Account for the cost of this push round *before* doing it, matching
-        # Algorithm 4 (Lines 5-7) which checks the budget inside the loop.
-        pushes_used += degree
-        rounds += 1
-        if pushes_used >= push_budget:
+    for hop in range(max_hop):
+        layer_degrees = degrees[nodes]
+        pushed = np.flatnonzero(values > push_threshold_per_degree * layer_degrees)
+        if pushed.size == 0:
+            break
+        # Algorithm 4 charges d(v) per push round and stops after the round
+        # that reaches n_p: cut the hop's rounds right after that one.
+        spent = pushes_used + np.cumsum(layer_degrees[pushed])
+        cut = int(np.searchsorted(spent, push_budget))
+        if cut < pushed.size:
+            pushed = pushed[: cut + 1]
             exhausted = True
+        spent_through = int(spent[pushed.size - 1])
+        if deadline is not None:
+            deadline.check(max(spent_through - pushes_used, 1))
+        pushes_used = spent_through
+
+        pushed_nodes = nodes[pushed]
+        pushed_values = values[pushed]
+        pushed_degrees = layer_degrees[pushed]
+        kept = np.ones(nodes.size, dtype=bool)
+        kept[pushed] = False
+        residues.set_layer(hop, nodes[kept], values[kept])
+        maxima.append(_max_normalized(values[kept], layer_degrees[kept]))
 
         stop_fraction = weights.stop_probability(hop)
-        reserve.add(node, stop_fraction * residue)
-        residues.clear(hop, node)
-        leftover = (1.0 - stop_fraction) * residue
-        if leftover > 0.0 and degree > 0:
-            share = leftover / degree
-            next_hop = hop + 1
-            for neighbor in graph.neighbors(node):
-                neighbor = int(neighbor)
-                new_residue = residues.add(next_hop, neighbor, share)
-                counters.record_pushes(1)
-                key = (next_hop, neighbor)
-                if (
-                    next_hop < max_hop
-                    and key not in queued
-                    and new_residue > push_threshold_per_degree * graph.degree(neighbor)
-                ):
-                    frontier.append(key)
-                    queued.add(key)
-        elif leftover > 0.0:
-            # Isolated node: surviving mass stops here.
-            reserve.add(node, leftover)
+        linked = pushed_degrees > 0
+        # An isolated node keeps all of its residue as reserve.
+        reserve_nodes.append(pushed_nodes)
+        reserve_values.append(
+            np.where(linked, stop_fraction * pushed_values, pushed_values)
+        )
+        spread = linked & (stop_fraction < 1.0)
+        counts = pushed_degrees[spread]
+        shares = (1.0 - stop_fraction) * pushed_values[spread] / counts
+        targets = neighbor_rows(graph, pushed_nodes[spread], counts)
+        counters.record_pushes(targets.size)
+        nodes, inverse = np.unique(targets, return_inverse=True)
+        values = np.bincount(inverse, weights=np.repeat(shares, counts))
+        current_max = _max_normalized(values, degrees[nodes])
 
-        if exhausted:
+        if exhausted or sum(maxima) + current_max <= absolute_target:
             break
-        if rounds % check_interval == 0:
-            if residues.max_normalized_sum(graph) <= absolute_target:
-                satisfied = True
-                break
 
-    if not satisfied and not exhausted:
-        # The frontier drained: every residue is below its push threshold, so
-        # the Theorem-2 sum is at most K * (eps_r*delta/K) = eps_r*delta.
-        satisfied = residues.max_normalized_sum(graph) <= absolute_target
+    residues.set_layer(len(maxima), nodes, values)
+    maxima.append(current_max)
+    normalized_sum = sum(maxima)
+    reserve = SparseVector()
+    if reserve_nodes:
+        reserve.add_many(np.concatenate(reserve_nodes), np.concatenate(reserve_values))
 
     counters.residue_entries = max(counters.residue_entries, residues.num_nonzero())
     counters.reserve_entries = max(counters.reserve_entries, reserve.nnz())
@@ -165,9 +186,10 @@ def hk_push_plus(
         reserve=reserve,
         residues=residues,
         counters=counters,
-        satisfied_early_exit=satisfied,
+        satisfied_early_exit=normalized_sum <= absolute_target,
         budget_exhausted=exhausted,
         pushes_used=pushes_used,
+        normalized_residue_sum=normalized_sum,
     )
 
 

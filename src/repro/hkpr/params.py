@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
 
@@ -56,9 +58,8 @@ def effective_failure_probability(graph: Graph, p_f: float) -> float:
     """
     if not 0.0 < p_f < 1.0:
         raise ParameterError(f"failure probability must be in (0, 1), got {p_f}")
-    total = 0.0
-    for degree in graph.degrees:
-        total += p_f ** (max(int(degree), 1) - 1)
+    exponents = np.maximum(graph.degrees, 1) - 1
+    total = float(np.power(p_f, exponents, dtype=float).sum())
     if total <= 1.0:
         return p_f
     return p_f / total

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
+import numpy as np
+
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
 
@@ -70,6 +72,19 @@ class ResidueVectors:
         if hop < 0 or hop >= len(self._layers):
             return 0.0
         return self._layers[hop].pop(node, 0.0)
+
+    def set_layer(self, hop: int, nodes: np.ndarray, values: np.ndarray) -> None:
+        """Replace the residues at ``hop`` with ``nodes[i] -> values[i]``.
+
+        The bulk form of :meth:`set` for array-at-a-time pushes; exact zeros
+        are dropped and the layer keeps the arrays' order.
+        """
+        self._ensure_layer(hop)
+        self._layers[hop] = {
+            node: value
+            for node, value in zip(nodes.tolist(), values.tolist())
+            if value != 0.0
+        }
 
     def layer(self, hop: int) -> dict[int, float]:
         """The residue dictionary at ``hop`` (possibly empty; do not mutate)."""

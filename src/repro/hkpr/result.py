@@ -111,10 +111,15 @@ class HKPRResult:
             and cached[1] == self.estimates.nnz()
         ):
             return list(cached[2])
-        order = sorted(
-            self.support(),
-            key=lambda v: (-self.normalized(v, graph), v),
-        )
+        keys = self.support()
+        nodes = np.array(keys, dtype=np.int64)
+        values = np.fromiter(self.estimates.values(), dtype=float, count=len(keys))
+        degrees = graph.degrees[nodes]
+        normalized = np.zeros(len(keys))
+        np.divide(values, degrees, out=normalized, where=degrees > 0)
+        # Descending normalized value, ties by ascending node id.  Indexing
+        # ``keys`` keeps the estimates' own int objects in the ranking.
+        order = [keys[i] for i in np.lexsort((nodes, -normalized)).tolist()]
         self._ranking_memo = (graph, self.estimates.nnz(), tuple(order))
         return order
 

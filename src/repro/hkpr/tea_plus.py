@@ -8,6 +8,8 @@ practical (§5):
 2. **Early exit (Theorem 2)** — if after the push phase
    ``sum_k max_u r^(k)[u]/d(u) <= eps_r * delta``, the reserve alone is
    already (d, eps_r, delta)-approximate and no walks are performed.
+   HK-Push+ tests this between hops and returns the final sum on its
+   outcome, so TEA+ reads the verdict instead of rescanning the residues.
 3. **Residue reduction (§5.2)** — before walking, every residue
    ``r^(k)[u]`` is reduced by ``beta_k * eps_r * delta * d(u)`` where
    ``beta_k`` is hop ``k``'s share of the residue mass.  Because
@@ -77,7 +79,8 @@ def tea_plus(
         for the process default; see :mod:`repro.engine`).
     deadline:
         Optional cooperative :class:`~repro.utils.Deadline`, threaded
-        through both the push loop and the chunked walk phase.
+        through both the push phase (checked once per hop) and the chunked
+        walk phase.
 
     Returns
     -------
@@ -95,7 +98,6 @@ def tea_plus(
     omega = params.omega_tea_plus(graph)
     budget = push_budget if push_budget is not None else params.push_budget_tea_plus(graph)
     hop_cap = max_hop if max_hop is not None else params.max_hop_tea_plus(graph)
-    absolute_target = params.absolute_error_target()
 
     counters = OperationCounters()
     counters.extras["omega"] = omega
@@ -118,7 +120,7 @@ def tea_plus(
     residues = push_outcome.residues
 
     # Early exit (Theorem 2): the reserve alone already meets the guarantee.
-    if residues.max_normalized_sum(graph) <= absolute_target:
+    if push_outcome.satisfied_early_exit:
         counters.reserve_entries = max(counters.reserve_entries, estimates.nnz())
         elapsed = time.perf_counter() - start
         return HKPRResult(

@@ -168,18 +168,20 @@ class TestDeltaGraph:
         assert compacted.num_edges == view.num_edges
 
 
+@pytest.fixture
+def overlay():
+    """A 200-node Chung-Lu graph after three random mutation batches."""
+    degs = power_law_degree_sequence(200, 2.5, 2, 20, seed=5)
+    base = chung_lu_graph(degs, seed=5, connected=False)
+    view = DeltaGraph(base)
+    rng = np.random.default_rng(8)
+    for add, remove in _random_batches(base, rng, rounds=3):
+        view = view.apply(add=add, remove=remove)
+    return view
+
+
 class TestVectorizedOverlay:
     """Walk kernels read through the overlay with no behavioural change."""
-
-    @pytest.fixture
-    def overlay(self):
-        degs = power_law_degree_sequence(200, 2.5, 2, 20, seed=5)
-        base = chung_lu_graph(degs, seed=5, connected=False)
-        view = DeltaGraph(base)
-        rng = np.random.default_rng(8)
-        for add, remove in _random_batches(base, rng, rounds=3):
-            view = view.apply(add=add, remove=remove)
-        return view
 
     def test_walk_batches_identical_to_compacted(self, overlay):
         from repro.engine import get_backend
@@ -215,6 +217,52 @@ class TestVectorizedOverlay:
             compact, starts, 0.2, np.random.default_rng(2)
         )
         assert np.array_equal(got, want)
+
+
+class TestTeaPlusOverlay:
+    """HK-Push+, TEA+ and the sweep read a mutated graph through the overlay."""
+
+    def _seeds(self, view):
+        # The last batch's endpoints sit on patched rows; add a few low ids.
+        touched = view.last_event.touched_nodes()
+        linked = np.flatnonzero(view.degrees > 0)
+        return sorted({int(v) for v in touched[:3]} | {int(v) for v in linked[:3]})
+
+    def test_hk_push_plus_matches_compacted(self, overlay):
+        from repro.hkpr.hk_push_plus import hk_push_plus
+        from repro.hkpr.poisson import PoissonWeights
+
+        compact = overlay.compacted()
+        weights = PoissonWeights(5.0)
+        for seed in self._seeds(overlay):
+            got = hk_push_plus(overlay, seed, 0.5, 1e-4, 6, 10**6, weights)
+            want = hk_push_plus(compact, seed, 0.5, 1e-4, 6, 10**6, weights)
+            assert got.reserve.to_dict() == want.reserve.to_dict()
+            for hop in range(7):
+                assert got.residues.layer(hop) == want.residues.layer(hop)
+            assert got.pushes_used == want.pushes_used
+            assert got.normalized_residue_sum == want.normalized_residue_sum
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [None, {"push_budget": 50, "max_walks": 2000}],
+        ids=["early-exit", "walk-phase"],
+    )
+    def test_local_cluster_tea_plus_matches_compacted(self, overlay, kwargs):
+        from repro.clustering import local_cluster
+
+        compact = overlay.compacted()
+        walks = 0
+        for seed in self._seeds(overlay):
+            got = local_cluster(overlay, seed, method="tea+", rng=3, estimator_kwargs=kwargs)
+            want = local_cluster(compact, seed, method="tea+", rng=3, estimator_kwargs=kwargs)
+            walks += got.hkpr.counters.random_walks
+            assert got.hkpr.counters.random_walks == want.hkpr.counters.random_walks
+            assert got.hkpr.estimates.to_dict() == want.hkpr.estimates.to_dict()
+            assert got.cluster == want.cluster
+            assert got.conductance == want.conductance
+            assert got.sweep.sweep_order == want.sweep.sweep_order
+        assert (walks > 0) == (kwargs is not None)
 
 
 def _ppr_invariant_error(state, graph, alpha: float) -> float:

@@ -170,6 +170,17 @@ class TestServiceMutation:
         assert response.result.support_size() > 0
         assert abs(response.result.estimates.sum() - 1.0) < 1e-9
 
+    def test_teaplus_query_runs_on_overlay(self, service, graph):
+        edge = _absent_edge(graph)
+        service.mutate_graph("g", add=[edge])
+        entry = service.registry.get("g")
+        assert isinstance(entry.graph, DeltaGraph)
+        response = service.query("g", "tea+", edge[0], {})
+        assert response.request.epoch == 1
+        assert response.result.support_size() > 0
+        top = response.to_dict()["top"]
+        assert top and all(entry.graph.has_node(node) for node, _ in top)
+
     def test_remove_graph_evicts_cache(self, service, graph):
         service.query("g", "pr-nibble", 0, {"eps": 1e-3})
         assert len(service.cache) == 1

@@ -7,8 +7,23 @@ import math
 import pytest
 
 from repro.exceptions import ParameterError
-from repro.graph.generators import complete_graph, ring_graph, star_graph
+from repro.graph.generators import (
+    complete_graph,
+    path_graph,
+    powerlaw_cluster_graph,
+    ring_graph,
+    star_graph,
+)
+from repro.graph.graph import Graph
 from repro.hkpr.params import HKPRParams, effective_failure_probability
+
+
+def loop_failure_probability(graph, p_f: float) -> float:
+    """Equation (6) as a per-degree loop: the reference for the array form."""
+    total = 0.0
+    for degree in graph.degrees:
+        total += p_f ** (max(int(degree), 1) - 1)
+    return p_f if total <= 1.0 else p_f / total
 
 
 class TestValidation:
@@ -57,6 +72,26 @@ class TestEffectiveFailureProbability:
         p_prime = effective_failure_probability(graph, 1e-3)
         assert p_prime < 1e-3
         assert p_prime == pytest.approx(1e-3 / (49 + 1e-3**48), rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "graph,p_f,scaled",
+        [
+            (complete_graph(10), 1e-3, False),
+            (complete_graph(3), 0.3, False),
+            (ring_graph(12), 0.05, False),
+            (ring_graph(12), 0.2, True),
+            (star_graph(50), 1e-3, True),
+            (powerlaw_cluster_graph(300, 2, 0.3, seed=3), 1e-6, False),
+            (powerlaw_cluster_graph(300, 2, 0.3, seed=3), 0.4, True),
+            (path_graph(40), 1e-6, True),
+            (Graph(6, [(0, 1), (1, 2), (2, 0)]), 0.5, True),  # isolated nodes
+        ],
+    )
+    def test_matches_loop_form(self, graph, p_f, scaled):
+        want = loop_failure_probability(graph, p_f)
+        # Both sides of the sum-exceeds-one branch are covered.
+        assert (want < p_f) == scaled
+        assert effective_failure_probability(graph, p_f) == pytest.approx(want, rel=1e-12)
 
     def test_invalid_pf(self):
         graph = ring_graph(5)
