@@ -59,7 +59,7 @@ class SweepResult:
 
 def sweep_from_ranking(
     graph: Graph,
-    ranking: list[int],
+    ranking: list[int] | np.ndarray,
     *,
     max_cluster_volume: int | None = None,
 ) -> SweepResult:
@@ -75,7 +75,7 @@ def sweep_from_ranking(
         and the paper's local algorithms implicitly stop there.  Defaults to
         ``total_volume // 2``.
     """
-    if not ranking:
+    if len(ranking) == 0:
         raise ParameterError("cannot sweep an empty ranking")
     volume_limit = (
         max_cluster_volume if max_cluster_volume is not None else graph.total_volume // 2
@@ -110,9 +110,7 @@ def sweep_from_ranking(
         best_size = int(np.argmin(np.where(eligible, profile, np.inf))) + 1
     else:
         best_size = 1
-    # Indexing the ranking (not nodes.tolist()) shares its int objects with
-    # the lists returned here, which callers keep.
-    order = [int(ranking[i]) for i in first.tolist()]
+    order = nodes.tolist()
     return SweepResult(
         cluster=set(order[:best_size]),
         conductance=float(profile[best_size - 1]),
@@ -141,7 +139,7 @@ def sweep_cut(
         Guarantee that the seed node is part of the ranking even if the
         estimator assigned it no mass (can happen for tiny walk budgets).
     """
-    ranking = hkpr.ranking(graph)
-    if include_seed and hkpr.seed not in ranking:
-        ranking.insert(0, hkpr.seed)
+    ranking = hkpr.ranked_nodes(graph)
+    if include_seed and not (ranking == hkpr.seed).any():
+        ranking = np.concatenate(([hkpr.seed], ranking))
     return sweep_from_ranking(graph, ranking, max_cluster_volume=max_cluster_volume)

@@ -265,8 +265,7 @@ def repair_ppr_push(
         share = (1.0 - alpha) * value / degree
         for neighbor in graph.neighbors(node):
             neighbor = int(neighbor)
-            new_value = residue[neighbor] + share
-            residue[neighbor] = new_value
+            new_value = residue.add(neighbor, share)
             counters.record_pushes(1)
             if abs(new_value) > r_max * graph.degree(neighbor):
                 enqueue(neighbor)

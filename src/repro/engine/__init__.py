@@ -239,6 +239,10 @@ def get_backend(backend: str | Backend | None = None) -> Backend:
                 f"unknown backend {backend!r}; expected one of {available_backends()}"
             )
         return _BACKENDS[backend]
+    # A registered instance is the common case (every dispatched batch
+    # resolves one): return it before the slow runtime Protocol check.
+    if any(backend is registered for registered in _BACKENDS.values()):
+        return backend
     # Fail at the call boundary, not deep inside a walk phase: a class
     # (instead of an instance) or an unrelated object are both mistakes a
     # caller should hear about as a ParameterError.

@@ -214,10 +214,10 @@ class TeaPlusPlan:
             else 0.0
         )
 
-        entries = list(residues.nonzero_entries())
-        alpha = sum(value for _, _, value in entries)
+        hops, nodes, values = residues.entry_arrays()
+        alpha = sum(values.tolist())
         counters.extras["alpha"] = alpha
-        if alpha <= 0.0 or not entries:
+        if alpha <= 0.0:
             return
         num_walks = int(math.ceil(alpha * omega))
         if max_walks is not None:
@@ -225,15 +225,7 @@ class TeaPlusPlan:
         if num_walks <= 0:
             return
 
-        self._start_nodes = np.fromiter(
-            (node for _, node, _ in entries), np.int64, count=len(entries)
-        )
-        self._start_hops = np.fromiter(
-            (hop for hop, _, _ in entries), np.int64, count=len(entries)
-        )
-        self._start_values = np.fromiter(
-            (value for _, _, value in entries), np.float64, count=len(entries)
-        )
+        self._start_hops, self._start_nodes, self._start_values = hops, nodes, values
         self._num_walks = num_walks
         self._increment = alpha / num_walks
 

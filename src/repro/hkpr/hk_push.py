@@ -196,9 +196,7 @@ def hk_push_hkpr(
         graph, seed_node, threshold, weights, counters=counters, deadline=deadline
     )
     counters.extras["r_max"] = threshold
-    counters.extras["alpha"] = sum(
-        value for _, _, value in outcome.residues.nonzero_entries()
-    )
+    counters.extras["alpha"] = sum(outcome.residues.entry_arrays()[2].tolist())
     return HKPRResult(
         estimates=outcome.reserve,
         seed=seed_node,

@@ -36,7 +36,7 @@ from repro.graph.graph import Graph
 from repro.hkpr.hk_push import PushOutcome
 from repro.hkpr.params import HKPRParams
 from repro.hkpr.poisson import PoissonWeights
-from repro.hkpr.residues import ResidueVectors
+from repro.hkpr.residues import ResidueVectors, max_normalized
 from repro.hkpr.result import HKPRResult
 from repro.utils.counters import OperationCounters
 from repro.utils.deadline import Deadline
@@ -57,12 +57,6 @@ class PushPlusOutcome(PushOutcome):
     budget_exhausted: bool = False
     pushes_used: int = 0
     normalized_residue_sum: float = 0.0
-
-
-def _max_normalized(values: np.ndarray, degrees: np.ndarray) -> float:
-    """``max_u r[u] / d(u)`` over one hop's entries (0.0 when there are none)."""
-    linked = degrees > 0
-    return float((values[linked] / degrees[linked]).max(initial=0.0))
 
 
 def hk_push_plus(
@@ -125,7 +119,7 @@ def hk_push_plus(
     # The current hop's residues, sorted by node id.
     nodes = np.array([seed_node], dtype=np.int64)
     values = np.ones(1)
-    current_max = _max_normalized(values, degrees[nodes])
+    current_max = max_normalized(values, degrees[nodes])
     pushes_used = 0
     exhausted = False
 
@@ -152,7 +146,7 @@ def hk_push_plus(
         kept = np.ones(nodes.size, dtype=bool)
         kept[pushed] = False
         residues.set_layer(hop, nodes[kept], values[kept])
-        maxima.append(_max_normalized(values[kept], layer_degrees[kept]))
+        maxima.append(max_normalized(values[kept], layer_degrees[kept]))
 
         stop_fraction = weights.stop_probability(hop)
         linked = pushed_degrees > 0
@@ -168,7 +162,7 @@ def hk_push_plus(
         counters.record_pushes(targets.size)
         nodes, inverse = np.unique(targets, return_inverse=True)
         values = np.bincount(inverse, weights=np.repeat(shares, counts))
-        current_max = _max_normalized(values, degrees[nodes])
+        current_max = max_normalized(values, degrees[nodes])
 
         if exhausted or sum(maxima) + current_max <= absolute_target:
             break
@@ -238,9 +232,7 @@ def hk_push_plus_hkpr(
         deadline=deadline,
     )
     counters.extras["pushes_used"] = float(outcome.pushes_used)
-    counters.extras["alpha"] = sum(
-        value for _, _, value in outcome.residues.nonzero_entries()
-    )
+    counters.extras["alpha"] = sum(outcome.residues.entry_arrays()[2].tolist())
     return HKPRResult(
         estimates=outcome.reserve,
         seed=seed_node,

@@ -45,6 +45,9 @@ class HKPRResult:
     elapsed_seconds: float = 0.0
     offset_per_degree: float = 0.0
     early_exit: bool = False
+    _ranking_memo: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def value(self, node: int, graph: Graph, *, include_offset: bool = True) -> float:
         """Estimated HKPR of ``node`` (with the lazy offset applied by default)."""
@@ -92,36 +95,54 @@ class HKPRResult:
         out[nonzero] = dense[nonzero] / degrees[nonzero]
         return out
 
+    def ranked_nodes(self, graph: Graph) -> np.ndarray:
+        """Support nodes sorted by descending normalized HKPR (read-only array).
+
+        Ties break by ascending node id.  The array is memoized per
+        ``(graph, estimates, estimates.writes)``: the serving layer ranks
+        the same cached result on every hit, and the sort dominates the
+        hit path on large supports.  Any write to the estimates, including
+        overwriting an existing entry, bumps the write counter and so
+        invalidates the memo.
+        """
+        estimates = self.estimates
+        memo = self._ranking_memo
+        if (
+            memo is None
+            or memo[0] is not graph
+            or memo[1] is not estimates
+            or memo[2] != estimates.writes
+        ):
+            nodes, values = estimates.arrays()
+            degrees = graph.degrees[nodes]
+            normalized = np.zeros(nodes.size)
+            np.divide(values, degrees, out=normalized, where=degrees > 0)
+            ranked = nodes[np.lexsort((nodes, -normalized))]
+            ranked.flags.writeable = False
+            memo = self._ranking_memo = (graph, estimates, estimates.writes, ranked)
+        return memo[3]
+
     def ranking(self, graph: Graph) -> list[int]:
         """Support nodes sorted by descending normalized HKPR (sweep order).
 
-        Memoized per ``(graph, support size)``: the serving layer re-ranks
-        the same cached result for every hit, and the sort dominates the
-        hit path on large supports.  The guard only detects support-size
-        changes — overwriting an existing entry's *value* after taking a
-        ranking would serve the stale order (no in-tree caller mutates a
-        result after ranking; results are treated as immutable once built).
-        A fresh list is returned each call — callers (e.g. the sweep)
-        mutate their copy.
+        A fresh list every call (callers may mutate it); see
+        :meth:`ranked_nodes` for the array form.
         """
-        cached = getattr(self, "_ranking_memo", None)
-        if (
-            cached is not None
-            and cached[0] is graph
-            and cached[1] == self.estimates.nnz()
-        ):
-            return list(cached[2])
-        keys = self.support()
-        nodes = np.array(keys, dtype=np.int64)
-        values = np.fromiter(self.estimates.values(), dtype=float, count=len(keys))
-        degrees = graph.degrees[nodes]
-        normalized = np.zeros(len(keys))
-        np.divide(values, degrees, out=normalized, where=degrees > 0)
-        # Descending normalized value, ties by ascending node id.  Indexing
-        # ``keys`` keeps the estimates' own int objects in the ranking.
-        order = [keys[i] for i in np.lexsort((nodes, -normalized)).tolist()]
-        self._ranking_memo = (graph, self.estimates.nnz(), tuple(order))
-        return order
+        return self.ranked_nodes(graph).tolist()
+
+    def top(self, graph: Graph, k: int) -> list[list]:
+        """The first ``k`` ranked nodes as ``[node, value]`` pairs.
+
+        Equal to ``[[v, self.value(v, graph)] for v in
+        self.ranking(graph)[:k]]``, computed on arrays.
+        """
+        top_nodes = self.ranked_nodes(graph)[:k]
+        top_values = self.estimates.get_many(top_nodes)
+        if self.offset_per_degree:
+            top_values = top_values + self.offset_per_degree * graph.degrees[top_nodes]
+        return [
+            [node, value] for node, value in zip(top_nodes.tolist(), top_values.tolist())
+        ]
 
     def total_mass(self, graph: Graph, *, include_offset: bool = False) -> float:
         """Sum of all estimates — close to 1 for accurate estimators."""

@@ -103,20 +103,20 @@ def tea(
     estimates = push_outcome.reserve
     residues = push_outcome.residues
 
-    entries = list(residues.nonzero_entries())
-    alpha = sum(value for _, _, value in entries)
+    hops, nodes, values = residues.entry_arrays()
+    alpha = sum(values.tolist())
     counters.extras["alpha"] = alpha
     counters.extras["omega"] = omega
     counters.extras["backend"] = engine.name
 
-    if alpha > 0.0 and entries:
+    if alpha > 0.0:
         num_walks = int(math.ceil(alpha * omega))
         if max_walks is not None:
             num_walks = min(num_walks, max_walks)
         if num_walks > 0:
             run_residue_walk_phase(
                 graph,
-                entries,
+                (hops, nodes, values),
                 num_walks,
                 alpha / num_walks,
                 engine=engine,

@@ -139,17 +139,17 @@ def tea_plus(
         counters.extras["num_reduced_hops"] = float(sum(1 for b in betas if b > 0))
 
     # Random-walk refinement (Lines 12-17, identical to TEA's walk phase).
-    entries = list(residues.nonzero_entries())
-    alpha = sum(value for _, _, value in entries)
+    hops, nodes, values = residues.entry_arrays()
+    alpha = sum(values.tolist())
     counters.extras["alpha"] = alpha
-    if alpha > 0.0 and entries:
+    if alpha > 0.0:
         num_walks = int(math.ceil(alpha * omega))
         if max_walks is not None:
             num_walks = min(num_walks, max_walks)
         if num_walks > 0:
             run_residue_walk_phase(
                 graph,
-                entries,
+                (hops, nodes, values),
                 num_walks,
                 alpha / num_walks,
                 engine=engine,

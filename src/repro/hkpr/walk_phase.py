@@ -23,7 +23,7 @@ from repro.utils.sparsevec import SparseVector
 
 def run_residue_walk_phase(
     graph: Graph,
-    entries: list[tuple[int, int, float]],
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray],
     num_walks: int,
     increment: float,
     *,
@@ -36,21 +36,17 @@ def run_residue_walk_phase(
 ) -> None:
     """Run ``num_walks`` residue-sampled walks, accumulating into ``estimates``.
 
-    ``entries`` are the non-zero residue entries as ``(hop, node, value)``
-    triples; walk starts are drawn proportionally to ``value`` via an alias
-    structure, and each walk ending at ``v`` adds ``increment`` to
+    ``entries`` are the non-zero residue entries as ``(hops, nodes, values)``
+    arrays (:meth:`~repro.hkpr.residues.ResidueVectors.entry_arrays`); walk
+    starts are drawn proportionally to ``values`` via an alias structure,
+    and each walk ending at ``v`` adds ``increment`` to
     ``estimates[v]``.  The loop is chunked (:func:`repro.engine.chunk_sizes`)
     so the phase stays bounded-memory at theory-driven (omega-scale) walk
     counts; an optional ``deadline`` is checkpointed before every chunk so a
     timed-out query stops between kernel calls rather than mid-kernel.
     """
-    start_nodes = np.fromiter(
-        (node for _, node, _ in entries), np.int64, count=len(entries)
-    )
-    start_hops = np.fromiter(
-        (hop for hop, _, _ in entries), np.int64, count=len(entries)
-    )
-    sampler = AliasSampler(start_nodes, [value for _, _, value in entries])
+    start_hops, start_nodes, values = entries
+    sampler = AliasSampler(start_nodes, values)
     for batch in chunk_sizes(num_walks):
         if deadline is not None:
             deadline.checkpoint()

@@ -100,8 +100,7 @@ def forward_push(
         share = (1.0 - alpha) * value / degree
         for neighbor in graph.neighbors(node):
             neighbor = int(neighbor)
-            new_value = residue[neighbor] + share
-            residue[neighbor] = new_value
+            new_value = residue.add(neighbor, share)
             counters.record_pushes(1)
             if neighbor not in queued and new_value > r_max * graph.degree(neighbor):
                 frontier.append(neighbor)

@@ -90,11 +90,7 @@ class QueryResponse:
         entry = entry if entry is not None else self.entry
         if entry is None:
             raise ValueError("QueryResponse carries no graph entry")
-        graph = entry.graph
-        top = [
-            [node, self.result.value(node, graph)]
-            for node in self.result.ranking(graph)[: self.request.top_k]
-        ]
+        top = self.result.top(entry.graph, self.request.top_k)
         return {
             "graph": self.request.graph,
             "method": self.request.method,

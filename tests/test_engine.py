@@ -27,6 +27,7 @@ import statcheck
 import repro.engine as engine_module
 from repro.engine import (
     BACKEND_ENV_VAR,
+    Backend,
     NumbaBackend,
     ParallelBackend,
     ReferenceBackend,
@@ -128,6 +129,29 @@ class TestRegistry:
         backend = ParallelBackend(num_workers=1)
         assert get_backend(backend) is backend
         assert available_backends() == before
+
+    def test_registered_instances_resolve_by_identity(self):
+        for name in available_backends():
+            backend = get_backend(name)
+            assert get_backend(backend) is backend
+
+    def test_registered_instance_skips_the_protocol_check(self):
+        # Registration is the trust boundary: a registered instance comes
+        # back as is, without the (slow) runtime Protocol isinstance check.
+        class Minimal:
+            name = "tmp-minimal"
+
+        minimal = Minimal()
+        assert not isinstance(minimal, Backend)
+        register_backend(minimal)
+        try:
+            assert get_backend(minimal) is minimal
+            with pytest.raises(ParameterError):
+                get_backend(Minimal)
+        finally:
+            unregister_backend("tmp-minimal")
+        with pytest.raises(ParameterError):
+            get_backend(minimal)
 
     def test_non_backend_objects_rejected_at_the_boundary(self):
         # A class instead of an instance, or an unrelated object, must fail

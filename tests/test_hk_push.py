@@ -27,7 +27,8 @@ def invariant_gap(graph, seed, outcome, t):
     n = graph.num_nodes
 
     reconstructed = outcome.reserve.to_dense(n).copy()
-    for hop, node, residue in outcome.residues.nonzero_entries():
+    hops, nodes, values = outcome.residues.entry_arrays()
+    for hop, node, residue in zip(hops.tolist(), nodes.tolist(), values.tolist()):
         # h_u^(k) = sum_{l>=0} eta(k+l)/psi(k) * P^l[u, .]
         current = np.zeros(n)
         current[node] = 1.0
@@ -62,12 +63,13 @@ class TestHKPush:
     def test_all_values_non_negative(self, poisson_weights, medium_powerlaw):
         outcome = hk_push(medium_powerlaw, 0, r_max=1e-3, weights=poisson_weights)
         assert all(v >= 0 for v in outcome.reserve.values())
-        assert all(v >= 0 for _, _, v in outcome.residues.nonzero_entries())
+        assert (outcome.residues.entry_arrays()[2] >= 0).all()
 
     def test_residues_below_threshold_after_termination(self, poisson_weights, small_ring):
         r_max = 1e-3
         outcome = hk_push(small_ring, 0, r_max=r_max, weights=poisson_weights)
-        for hop, node, value in outcome.residues.nonzero_entries():
+        _, nodes, values = outcome.residues.entry_arrays()
+        for node, value in zip(nodes.tolist(), values.tolist()):
             assert value <= r_max * small_ring.degree(node) + 1e-12
 
     def test_reserve_lower_bounds_exact(self, poisson_weights, small_ring, default_params):

@@ -9,6 +9,12 @@ from repro.graph.generators import star_graph
 from repro.hkpr.residues import ResidueVectors
 
 
+def entries(residues: ResidueVectors) -> list[tuple[int, int, float]]:
+    """``(hop, node, residue)`` triples of the positive entries."""
+    hops, nodes, values = residues.entry_arrays()
+    return list(zip(hops.tolist(), nodes.tolist(), values.tolist()))
+
+
 class TestBasicOperations:
     def test_get_defaults_to_zero(self):
         residues = ResidueVectors()
@@ -65,7 +71,7 @@ class TestAggregates:
         residues.set(2, 2, 0.5)
         assert residues.total() == pytest.approx(1.0)
         assert residues.num_nonzero() == 3
-        assert sorted(residues.nonzero_entries()) == [
+        assert entries(residues) == [
             (0, 0, 0.2),
             (1, 1, 0.3),
             (2, 2, 0.5),
@@ -118,9 +124,9 @@ class TestResidueReduction:
         residues = ResidueVectors()
         residues.set(0, 0, 0.5)
         residues.set(1, 1, 0.5)
-        before = {(h, n): v for h, n, v in residues.nonzero_entries()}
+        before = {(h, n): v for h, n, v in entries(residues)}
         betas = residues.reduce_residues(graph, eps_r=0.5, delta=0.01)
-        for hop, node, value in residues.nonzero_entries():
+        for hop, node, value in entries(residues):
             reduction = before[(hop, node)] - value
             assert reduction <= betas[hop] * 0.5 * 0.01 * graph.degree(node) + 1e-12
             assert value >= 0.0

@@ -80,6 +80,42 @@ class TestSupportAndRanking:
         result.estimates[3] = 0.9  # normalized 0.9 -> new front-runner
         assert result.ranking(graph) == [3, 1, 0, 2]
 
+    def test_ranking_memo_invalidated_when_an_entry_is_overwritten(self, star_result):
+        # Same support size, new order: the memo must not serve the old one.
+        graph, result = star_result
+        assert result.ranking(graph) == [1, 0, 2]
+        result.estimates[2] = 0.9  # normalized 0.9 -> new front-runner
+        assert result.ranking(graph) == [2, 1, 0]
+        result.estimates.add(0, 4.0)  # normalized 1.1
+        assert result.ranking(graph) == [0, 2, 1]
+
+    def test_ranking_memo_invalidated_by_an_array_merge(self):
+        graph = star_graph(5)
+        estimates = SparseVector()
+        estimates.add_many([0, 1, 2], [0.4, 0.2, 0.1])
+        result = HKPRResult(estimates=estimates, seed=0, method="test")
+        assert result.ranking(graph) == [1, 0, 2]
+        estimates.add_many([2], 0.5)  # an existing entry: support size unchanged
+        assert estimates.array_backed
+        assert result.ranking(graph) == [2, 1, 0]
+
+    def test_top_applies_the_offset_like_value(self, star_result):
+        graph, result = star_result
+        result.offset_per_degree = 0.01
+        assert result.top(graph, 2) == [
+            [node, result.value(node, graph)] for node in result.ranking(graph)[:2]
+        ]
+        assert result.top(graph, 0) == []
+
+    def test_ranked_nodes_is_the_read_only_memo(self, star_result):
+        # A cached result hands the same array to every reader thread.
+        graph, result = star_result
+        ranked = result.ranked_nodes(graph)
+        assert ranked is result.ranked_nodes(graph)
+        with pytest.raises(ValueError):
+            ranked[0] = 4
+        assert result.ranking(graph) == [1, 0, 2]
+
 
 class TestDense:
     def test_to_dense_shape_and_values(self, star_result):
