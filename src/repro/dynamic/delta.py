@@ -7,23 +7,32 @@ graphs that *change*.  Rebuilding the CSR on every edge flip would cost
 ``O(n + m)`` per update; :class:`DeltaGraph` instead keeps the base CSR
 untouched and patches only the adjacency rows that mutations have touched:
 
+* **Row starts, not row objects.**  Each snapshot holds three arrays: a
+  per-node ``starts`` offset, the merged ``degrees``, and an append-only
+  ``patch`` of rewritten rows.  A start below ``len(base.indices)`` reads
+  the base CSR; a start at or past it reads ``patch`` at
+  ``start - len(base.indices)``.  A batch gather is one ``starts``
+  lookup, one add and a select between the two arrays.
 * **Snapshots, not in-place mutation.**  ``add_edges`` / ``remove_edges``
-  return a *new* :class:`DeltaGraph` sharing the base arrays and all
-  untouched patch rows.  In-flight queries keep reading the snapshot they
-  resolved at admission; there is no locking on the read path.
+  return a *new* :class:`DeltaGraph`: copies of ``starts`` and
+  ``degrees``, and a copy of ``patch`` with the touched rows appended.
+  No array an older snapshot reads is ever written, so in-flight queries
+  keep reading the snapshot they resolved at admission with no lock on
+  the read path.
 * **Epochs.**  Every successful mutation increments a monotonically
   increasing ``epoch``.  Caches key on it, indexes are invalidated by it,
   and :class:`MutationEvent` records exactly which edges moved between two
   consecutive epochs so push states can be repaired incrementally
   (:mod:`repro.dynamic.repair`).
-* **Bounded delta + compaction.**  Reads cost ``O(1)`` extra (one dict or
-  patch-row lookup), but the overlay's memory and the cost of building the
-  batch-gather arrays grow with the number of touched rows.  Once the
-  cumulative delta exceeds :func:`default_compaction_threshold`, callers
-  (the registry) fold the overlay back into a plain :class:`Graph` via
-  :meth:`DeltaGraph.compacted` — which is byte-identical to rebuilding
-  from scratch, because patch rows are kept sorted exactly like CSR
-  adjacency slices.
+* **Bounded delta + compaction.**  A row rewritten again leaves its old
+  copy in ``patch`` as a dead row, so ``patch`` grows with every batch's
+  touched rows.  Once the cumulative delta exceeds
+  :func:`default_compaction_threshold`, or ``patch`` outgrows twice the
+  base's ``indices``, callers (the registry) fold the overlay back into
+  a plain :class:`Graph` via :meth:`DeltaGraph.compacted` — a chunked
+  gather over every row, which is byte-identical to a fresh CSR build
+  because rewritten rows are kept sorted exactly like CSR adjacency
+  slices.
 
 Batched execution backends that understand the overlay advertise
 ``supports_overlay = True`` and read through :meth:`gather_neighbors`;
@@ -38,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.engine.vectorized import neighbor_rows
 from repro.exceptions import EmptyGraphError, GraphError, NodeNotFoundError
 from repro.graph.graph import Edge, Graph
 
@@ -52,17 +62,50 @@ def default_compaction_threshold(num_edges: int) -> int:
     return max(1024, num_edges // 8)
 
 
+#: ``patch`` may hold this many times the base's ``indices`` (floored at
+#: 1024 edges' worth, like the delta-edge budget) before an overlay
+#: compacts whatever its delta-edge count.  A batch appends each touched
+#: row whole, so one-edge batches on a hub would otherwise grow ``patch``
+#: quadratically before the delta-edge budget fires.
+_PATCH_BUDGET = 2
+
+#: Entries gathered per step of :meth:`DeltaGraph.compacted`, so that the
+#: gather's temporaries stay small beside the rebuilt ``indices``.
+_COMPACT_CHUNK = 1 << 18
+
+
+def _edge_pair(item, what: str) -> tuple[int, int]:
+    try:
+        u, v = item
+    except (TypeError, ValueError):
+        u = v = None
+    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (u, v)):
+        raise GraphError(
+            f"edges to {what} must be (u, v) pairs of integers, got {item!r}"
+        )
+    return int(u), int(v)
+
+
 def _edge_array(edges, n: int, *, what: str) -> np.ndarray:
-    """Normalize an edge iterable to a validated ``(k, 2)`` lo<hi array."""
+    """Normalize an edge iterable to a validated ``(k, 2)`` lo<hi array.
+
+    Every item must be two integers: a bool, a float (integral or not) or
+    an item of another length is a :class:`GraphError`, never a silently
+    truncated edge; so is a NumPy array of a non-integer dtype.
+    """
     if isinstance(edges, np.ndarray):
+        if edges.dtype.kind not in "iu":
+            raise GraphError(
+                f"edges to {what} must be integer (u, v) pairs, got dtype {edges.dtype}"
+            )
         arr = edges.astype(np.int64, copy=True)
     else:
-        edge_list = list(edges)
-        arr = (
-            np.array([(int(u), int(v)) for u, v in edge_list], dtype=np.int64)
-            if edge_list
-            else np.empty((0, 2), dtype=np.int64)
-        )
+        pairs = [_edge_pair(item, what) for item in edges]
+        try:
+            arr = np.array(pairs, dtype=np.int64)
+        except OverflowError:  # an id outside int64 is outside [0, n) too
+            bad = next(x for pair in pairs for x in pair if not 0 <= x < n)
+            raise NodeNotFoundError(bad, n) from None
     if arr.size == 0:
         return arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -83,15 +126,29 @@ def _edge_array(edges, n: int, *, what: str) -> np.ndarray:
     hi = np.maximum(arr[:, 0], arr[:, 1])
     out = np.column_stack([lo, hi])
     keys = lo * n + hi
-    unique = np.unique(keys)
-    if unique.size != keys.size:
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        first = int(order[1:][sorted_keys[1:] == sorted_keys[:-1]].min())
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    repeats = order[1:][sorted_keys[1:] == sorted_keys[:-1]]
+    if repeats.size:
+        first = int(repeats.min())
         raise GraphError(
             f"duplicate edge ({out[first, 0]}, {out[first, 1]}) in {what} batch"
         )
     return out
+
+
+def _row_keys(edges: np.ndarray, n: int) -> np.ndarray:
+    """Sorted ``node * n + neighbour`` keys of both directions of ``edges``."""
+    u, v = edges[:, 0], edges[:, 1]
+    return np.sort(np.concatenate([u * n + v, v * n + u]))
+
+
+def _found(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """Which of ``keys`` occur in the sorted, distinct ``sorted_keys``."""
+    at = np.searchsorted(sorted_keys, keys)
+    found = at < sorted_keys.size
+    found[found] = sorted_keys[at[found]] == keys[found]
+    return found
 
 
 @dataclass(frozen=True)
@@ -135,11 +192,12 @@ class DeltaGraph:
     """An immutable snapshot of a base CSR graph plus an adjacency delta.
 
     Implements the read API of :class:`~repro.graph.graph.Graph` (degrees,
-    neighbors, sampling, volumes) by consulting a per-node patch table
-    before falling back to the base CSR, plus the vectorized read-through
-    used by batch kernels (:meth:`gather_neighbors`).  Whole-graph views
-    that genuinely need contiguous CSR (``transition_matrix``,
-    ``subgraph``, ...) delegate to :meth:`compacted`.
+    neighbors, sampling, volumes) by reading each row at its ``starts``
+    offset, in the base CSR or in the patch, plus the vectorized
+    read-through used by batch kernels (:meth:`gather_neighbors`).
+    Whole-graph views that genuinely need contiguous CSR
+    (``transition_matrix``, ``subgraph``, ...) delegate to
+    :meth:`compacted`.
 
     Mutations never modify ``self``: :meth:`add_edges` /
     :meth:`remove_edges` / :meth:`apply` return a new snapshot with
@@ -148,17 +206,15 @@ class DeltaGraph:
 
     __slots__ = (
         "_base",
-        "_adj",
+        "_starts",
         "_degrees",
+        "_patch",
         "_m",
         "_delta_edges",
         "epoch",
         "last_event",
         "_lock",
         "_compacted",
-        "_patch_rows",
-        "_patch_indptr",
-        "_patch_indices",
     )
 
     def __init__(self, base: Graph, *, epoch: int = 0) -> None:
@@ -167,43 +223,16 @@ class DeltaGraph:
                 f"DeltaGraph wraps a plain CSR Graph, got {type(base).__name__}"
             )
         self._base = base
-        self._adj: dict[int, np.ndarray] = {}
-        self._degrees = base.degrees  # read-only view; copied on first apply
+        # Read-only views of the base; each apply writes fresh copies.
+        self._starts = base.indptr[:-1]
+        self._degrees = base.degrees
+        self._patch = np.empty(0, dtype=np.int64)
         self._m = base.num_edges
         self._delta_edges = 0
         self.epoch = int(epoch)
         self.last_event: MutationEvent | None = None
         self._lock = threading.Lock()
-        self._compacted: Graph | None = None
-        self._patch_rows: np.ndarray | None = None
-        self._patch_indptr: np.ndarray | None = None
-        self._patch_indices: np.ndarray | None = None
-
-    @classmethod
-    def _from_parts(
-        cls,
-        base: Graph,
-        adj: dict[int, np.ndarray],
-        degrees: np.ndarray,
-        m: int,
-        delta_edges: int,
-        epoch: int,
-        event: MutationEvent,
-    ) -> "DeltaGraph":
-        snap = cls.__new__(cls)
-        snap._base = base
-        snap._adj = adj
-        snap._degrees = degrees
-        snap._m = m
-        snap._delta_edges = delta_edges
-        snap.epoch = epoch
-        snap.last_event = event
-        snap._lock = threading.Lock()
-        snap._compacted = None
-        snap._patch_rows = None
-        snap._patch_indptr = None
-        snap._patch_indices = None
-        return snap
+        self._compacted: Graph | None = base
 
     # ------------------------------------------------------------------ #
     # Mutation (returns a new snapshot)
@@ -214,7 +243,14 @@ class DeltaGraph:
         Validation mirrors :class:`Graph`: nodes must exist (the node set
         is fixed), self-loops are rejected, adding a present edge or
         removing an absent one raises :class:`GraphError`, as does listing
-        the same edge on both sides of one batch.
+        the same edge on both sides of one batch.  The first bad edge in
+        ``(node, neighbour)`` order is reported, a duplicate before a
+        missing edge at the same node.
+
+        The whole batch is merged as sorted ``node * n + neighbour`` keys:
+        the touched rows are read through :func:`neighbor_rows`, the
+        merged rows are appended to a copy of the patch, and ``starts`` and
+        ``degrees`` are copied with the touched entries rewritten.
         """
         n = self.num_nodes
         added = _edge_array(add, n, what="add")
@@ -223,7 +259,9 @@ class DeltaGraph:
             raise GraphError("mutation must add or remove at least one edge")
         if added.shape[0] and removed.shape[0]:
             overlap = np.intersect1d(
-                added[:, 0] * n + added[:, 1], removed[:, 0] * n + removed[:, 1]
+                added[:, 0] * n + added[:, 1],
+                removed[:, 0] * n + removed[:, 1],
+                assume_unique=True,
             )
             if overlap.size:
                 u, v = divmod(int(overlap[0]), n)
@@ -231,63 +269,45 @@ class DeltaGraph:
                     f"edge ({u}, {v}) appears in both the add and remove batch"
                 )
 
-        per_add: dict[int, list[int]] = {}
-        per_remove: dict[int, list[int]] = {}
-        for u, v in added:
-            per_add.setdefault(int(u), []).append(int(v))
-            per_add.setdefault(int(v), []).append(int(u))
-        for u, v in removed:
-            per_remove.setdefault(int(u), []).append(int(v))
-            per_remove.setdefault(int(v), []).append(int(u))
+        add_keys, remove_keys = _row_keys(added, n), _row_keys(removed, n)
+        # Sorting beats np.unique here: NumPy 2's hash-based unique is an
+        # order of magnitude slower on arrays of a batch's size.
+        ends = np.sort(np.concatenate([added.ravel(), removed.ravel()]))
+        touched = ends[np.append(True, ends[1:] != ends[:-1])]
+        old_degrees = self._degrees[touched]
+        current = np.repeat(touched * n, old_degrees) + neighbor_rows(
+            self, touched, old_degrees
+        )
+        duplicate = add_keys[_found(add_keys, current)]
+        missing = remove_keys[~_found(remove_keys, current)]
+        if duplicate.size or missing.size:
+            first = []
+            if duplicate.size:
+                u, v = divmod(int(duplicate[0]), n)
+                first.append((u, 0, f"duplicate edge ({u}, {v})"))
+            if missing.size:
+                u, v = divmod(int(missing[0]), n)
+                first.append((u, 1, f"cannot remove missing edge ({u}, {v})"))
+            raise GraphError(min(first)[2])
 
-        new_adj = dict(self._adj)
+        merged = np.sort(np.concatenate([current[~_found(current, remove_keys)], add_keys]))
+        row_starts = np.searchsorted(merged, touched * n)
+        base_size = self._base.num_edges * 2
+        starts = np.array(self._starts, dtype=np.int64, copy=True)
+        starts[touched] = base_size + self._patch.size + row_starts
         degrees = np.array(self._degrees, dtype=np.int64, copy=True)
-        for node in sorted(set(per_add) | set(per_remove)):
-            current = self._neighbors_array(node)
-            add_arr = np.array(sorted(per_add.get(node, ())), dtype=np.int64)
-            rem_arr = np.array(sorted(per_remove.get(node, ())), dtype=np.int64)
-            if add_arr.size and current.size:
-                pos = np.searchsorted(current, add_arr)
-                in_bounds = pos < current.size
-                present = np.zeros(add_arr.size, dtype=bool)
-                present[in_bounds] = current[pos[in_bounds]] == add_arr[in_bounds]
-                if present.any():
-                    dup = int(add_arr[np.flatnonzero(present)[0]])
-                    raise GraphError(f"duplicate edge ({node}, {dup})")
-            if rem_arr.size:
-                found = np.zeros(rem_arr.size, dtype=bool)
-                if current.size:
-                    pos = np.searchsorted(current, rem_arr)
-                    in_bounds = pos < current.size
-                    found[in_bounds] = current[pos[in_bounds]] == rem_arr[in_bounds]
-                if not found.all():
-                    gone = int(rem_arr[np.flatnonzero(~found)[0]])
-                    raise GraphError(
-                        f"cannot remove missing edge ({node}, {gone})"
-                    )
-            merged = np.union1d(current, add_arr)
-            if rem_arr.size:
-                merged = merged[~np.isin(merged, rem_arr)]
-            new_adj[node] = merged
-            degrees[node] = merged.size
+        degrees[touched] = np.diff(np.append(row_starts, merged.size))
 
-        event = MutationEvent(
-            epoch_before=self.epoch,
-            epoch=self.epoch + 1,
-            added=added,
-            removed=removed,
+        snap = DeltaGraph(self._base, epoch=self.epoch + 1)
+        snap._starts, snap._degrees = starts, degrees
+        snap._patch = np.concatenate([self._patch, merged % n])
+        snap._compacted = None
+        snap._m = self._m + int(added.shape[0]) - int(removed.shape[0])
+        snap._delta_edges = self._delta_edges + int(added.shape[0] + removed.shape[0])
+        snap.last_event = MutationEvent(
+            epoch_before=self.epoch, epoch=self.epoch + 1, added=added, removed=removed
         )
-        return DeltaGraph._from_parts(
-            base=self._base,
-            adj=new_adj,
-            degrees=degrees,
-            m=self._m + int(added.shape[0]) - int(removed.shape[0]),
-            delta_edges=self._delta_edges
-            + int(added.shape[0])
-            + int(removed.shape[0]),
-            epoch=self.epoch + 1,
-            event=event,
-        )
+        return snap
 
     def add_edges(self, edges) -> "DeltaGraph":
         """Snapshot with ``edges`` added (each must be absent)."""
@@ -310,52 +330,42 @@ class DeltaGraph:
         """Cumulative added+removed edges since the base CSR was built."""
         return self._delta_edges
 
-    @property
-    def patched_nodes(self) -> int:
-        """Number of adjacency rows the overlay overrides."""
-        return len(self._adj)
-
     def should_compact(self, threshold: int | None = None) -> bool:
-        """Whether the delta has outgrown the (default or given) budget."""
+        """Whether the delta has outgrown the (default or given) budget.
+
+        Also true once ``patch``, dead rows included, holds more than
+        ``_PATCH_BUDGET`` times the base's ``indices``, whatever the budget.
+        """
         if threshold is None:
             threshold = default_compaction_threshold(self._base.num_edges)
-        return self._delta_edges > threshold
+        patch_budget = _PATCH_BUDGET * max(self._base.indices.size, 2048)
+        return self._delta_edges > threshold or self._patch.size > patch_budget
 
     def compacted(self) -> Graph:
         """Fold the overlay into a plain CSR :class:`Graph` (cached).
 
         The result is byte-identical to rebuilding from the full edge list:
-        patch rows are sorted, untouched rows are copied verbatim from the
-        base, and ``indptr`` is the cumulative sum of the merged degrees —
-        exactly the layout ``Graph.__init__``'s lexsort produces.
+        :func:`neighbor_rows` gathers every row in node order, each sorted,
+        a run of about ``_COMPACT_CHUNK`` entries at a time, and ``indptr``
+        is the cumulative sum of the merged degrees — exactly the layout
+        ``Graph.__init__``'s lexsort produces.
         """
         with self._lock:
             if self._compacted is None:
-                self._compacted = self._build_compacted()
+                n = self.num_nodes
+                indptr = np.zeros(n + 1, dtype=np.int64)
+                np.cumsum(self._degrees, out=indptr[1:])
+                indices = np.empty(int(indptr[-1]), dtype=np.int64)
+                cuts = np.arange(_COMPACT_CHUNK, indices.size, _COMPACT_CHUNK)
+                bounds = np.unique(np.concatenate([[0], np.searchsorted(indptr, cuts), [n]]))
+                for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+                    indices[indptr[lo] : indptr[hi]] = neighbor_rows(
+                        self, np.arange(lo, hi), self._degrees[lo:hi]
+                    )
+                self._compacted = Graph.from_csr_arrays(
+                    n, self._m, indptr, indices, self._degrees
+                )
             return self._compacted
-
-    def _build_compacted(self) -> Graph:
-        if not self._adj:
-            return self._base
-        n = self.num_nodes
-        degrees = np.array(self._degrees, dtype=np.int64, copy=True)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        base_indptr = self._base.indptr
-        base_indices = self._base.indices
-        prev = 0
-        for node in sorted(self._adj):
-            if node > prev:
-                block = base_indices[base_indptr[prev] : base_indptr[node]]
-                indices[indptr[prev] : indptr[prev] + block.size] = block
-            row = self._adj[node]
-            indices[indptr[node] : indptr[node + 1]] = row
-            prev = node + 1
-        if prev < n:
-            block = base_indices[base_indptr[prev] :]
-            indices[indptr[prev] :] = block
-        return Graph.from_csr_arrays(n, self._m, indptr, indices, degrees)
 
     def for_backend(self, backend) -> "Graph | DeltaGraph":
         """Adapt this snapshot for an execution backend.
@@ -372,50 +382,23 @@ class DeltaGraph:
     # ------------------------------------------------------------------ #
     # Vectorized read-through for batch kernels
     # ------------------------------------------------------------------ #
-    def _gather_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        with self._lock:
-            if self._patch_rows is None:
-                rows = np.full(self.num_nodes, -1, dtype=np.int64)
-                patched = sorted(self._adj)
-                lengths = np.array(
-                    [self._adj[u].size for u in patched], dtype=np.int64
-                )
-                patch_indptr = np.zeros(len(patched) + 1, dtype=np.int64)
-                np.cumsum(lengths, out=patch_indptr[1:])
-                patch_indices = (
-                    np.concatenate([self._adj[u] for u in patched])
-                    if patched
-                    else np.empty(0, dtype=np.int64)
-                )
-                for i, u in enumerate(patched):
-                    rows[u] = i
-                self._patch_rows = rows
-                self._patch_indptr = patch_indptr
-                self._patch_indices = patch_indices
-            return self._patch_rows, self._patch_indptr, self._patch_indices
-
     def gather_neighbors(self, nodes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """Batch neighbor lookup: the ``offsets``-th neighbor of each node.
 
         The overlay equivalent of ``indices[indptr[nodes] + offsets]``:
-        unpatched positions gather straight from the base CSR, patched ones
-        from a compact patch-CSR built lazily per snapshot.  Callers
-        guarantee ``0 <= offsets < degrees[nodes]``.
+        a position below the base's length gathers from the base CSR, any
+        other from the patch.  Callers guarantee
+        ``0 <= offsets < degrees[nodes]``.
         """
-        patch_rows, patch_indptr, patch_indices = self._gather_arrays()
-        rows = patch_rows[nodes]
-        patched = rows >= 0
-        if not patched.any():
-            return self._base.indices[self._base.indptr[nodes] + offsets]
-        out = np.empty(nodes.shape, dtype=np.int64)
-        unpatched = ~patched
-        if unpatched.any():
-            plain = nodes[unpatched]
-            out[unpatched] = self._base.indices[
-                self._base.indptr[plain] + offsets[unpatched]
-            ]
-        hit = rows[patched]
-        out[patched] = patch_indices[patch_indptr[hit] + offsets[patched]]
+        positions = self._starts[nodes] + offsets
+        base = self._base.indices
+        in_patch = np.flatnonzero(positions >= base.size)
+        if not in_patch.size:
+            return base[positions]
+        # Clipped positions read a stand-in from the base that the patch
+        # then overwrites; an edgeless base has nothing to clip to.
+        out = base.take(positions, mode="clip") if base.size else positions
+        out[in_patch] = self._patch[positions[in_patch] - base.size]
         return out
 
     # ------------------------------------------------------------------ #
@@ -445,12 +428,11 @@ class DeltaGraph:
 
     @property
     def csr_nbytes(self) -> int:
-        """Bytes held by the base CSR plus the overlay's patch rows."""
-        patch = sum(row.nbytes for row in self._adj.values())
-        # The degree array is copied on the first mutation (patches exist).
-        return self._base.csr_nbytes + patch + (
-            self._degrees.nbytes if self._adj else 0
-        )
+        """Bytes held by the base CSR plus the overlay's own arrays."""
+        if not self._delta_edges:
+            return self._base.csr_nbytes
+        own = self._starts.nbytes + self._degrees.nbytes + self._patch.nbytes
+        return self._base.csr_nbytes + own
 
     @property
     def degrees(self) -> np.ndarray:
@@ -486,11 +468,11 @@ class DeltaGraph:
         return int(self._degrees[node])
 
     def _neighbors_array(self, node: int) -> np.ndarray:
-        patch = self._adj.get(node)
-        if patch is not None:
-            return patch
-        indptr = self._base.indptr
-        return self._base.indices[indptr[node] : indptr[node + 1]]
+        start, degree = int(self._starts[node]), int(self._degrees[node])
+        base = self._base.indices
+        if start < base.size:
+            return base[start : start + degree]
+        return self._patch[start - base.size : start - base.size + degree]
 
     def neighbors(self, node: int) -> np.ndarray:
         """Neighbors of ``node`` as a read-only sorted array."""
@@ -548,12 +530,8 @@ class DeltaGraph:
             )
         member = np.zeros(self.num_nodes, dtype=bool)
         member[node_arr] = True
-        crossing = 0
-        for node in node_arr:
-            nbrs = self._neighbors_array(int(node))
-            if nbrs.size:
-                crossing += int(np.count_nonzero(~member[nbrs]))
-        return crossing
+        nbrs = neighbor_rows(self, node_arr, self._degrees[node_arr])
+        return int(np.count_nonzero(~member[nbrs]))
 
     # ------------------------------------------------------------------ #
     # Whole-graph views (delegate to the compacted CSR)

@@ -21,7 +21,8 @@ Endpoints:
   served graph (see :mod:`repro.dynamic`) and responds with the mutation
   summary (new epoch, edge count, whether the delta compacted, whether a
   walk index was detached).  ``404`` for an unknown graph, ``400`` for
-  invalid edges (out-of-range, self-loops, duplicates, absent removals).
+  invalid edges (items that are not two integers, out-of-range,
+  self-loops, duplicates, absent removals).
 * ``DELETE /graphs/<name>`` — unregister a served graph, evicting its
   cached results.
 * ``GET /graphs`` — registered graphs and their sizes.
@@ -70,6 +71,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-service/1.0"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted connection: headers and body go out as
+    # two writes, and with Nagle on a keep-alive response body waits for
+    # the client's delayed ACK of the headers (a ~40 ms floor per request).
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> QueryService:

@@ -142,6 +142,17 @@ class QueryRequest:
         return SERVICE_METHODS[self.method].deterministic or not self.pinned
 
 
+def _integer(name: str, value) -> int:
+    """``int(value)``, refusing booleans and values ``int()`` would truncate."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ServiceError(f"non-integer {name}: {exc}") from None
+    if isinstance(value, bool) or (not isinstance(value, str) and number != value):
+        raise ServiceError(f"{name} must be an integer, got {value!r}")
+    return number
+
+
 def normalize_request(
     graph: str,
     method: str,
@@ -160,15 +171,17 @@ def normalize_request(
     CLI and the library use — so every surface reports identical errors.
     ``entry`` (when provided) additionally validates the seed node against
     the graph, so bad requests are rejected at admission rather than
-    mid-batch.
+    mid-batch.  The graph name is checked where it is resolved:
+    :meth:`GraphRegistry.get` treats a non-string name as unknown.
     """
+    if not isinstance(method, str):
+        raise ServiceError(f"method must be a string, got {method!r}")
+    if params is not None and not isinstance(params, Mapping):
+        raise ServiceError(f"params must be an object or null, got {params!r}")
     spec = _resolve_servable(method)
-    try:
-        seed_node = int(seed_node)
-        top_k = int(top_k)
-        rng = None if rng is None else int(rng)
-    except (TypeError, ValueError) as exc:
-        raise ServiceError(f"non-integer seed_node/top_k/rng: {exc}") from None
+    seed_node = _integer("seed_node", seed_node)
+    top_k = _integer("top_k", top_k)
+    rng = None if rng is None else _integer("rng", rng)
     if top_k < 1:
         raise ServiceError(f"top_k must be >= 1, got {top_k}")
     if timeout_ms is not None:

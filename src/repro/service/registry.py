@@ -139,7 +139,9 @@ class GraphEntry:
     epoch: int = 0
     #: Delta-edge budget before a mutation folds the overlay back into
     #: plain CSR; ``None`` uses
-    #: :func:`repro.dynamic.delta.default_compaction_threshold`.
+    #: :func:`repro.dynamic.delta.default_compaction_threshold`.  The
+    #: overlay also folds once its patch outgrows twice the base CSR
+    #: (:meth:`~repro.dynamic.delta.DeltaGraph.should_compact`).
     compaction_threshold: int | None = None
     #: Cumulative count of indexes detached because a mutation staled them.
     stale_indexes: int = 0
@@ -175,9 +177,10 @@ class GraphEntry:
         Serialized per entry: builds the next
         :class:`~repro.dynamic.delta.DeltaGraph` snapshot, bumps ``epoch``,
         folds the overlay into plain CSR once the cumulative delta exceeds
-        the compaction threshold (the new snapshot then wraps the rebuilt
-        base with an empty delta), and detaches any attached walk-sketch
-        index after marking it stale — its fingerprint can no longer match.
+        the compaction threshold or its patch outgrows twice the base CSR
+        (the new snapshot then wraps the rebuilt base with an empty delta),
+        and detaches any attached walk-sketch index after marking it stale
+        — its fingerprint can no longer match.
         """
         from repro.dynamic.delta import DeltaGraph
 
@@ -401,7 +404,8 @@ class GraphRegistry:
     def get(self, name: str) -> GraphEntry:
         """The entry for ``name``; :class:`ServiceError` when unknown."""
         with self._lock:
-            entry = self._entries.get(name)
+            # A non-string name (say, a JSON list) is unknown, not a TypeError.
+            entry = self._entries.get(name) if isinstance(name, str) else None
         if entry is None:
             raise ServiceError(
                 f"unknown graph {name!r}; registered: {self.names()}"

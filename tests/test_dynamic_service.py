@@ -14,9 +14,10 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.dynamic import DeltaGraph
+from repro.dynamic import DeltaGraph, default_compaction_threshold
 from repro.exceptions import GraphError, ServiceError, WalkIndexError
 from repro.graph.generators import chung_lu_graph, power_law_degree_sequence
+from repro.graph.graph import Graph
 from repro.index import build_walk_index
 from repro.service import GraphRegistry, QueryService, ResultCache
 from repro.service.http import serve_in_thread
@@ -63,6 +64,30 @@ class TestRegistryMutation:
         assert entry.graph.epoch == 2
         assert isinstance(entry.graph, DeltaGraph)
         assert entry.graph.delta_edges == 0
+
+    def test_patch_stays_bounded_under_one_edge_batches_on_one_node(self):
+        # Each batch appends the whole merged row of node 0, so without the
+        # patch budget the 1,025th one-edge batch, the first past the
+        # delta-edge budget, would find ~530,000 patch entries beside a
+        # base of 6,002.
+        n = 3001
+        ring = Graph(n, [(i, (i + 1) % n) for i in range(n)])
+        entry = GraphRegistry().add_graph("g", ring)
+        compactions = []
+        for v in range(2, n - 1):
+            _, compacted = entry.mutate(add=[(0, v)])
+            view = entry.graph
+            assert view.delta_edges <= default_compaction_threshold(view.base.num_edges)
+            assert view._patch.size <= 2 * max(view.base.indices.size, 2048)
+            if compacted:
+                compactions.append(entry.epoch)
+        # The patch budget, not the delta-edge budget, fired first.
+        assert compactions and compactions[0] < default_compaction_threshold(n)
+        assert entry.graph.degree(0) == n - 1
+        fresh = Graph(n, sorted(ring.edges()) + [(0, v) for v in range(2, n - 1)])
+        served = entry.csr_graph()
+        for name in ("indptr", "indices", "degrees"):
+            assert getattr(served, name).tobytes() == getattr(fresh, name).tobytes()
 
     def test_bad_batch_leaves_entry_untouched(self, graph):
         registry = GraphRegistry()
@@ -274,6 +299,33 @@ class TestHTTPMutation:
         assert status == 400 and "lists" in body["error"]
         status, body = self._post(base, "/graphs//edges", {"add": [[0, 1]]})
         assert status == 404
+
+    @pytest.mark.parametrize(
+        "items,message",
+        [([[1]], "integers"), ([[1, 2, 3]], "integers"), ([1, 2], "integers"),
+         ([["x", 2]], "integers"), ([[None, 2]], "integers"), ([[1.7, 5]], "integers"),
+         ([[True, 7]], "integers"), ([[0, 2**63]], "node 9223372036854775808 is not"),
+         ([[-(2**63) - 1, 0]], "node -9223372036854775809 is not")],
+        ids=["short", "long", "flat", "str", "null", "float", "bool", "above-int64",
+             "below-int64"],
+    )
+    def test_malformed_edge_items_are_400_and_change_nothing(
+        self, server, graph, items, message
+    ):
+        # [[1.7, 5]] and [[True, 7]] must not be truncated into the absent
+        # edges (1, 5) and (1, 7).
+        assert not graph.has_edge(1, 5) and not graph.has_edge(1, 7)
+        base, svc = server
+        entry = svc.registry.get("g")
+        snapshot = entry.graph
+        for side in ("add", "remove"):
+            status, body = self._post(base, "/graphs/g/edges", {side: items})
+            assert status == 400, body
+            assert message in body["error"]
+        assert entry.epoch == 0 and entry.graph is snapshot
+        served = entry.csr_graph()
+        for name in ("indptr", "indices", "degrees"):
+            assert getattr(served, name).tobytes() == getattr(graph, name).tobytes()
 
     def test_delete_graph(self, server, graph):
         base, svc = server

@@ -514,6 +514,57 @@ class TestHTTPFrontend:
             urllib.request.urlopen(f"{base}/bogus", timeout=10)
         assert excinfo.value.code == 404
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("params", [1]), ("graph", ["grid"]), ("method", 7), ("seed_node", 1.5),
+         ("seed_node", True), ("top_k", 2.5), ("top_k", False), ("rng", 3.5),
+         ("rng", True)],
+        ids=["params-list", "graph-list", "method-int", "seed-float", "seed-bool",
+             "top_k-float", "top_k-bool", "rng-float", "rng-bool"],
+    )
+    def test_malformed_query_fields_are_400(self, http_service, field, value):
+        base, _ = http_service
+        body = {"graph": "grid", "method": "monte-carlo", "seed_node": 1,
+                "params": {"num_walks": 100}, field: value}
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self._post(base, body)
+        assert excinfo.value.code == 400
+        assert field in json.loads(excinfo.value.read())["error"]
+
+    def test_integral_query_fields_still_accepted(self, http_service):
+        base, _ = http_service
+        payload = self._post(
+            base,
+            {"graph": "grid", "method": "monte-carlo", "seed_node": 2.0,
+             "params": None, "top_k": 3.0, "rng": 4.0},
+        )
+        assert payload["seed_node"] == 2 and len(payload["top"]) <= 3
+
+    def test_keep_alive_round_trips_have_no_delayed_ack_floor(self, http_service):
+        # Headers and body are two writes; without TCP_NODELAY the body of
+        # each keep-alive response waits ~40 ms for the client's delayed ACK.
+        import http.client
+        import time
+
+        base, _ = http_service
+        host, port = base.removeprefix("http://").split(":")
+        body = json.dumps({"graph": "grid", "method": "monte-carlo", "seed_node": 0,
+                           "params": {"num_walks": 100}})
+        connection = http.client.HTTPConnection(host, int(port), timeout=30)
+        round_trips = []
+        try:
+            for _ in range(8):
+                started = time.perf_counter()
+                connection.request("POST", "/query", body,
+                                   {"Content-Type": "application/json"})
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+                round_trips.append(time.perf_counter() - started)
+        finally:
+            connection.close()
+        assert float(np.median(round_trips[1:])) < 0.020, round_trips
+
     def test_deadline_trip_maps_to_504(self, http_service):
         base, svc = http_service
         with pytest.raises(urllib.error.HTTPError) as excinfo:
