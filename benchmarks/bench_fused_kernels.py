@@ -1,8 +1,8 @@
 """Benchmark: fused push+walk kernels vs the separate two-pass path.
 
 ``test_fused_kernel_speedup`` times a service-shaped workload — many small
-monte-carlo HKPR queries on a 100k-node power-law graph — three ways per
-fused-capable backend:
+monte-carlo HKPR queries on a 100k-node power-law graph — three ways on the
+``vectorized`` backend (the one fused-capable backend):
 
 * ``fused``: ``monte_carlo_hkpr_many`` with fusion on (the default) — one
   ``fused_push_walk`` kernel call samples every query's starts from its
@@ -16,12 +16,10 @@ fused-capable backend:
   API — separate sample + walk passes with full per-query Python re-entry,
   which is exactly the overhead the fused path eliminates end to end.
 
-The headline ``fused_vs_unfused`` ratio compares ``fused`` against
-``per_query`` (separate passes, as a non-batching caller would run them);
-``fused_vs_task_batched`` is recorded alongside for transparency.  The
->= 1.5x acceptance gate applies to the **numba** backend (compiled kernels
-are where fusion pays off); hosts without numba record the vectorized
-numbers and skip the gate, which CI (with numba installed) enforces.
+The ``fused_vs_unfused`` ratio compares ``fused`` against ``per_query``
+(separate passes, as a non-batching caller would run them);
+``fused_vs_task_batched`` is recorded alongside.  The test records the
+three walk rates and gates nothing.
 
 ``test_mmap_graph_end_to_end`` is the mmap acceptance demo: a 10M+-edge
 graph is packed to ``.rcsr``, mapped back in under a second, and answers a
@@ -37,9 +35,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.engine import available_backends, get_backend
-from repro.engine.fused import fusion_disabled, supports_fused
-from repro.engine.numba_backend import numba_available
+from repro.engine.fused import fusion_disabled
 from repro.graph.generators import chung_lu_graph, power_law_degree_sequence
 from repro.graph.graph import Graph
 from repro.hkpr.batched import monte_carlo_hkpr_many
@@ -49,10 +45,6 @@ from repro.hkpr.params import HKPRParams
 #: Many small queries: the micro-batched service shape fusion targets.
 NUM_QUERIES = 512
 WALKS_PER_QUERY = 250
-
-#: Acceptance bar for the compiled (numba) backend: one fused CSR pass must
-#: beat the sample-then-walk two-pass path by this much on walks/sec.
-MIN_FUSED_RATIO = 1.5
 
 #: The mmap demo graph: >= 10M edges, and the packed file must map in < 1s.
 MMAP_NUM_NODES = 2_000_000
@@ -64,12 +56,6 @@ MAX_MMAP_LOAD_SECONDS = 1.0
 def graph():
     degrees = power_law_degree_sequence(100_000, 2.5, 2, 200, seed=11)
     return chung_lu_graph(degrees, seed=11, connected=False)
-
-
-def _fused_backend_names() -> list[str]:
-    return [
-        name for name in available_backends() if supports_fused(get_backend(name))
-    ]
 
 
 def _run_workload(backend_name: str, graph, seeds, params) -> None:
@@ -106,7 +92,7 @@ def _best_of(fn, repeats: int) -> float:
 
 
 def test_fused_kernel_speedup(graph, results_dir):
-    """Measure fused vs unfused walks/sec per backend and persist the table."""
+    """Record vectorized fused, task-batched and per-query walks/sec."""
     rng = np.random.default_rng(3)
     seeds = [int(s) for s in rng.integers(0, graph.num_nodes, size=NUM_QUERIES)]
     params = HKPRParams(
@@ -114,30 +100,24 @@ def test_fused_kernel_speedup(graph, results_dir):
     )
     total_walks = NUM_QUERIES * WALKS_PER_QUERY
 
-    backends = {}
-    for name in _fused_backend_names():
-        # Warm up once (JIT compilation for numba; cache priming for all).
-        _run_workload(name, graph, seeds[:2], params)
-        fused_seconds = _best_of(
+    name = "vectorized"
+    _run_workload(name, graph, seeds[:2], params)  # warm caches
+    fused_seconds = _best_of(lambda: _run_workload(name, graph, seeds, params), 3)
+    with fusion_disabled():
+        task_batched_seconds = _best_of(
             lambda: _run_workload(name, graph, seeds, params), 3
         )
-        with fusion_disabled():
-            task_batched_seconds = _best_of(
-                lambda: _run_workload(name, graph, seeds, params), 3
-            )
-        per_query_seconds = _best_of(
-            lambda: _run_per_query(name, graph, seeds, params), 2
-        )
-        backends[name] = {
-            "fused_seconds": fused_seconds,
-            "task_batched_seconds": task_batched_seconds,
-            "per_query_seconds": per_query_seconds,
-            "fused_walks_per_second": total_walks / fused_seconds,
-            "task_batched_walks_per_second": total_walks / task_batched_seconds,
-            "per_query_walks_per_second": total_walks / per_query_seconds,
-            "fused_vs_unfused": per_query_seconds / fused_seconds,
-            "fused_vs_task_batched": task_batched_seconds / fused_seconds,
-        }
+    per_query_seconds = _best_of(lambda: _run_per_query(name, graph, seeds, params), 2)
+    stats = {
+        "fused_seconds": fused_seconds,
+        "task_batched_seconds": task_batched_seconds,
+        "per_query_seconds": per_query_seconds,
+        "fused_walks_per_second": total_walks / fused_seconds,
+        "task_batched_walks_per_second": total_walks / task_batched_seconds,
+        "per_query_walks_per_second": total_walks / per_query_seconds,
+        "fused_vs_unfused": per_query_seconds / fused_seconds,
+        "fused_vs_task_batched": task_batched_seconds / fused_seconds,
+    }
 
     payload = {
         "benchmark": "fused_kernels",
@@ -150,28 +130,15 @@ def test_fused_kernel_speedup(graph, results_dir):
         "walks_per_query": WALKS_PER_QUERY,
         "total_walks": total_walks,
         "t": params.t,
-        "numba_available": numba_available(),
-        "backends": backends,
+        "backends": {name: stats},
     }
     path = results_dir / "BENCH_fused_kernels.json"
     path.write_text(json.dumps(payload, indent=2) + "\n")
-    summary = ", ".join(
-        f"{name}: {stats['fused_vs_unfused']:.2f}x vs per-query, "
-        f"{stats['fused_vs_task_batched']:.2f}x vs task-batched"
-        for name, stats in backends.items()
-    )
-    print(f"\nfused walk throughput: {summary}  [saved to {path}]")
-
-    assert backends, "no fused-capable backend registered"
-    if not numba_available():
-        pytest.skip(
-            "numba not installed: fused ratio gate applies to the compiled "
-            "backend (enforced in CI); vectorized numbers recorded"
-        )
-    assert backends["numba"]["fused_vs_unfused"] >= MIN_FUSED_RATIO, (
-        f"fused numba kernel is only "
-        f"{backends['numba']['fused_vs_unfused']:.2f}x the two-pass path "
-        f"(required: {MIN_FUSED_RATIO}x)"
+    print(
+        f"\nfused walk throughput: {name}: "
+        f"{stats['fused_vs_unfused']:.2f}x vs per-query, "
+        f"{stats['fused_vs_task_batched']:.2f}x vs task-batched  "
+        f"[saved to {path}]"
     )
 
 

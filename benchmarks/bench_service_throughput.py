@@ -270,8 +270,8 @@ def test_observability_overhead(results_dir):
             for mode, flag in (("enabled", True), ("disabled", False)):
                 obs.set_obs_enabled(flag)
                 with make_service(registry, max_batch=MAX_BATCH) as service:
-                    # Unrecorded warm-up: kernel JIT, allocator and page-cache
-                    # state; without it the first round measures compilation.
+                    # Unrecorded warm-up: allocator and page-cache state;
+                    # without it the first round measures cold caches.
                     closed_loop_throughput(
                         service, "obs-30k", graph.num_nodes,
                         concurrency=8, total_queries=QUERIES_PER_LEVEL // 2,

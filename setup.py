@@ -6,10 +6,7 @@ falls back to ``setup.py develop``.
 
 Extras:
 
-* ``numba`` — the optional JIT walk backend (``pip install .[numba]``); the
-  package degrades gracefully without it (the backend simply is not
-  registered).
-* ``test``  — everything the test/benchmark suite needs on top of the
+* ``test`` — everything the test/benchmark suite needs on top of the
   runtime dependencies.
 """
 
@@ -32,7 +29,6 @@ setup(
         "networkx>=3.0",
     ],
     extras_require={
-        "numba": ["numba>=0.57"],
         "test": [
             "pytest>=7.0",
             "pytest-benchmark",

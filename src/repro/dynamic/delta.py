@@ -372,8 +372,8 @@ class DeltaGraph:
 
         Backends that set ``supports_overlay = True`` (the vectorized
         kernels) read through :meth:`gather_neighbors`; everything else
-        (numba, parallel workers over shared-memory CSR) gets the
-        compacted plain graph.
+        (the reference loop, parallel workers over shared-memory CSR) gets
+        the compacted plain graph.
         """
         if getattr(backend, "supports_overlay", False):
             return self

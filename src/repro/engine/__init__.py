@@ -18,8 +18,6 @@ independent of the algorithms' correctness, so it lives behind the
   over shared-memory CSR arrays, with independent per-worker RNG streams
   spawned via ``np.random.SeedSequence`` (reproducible per
   ``(seed, worker count)``).
-* ``"numba"`` (:mod:`repro.engine.numba_backend`) — JIT-compiled
-  scalar-loop kernels; registered only when :mod:`numba` imports.
 
 A backend must satisfy three invariants (enforced by the parity suite in
 ``tests/test_engine.py``):
@@ -279,11 +277,6 @@ from repro.engine.multi import (  # noqa: E402
     execute_plans,
     run_walk_tasks,
 )
-from repro.engine.numba_backend import (  # noqa: E402
-    NUMBA_AVAILABLE,
-    NumbaBackend,
-    numba_available,
-)
 from repro.engine.parallel import ParallelBackend  # noqa: E402
 from repro.engine.reference import ReferenceBackend  # noqa: E402
 from repro.engine.vectorized import VectorizedBackend  # noqa: E402
@@ -291,16 +284,12 @@ from repro.engine.vectorized import VectorizedBackend  # noqa: E402
 register_backend(ReferenceBackend())
 register_backend(VectorizedBackend())
 register_backend(ParallelBackend())
-if NUMBA_AVAILABLE:
-    register_backend(NumbaBackend())
 
 __all__ = [
     "BACKEND_ENV_VAR",
     "Backend",
     "FusedGroup",
     "FusedQuery",
-    "NUMBA_AVAILABLE",
-    "NumbaBackend",
     "ParallelBackend",
     "ReferenceBackend",
     "VectorizedBackend",
@@ -315,7 +304,6 @@ __all__ = [
     "fusion_disabled",
     "fusion_enabled",
     "get_backend",
-    "numba_available",
     "register_backend",
     "run_fused_queries",
     "run_walk_tasks",

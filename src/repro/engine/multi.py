@@ -212,10 +212,10 @@ def _adapt_graph(graph: "Graph", engine: Backend) -> "Graph":
 
     A :class:`~repro.dynamic.delta.DeltaGraph` overlay implements
     ``for_backend``: backends advertising ``supports_overlay`` walk it
-    directly, everything else (numba, parallel workers over shared-memory
-    CSR) receives its compacted plain-CSR equivalent.  Plain graphs have no
-    hook and pass through untouched.  Duck-typed so this module never
-    imports :mod:`repro.dynamic`.
+    directly, everything else (the reference loop, parallel workers over
+    shared-memory CSR) receives its compacted plain-CSR equivalent.  Plain
+    graphs have no hook and pass through untouched.  Duck-typed so this
+    module never imports :mod:`repro.dynamic`.
     """
     adapt = getattr(graph, "for_backend", None)
     if adapt is None:

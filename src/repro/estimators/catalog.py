@@ -220,8 +220,6 @@ register(EstimatorSpec(
     doc="Plain Monte-Carlo HKPR: Poisson-length walks from the seed (§3).",
     aliases=("mc", "monte-carlo-hkpr"),
     params=hkpr_base_params() + (_NUM_WALKS,),
-    fusible=True,
-    fused_sampling=True,
     backend_aware=True,
     estimate_fn=monte_carlo_hkpr,
     takes_deadline=True,
@@ -327,8 +325,6 @@ register(EstimatorSpec(
         _PUSH_BUDGET,
         _MAX_HOP,
     ),
-    fusible=True,
-    fused_sampling=True,
     backend_aware=True,
     estimate_fn=tea_plus,
     takes_deadline=True,
@@ -377,8 +373,6 @@ register(EstimatorSpec(
         _R_MAX,
         _MAX_WALKS,
     ),
-    fusible=True,
-    fused_sampling=True,
     backend_aware=True,
     estimate_fn=fora,
     takes_deadline=True,
@@ -398,8 +392,6 @@ register(EstimatorSpec(
         ParamSpec("num_walks", "int", default=10_000, minimum=1,
                   doc="number of restart walks"),
     ),
-    fusible=True,
-    fused_sampling=True,
     backend_aware=True,
     estimate_fn=monte_carlo_ppr,
     takes_deadline=True,

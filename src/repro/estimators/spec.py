@@ -3,9 +3,10 @@
 An :class:`EstimatorSpec` is the single description of one estimation
 method: its canonical name and aliases, a declarative parameter schema
 (:class:`ParamSpec` — types, bounds, defaults, error messages), capability
-flags (``fusible``, ``deterministic``, ``sweepable``, ``backend_aware``,
-``family``), the callable that answers a single query, an optional plan
-builder for the serving layer, and an admission-control walk estimate.
+flags (``deterministic``, ``sweepable``, ``backend_aware``, ``family``),
+the callable that answers a single query, an optional plan builder for
+the serving layer (a method with one is *fusible*), and an
+admission-control walk estimate.
 
 Every query surface of the package — :func:`repro.clustering.local.local_cluster`,
 the service planner, the CLI, and the benchmark harness — dispatches through
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import inspect
 import math
-import weakref
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
@@ -171,14 +171,6 @@ class EstimatorSpec:
     params: tuple[ParamSpec, ...] = ()
     #: Alternative accepted spellings, resolved to :attr:`name`.
     aliases: tuple[str, ...] = ()
-    #: Walk phase decomposes into :class:`repro.engine.multi.WalkTask`\ s
-    #: that the micro-batcher may fuse across queries.
-    fusible: bool = False
-    #: Serving plans expose ``fused_queries()`` — the walk phase can run as
-    #: a one-pass fused push+walk kernel (:mod:`repro.engine.fused`) on
-    #: backends advertising ``supports_fused``, sampling each walk's start
-    #: from the residue distribution inside the kernel.
-    fused_sampling: bool = False
     #: Result is a pure function of the request (no randomness), so even
     #: rng-pinned service requests are cache-eligible.
     deterministic: bool = False
@@ -192,8 +184,10 @@ class EstimatorSpec:
     #: Flow-baseline runner ``(graph, seed, **kwargs) -> BaselineClusteringResult``.
     cluster_fn: Callable | None = None
     #: Serving-layer plan builder
-    #: ``(graph, seed, params_dict, rng, weights_for) -> WalkPlan``;
-    #: ``None`` falls back to a :class:`DirectPlan` around :meth:`estimate`.
+    #: ``(graph, seed, params_dict, rng, weights_for, deadline=None) -> WalkPlan``;
+    #: a method with one is fusible (its walk phase can batch across
+    #: queries).  ``None`` falls back to a :class:`DirectPlan` around
+    #: :meth:`estimate`.
     plan_fn: Callable | None = None
     #: Admission-control walk estimate ``(graph, params_dict) -> int``;
     #: ``None`` means the method performs no random walks.
@@ -443,18 +437,14 @@ class EstimatorSpec:
         ``weights_for`` supplies (possibly cached) :class:`PoissonWeights`
         per heat constant; the service passes the graph entry's warm cache.
         The optional ``deadline`` bounds any deterministic work done at plan
-        construction (push phases, direct execution); plan builders that
-        predate the deadline contract are still called with the legacy
-        five-argument shape.
+        construction (push phases, direct execution).
         """
         if weights_for is None:
             weights_for = PoissonWeights
         if self.plan_fn is not None:
-            if _accepts_deadline(self.plan_fn):
-                return self.plan_fn(
-                    graph, seed_node, params, rng, weights_for, deadline=deadline
-                )
-            return self.plan_fn(graph, seed_node, params, rng, weights_for)
+            return self.plan_fn(
+                graph, seed_node, params, rng, weights_for, deadline=deadline
+            )
         hkpr_params, kwargs = self.split_params(graph, params)
         result = self.estimate(
             graph, seed_node, params=hkpr_params, rng=rng,
@@ -472,8 +462,7 @@ class EstimatorSpec:
             "family": self.family,
             "doc": self.doc,
             "aliases": list(self.aliases),
-            "fusible": self.fusible,
-            "fused_sampling": self.fused_sampling,
+            "fusible": self.plan_fn is not None,
             "deterministic": self.deterministic,
             "sweepable": self.sweepable,
             "servable": self.servable,
@@ -524,38 +513,6 @@ def hkpr_base_params(*, include_c: bool = False) -> tuple[ParamSpec, ...]:
                       doc="hop-cap constant (Eq. 20)", feeds="params"),
         )
     return base
-
-
-_DEADLINE_ACCEPTANCE: "weakref.WeakKeyDictionary[Callable, bool]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _accepts_deadline(plan_fn: Callable) -> bool:
-    """Whether a plan builder's signature accepts a ``deadline=`` keyword.
-
-    Cached per callable so the signature inspection is paid once; builders
-    registered before the deadline contract keep their five-argument shape.
-    """
-    try:
-        cached = _DEADLINE_ACCEPTANCE.get(plan_fn)
-    except TypeError:  # non-weakrefable callable
-        cached = None
-    if cached is not None:
-        return cached
-    try:
-        parameters = inspect.signature(plan_fn).parameters
-    except (TypeError, ValueError):  # builtins / odd callables
-        accepts = False
-    else:
-        accepts = "deadline" in parameters or any(
-            p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-        )
-    try:
-        _DEADLINE_ACCEPTANCE[plan_fn] = accepts
-    except TypeError:
-        pass
-    return accepts
 
 
 def ceil_int(value: float) -> int:

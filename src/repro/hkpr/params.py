@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
+from repro.hkpr.poisson import check_heat_constant
 
 #: Default heat constant; the paper uses t = 5 following prior work.
 DEFAULT_T = 5.0
@@ -83,8 +84,7 @@ class HKPRParams:
     c: float = DEFAULT_C
 
     def __post_init__(self) -> None:
-        if self.t <= 0:
-            raise ParameterError(f"heat constant t must be positive, got {self.t}")
+        check_heat_constant(self.t)
         if not 0.0 < self.eps_r < 1.0:
             raise ParameterError(
                 f"relative error eps_r must be in (0, 1), got {self.eps_r}"

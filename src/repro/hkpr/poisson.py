@@ -21,6 +21,7 @@ O(1) and numerically stable (tails are accumulated from the small end).
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -30,14 +31,32 @@ from repro.exceptions import ParameterError
 DEFAULT_TAIL_TOLERANCE = 1e-12
 
 
+def check_heat_constant(t: float) -> None:
+    """Raise :class:`ParameterError` unless the tables can hold ``t``.
+
+    ``t`` must be positive and finite, and ``eta(0) = exp(-t)`` (where the
+    Poisson recurrence starts) must be a normal float.  Above t ≈ 708.4 it
+    is subnormal, above t ≈ 745.1 it is zero, and the tables would keep
+    only part of the Poisson mass, or none.
+    """
+    if not (t > 0 and math.isfinite(t)):
+        raise ParameterError(f"heat constant t must be positive and finite, got {t}")
+    if math.exp(-t) < sys.float_info.min:
+        raise ParameterError(
+            f"heat constant t={t} is too large: exp(-t) underflows "
+            f"(t must be at most about 708)"
+        )
+
+
 class PoissonWeights:
     """Precomputed ``eta`` / ``psi`` tables for a heat constant ``t``.
 
     Parameters
     ----------
     t:
-        The heat constant (must be positive).  The paper uses ``t = 5`` by
-        default and up to ``t = 40`` in the sensitivity study.
+        The heat constant (positive, finite and at most about 708; see
+        :func:`check_heat_constant`).  The paper uses ``t = 5`` by default
+        and up to ``t = 40`` in the sensitivity study.
     tail_tolerance:
         Hops beyond the point where the remaining tail mass drops below this
         value are treated as having termination probability 1.
@@ -52,8 +71,7 @@ class PoissonWeights:
     """
 
     def __init__(self, t: float, *, tail_tolerance: float = DEFAULT_TAIL_TOLERANCE) -> None:
-        if t <= 0:
-            raise ParameterError(f"heat constant t must be positive, got {t}")
+        check_heat_constant(t)
         if not 0 < tail_tolerance < 1:
             raise ParameterError(
                 f"tail tolerance must be in (0, 1), got {tail_tolerance}"

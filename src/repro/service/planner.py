@@ -184,7 +184,11 @@ def normalize_request(
     rng = None if rng is None else _integer("rng", rng)
     if top_k < 1:
         raise ServiceError(f"top_k must be >= 1, got {top_k}")
+    if rng is not None and rng < 0:
+        raise ServiceError(f"rng must be a non-negative integer, got {rng}")
     if timeout_ms is not None:
+        if isinstance(timeout_ms, bool):
+            raise ServiceError(f"timeout_ms must be a number, got {timeout_ms!r}")
         try:
             timeout_ms = float(timeout_ms)
         except (TypeError, ValueError) as exc:

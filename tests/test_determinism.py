@@ -10,9 +10,7 @@ The determinism contract (ARCHITECTURE.md, "Determinism contract"):
   distribution);
 * ``parallel``: determinism is **per worker-count** — the worker count
   keys the spawned per-worker RNG streams, while ``min_parallel_batch``
-  (and hence pooled-vs-inline execution) never changes results;
-* ``numba``: determinism is per backend instance stream (one seed drawn
-  from the caller's generator per kernel call).
+  (and hence pooled-vs-inline execution) never changes results.
 """
 
 from __future__ import annotations

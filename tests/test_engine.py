@@ -28,7 +28,6 @@ import repro.engine as engine_module
 from repro.engine import (
     BACKEND_ENV_VAR,
     Backend,
-    NumbaBackend,
     ParallelBackend,
     ReferenceBackend,
     VectorizedBackend,
@@ -37,7 +36,6 @@ from repro.engine import (
     chunk_sizes,
     default_backend_name,
     get_backend,
-    numba_available,
     register_backend,
     set_default_backend,
     unregister_backend,
@@ -60,21 +58,16 @@ from repro.utils.sparsevec import SparseVector
 
 
 def _contract_backends() -> list[tuple[str, object]]:
-    """Every registered backend, plus instances covering gated code paths.
+    """Every registered backend, plus a pool-forced parallel instance.
 
-    * ``parallel-pool`` forces the multiprocessing path even for tiny
-      batches and on single-CPU hosts (the registered ``parallel`` backend
-      may resolve to one worker and run inline there).
-    * ``numba-python`` covers the numba kernels' plain-Python fallback when
-      the JIT is not installed (when it is, the registered ``numba``
-      backend exercises the same functions compiled).
+    ``parallel-pool`` forces the multiprocessing path even for tiny batches
+    and on single-CPU hosts (the registered ``parallel`` backend may
+    resolve to one worker and run inline there).
     """
     pairs = [(name, get_backend(name)) for name in available_backends()]
     pairs.append(
         ("parallel-pool", ParallelBackend(num_workers=2, min_parallel_batch=1))
     )
-    if not numba_available():
-        pairs.append(("numba-python", NumbaBackend()))
     return pairs
 
 
@@ -107,10 +100,7 @@ def weights() -> PoissonWeights:
 # ---------------------------------------------------------------------- #
 class TestRegistry:
     def test_core_backends_registered(self):
-        assert {"reference", "vectorized", "parallel"} <= set(available_backends())
-
-    def test_numba_registered_iff_importable(self):
-        assert ("numba" in available_backends()) == numba_available()
+        assert available_backends() == ["parallel", "reference", "vectorized"]
 
     def test_default_is_vectorized(self):
         assert default_backend_name() == "vectorized"
@@ -523,40 +513,3 @@ class TestCrossBackendParity:
         avg_ref = reference.counters.walk_steps / reference.counters.random_walks
         avg_other = other.counters.walk_steps / other.counters.random_walks
         assert avg_ref == pytest.approx(avg_other, rel=0.25, abs=0.5)
-
-
-def test_numba_fallback_preserves_global_numpy_rng_state(weights):
-    """The plain-Python kernels reseed np.random internally; callers' use
-    of the global legacy RNG must not be disturbed (the JIT path targets
-    numba's separate internal state, so both environments behave alike)."""
-    if numba_available():
-        pytest.skip("with numba installed the kernels never touch numpy's state")
-    graph = ring_graph(10)
-    backend = NumbaBackend()
-    np.random.seed(2024)
-    backend.walk_batch(
-        graph, np.zeros(50, dtype=np.int64), 0, weights, np.random.default_rng(1)
-    )
-    backend.poisson_walk_batch(
-        graph, np.zeros(50, dtype=np.int64), weights, np.random.default_rng(2)
-    )
-    backend.geometric_walk_batch(
-        graph, np.zeros(50, dtype=np.int64), 0.2, np.random.default_rng(3)
-    )
-    after = np.random.random(3)
-    np.random.seed(2024)
-    assert np.array_equal(after, np.random.random(3))
-
-
-@pytest.mark.statistical
-def test_numba_jit_backend_parity_or_skip():
-    """The registered (JIT-compiled) numba backend passes the kernel laws.
-
-    Skipped cleanly where numba is not installed; the plain-Python fallback
-    of the same kernels is covered unconditionally above.
-    """
-    if not numba_available():
-        pytest.skip("numba is not installed; JIT parity runs in the full CI job")
-    statcheck.check_kernel_distributions(
-        get_backend("numba"), parity_graph("powerlaw"), num_walks=12_000
-    )

@@ -24,11 +24,9 @@ import pytest
 import statcheck
 
 from repro.engine import (
-    NumbaBackend,
     available_backends,
     execute_plans,
     get_backend,
-    numba_available,
 )
 from repro.engine.fused import (
     DISABLE_ENV_VAR,
@@ -41,6 +39,11 @@ from repro.engine.fused import (
     set_fusion_enabled,
     supports_fused,
 )
+from repro.engine.vectorized import (
+    geometric_walk_batch_validated,
+    poisson_walk_batch_validated,
+    walk_batch_validated,
+)
 from repro.exceptions import ParameterError
 from repro.graph.generators import powerlaw_cluster_graph, ring_graph
 from repro.hkpr.batched import monte_carlo_hkpr_many, tea_plus_many
@@ -51,15 +54,12 @@ from repro.utils.counters import OperationCounters
 
 
 def _fused_backends() -> list[tuple[str, object]]:
-    """Every registered fused-capable backend, plus the numba fallback."""
-    pairs = [
+    """Every registered fused-capable backend."""
+    return [
         (name, get_backend(name))
         for name in available_backends()
         if supports_fused(get_backend(name))
     ]
-    if not numba_available():
-        pairs.append(("numba-python", NumbaBackend()))
-    return pairs
 
 
 _PAIRS = _fused_backends()
@@ -85,7 +85,6 @@ class TestFusedQuery:
         assert supports_fused(get_backend("vectorized"))
         assert not supports_fused(get_backend("reference"))
         assert not supports_fused(get_backend("parallel"))
-        assert supports_fused(NumbaBackend())
 
     def test_rejects_unknown_kind(self, weights):
         with pytest.raises(ParameterError, match="kind"):
@@ -240,40 +239,24 @@ class TestFusedKernelContract:
         fused-vs-unfused determinism contract at the kernel level."""
         for query in self._queries(weights):
             group = FusedGroup(graph, [query], [query.num_walks])
-            if isinstance(backend, NumbaBackend):
-                fused_ends, _ = backend.fused_push_walk(
-                    graph, group, np.random.default_rng(7)
+            fused_ends, _ = backend.fused_push_walk(
+                graph, group, np.random.default_rng(7)
+            )
+            rng = np.random.default_rng(7)
+            starts, hops = sample_fused_starts(group, rng)
+            if group.kind == "heat":
+                split_ends = walk_batch_validated(
+                    graph, starts, hops, group.weights, rng
                 )
-                base_seed = backend._draw_seed(np.random.default_rng(7))
-                starts, hops = backend.fused_sample_starts(group, base_seed)
-                split_ends, _ = backend.fused_walk_from_starts(
-                    graph, group, starts, hops, base_seed
+            elif group.kind == "poisson":
+                split_ends = poisson_walk_batch_validated(
+                    graph, starts, group.weights, rng,
+                    max_length=group.max_length,
                 )
             else:
-                fused_ends, _ = backend.fused_push_walk(
-                    graph, group, np.random.default_rng(7)
+                split_ends = geometric_walk_batch_validated(
+                    graph, starts, group.alpha, rng
                 )
-                rng = np.random.default_rng(7)
-                starts, hops = sample_fused_starts(group, rng)
-                from repro.engine.vectorized import (
-                    geometric_walk_batch_validated,
-                    poisson_walk_batch_validated,
-                    walk_batch_validated,
-                )
-
-                if group.kind == "heat":
-                    split_ends = walk_batch_validated(
-                        graph, starts, hops, group.weights, rng
-                    )
-                elif group.kind == "poisson":
-                    split_ends = poisson_walk_batch_validated(
-                        graph, starts, group.weights, rng,
-                        max_length=group.max_length,
-                    )
-                else:
-                    split_ends = geometric_walk_batch_validated(
-                        graph, starts, group.alpha, rng
-                    )
             np.testing.assert_array_equal(fused_ends, split_ends)
 
     def test_run_fused_queries_splits_and_attributes(self, backend, graph, weights):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ParameterError
+from repro.hkpr.params import HKPRParams
 from repro.hkpr.poisson import PoissonWeights
 
 
@@ -57,6 +58,22 @@ class TestEtaPsi:
         total = sum(weights.eta(k) for k in range(weights.max_hop + 1))
         assert total == pytest.approx(1.0, abs=1e-8)
         assert all(np.isfinite(weights.eta(k)) for k in range(weights.max_hop + 1))
+
+
+class TestHeatConstantRange:
+    def test_largest_normal_eta0_keeps_all_mass(self):
+        # exp(-708) is still a normal float, so the tables hold all of it.
+        weights = PoissonWeights(708.0)
+        assert abs(weights.psi(0) - 1.0) < 1e-11
+
+    @pytest.mark.parametrize("t", [709.0, 744.0, 1e6, math.inf, math.nan])
+    def test_underflowing_or_non_finite_t_rejected(self, t):
+        # Past t ~ 708.4 exp(-t) is subnormal and past ~745.1 it is zero:
+        # tables built at t = 744 would hold 78.5% of the mass, at 1e6 none.
+        with pytest.raises(ParameterError, match="heat constant t"):
+            PoissonWeights(t)
+        with pytest.raises(ParameterError, match="heat constant t"):
+            HKPRParams(t=t)
 
 
 class TestStopProbability:

@@ -518,9 +518,10 @@ class TestHTTPFrontend:
         "field,value",
         [("params", [1]), ("graph", ["grid"]), ("method", 7), ("seed_node", 1.5),
          ("seed_node", True), ("top_k", 2.5), ("top_k", False), ("rng", 3.5),
-         ("rng", True)],
+         ("rng", True), ("rng", -1), ("timeout_ms", True)],
         ids=["params-list", "graph-list", "method-int", "seed-float", "seed-bool",
-             "top_k-float", "top_k-bool", "rng-float", "rng-bool"],
+             "top_k-float", "top_k-bool", "rng-float", "rng-bool", "rng-negative",
+             "timeout_ms-bool"],
     )
     def test_malformed_query_fields_are_400(self, http_service, field, value):
         base, _ = http_service
@@ -530,6 +531,23 @@ class TestHTTPFrontend:
             self._post(base, body)
         assert excinfo.value.code == 400
         assert field in json.loads(excinfo.value.read())["error"]
+
+    @pytest.mark.parametrize(
+        "method,t", [("tea+", 1e6), ("monte-carlo", "inf"), ("hk-relax", 710)],
+        ids=["tea+-1e6", "monte-carlo-inf", "hk-relax-710"],
+    )
+    def test_heat_constant_the_poisson_tables_cannot_hold_is_400(
+        self, http_service, method, t
+    ):
+        # exp(-t) underflows past t ~ 708.4: the tables would lose mass
+        # (a wrong answer) or the estimator would overflow (a 500).
+        base, _ = http_service
+        body = {"graph": "grid", "method": method, "seed_node": 1,
+                "params": {"t": t}}
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self._post(base, body)
+        assert excinfo.value.code == 400
+        assert "heat constant t" in json.loads(excinfo.value.read())["error"]
 
     def test_integral_query_fields_still_accepted(self, http_service):
         base, _ = http_service
