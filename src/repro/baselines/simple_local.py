@@ -24,14 +24,14 @@ on the whole reference region rather than adapting to the seed.
 The max-flow computations use :func:`networkx.algorithms.flow.preflow_push`
 on the (local) augmented graph, so the cost depends only on the reference
 region, keeping the method strongly local as in the original paper.
+networkx is imported inside the improvement step, so only a SimpleLocal
+call loads it.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-
-import networkx as nx
 
 from repro.baselines.common import BaselineClusteringResult
 from repro.clustering.conductance import conductance
@@ -66,6 +66,8 @@ def _improve_once(graph: Graph, current: set[int]) -> set[int] | None:
     if cut_edges == 0 or set_volume == 0:
         return None
     phi = cut_edges / set_volume
+
+    import networkx as nx
 
     flow_graph = nx.DiGraph()
     source, sink = "source", "sink"

@@ -196,7 +196,7 @@ class DeltaGraph:
     offset, in the base CSR or in the patch, plus the vectorized
     read-through used by batch kernels (:meth:`gather_neighbors`).
     Whole-graph views that genuinely need contiguous CSR
-    (``transition_matrix``, ``subgraph``, ...) delegate to
+    (``transition_matrix``, ``walk_step``, ``subgraph``, ...) delegate to
     :meth:`compacted`.
 
     Mutations never modify ``self``: :meth:`add_edges` /
@@ -543,6 +543,10 @@ class DeltaGraph:
     def transition_matrix(self):
         """Random-walk transition matrix of this snapshot (via compaction)."""
         return self.compacted().transition_matrix()
+
+    def walk_step(self, distribution: np.ndarray) -> np.ndarray:
+        """One random-walk step of a row vector (via compaction)."""
+        return self.compacted().walk_step(distribution)
 
     def connected_component(self, start: int) -> set[int]:
         """Nodes reachable from ``start`` in this snapshot (BFS)."""

@@ -331,6 +331,24 @@ class Graph:
 
         return diags(inv_deg) @ adjacency
 
+    def walk_step(self, distribution: np.ndarray) -> np.ndarray:
+        """One random-walk step of a row vector: ``distribution @ P``.
+
+        The exact solvers iterate this instead of a SciPy
+        :meth:`transition_matrix`, so serving them needs only NumPy.  Mass
+        at an isolated node stays there, as in the walk primitives, which
+        treat such nodes as absorbing.
+        """
+        degrees = self._degrees
+        spread = np.zeros(self._n)
+        np.divide(distribution, degrees, out=spread, where=degrees > 0)
+        stepped = np.bincount(
+            self._indices, weights=np.repeat(spread, degrees), minlength=self._n
+        )
+        isolated = degrees == 0
+        stepped[isolated] += distribution[isolated]
+        return stepped
+
     def connected_component(self, start: int) -> set[int]:
         """Return the set of nodes reachable from ``start`` (BFS)."""
         self._check_node(start)

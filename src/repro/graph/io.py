@@ -11,12 +11,15 @@ from __future__ import annotations
 
 from itertools import islice
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.exceptions import GraphError
 from repro.graph.graph import Graph
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Lines parsed per streaming chunk.  Each chunk is tokenized, converted to
 #: a compact ``(k, 2)`` int64 block, and its text discarded — so loading a
@@ -133,7 +136,8 @@ def from_networkx(nx_graph: nx.Graph) -> tuple[Graph, dict[object, int]]:
     """Convert a :class:`networkx.Graph` to a :class:`repro.graph.Graph`.
 
     Node labels may be arbitrary hashables; the returned mapping translates
-    them to the compact integer ids used by this package.
+    them to the compact integer ids used by this package.  Only methods of
+    ``nx_graph`` are called, so networkx is never imported here.
     """
     if nx_graph.is_directed():
         raise GraphError("only undirected graphs are supported")
@@ -143,7 +147,13 @@ def from_networkx(nx_graph: nx.Graph) -> tuple[Graph, dict[object, int]]:
 
 
 def to_networkx(graph: Graph) -> nx.Graph:
-    """Convert a :class:`repro.graph.Graph` to a :class:`networkx.Graph`."""
+    """Convert a :class:`repro.graph.Graph` to a :class:`networkx.Graph`.
+
+    networkx is imported here, on first use, so importing :mod:`repro`
+    does not load it.
+    """
+    import networkx as nx
+
     nx_graph = nx.Graph()
     nx_graph.add_nodes_from(range(graph.num_nodes))
     nx_graph.add_edges_from(graph.edges())

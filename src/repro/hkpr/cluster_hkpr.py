@@ -22,7 +22,7 @@ import numpy as np
 from repro.engine import Backend, chunk_sizes, get_backend
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
-from repro.hkpr.params import HKPRParams
+from repro.hkpr.params import HKPRParams, checked_walk_ratio
 from repro.hkpr.poisson import PoissonWeights
 from repro.hkpr.result import HKPRResult
 from repro.utils.counters import OperationCounters
@@ -35,7 +35,12 @@ def default_walk_count(n: int, eps: float) -> int:
     """The walk count ``16 log(n) / eps^3`` prescribed by Chung & Simpson."""
     if not 0.0 < eps < 1.0:
         raise ParameterError(f"eps must be in (0, 1), got {eps}")
-    return max(1, int(math.ceil(16.0 * math.log(max(n, 2)) / eps**3)))
+    count = checked_walk_ratio(
+        16.0 * math.log(max(n, 2)),
+        eps**3,
+        f"eps ({eps:g}; it defaults to min(eps_r * delta, p_f))",
+    )
+    return max(1, int(math.ceil(count)))
 
 
 def default_max_hop(t: float, eps: float) -> int:

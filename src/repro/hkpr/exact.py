@@ -59,16 +59,6 @@ def exact_hkpr(
         raise ParameterError(f"seed node {seed_node} is not in the graph")
     start = time.perf_counter()
     weights = PoissonWeights(params.t, tail_tolerance=min(tail_tolerance, 1e-9))
-    transition = graph.transition_matrix().tolil()
-    # A walk at an isolated node stays there (the walk primitives treat such
-    # nodes as absorbing), so give zero-degree rows a self-loop instead of
-    # letting their probability mass vanish.
-    degrees = graph.degrees
-    for node in range(graph.num_nodes):
-        if degrees[node] == 0:
-            transition[node, node] = 1.0
-    transition = transition.tocsr()
-
     current = np.zeros(graph.num_nodes, dtype=float)
     current[seed_node] = 1.0
     accumulated = weights.eta(0) * current
@@ -77,8 +67,8 @@ def exact_hkpr(
         weights.max_hop, max_iterations
     )
     for k in range(1, max_hop + 1):
-        # Row-vector iteration: x_{k} = x_{k-1} P.
-        current = current @ transition
+        # Row-vector iteration: x_{k} = x_{k-1} P (isolated nodes absorbing).
+        current = graph.walk_step(current)
         eta_k = weights.eta(k)
         if eta_k == 0.0:
             break

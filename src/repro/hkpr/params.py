@@ -63,7 +63,31 @@ def effective_failure_probability(graph: Graph, p_f: float) -> float:
     total = float(np.power(p_f, exponents, dtype=float).sum())
     if total <= 1.0:
         return p_f
+    if p_f / total == 0.0:
+        raise ParameterError(
+            f"failure probability p_f ({p_f:g}) is too small: the per-node "
+            f"budget p_f / {total:g} underflows to zero"
+        )
     return p_f / total
+
+
+def checked_walk_ratio(numerator: float, denominator: float, culprits: str) -> float:
+    """``numerator / denominator`` of a walk-count formula, kept finite.
+
+    The walk counts divide by powers of the error parameters, and tiny
+    in-range values underflow the denominator to zero or push the
+    quotient past the float range.  Either raises :class:`ParameterError`
+    naming ``culprits`` (the parameters to raise), not ZeroDivisionError
+    or an infinite count.
+    """
+    if denominator > 0.0:
+        quotient = numerator / denominator
+        if math.isfinite(quotient):
+            return quotient
+    raise ParameterError(
+        f"walk count {numerator:.3g} / {denominator:.3g} is not a finite "
+        f"number; raise {culprits}"
+    )
 
 
 @dataclass(frozen=True)
@@ -118,23 +142,33 @@ class HKPRParams:
     def omega_tea(self, graph: Graph) -> float:
         """TEA's walk-count coefficient ``omega`` (Algorithm 3, Line 5)."""
         p_prime = self.effective_p_f(graph)
-        return 2.0 * (1.0 + self.eps_r / 3.0) * math.log(1.0 / p_prime) / (
-            self.eps_r**2 * self.delta
+        return checked_walk_ratio(
+            2.0 * (1.0 + self.eps_r / 3.0) * math.log(1.0 / p_prime),
+            self.eps_r**2 * self.delta,
+            self._error_culprits(),
         )
 
     def omega_tea_plus(self, graph: Graph) -> float:
         """TEA+'s walk-count coefficient ``omega`` (Algorithm 5, Line 5)."""
         p_prime = self.effective_p_f(graph)
-        return 8.0 * (1.0 + self.eps_r / 6.0) * math.log(1.0 / p_prime) / (
-            self.eps_r**2 * self.delta
+        return checked_walk_ratio(
+            8.0 * (1.0 + self.eps_r / 6.0) * math.log(1.0 / p_prime),
+            self.eps_r**2 * self.delta,
+            self._error_culprits(),
         )
 
     def omega_monte_carlo(self, graph: Graph) -> float:
         """The plain Monte-Carlo walk count from §3 (uses ``log(n / p_f)``)."""
         n = max(graph.num_nodes, 2)
-        return 2.0 * (1.0 + self.eps_r / 3.0) * math.log(n / self.p_f) / (
-            self.eps_r**2 * self.delta
+        return checked_walk_ratio(
+            2.0 * (1.0 + self.eps_r / 3.0) * math.log(n / self.p_f),
+            self.eps_r**2 * self.delta,
+            self._error_culprits(),
         )
+
+    def _error_culprits(self) -> str:
+        """The parameters in the omega denominators, for error messages."""
+        return f"eps_r ({self.eps_r:g}) or delta ({self.delta:g})"
 
     def max_hop_tea_plus(self, graph: Graph) -> int:
         """HK-Push+'s hop cap ``K = c log(1/(eps_r delta)) / log(d̄)`` (Eq. 20).

@@ -95,32 +95,53 @@ class HKPRResult:
         out[nonzero] = dense[nonzero] / degrees[nonzero]
         return out
 
-    def ranked_nodes(self, graph: Graph) -> np.ndarray:
-        """Support nodes sorted by descending normalized HKPR (read-only array).
+    def _ranked_prefix(self, graph: Graph, k: int | None) -> np.ndarray:
+        """A read-only prefix of the ranking: all of it when ``k`` is None.
 
-        Ties break by ascending node id.  The array is memoized per
-        ``(graph, estimates, estimates.writes)``: the serving layer ranks
-        the same cached result on every hit, and the sort dominates the
-        hit path on large supports.  Any write to the estimates, including
-        overwriting an existing entry, bumps the write counter and so
-        invalidates the memo.
+        The prefix holds at least the first ``k`` ranked nodes (the whole
+        ranking when ``k`` is None, not positive, or not below the support
+        size).  For a shorter prefix, ``np.partition`` finds the k-th best
+        normalized value and only the nodes at or above it are sorted, so
+        they come out as the ranking's first entries.  The prefix is
+        memoized per ``(graph, estimates, estimates.writes)`` with a flag
+        saying whether it is the whole ranking: the serving layer ranks
+        the same cached result on every hit.  Any write to the estimates,
+        including overwriting an existing entry, bumps the write counter
+        and so invalidates the memo.
         """
         estimates = self.estimates
         memo = self._ranking_memo
         if (
-            memo is None
-            or memo[0] is not graph
-            or memo[1] is not estimates
-            or memo[2] != estimates.writes
+            memo is not None
+            and memo[0] is graph
+            and memo[1] is estimates
+            and memo[2] == estimates.writes
+            and (memo[4] or (k is not None and 0 < k <= memo[3].size))
         ):
-            nodes, values = estimates.arrays()
-            degrees = graph.degrees[nodes]
-            normalized = np.zeros(nodes.size)
-            np.divide(values, degrees, out=normalized, where=degrees > 0)
-            ranked = nodes[np.lexsort((nodes, -normalized))]
-            ranked.flags.writeable = False
-            memo = self._ranking_memo = (graph, estimates, estimates.writes, ranked)
-        return memo[3]
+            return memo[3]
+        nodes, values = estimates.arrays()
+        degrees = graph.degrees[nodes]
+        normalized = np.zeros(nodes.size)
+        np.divide(values, degrees, out=normalized, where=degrees > 0)
+        size = nodes.size
+        if k is not None and 0 < k < size:
+            kth = np.partition(normalized, size - k)[size - k]
+            best = normalized >= kth
+            nodes, normalized = nodes[best], normalized[best]
+        ranked = nodes[np.lexsort((nodes, -normalized))]
+        ranked.flags.writeable = False
+        whole = ranked.size == size
+        self._ranking_memo = (graph, estimates, estimates.writes, ranked, whole)
+        return ranked
+
+    def ranked_nodes(self, graph: Graph) -> np.ndarray:
+        """Support nodes sorted by descending normalized HKPR (read-only array).
+
+        Ties break by ascending node id.  The array is memoized (see
+        :meth:`_ranked_prefix`), so every call on an unchanged result
+        returns the same array.
+        """
+        return self._ranked_prefix(graph, None)
 
     def ranking(self, graph: Graph) -> list[int]:
         """Support nodes sorted by descending normalized HKPR (sweep order).
@@ -134,9 +155,11 @@ class HKPRResult:
         """The first ``k`` ranked nodes as ``[node, value]`` pairs.
 
         Equal to ``[[v, self.value(v, graph)] for v in
-        self.ranking(graph)[:k]]``, computed on arrays.
+        self.ranking(graph)[:k]]``, computed on arrays.  Only the nodes
+        that can be among the first ``k`` are sorted, not the whole
+        support (see :meth:`_ranked_prefix`).
         """
-        top_nodes = self.ranked_nodes(graph)[:k]
+        top_nodes = self._ranked_prefix(graph, k)[:k]
         top_values = self.estimates.get_many(top_nodes)
         if self.offset_per_degree:
             top_values = top_values + self.offset_per_degree * graph.degrees[top_nodes]

@@ -49,18 +49,11 @@ def exact_ppr(
         raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
     start = time.perf_counter()
 
-    transition = graph.transition_matrix().tolil()
-    degrees = graph.degrees
-    for node in range(graph.num_nodes):
-        if degrees[node] == 0:
-            transition[node, node] = 1.0
-    transition = transition.tocsr()
-
     restart = np.zeros(graph.num_nodes, dtype=float)
     restart[seed_node] = 1.0
     current = restart.copy()
     for iteration in range(max_iterations):
-        updated = alpha * restart + (1.0 - alpha) * (current @ transition)
+        updated = alpha * restart + (1.0 - alpha) * graph.walk_step(current)
         change = float(np.abs(updated - current).sum())
         current = updated
         if change < tolerance:

@@ -26,7 +26,7 @@ from repro.engine import Backend, chunk_sizes, get_backend
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
 from repro.hkpr.alias import AliasSampler
-from repro.hkpr.params import default_delta
+from repro.hkpr.params import checked_walk_ratio, default_delta
 from repro.hkpr.result import HKPRResult
 from repro.ppr.push import forward_push
 from repro.utils.counters import OperationCounters
@@ -40,16 +40,12 @@ def walk_count(graph: Graph, eps_r: float, delta: float, p_f: float) -> int:
     if not 0.0 < eps_r < 1.0 or not 0.0 < delta < 1.0 or not 0.0 < p_f < 1.0:
         raise ParameterError("eps_r, delta and p_f must all lie in (0, 1)")
     n = max(graph.num_nodes, 2)
-    return max(
-        1,
-        int(
-            math.ceil(
-                (2.0 * eps_r / 3.0 + 2.0)
-                * math.log(2.0 * n / p_f)
-                / (eps_r**2 * delta)
-            )
-        ),
+    omega = checked_walk_ratio(
+        (2.0 * eps_r / 3.0 + 2.0) * math.log(2.0 * n / p_f),
+        eps_r**2 * delta,
+        f"eps_r ({eps_r:g}) or delta ({delta:g})",
     )
+    return max(1, int(math.ceil(omega)))
 
 
 def monte_carlo_ppr(

@@ -10,7 +10,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
@@ -29,7 +28,13 @@ def precision_at_k(predicted_ranking: Sequence[int], true_ranking: Sequence[int]
 
 
 def kendall_tau(predicted_scores: np.ndarray, true_scores: np.ndarray) -> float:
-    """Kendall rank correlation between two score vectors (1.0 = same order)."""
+    """Kendall rank correlation between two score vectors (1.0 = same order).
+
+    ``scipy.stats`` is imported on the first call rather than with the
+    module: it is the only scipy user on the CLI's import path.
+    """
+    from scipy import stats
+
     predicted = np.asarray(predicted_scores, dtype=float)
     truth = np.asarray(true_scores, dtype=float)
     if predicted.shape != truth.shape:

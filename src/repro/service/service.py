@@ -710,10 +710,14 @@ class QueryService:
             pass
 
     def _fail(self, pending: _Pending, error: Exception) -> None:
-        self.telemetry.record_error(
-            method=pending.request.method, graph=pending.request.graph
-        )
-        self._finish_trace(pending, "error")
+        """Fail the request; an overload (429) counts as a rejection."""
+        labels = {"method": pending.request.method, "graph": pending.request.graph}
+        if isinstance(error, ServiceOverloadedError):
+            self.telemetry.record_rejection(**labels)
+            self._finish_trace(pending, "rejected")
+        else:
+            self.telemetry.record_error(**labels)
+            self._finish_trace(pending, "error")
         try:
             pending.future.set_exception(error)
         except InvalidStateError:  # client cancelled mid-flight
@@ -793,13 +797,25 @@ class QueryService:
                             else 0
                         ),
                     )
+                if plan.estimated_walks > self._max_inflight_walks:
+                    # Admission let a loose walk bound through the idle-server
+                    # escape hatch; the push has now fixed the real count, and
+                    # a walk phase larger than the whole budget would wedge the
+                    # dispatch thread before its first deadline checkpoint.
+                    raise ServiceOverloadedError(
+                        f"query's walk phase ({plan.estimated_walks} walks after "
+                        f"its push) would exceed the in-flight walk budget "
+                        f"({self._max_inflight_walks}); tighten its parameters "
+                        f"(e.g. eps_r/delta/max_walks)"
+                    )
             except QueryTimeoutError as error:
                 self._release_walks(pending.estimated_walks)
                 self._fail_timeout(pending, error)
                 continue
             except ReproError as error:
-                # Client-attributable (bad parameter combination the
-                # admission checks could not see) -> HTTP 400.
+                # Client-attributable: a bad parameter combination the
+                # admission checks could not see (HTTP 400), or a walk
+                # phase larger than the whole budget (429).
                 self._release_walks(pending.estimated_walks)
                 self._fail(pending, error)
                 continue

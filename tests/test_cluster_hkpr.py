@@ -23,6 +23,13 @@ class TestDefaults:
         with pytest.raises(ParameterError):
             default_walk_count(100, 1.5)
 
+    @pytest.mark.parametrize(
+        "eps", [1e-120, 1e-104], ids=["cube-underflows", "count-overflows"]
+    )
+    def test_default_walk_count_beyond_the_float_range(self, eps):
+        with pytest.raises(ParameterError, match="eps .*p_f"):
+            default_walk_count(2000, eps)
+
     def test_default_max_hop_shrinks_with_larger_eps(self):
         assert default_max_hop(5.0, 0.3) <= default_max_hop(5.0, 0.001)
 

@@ -100,6 +100,11 @@ class TestEffectiveFailureProbability:
         with pytest.raises(ParameterError):
             effective_failure_probability(graph, 1.0)
 
+    def test_budget_that_underflows_is_a_parameter_error(self):
+        # 19 leaves sum to 19 > 1, and the smallest subnormal p_f / 19 is 0.
+        with pytest.raises(ParameterError, match="p_f"):
+            effective_failure_probability(star_graph(20), 5e-324)
+
     def test_params_method_agrees(self):
         graph = star_graph(20)
         params = HKPRParams(delta=1e-3, p_f=1e-4)
@@ -137,6 +142,27 @@ class TestDerivedQuantities:
         loose = HKPRParams(eps_r=0.8, delta=1e-2)
         assert tight.omega_tea(graph) > loose.omega_tea(graph)
         assert tight.omega_tea_plus(graph) > loose.omega_tea_plus(graph)
+
+    @pytest.mark.parametrize("omega", ["omega_tea", "omega_tea_plus", "omega_monte_carlo"])
+    @pytest.mark.parametrize(
+        "eps_r,delta",
+        [(1e-200, 1e-3), (1e-154, 1e-4), (0.9, 1e-309)],
+        ids=["denominator-underflows", "count-overflows", "tiny-delta"],
+    )
+    def test_omega_beyond_the_float_range_is_a_parameter_error(self, omega, eps_r, delta):
+        # In-range values whose eps_r**2 * delta is 0, or leaves an infinite
+        # count: a ZeroDivisionError / OverflowError (HTTP 500) before.
+        params = HKPRParams(eps_r=eps_r, delta=delta)
+        with pytest.raises(ParameterError, match="eps_r .* or delta"):
+            getattr(params, omega)(ring_graph(50))
+
+    def test_estimate_with_an_unrepresentable_walk_count_is_a_parameter_error(self):
+        from repro import estimate
+
+        with pytest.raises(ParameterError, match="eps_r"):
+            estimate(
+                ring_graph(50), 5, method="monte-carlo", params=HKPRParams(eps_r=1e-200)
+            )
 
     def test_max_hop_equation_20(self):
         graph = complete_graph(10)  # average degree 9

@@ -89,6 +89,11 @@ class TestFora:
         with pytest.raises(ParameterError):
             walk_count(small_ring, 0.0, 1e-3, 1e-4)
 
+    @pytest.mark.parametrize("eps_r,delta", [(1e-200, 1e-3), (1e-154, 1e-4)])
+    def test_walk_count_beyond_the_float_range(self, small_ring, eps_r, delta):
+        with pytest.raises(ParameterError, match="eps_r .* or delta"):
+            walk_count(small_ring, eps_r, delta, 1e-4)
+
     def test_close_to_exact(self, rng):
         graph = complete_graph(10)
         exact = exact_ppr(graph, 0, alpha=0.2).to_dense(graph)

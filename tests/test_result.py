@@ -4,10 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.graph.generators import star_graph
+from repro.graph.generators import powerlaw_cluster_graph, star_graph
+from repro.graph.graph import Graph
+from repro.hkpr.params import HKPRParams
 from repro.hkpr.result import HKPRResult
+from repro.hkpr.tea_plus import tea_plus
 from repro.utils.sparsevec import SparseVector
+
+#: Degrees 3..40 or so, plus ten isolated nodes (normalized value 0).
+_TIES_GRAPH = Graph(130, list(powerlaw_cluster_graph(120, 3, 0.4, seed=17).edges()))
 
 
 @pytest.fixture
@@ -115,6 +123,68 @@ class TestSupportAndRanking:
         with pytest.raises(ValueError):
             ranked[0] = 4
         assert result.ranking(graph) == [1, 0, 2]
+
+
+class TestTopPrefix:
+    """``top(k)`` sorts only the candidates for the first k, yet must equal
+    the full ranking's prefix, whatever prefix the memo already holds."""
+
+    @staticmethod
+    def _expected(result, graph, k):
+        return [[node, result.value(node, graph)] for node in result.ranking(graph)[:k]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        levels=st.dictionaries(
+            st.integers(0, 129), st.integers(1, 3), min_size=1, max_size=60
+        ),
+        array_backed=st.booleans(),
+        ks=st.lists(st.integers(0, 65), min_size=1, max_size=5),
+    )
+    def test_top_is_the_ranking_prefix_through_ties(self, levels, array_backed, ks):
+        # value = level * degree / 1024: normalized values are exactly
+        # level / 1024, so up to 60 entries share three values (and the
+        # isolated nodes tie at 0), straddling every k.
+        graph = _TIES_GRAPH
+        nodes = list(levels)
+        values = [levels[v] * max(int(graph.degrees[v]), 1) / 1024 for v in nodes]
+
+        def fresh() -> HKPRResult:
+            if array_backed:
+                estimates = SparseVector()
+                estimates.add_many(nodes, values)
+            else:
+                estimates = SparseVector(dict(zip(nodes, values)))
+            return HKPRResult(estimates=estimates, seed=0, method="test")
+
+        reference, rising = fresh(), fresh()
+        for k in range(len(nodes) + 3):
+            want = self._expected(reference, graph, k)
+            assert fresh().top(graph, k) == want
+            # One result asked for ever longer prefixes: each k either
+            # reads the memoized prefix or must widen it.  (k = 0 would
+            # rank the whole support, leaving nothing to widen.)
+            if k:
+                assert rising.top(graph, k) == want
+        result = fresh()
+        for k in ks:
+            assert result.top(graph, k) == self._expected(reference, graph, k)
+        assert result.ranking(graph) == reference.ranking(graph)
+
+    def test_top_of_a_tea_plus_answer_includes_the_offset(self, medium_powerlaw):
+        graph = medium_powerlaw
+        params = HKPRParams(delta=1.0 / graph.num_nodes)
+        reference = tea_plus(graph, 0, params, rng=3, push_budget=300)
+        assert not reference.early_exit and reference.offset_per_degree > 0.0
+        support = reference.support_size()
+        normalized = reference.normalized_dense(graph)[reference.ranked_nodes(graph)]
+        assert np.unique(normalized).size < support  # ties among the walk counts
+        for k in (0, 1, 7, 20, support - 1, support, support + 5):
+            result = HKPRResult(
+                estimates=reference.estimates.copy(), seed=0, method="tea+",
+                offset_per_degree=reference.offset_per_degree,
+            )
+            assert result.top(graph, k) == self._expected(reference, graph, k)
 
 
 class TestDense:

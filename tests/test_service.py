@@ -267,6 +267,22 @@ class TestQueryService:
             # Unbounded: admitted via the escape hatch (no 429), served.
             assert svc.query("grid", "tea+", 0, {"delta": 1e-7}, timeout=120)
 
+    def test_walk_phase_exceeding_whole_walk_budget_rejected_after_push(self):
+        """fora's admission estimate is a loose bound, so it takes the
+        idle-server escape hatch; the push then leaves ~3e36 walks.  That
+        plan must fail with a 429 before the engine tries to list its
+        sub-batches, and give its walks back to the budget."""
+        registry = GraphRegistry()
+        registry.add_generated("chung-lu,n=2000,gamma=2.5,seed=11", name="g")
+        with QueryService(registry, rng=1, cache_entries=0) as svc:
+            future = svc.submit("g", "fora", 5, {"eps_r": 1e-20}, timeout_ms=3000)
+            with pytest.raises(ServiceOverloadedError, match="exceed"):
+                future.result(timeout=20)
+            assert svc.stats()["rejected_total"] == 1
+            assert svc.stats()["inflight_walks"] == 0
+            response = svc.query("g", "monte-carlo", 5, {"num_walks": 1000}, timeout=20)
+            assert response.result.counters.random_walks == 1000
+
     def test_admission_control_inflight_walks(self, registry):
         with QueryService(
             registry, max_batch=4, max_inflight_walks=500, cache_entries=0
@@ -548,6 +564,34 @@ class TestHTTPFrontend:
             self._post(base, body)
         assert excinfo.value.code == 400
         assert "heat constant t" in json.loads(excinfo.value.read())["error"]
+
+    @pytest.mark.parametrize(
+        "method,params,named",
+        [
+            ("monte-carlo", {"eps_r": 1e-200}, "eps_r"),
+            ("tea", {"eps_r": 1e-300}, "eps_r"),
+            ("tea+", {"eps_r": 1e-200}, "eps_r"),
+            ("fora", {"eps_r": 1e-200}, "eps_r"),
+            ("cluster-hkpr", {"eps": 1e-120}, "eps"),
+            ("cluster-hkpr", {"p_f": 1e-120}, "p_f"),
+            ("cluster-hkpr", {"eps": 1e-104}, "eps"),
+        ],
+        ids=["monte-carlo", "tea", "tea+", "fora", "cluster-eps", "cluster-p_f",
+             "cluster-eps-overflow"],
+    )
+    def test_walk_count_beyond_the_float_range_is_400(
+        self, http_service, method, params, named
+    ):
+        # The walk-count denominators underflow to 0 (or the count to inf)
+        # for these in-range values: a ZeroDivisionError or OverflowError
+        # and a 500 before.
+        base, _ = http_service
+        body = {"graph": "grid", "method": method, "seed_node": 1, "params": params}
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self._post(base, body)
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read())["error"]
+        assert "walk count" in error and named in error
 
     def test_integral_query_fields_still_accepted(self, http_service):
         base, _ = http_service
