@@ -1,14 +1,9 @@
-"""Dynamic graphs: epoch-versioned edge mutations with incremental repair.
+"""Dynamic graphs: epoch-versioned edge mutations.
 
-Two layers:
-
-* :mod:`repro.dynamic.delta` — :class:`DeltaGraph`, a copy-on-write
-  adjacency overlay over the immutable CSR :class:`~repro.graph.graph.Graph`
-  with monotone epochs, :class:`MutationEvent` records, and bounded-delta
-  compaction back to plain CSR.
-* :mod:`repro.dynamic.repair` — undo-and-replay repair of cached
-  forward-push / HK-Push states, costing O(touched neighborhood) per
-  mutation batch instead of a from-scratch recomputation.
+:mod:`repro.dynamic.delta` holds :class:`DeltaGraph`, a copy-on-write
+adjacency overlay over the immutable CSR :class:`~repro.graph.graph.Graph`
+with monotone epochs, :class:`MutationEvent` records, and bounded-delta
+compaction back to plain CSR.
 """
 
 from repro.dynamic.delta import (
@@ -16,23 +11,9 @@ from repro.dynamic.delta import (
     MutationEvent,
     default_compaction_threshold,
 )
-from repro.dynamic.repair import (
-    DynamicHKState,
-    DynamicPPRState,
-    dynamic_forward_push,
-    dynamic_hk_push,
-    repair_hk_push,
-    repair_ppr_push,
-)
 
 __all__ = [
     "DeltaGraph",
     "MutationEvent",
     "default_compaction_threshold",
-    "DynamicHKState",
-    "DynamicPPRState",
-    "dynamic_forward_push",
-    "dynamic_hk_push",
-    "repair_hk_push",
-    "repair_ppr_push",
 ]

@@ -22,8 +22,7 @@ untouched and patches only the adjacency rows that mutations have touched:
 * **Epochs.**  Every successful mutation increments a monotonically
   increasing ``epoch``.  Caches key on it, indexes are invalidated by it,
   and :class:`MutationEvent` records exactly which edges moved between two
-  consecutive epochs so push states can be repaired incrementally
-  (:mod:`repro.dynamic.repair`).
+  consecutive epochs.
 * **Bounded delta + compaction.**  A row rewritten again leaves its old
   copy in ``patch`` as a dead row, so ``patch`` grows with every batch's
   touched rows.  Once the cumulative delta exceeds
@@ -156,36 +155,15 @@ class MutationEvent:
     """The exact edge delta between two consecutive epochs of one graph.
 
     ``added`` / ``removed`` are ``(k, 2)`` int64 arrays with ``u < v`` per
-    row.  Consumers (push repair, benchmarks, the HTTP layer) treat events
-    as immutable records; replaying them in epoch order reconstructs any
-    later snapshot from an earlier one.
+    row.  Consumers (benchmarks, the HTTP layer) treat events as immutable
+    records; replaying them in epoch order reconstructs any later snapshot
+    from an earlier one.
     """
 
     epoch_before: int
     epoch: int
     added: np.ndarray
     removed: np.ndarray
-
-    def touched_nodes(self) -> np.ndarray:
-        """Sorted unique nodes whose adjacency changed in this event."""
-        return np.unique(np.concatenate([self.added.ravel(), self.removed.ravel()]))
-
-    def _incident(self, edges: np.ndarray, node: int) -> list[int]:
-        out = []
-        for u, v in edges:
-            if u == node:
-                out.append(int(v))
-            elif v == node:
-                out.append(int(u))
-        return out
-
-    def added_neighbors(self, node: int) -> list[int]:
-        """Neighbors gained by ``node`` in this event."""
-        return self._incident(self.added, node)
-
-    def removed_neighbors(self, node: int) -> list[int]:
-        """Neighbors lost by ``node`` in this event."""
-        return self._incident(self.removed, node)
 
 
 class DeltaGraph:

@@ -27,6 +27,7 @@ from repro.hkpr.hk_push_plus import hk_push_plus_hkpr
 from repro.hkpr.hk_relax import hk_relax
 from repro.hkpr.monte_carlo import monte_carlo_hkpr
 from repro.hkpr.params import HKPRParams, default_delta
+from repro.hkpr.poisson import cached_weights
 from repro.hkpr.tea import tea
 from repro.hkpr.tea_plus import tea_plus
 from repro.ppr.exact import exact_ppr
@@ -105,7 +106,7 @@ def _walks_mc_ppr(graph: Graph, params: dict) -> int:
 # ------------------------------------------------------------------ #
 # Fusible plan builders (serving layer)
 # ------------------------------------------------------------------ #
-def _plan_monte_carlo(graph, seed_node, params, rng, weights_for, deadline=None):
+def _plan_monte_carlo(graph, seed_node, params, rng, deadline=None):
     # No push phase: construction is cheap, so the deadline only applies at
     # walk execution time (threaded by the engine layer, not the plan).
     from repro.hkpr.batched import MonteCarloPlan
@@ -116,21 +117,21 @@ def _plan_monte_carlo(graph, seed_node, params, rng, weights_for, deadline=None)
         seed_node,
         hkpr,
         num_walks=kwargs.get("num_walks"),
-        weights=weights_for(hkpr.t),
+        weights=cached_weights(hkpr.t),
     )
 
 
-def _plan_tea_plus(graph, seed_node, params, rng, weights_for, deadline=None):
+def _plan_tea_plus(graph, seed_node, params, rng, deadline=None):
     from repro.hkpr.batched import TeaPlusPlan
 
     hkpr, kwargs = _split_hkpr("tea+", graph, params)
     return TeaPlusPlan(
-        graph, seed_node, hkpr, rng=rng, weights=weights_for(hkpr.t),
+        graph, seed_node, hkpr, rng=rng, weights=cached_weights(hkpr.t),
         deadline=deadline, **kwargs
     )
 
 
-def _plan_fora(graph, seed_node, params, rng, weights_for, deadline=None):
+def _plan_fora(graph, seed_node, params, rng, deadline=None):
     from repro.ppr.batched import ForaPlan
 
     full = _with_defaults("fora", params)
@@ -148,7 +149,7 @@ def _plan_fora(graph, seed_node, params, rng, weights_for, deadline=None):
     )
 
 
-def _plan_mc_ppr(graph, seed_node, params, rng, weights_for, deadline=None):
+def _plan_mc_ppr(graph, seed_node, params, rng, deadline=None):
     # No push phase (see _plan_monte_carlo).
     from repro.ppr.batched import MonteCarloPPRPlan
 

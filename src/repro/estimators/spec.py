@@ -24,7 +24,6 @@ from typing import Any, Callable
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
 from repro.hkpr.params import HKPRParams, default_delta
-from repro.hkpr.poisson import PoissonWeights
 
 #: Valid values of :attr:`EstimatorSpec.family`.
 FAMILIES = ("hkpr", "ppr", "baseline")
@@ -184,7 +183,7 @@ class EstimatorSpec:
     #: Flow-baseline runner ``(graph, seed, **kwargs) -> BaselineClusteringResult``.
     cluster_fn: Callable | None = None
     #: Serving-layer plan builder
-    #: ``(graph, seed, params_dict, rng, weights_for, deadline=None) -> WalkPlan``;
+    #: ``(graph, seed, params_dict, rng, deadline=None) -> WalkPlan``;
     #: a method with one is fusible (its walk phase can batch across
     #: queries).  ``None`` falls back to a :class:`DirectPlan` around
     #: :meth:`estimate`.
@@ -429,22 +428,15 @@ class EstimatorSpec:
         params: dict,
         rng,
         *,
-        weights_for: Callable[[float], PoissonWeights] | None = None,
         deadline=None,
     ):
         """Build this query's serving plan (``WalkPlan`` or :class:`DirectPlan`).
 
-        ``weights_for`` supplies (possibly cached) :class:`PoissonWeights`
-        per heat constant; the service passes the graph entry's warm cache.
         The optional ``deadline`` bounds any deterministic work done at plan
         construction (push phases, direct execution).
         """
-        if weights_for is None:
-            weights_for = PoissonWeights
         if self.plan_fn is not None:
-            return self.plan_fn(
-                graph, seed_node, params, rng, weights_for, deadline=deadline
-            )
+            return self.plan_fn(graph, seed_node, params, rng, deadline=deadline)
         hkpr_params, kwargs = self.split_params(graph, params)
         result = self.estimate(
             graph, seed_node, params=hkpr_params, rng=rng,

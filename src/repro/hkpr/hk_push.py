@@ -53,8 +53,6 @@ def hk_push(
     *,
     counters: OperationCounters | None = None,
     deadline: Deadline | None = None,
-    pushed: ResidueVectors | None = None,
-    settled: ResidueVectors | None = None,
 ) -> PushOutcome:
     """Run HK-Push (Algorithm 1) from ``seed_node`` with residue threshold ``r_max``.
 
@@ -72,14 +70,6 @@ def hk_push(
     deadline:
         Optional cooperative :class:`~repro.utils.Deadline`; checked once
         per pushed frontier node with the node's degree as the cost.
-    pushed / settled:
-        Optional per-hop provenance accumulators for
-        :mod:`repro.dynamic.repair`: ``pushed`` records the residue value
-        distributed from each ``(hop, node)`` over its neighbors, and
-        ``settled`` the mass settled in place at isolated nodes.
-        Horizon settles (``hop + 1 > hop_limit`` with ``degree > 0``) are
-        *not* recorded — they do not depend on the node's adjacency, so
-        edge mutations never invalidate them.
 
     Returns
     -------
@@ -122,8 +112,6 @@ def hk_push(
         residues.clear(hop, node)
         leftover = (1.0 - stop_fraction) * residue
         if leftover > 0.0 and degree > 0 and hop + 1 <= hop_limit:
-            if pushed is not None:
-                pushed.add(hop, node, residue)
             share = leftover / degree
             next_hop = hop + 1
             for neighbor in graph.neighbors(node):
@@ -141,8 +129,6 @@ def hk_push(
             # Either the node is isolated or we are past the Poisson horizon;
             # the surviving walk mass would stop here, so settle it as reserve.
             reserve.add(node, leftover)
-            if settled is not None and degree == 0:
-                settled.add(hop, node, residue)
 
     counters.residue_entries = max(counters.residue_entries, residues.num_nonzero())
     counters.reserve_entries = max(counters.reserve_entries, reserve.nnz())

@@ -20,6 +20,7 @@ O(1) and numerically stable (tails are accumulated from the small end).
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -183,3 +184,14 @@ class PoissonWeights:
     def tail_mass_beyond(self, k: int) -> float:
         """Poisson mass strictly beyond hop ``k`` (``psi(k+1)``)."""
         return self.psi(k + 1) if k + 1 <= self._max_hop else 0.0
+
+
+@functools.lru_cache(maxsize=64)
+def cached_weights(t: float) -> PoissonWeights:
+    """The process-wide :class:`PoissonWeights` for heat constant ``t``.
+
+    The tables depend on ``t`` alone, so every graph and query shares one
+    object per ``t``.  Only the 64 most recently used heat constants stay
+    cached, so requests with ever-new ``t`` cannot grow the cache.
+    """
+    return PoissonWeights(t)

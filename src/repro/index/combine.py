@@ -18,7 +18,7 @@ stored-endpoint count and ``extras["walks_sampled"]`` the fresh top-up count
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from repro.engine.fused import FusedQuery
 from repro.engine.multi import WalkTask
 from repro.estimators.spec import EstimatorSpec
 from repro.graph.graph import Graph
-from repro.hkpr.poisson import PoissonWeights
+from repro.hkpr.poisson import PoissonWeights, cached_weights
 from repro.hkpr.result import HKPRResult
 from repro.index.walk_index import WalkIndex
 from repro.utils.counters import OperationCounters
@@ -154,8 +154,6 @@ def plan_from_index(
     spec: EstimatorSpec,
     seed_node: int,
     params: dict,
-    *,
-    weights_for: Callable[[float], PoissonWeights] | None = None,
 ) -> IndexedWalkPlan | None:
     """Build an :class:`IndexedWalkPlan` if ``index`` covers this query.
 
@@ -169,7 +167,7 @@ def plan_from_index(
         return None
     kind, bucket = resolved
     if kind == "poisson":
-        weights = weights_for(bucket) if weights_for else PoissonWeights(bucket)
+        weights = cached_weights(bucket)
         alpha = None
     else:
         weights = None

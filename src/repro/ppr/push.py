@@ -46,20 +46,11 @@ def forward_push(
     r_max: float = 1e-4,
     counters: OperationCounters | None = None,
     deadline: Deadline | None = None,
-    pushed: SparseVector | None = None,
-    settled: SparseVector | None = None,
 ) -> PPRPushOutcome:
     """Run the ACL forward push from ``seed_node`` with threshold ``r_max``.
 
     The optional ``deadline`` is checked cooperatively once per pushed node
     with the node's degree as the cost.
-
-    ``pushed`` / ``settled`` are optional provenance accumulators for
-    :mod:`repro.dynamic.repair`: ``pushed[v]`` accumulates the total
-    residue mass ever distributed from ``v`` over its neighbors, and
-    ``settled[v]`` the mass settled in place at isolated nodes.  Both
-    depend on ``v``'s adjacency at push time, which is exactly what
-    incremental repair must undo when that adjacency changes.
     """
     if not graph.has_node(seed_node):
         raise ParameterError(f"seed node {seed_node} is not in the graph")
@@ -84,8 +75,6 @@ def forward_push(
         if degree == 0:
             # Isolated node: a restart-walk from it stays there forever.
             reserve.add(node, value)
-            if settled is not None:
-                settled.add(node, value)
             residue[node] = 0.0
             continue
         if value <= r_max * degree or value <= 0.0:
@@ -93,8 +82,6 @@ def forward_push(
         if deadline is not None:
             deadline.check(degree)
 
-        if pushed is not None:
-            pushed.add(node, value)
         reserve.add(node, alpha * value)
         residue[node] = 0.0
         share = (1.0 - alpha) * value / degree

@@ -196,10 +196,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 timeout_ms=payload.get("timeout_ms"),
                 timeout=FUTURE_TIMEOUT_SECONDS,
             )
-            # The response carries the graph entry resolved at admission —
-            # do NOT look the name up again here: an unregister between
-            # execution and rendering used to turn a completed query into
-            # a spurious 500.
+            # The response carries the graph snapshot resolved at
+            # admission — do NOT look the name up again here: an unregister
+            # between execution and rendering used to turn a completed
+            # query into a spurious 500, and a mutation would re-rank it.
             self._send_json(200, response.to_dict())
         except QueryTimeoutError as error:
             body = {

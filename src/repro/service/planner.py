@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from repro.estimators import DirectPlan, resolve  # noqa: F401 - DirectPlan re-export
 from repro.estimators.spec import EstimatorSpec
 from repro.exceptions import ParameterError, ServiceError
+from repro.graph.graph import Graph
 from repro.service.registry import GraphEntry
 from repro.utils.rng import ensure_rng
 
@@ -106,9 +107,10 @@ class QueryRequest:
     rng: int | None = None
     top_k: int = DEFAULT_TOP_K
     timeout_ms: float | None = None
-    #: Graph epoch observed at admission.  Part of the cache key: results
-    #: computed against an older epoch must never answer queries admitted
-    #: after a mutation, even if eager group invalidation raced.
+    #: Epoch of the graph snapshot the request was admitted at, on which it
+    #: is answered.  Part of the cache key: results computed against an
+    #: older epoch must never answer queries admitted after a mutation,
+    #: even if eager group invalidation raced.
     epoch: int = 0
 
     @property
@@ -162,17 +164,18 @@ def normalize_request(
     rng=None,
     top_k=DEFAULT_TOP_K,
     timeout_ms=None,
-    entry: GraphEntry | None = None,
+    snapshot: Graph | None = None,
 ) -> QueryRequest:
     """Validate raw request fields into a :class:`QueryRequest`.
 
     Method resolution, parameter casting and range checks all delegate to
     the estimator registry's declarative schemas — the same code path the
     CLI and the library use — so every surface reports identical errors.
-    ``entry`` (when provided) additionally validates the seed node against
-    the graph, so bad requests are rejected at admission rather than
-    mid-batch.  The graph name is checked where it is resolved:
-    :meth:`GraphRegistry.get` treats a non-string name as unknown.
+    ``snapshot`` (when provided) is the graph the request is admitted at:
+    it validates the seed node, so bad requests are rejected at admission
+    rather than mid-batch, and its epoch becomes the request's.  The graph
+    name is checked where it is resolved: :meth:`GraphRegistry.get` treats
+    a non-string name as unknown.
     """
     if not isinstance(method, str):
         raise ServiceError(f"method must be a string, got {method!r}")
@@ -204,32 +207,34 @@ def normalize_request(
         # produced by the registry's single validation path.
         raise ServiceError(str(exc)) from None
 
-    if entry is not None and not entry.graph.has_node(seed_node):
+    if snapshot is not None and not snapshot.has_node(seed_node):
         raise ServiceError(
             f"seed node {seed_node} is not in graph {graph!r} "
-            f"(n={entry.graph.num_nodes})"
+            f"(n={snapshot.num_nodes})"
         )
     return QueryRequest(
         graph=graph, method=spec.name, seed_node=seed_node,
         params=normalized, rng=rng, top_k=top_k, timeout_ms=timeout_ms,
-        epoch=entry.epoch if entry is not None else 0,
+        epoch=getattr(snapshot, "epoch", 0),
     )
 
 
-def estimate_walks(entry: GraphEntry, request: QueryRequest) -> int:
-    """Admission-control estimate of the *online* walks ``request`` will run.
+def estimate_walks(entry: GraphEntry, request: QueryRequest, *, snapshot: Graph) -> int:
+    """Admission-control estimate of the *online* walks ``request`` will run
+    on ``snapshot``, the graph of ``entry`` it was admitted at.
 
     When the graph entry carries a walk-sketch index that covers part of an
     unpinned sampling request, only the fresh top-up counts against the
     in-flight walk budget — stored endpoints cost no online sampling.
     """
     spec = SERVICE_METHODS[request.method]
-    estimated = spec.estimate_walks(entry.graph, request.params)
-    if entry.index is not None and not request.pinned and estimated > 0:
+    estimated = spec.estimate_walks(snapshot, request.params)
+    index = entry.index
+    if index is not None and not request.pinned and estimated > 0:
         from repro.index.combine import stored_walks_for
 
         estimated -= stored_walks_for(
-            entry.index, entry.graph, spec, request.seed_node, request.params
+            index, snapshot, spec, request.seed_node, request.params
         )
     return estimated
 
@@ -246,42 +251,53 @@ def walk_estimate_is_tight(request: QueryRequest) -> bool:
     return SERVICE_METHODS[request.method].walks_tight
 
 
-def build_plan(entry: GraphEntry, request: QueryRequest, *, deadline=None, trace=None):
-    """Build the request's :class:`~repro.engine.multi.WalkPlan`.
+def build_plan(
+    entry: GraphEntry,
+    request: QueryRequest,
+    *,
+    snapshot: Graph,
+    deadline=None,
+    trace=None,
+):
+    """Build the request's :class:`~repro.engine.multi.WalkPlan` on ``snapshot``.
 
+    ``snapshot`` is the graph of ``entry`` the request was admitted at; the
+    push phase, the index lookup and (by the caller) the walk phase all
+    read it, so a mutation landing mid-query cannot mix epochs.
     Push phases and residue sampling run here (on the dispatch thread).
     Pinned requests get a private generator seeded with ``request.rng``;
-    the batcher runs their tasks on that same generator, unfused.  The
-    graph entry's warm per-``t`` Poisson-weight cache is threaded into the
-    fusible specs' plan builders; direct plans run the estimator free
-    function, which builds its own (small) Poisson table per query.
+    the batcher runs their tasks on that same generator, unfused.
     ``deadline`` (when given) is threaded into deadline-aware estimators'
     push loops, so unbounded plan-construction work trips it too.
 
     When the graph entry carries a walk-sketch index, *unpinned* sampling
     requests (``monte-carlo`` / ``mc-ppr``) are routed through the index
     combiner first: a sketch hit replaces stored walks one-for-one and only
-    the top-up is sampled online.  Pinned requests bypass the index — their
-    contract is byte-reproducible endpoints from the request's own
-    generator, which stored shared-sketch endpoints cannot honor.
+    the top-up is sampled online.  The index is consulted only while
+    ``snapshot`` is still the entry's current graph, the one it was built
+    for.  Pinned requests bypass the index — their contract is
+    byte-reproducible endpoints from the request's own generator, which
+    stored shared-sketch endpoints cannot honor.
 
     ``trace`` (a :class:`repro.obs.QueryTrace`, optional) receives an
     ``index_lookup`` span around the index-combiner attempt.
     """
     rng = ensure_rng(request.rng) if request.pinned else ensure_rng(None)
-    if entry.index is not None and not request.pinned:
+    # Read the index before the snapshot check: a mutation detaches the
+    # index before it installs the next snapshot.
+    index = entry.index
+    if index is not None and not request.pinned and entry.graph is snapshot:
         import time as _time
 
         from repro.index.combine import plan_from_index
 
         lookup_started = _time.perf_counter()
         plan = plan_from_index(
-            entry.index,
-            entry.graph,
+            index,
+            snapshot,
             SERVICE_METHODS[request.method],
             request.seed_node,
             request.params,
-            weights_for=entry.poisson_weights,
         )
         if trace is not None:
             # Nested inside the caller's "plan" span; summing the four
@@ -293,11 +309,6 @@ def build_plan(entry: GraphEntry, request: QueryRequest, *, deadline=None, trace
         if plan is not None:
             return plan, rng
     plan = SERVICE_METHODS[request.method].build_plan(
-        entry.graph,
-        request.seed_node,
-        request.params,
-        rng,
-        weights_for=entry.poisson_weights,
-        deadline=deadline,
+        snapshot, request.seed_node, request.params, rng, deadline=deadline
     )
     return plan, rng

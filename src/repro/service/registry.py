@@ -1,19 +1,11 @@
 """The graph registry: load each graph once, keep its hot state warm.
 
 A cold CLI query pays graph construction (file parse or generator run, CSR
-build) plus ``PoissonWeights`` table construction on every call.  The
-registry amortizes all of it across the lifetime of the server:
-
-* graphs are registered once — from the built-in benchmark surrogates, an
-  edge-list file, or a generator spec string — and their CSR arrays stay
-  resident;
-* per-``(graph, t)`` :class:`~repro.hkpr.poisson.PoissonWeights` objects are
-  cached, so the stop-probability table every heat kernel walk reads is
-  built once per heat constant rather than once per request (weights are
-  graph-independent, but scoping the cache per registry keeps lifetimes
-  obvious);
-* a per-graph metadata dict (n, m, average degree) is precomputed for the
-  ``/graphs`` endpoint and response envelopes.
+build) on every call.  The registry amortizes it across the lifetime of the
+server: graphs are registered once — from the built-in benchmark
+surrogates, an edge-list file, or a generator spec string — and their CSR
+arrays stay resident.  (Poisson tables are graph-independent and live in
+one bounded process-wide cache, :func:`repro.hkpr.poisson.cached_weights`.)
 
 Generator specs are strings like ``"chung-lu,n=20000,gamma=2.5,seed=11"``
 (also ``powerlaw-cluster``, ``grid3d``, ``erdos-renyi``) so a server can be
@@ -33,7 +25,6 @@ from repro.graph import generators
 from repro.graph.binfmt import read_graph_binary, sniff
 from repro.graph.graph import Graph
 from repro.graph.io import load_edge_list
-from repro.hkpr.poisson import PoissonWeights
 
 #: Generator spec name -> (builder, per-parameter caster).  Every parameter
 #: is optional except ``n`` (``grid3d`` takes a side length instead).
@@ -112,12 +103,13 @@ def build_from_spec(spec: str) -> Graph:
 
 @dataclass
 class GraphEntry:
-    """One registered graph plus its warm per-graph caches.
+    """One registered graph: its current snapshot and attached index.
 
     Mutable entries: :meth:`mutate` swaps ``graph`` for a new
-    :class:`~repro.dynamic.delta.DeltaGraph` snapshot and bumps ``epoch``.
-    Reads are unsynchronized attribute loads — in-flight queries keep the
-    snapshot they resolved, so they never observe a half-applied mutation.
+    :class:`~repro.dynamic.delta.DeltaGraph` snapshot, which carries the
+    new ``epoch``.  Reads are unsynchronized attribute loads: a query reads
+    ``graph`` once at admission and is answered entirely on that snapshot,
+    so it never observes a half-applied mutation.
     """
 
     name: str
@@ -133,10 +125,6 @@ class GraphEntry:
     #: Optional precomputed walk-sketch index (``.rwix``), attached via
     #: :meth:`GraphRegistry.attach_index` after it passes ``verify_graph``.
     index: object | None = None
-    #: Monotone mutation counter: 0 for the as-registered graph, +1 per
-    #: successful :meth:`mutate` batch.  Recorded in cache keys and
-    #: ``/stats`` — the epoch contract every downstream consumer keys on.
-    epoch: int = 0
     #: Delta-edge budget before a mutation folds the overlay back into
     #: plain CSR; ``None`` uses
     #: :func:`repro.dynamic.delta.default_compaction_threshold`.  The
@@ -145,26 +133,16 @@ class GraphEntry:
     compaction_threshold: int | None = None
     #: Cumulative count of indexes detached because a mutation staled them.
     stale_indexes: int = 0
-    #: Weight cache entries are ``(epoch, weights)`` pairs.  ``PoissonWeights``
-    #: themselves are graph-independent, but guarding by epoch keeps the
-    #: cache's lifecycle aligned with every other per-graph cache — a value
-    #: built against an older epoch never wins a race against a mutation.
-    _weights: dict[float, tuple[int, PoissonWeights]] = field(default_factory=dict)
     _mutation_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    def poisson_weights(self, t: float) -> PoissonWeights:
-        """The cached ``PoissonWeights`` for heat constant ``t`` at this epoch."""
-        epoch = self.epoch
-        cached = self._weights.get(t)
-        if cached is not None and cached[0] == epoch:
-            return cached[1]
-        weights = PoissonWeights(t)
-        # Concurrent misses may build twice; the insert tagged with the
-        # current epoch wins and both objects are interchangeable.
-        self._weights[t] = (epoch, weights)
-        return weights
+    @property
+    def epoch(self) -> int:
+        """The current snapshot's mutation counter: 0 as registered, +1 per
+        successful :meth:`mutate` batch.  Recorded in cache keys and
+        ``/stats`` — the epoch contract every downstream consumer keys on."""
+        return getattr(self.graph, "epoch", 0)
 
     def csr_graph(self) -> Graph:
         """This entry's graph as plain CSR (compacting an overlay if needed)."""
@@ -175,29 +153,25 @@ class GraphEntry:
         """Apply one edge-mutation batch; returns ``(event, compacted)``.
 
         Serialized per entry: builds the next
-        :class:`~repro.dynamic.delta.DeltaGraph` snapshot, bumps ``epoch``,
+        :class:`~repro.dynamic.delta.DeltaGraph` snapshot (epoch + 1),
         folds the overlay into plain CSR once the cumulative delta exceeds
         the compaction threshold or its patch outgrows twice the base CSR
         (the new snapshot then wraps the rebuilt base with an empty delta),
         and detaches any attached walk-sketch index after marking it stale
-        — its fingerprint can no longer match.
+        — its fingerprint can no longer match.  The index goes before the
+        new snapshot is installed, so a reader that still sees an index
+        sees the snapshot it was built for.
         """
         from repro.dynamic.delta import DeltaGraph
 
         with self._mutation_lock:
             graph = self.graph
-            view = (
-                graph
-                if isinstance(graph, DeltaGraph)
-                else DeltaGraph(graph, epoch=self.epoch)
-            )
+            view = graph if isinstance(graph, DeltaGraph) else DeltaGraph(graph)
             new_view = view.apply(add=add, remove=remove)
             event = new_view.last_event
             compacted = new_view.should_compact(self.compaction_threshold)
             if compacted:
                 new_view = DeltaGraph(new_view.compacted(), epoch=new_view.epoch)
-            self.graph = new_view
-            self.epoch = event.epoch
             index = self.index
             if index is not None:
                 self.index = None
@@ -205,6 +179,7 @@ class GraphEntry:
                 mark = getattr(index, "mark_stale", None)
                 if mark is not None:
                     mark()
+            self.graph = new_view
         return event, compacted
 
     def describe(self) -> dict:
@@ -238,9 +213,7 @@ class GraphRegistry:
     leave through :meth:`remove`.  Both invalidate downstream per-graph
     state through one code path: every hook registered with
     :meth:`add_invalidation_hook` is called with the graph name (the
-    service wires the result cache's ``invalidate_group`` here).  Entry
-    weight caches are guarded by epoch, so a ``PoissonWeights`` built
-    against an older epoch can never win a race against a mutation.
+    service wires the result cache's ``invalidate_group`` here).
     """
 
     def __init__(self) -> None:

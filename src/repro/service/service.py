@@ -9,9 +9,10 @@ micro-batcher into one long-lived object:
 * the dispatch thread (inside :class:`~repro.service.batcher.MicroBatcher`)
   calls back into ``_execute_batch``: plans are built per request (push
   phases run here), the walk tasks of all unpinned plans are fused per
-  graph through :func:`repro.engine.multi.execute_plans`, pinned plans run
-  unfused on their private generators, and each future is resolved with a
-  :class:`QueryResponse`.
+  graph snapshot through :func:`repro.engine.multi.execute_plans`, pinned
+  plans run unfused on their private generators, and each future is
+  resolved with a :class:`QueryResponse`.  Every phase of a request reads
+  the one graph snapshot ``submit`` took at admission.
 * :class:`Telemetry` tallies per-request latency, cache hit rate, batch
   occupancy and walk throughput; ``stats()`` returns the JSON the ``/stats``
   endpoint and the load harness consume.
@@ -38,6 +39,7 @@ from repro.exceptions import (
     ServiceExecutionError,
     ServiceOverloadedError,
 )
+from repro.graph.graph import Graph
 from repro.hkpr.result import HKPRResult
 from repro.obs.metrics import MetricFamily, MetricsRegistry, Sample, use_registry
 from repro.obs.trace import QueryTrace, TraceRecorder
@@ -77,20 +79,17 @@ class QueryResponse:
     cached: bool
     latency_seconds: float
     batch_size: int
-    entry: GraphEntry | None = None
+    #: The graph snapshot the request was admitted at and answered on.
+    snapshot: Graph
 
-    def to_dict(self, entry: GraphEntry | None = None) -> dict:
+    def to_dict(self) -> dict:
         """The JSON envelope served over HTTP (top-k ranking included).
 
-        Uses the graph entry resolved at admission (carried on the
-        response) by default, so frontends need not — and should not —
-        re-resolve the graph name afterwards: a concurrent unregister or
-        re-register would raise or rank against a different graph.
+        Ranks against the snapshot the answer was computed on, so a later
+        mutation, unregister or re-register of the graph name cannot change
+        the rendered ranking.
         """
-        entry = entry if entry is not None else self.entry
-        if entry is None:
-            raise ValueError("QueryResponse carries no graph entry")
-        top = self.result.top(entry.graph, self.request.top_k)
+        top = self.result.top(self.snapshot, self.request.top_k)
         return {
             "graph": self.request.graph,
             "method": self.request.method,
@@ -269,6 +268,8 @@ class _Pending:
 
     request: QueryRequest
     entry: GraphEntry
+    #: ``entry.graph`` as read once at admission; every phase reads it.
+    snapshot: Graph
     future: Future
     estimated_walks: int
     submitted_at: float
@@ -396,9 +397,12 @@ class QueryService:
         (full queue or the in-flight walk cap).
         """
         entry = self.registry.get(graph)
+        # The one read of the entry's graph: the request is answered
+        # entirely on this snapshot, whatever mutations land meanwhile.
+        snapshot = entry.graph
         request = normalize_request(
             graph, method, seed_node, params, rng=rng, top_k=top_k,
-            timeout_ms=timeout_ms, entry=entry,
+            timeout_ms=timeout_ms, snapshot=snapshot,
         )
         submitted_at = time.perf_counter()
 
@@ -411,7 +415,7 @@ class QueryService:
                     cached=True,
                     latency_seconds=time.perf_counter() - submitted_at,
                     batch_size=0,
-                    entry=entry,
+                    snapshot=snapshot,
                 )
                 self.telemetry.record_response(
                     response.latency_seconds, cached=True,
@@ -421,7 +425,7 @@ class QueryService:
                 future.set_result(response)
                 return future
 
-        estimated = max(0, estimate_walks(entry, request))
+        estimated = max(0, estimate_walks(entry, request, snapshot=snapshot))
         if estimated > self._max_inflight_walks and walk_estimate_is_tight(request):
             # A query that would really run more walks than the whole
             # budget can never fit, idle server or not — without this
@@ -468,7 +472,8 @@ class QueryService:
             else None
         )
         pending = _Pending(
-            request, entry, Future(), estimated, submitted_at, deadline, trace
+            request, entry, snapshot, Future(), estimated, submitted_at,
+            deadline, trace,
         )
         try:
             self._batcher.submit(pending)
@@ -493,7 +498,7 @@ class QueryService:
         counter emitted when a walk index is detached lands in the same
         exposition as the serving metrics.  Cache invalidation happens via
         the registry's hooks (wired in ``__init__``); in-flight queries
-        keep the entry/graph snapshot they resolved at admission.
+        keep the graph snapshot they resolved at admission.
         """
         with use_registry(self.metrics):
             return self.registry.mutate(name, add=add, remove=remove)
@@ -695,7 +700,7 @@ class QueryService:
             cached=False,
             latency_seconds=time.perf_counter() - pending.submitted_at,
             batch_size=batch_size,
-            entry=pending.entry,
+            snapshot=pending.snapshot,
         )
         if self.cache is not None and pending.request.cache_eligible():
             self.cache.put(pending.request.cache_key(), result)
@@ -759,8 +764,9 @@ class QueryService:
     def _execute_batch_inner(self, batch: list[_Pending]) -> None:
         started = time.perf_counter()
         walks_executed = 0
-        # Keyed by entry identity, not graph name: re-registering a name
-        # mid-flight must not fuse plans built against different graphs.
+        # Keyed by snapshot identity, not graph name or entry: plans built
+        # against different graphs (a re-registered name, or epochs either
+        # side of a mutation) must not share a walk phase.
         fused: dict[int, list[tuple[_Pending, object]]] = {}
         pinned: list[tuple[_Pending, object, object]] = []
         for pending in batch:
@@ -785,8 +791,8 @@ class QueryService:
                     pending.deadline.checkpoint()
                 plan_started = time.perf_counter()
                 plan, plan_rng = build_plan(
-                    pending.entry, pending.request, deadline=pending.deadline,
-                    trace=trace,
+                    pending.entry, pending.request, snapshot=pending.snapshot,
+                    deadline=pending.deadline, trace=trace,
                 )
                 if trace is not None:
                     trace.add_span(
@@ -831,10 +837,10 @@ class QueryService:
             if pending.request.pinned:
                 pinned.append((pending, plan, plan_rng))
             else:
-                fused.setdefault(id(pending.entry), []).append((pending, plan))
+                fused.setdefault(id(pending.snapshot), []).append((pending, plan))
 
         for group in fused.values():
-            entry = group[0][0].entry
+            snapshot = group[0][0].snapshot
             plans = [plan for _, plan in group]
             # The fused kernels execute all members' walks interleaved, so
             # the group can only honor one deadline: the *latest* member
@@ -848,7 +854,7 @@ class QueryService:
             )
             try:
                 results = execute_plans(
-                    self._backend, entry.graph, plans, self._rng,
+                    self._backend, snapshot, plans, self._rng,
                     deadline=group_deadline,
                     traces=[pending.trace for pending, _ in group],
                 )
@@ -891,7 +897,7 @@ class QueryService:
                 kernel_started = time.perf_counter()
                 endpoints = run_walk_tasks(
                     self._backend,
-                    pending.entry.graph,
+                    pending.snapshot,
                     plan.tasks,
                     plan_rng,
                     counters_list=[plan.counters] * len(plan.tasks),
@@ -957,8 +963,8 @@ class ServiceClient:
             graph, method, seed_node, params, rng=rng, top_k=top_k,
             timeout_ms=timeout_ms, timeout=timeout,
         )
-        # The response carries the entry resolved at admission; a second
-        # registry lookup here could race with unregister/re-register.
+        # The response carries the snapshot resolved at admission; a second
+        # registry lookup here could race with a mutation or re-register.
         return response.to_dict()
 
     def stats(self) -> dict:

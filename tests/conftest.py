@@ -120,6 +120,6 @@ def loose_params() -> HKPRParams:
 
 
 @pytest.fixture
-def poisson_weights() -> PoissonWeights:
+def weights_t5() -> PoissonWeights:
     """Poisson weights for the default heat constant t=5."""
     return PoissonWeights(5.0)

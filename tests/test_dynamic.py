@@ -1,8 +1,8 @@
 """Tests for the dynamic-graph subsystem (:mod:`repro.dynamic`).
 
-Covers the :class:`DeltaGraph` overlay (snapshot semantics, validation,
-byte-identical compaction, vectorized read-through) and the incremental
-push repair (undo-and-replay) for both forward push and HK-Push.
+Covers the :class:`DeltaGraph` overlay: snapshot semantics, validation,
+byte-identical compaction, and read-through by the walk kernels, the
+pushes and the estimators with no behavioural change.
 """
 
 from __future__ import annotations
@@ -10,21 +10,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.dynamic import (
-    DeltaGraph,
-    MutationEvent,
-    default_compaction_threshold,
-    dynamic_forward_push,
-    dynamic_hk_push,
-    repair_hk_push,
-    repair_ppr_push,
-)
-from repro.exceptions import GraphError, NodeNotFoundError, ParameterError
+from repro.dynamic import DeltaGraph, MutationEvent, default_compaction_threshold
+from repro.exceptions import GraphError, NodeNotFoundError
 from repro.graph.generators import chung_lu_graph, power_law_degree_sequence, ring_graph
 from repro.graph.graph import Graph
-from repro.hkpr.params import HKPRParams
-from repro.hkpr.exact import exact_hkpr
-from repro.ppr.exact import exact_ppr
 
 
 def _edge_set(graph) -> set[tuple[int, int]]:
@@ -75,11 +64,8 @@ class TestDeltaGraph:
         assert isinstance(event, MutationEvent)
         assert (event.epoch_before, event.epoch) == (1, 2)
         assert event.removed.tolist() == [[1, 2]]
-        assert event.touched_nodes().tolist() == [1, 2]
         combined = view.apply(add=[(0, 3)], remove=[(1, 2)])
         assert combined.last_event.added.tolist() == [[0, 3]]
-        assert combined.last_event.added_neighbors(0) == [3]
-        assert combined.last_event.removed_neighbors(2) == [1]
 
     def test_validation_errors(self):
         view = DeltaGraph(Graph(5, [(0, 1), (1, 2), (2, 3)]))
@@ -219,14 +205,56 @@ class TestVectorizedOverlay:
         assert np.array_equal(got, want)
 
 
+def _overlay_seeds(view):
+    """The last batch's endpoints, which sit on patched rows, and a few low ids."""
+    event = view.last_event
+    touched = np.unique(np.concatenate([event.added.ravel(), event.removed.ravel()]))
+    linked = np.flatnonzero(view.degrees > 0)
+    return sorted({int(v) for v in touched[:3]} | {int(v) for v in linked[:3]})
+
+
+class TestPushOverlay:
+    """The FIFO pushes and the push-based estimators read a mutated graph
+    through the overlay with no behavioural change."""
+
+    def test_pushes_match_compacted(self, overlay):
+        from repro.hkpr.hk_push import hk_push
+        from repro.hkpr.poisson import PoissonWeights
+        from repro.ppr.push import forward_push
+
+        compact = overlay.compacted()
+        weights = PoissonWeights(5.0)
+        for seed in _overlay_seeds(overlay):
+            got = hk_push(overlay, seed, 1e-4, weights)
+            want = hk_push(compact, seed, 1e-4, weights)
+            assert got.reserve.to_dict() == want.reserve.to_dict()
+            assert got.residues.num_hops == want.residues.num_hops
+            for hop in range(got.residues.num_hops):
+                assert got.residues.layer(hop) == want.residues.layer(hop)
+            assert got.counters.push_operations == want.counters.push_operations
+
+            got = forward_push(overlay, seed, alpha=0.2, r_max=1e-4)
+            want = forward_push(compact, seed, alpha=0.2, r_max=1e-4)
+            assert got.reserve.to_dict() == want.reserve.to_dict()
+            assert got.residue.to_dict() == want.residue.to_dict()
+            assert got.counters.push_operations == want.counters.push_operations
+
+    @pytest.mark.parametrize("method", ["tea", "fora", "hk-relax", "pr-nibble", "hk-push"])
+    def test_push_estimators_match_compacted(self, overlay, method):
+        from repro.estimators import resolve
+
+        spec = resolve(method)
+        compact = overlay.compacted()
+        for seed in _overlay_seeds(overlay):
+            got = spec.estimate(overlay, seed, rng=3)
+            want = spec.estimate(compact, seed, rng=3)
+            assert got.estimates.to_dict() == want.estimates.to_dict()
+            assert got.counters.push_operations == want.counters.push_operations
+            assert got.counters.random_walks == want.counters.random_walks
+
+
 class TestTeaPlusOverlay:
     """HK-Push+, TEA+ and the sweep read a mutated graph through the overlay."""
-
-    def _seeds(self, view):
-        # The last batch's endpoints sit on patched rows; add a few low ids.
-        touched = view.last_event.touched_nodes()
-        linked = np.flatnonzero(view.degrees > 0)
-        return sorted({int(v) for v in touched[:3]} | {int(v) for v in linked[:3]})
 
     def test_hk_push_plus_matches_compacted(self, overlay):
         from repro.hkpr.hk_push_plus import hk_push_plus
@@ -234,7 +262,7 @@ class TestTeaPlusOverlay:
 
         compact = overlay.compacted()
         weights = PoissonWeights(5.0)
-        for seed in self._seeds(overlay):
+        for seed in _overlay_seeds(overlay):
             got = hk_push_plus(overlay, seed, 0.5, 1e-4, 6, 10**6, weights)
             want = hk_push_plus(compact, seed, 0.5, 1e-4, 6, 10**6, weights)
             assert got.reserve.to_dict() == want.reserve.to_dict()
@@ -253,7 +281,7 @@ class TestTeaPlusOverlay:
 
         compact = overlay.compacted()
         walks = 0
-        for seed in self._seeds(overlay):
+        for seed in _overlay_seeds(overlay):
             got = local_cluster(overlay, seed, method="tea+", rng=3, estimator_kwargs=kwargs)
             want = local_cluster(compact, seed, method="tea+", rng=3, estimator_kwargs=kwargs)
             walks += got.hkpr.counters.random_walks
@@ -264,170 +292,3 @@ class TestTeaPlusOverlay:
             assert got.sweep.sweep_order == want.sweep.sweep_order
         assert (walks > 0) == (kwargs is not None)
 
-
-def _ppr_invariant_error(state, graph, alpha: float) -> float:
-    """Max abs error of ``reserve + sum_u r[u] * ppr_u`` vs the exact PPR."""
-    n = graph.num_nodes
-    reconstructed = state.reserve.to_dense(n).astype(float)
-    for node, value in state.residue.items():
-        if value == 0.0:
-            continue
-        contrib = exact_ppr(graph, node, alpha=alpha, tolerance=1e-14)
-        reconstructed += value * contrib.estimates.to_dense(n)
-    truth = exact_ppr(graph, state.seed_node, alpha=alpha, tolerance=1e-14)
-    return float(np.abs(reconstructed - truth.estimates.to_dense(n)).max())
-
-
-class TestPPRRepair:
-    ALPHA = 0.2
-    R_MAX = 1e-4
-
-    @pytest.fixture
-    def evolving(self):
-        degs = power_law_degree_sequence(150, 2.5, 2, 15, seed=9)
-        base = chung_lu_graph(degs, seed=9, connected=False)
-        return DeltaGraph(base)
-
-    def test_repair_preserves_invariant_and_bound(self, evolving):
-        rng = np.random.default_rng(17)
-        seed = int(np.argmax(evolving.degrees))
-        state = dynamic_forward_push(
-            evolving, seed, alpha=self.ALPHA, r_max=self.R_MAX
-        )
-        view = evolving
-        for add, remove in _random_batches(view, rng, rounds=5):
-            view = view.apply(add=add, remove=remove)
-            state = repair_ppr_push(state, view, view.last_event)
-            assert state.epoch == view.epoch
-        assert state.repairs == 5
-
-        # The push invariant holds to float accuracy after every repair...
-        assert _ppr_invariant_error(state, view, self.ALPHA) < 1e-10
-        # ...and so does the per-degree residue bound (now on |r|).
-        for node, value in state.residue.items():
-            degree = view.degree(node)
-            if degree > 0:
-                assert abs(value) <= self.R_MAX * degree + 1e-15
-
-    def test_repaired_reserve_matches_scratch(self, evolving):
-        """Repaired reserves match a from-scratch push on the new graph
-        within the push method's own r_max error envelope."""
-        view = evolving.apply(add=[(0, 5), (1, 7)], remove=[])
-        seed = int(np.argmax(evolving.degrees))
-        state = dynamic_forward_push(
-            evolving, seed, alpha=self.ALPHA, r_max=self.R_MAX
-        )
-        repair_ppr_push(state, view, view.last_event)
-        scratch = dynamic_forward_push(
-            view, seed, alpha=self.ALPHA, r_max=self.R_MAX
-        )
-        for node in range(view.num_nodes):
-            degree = view.degree(node)
-            if degree == 0:
-                continue
-            diff = abs(state.reserve[node] - scratch.reserve[node]) / degree
-            assert diff <= 2.0 * self.R_MAX + 1e-15
-
-    def test_out_of_order_event_rejected(self, evolving):
-        seed = int(np.argmax(evolving.degrees))
-        state = dynamic_forward_push(evolving, seed, alpha=0.2)
-        v1 = evolving.apply(add=[(0, 5)])
-        v2 = v1.apply(add=[(1, 6)])
-        with pytest.raises(ParameterError, match="repair events in order"):
-            repair_ppr_push(state, v2, v2.last_event)
-        with pytest.raises(ParameterError, match="post-event epoch"):
-            repair_ppr_push(state, v2, v1.last_event)
-        # in order is fine
-        repair_ppr_push(state, v1, v1.last_event)
-        repair_ppr_push(state, v2, v2.last_event)
-        assert state.epoch == 2
-
-
-def _hk_invariant_error(state, graph) -> float:
-    """Max abs error of the Lemma-1 reconstruction vs the exact HKPR.
-
-    ``reserve + sum_{k,u} r_k[u] * h_k(u, .)`` where ``h_k`` propagates a
-    hop-``k`` residue through the remaining truncated Poisson process.
-    """
-    n = graph.num_nodes
-    weights = state.weights
-    hop_limit = weights.max_hop
-    adjacency = graph.adjacency_matrix().astype(float)
-    degrees = np.asarray(graph.degrees, dtype=float)
-    transition = np.zeros((n, n))
-    nonzero = degrees > 0
-    transition[nonzero] = adjacency.toarray()[nonzero] / degrees[nonzero, None]
-    transition[~nonzero, ~nonzero] = 1.0  # isolated mass stays put
-
-    # H[k][u] = distribution of final positions for residue mass at hop k.
-    hstack = [np.eye(n) for _ in range(hop_limit + 2)]
-    for hop in range(hop_limit, -1, -1):
-        stop = weights.stop_probability(hop)
-        hstack[hop] = stop * np.eye(n) + (1.0 - stop) * transition @ hstack[hop + 1]
-        # isolated nodes keep all their mass regardless of the hop law
-        hstack[hop][~nonzero] = np.eye(n)[~nonzero]
-
-    reconstructed = state.reserve.to_dense(n).astype(float)
-    for hop in range(state.residues.num_hops):
-        for node, value in state.residues.layer(hop).items():
-            if value == 0.0:
-                continue
-            propagate = hstack[hop] if hop <= hop_limit else np.eye(n)
-            reconstructed += value * propagate[node]
-    truth = exact_hkpr(graph.compacted(), state.seed_node, HKPRParams(t=state.t))
-    return float(np.abs(reconstructed - truth.estimates.to_dense(n)).max())
-
-
-class TestHKRepair:
-    T = 4.0
-    R_MAX = 1e-4
-
-    @pytest.fixture
-    def evolving(self):
-        degs = power_law_degree_sequence(60, 2.5, 2, 10, seed=13)
-        base = chung_lu_graph(degs, seed=13, connected=False)
-        return DeltaGraph(base)
-
-    def test_repair_preserves_invariant_and_bound(self, evolving):
-        rng = np.random.default_rng(23)
-        seed = int(np.argmax(evolving.degrees))
-        state = dynamic_hk_push(evolving, seed, t=self.T, r_max=self.R_MAX)
-        view = evolving
-        for add, remove in _random_batches(view, rng, rounds=3):
-            view = view.apply(add=add, remove=remove)
-            state = repair_hk_push(state, view, view.last_event)
-        assert state.repairs == 3 and state.epoch == view.epoch
-
-        assert _hk_invariant_error(state, view) < 1e-10
-        for hop in range(state.residues.num_hops):
-            for node, value in state.residues.layer(hop).items():
-                degree = view.degree(node)
-                if degree > 0:
-                    assert abs(value) <= self.R_MAX * degree + 1e-15
-
-    def test_repaired_reserve_matches_scratch(self, evolving):
-        view = evolving.apply(add=[(0, 7)], remove=[])
-        seed = int(np.argmax(evolving.degrees))
-        state = dynamic_hk_push(evolving, seed, t=self.T, r_max=self.R_MAX)
-        repair_hk_push(state, view, view.last_event)
-        scratch = dynamic_hk_push(view, seed, t=self.T, r_max=self.R_MAX)
-        # Both states approximate the same HKPR vector within the push
-        # method's r_max envelope; their difference obeys the same scale.
-        hop_budget = float(state.weights.max_hop + 1)
-        for node in range(view.num_nodes):
-            degree = view.degree(node)
-            if degree == 0:
-                continue
-            diff = abs(state.reserve[node] - scratch.reserve[node]) / degree
-            assert diff <= 2.0 * hop_budget * self.R_MAX
-
-    def test_out_of_order_event_rejected(self, evolving):
-        seed = int(np.argmax(evolving.degrees))
-        state = dynamic_hk_push(evolving, seed, t=self.T)
-        v1 = evolving.apply(add=[(0, 7)])
-        v2 = v1.apply(remove=[(0, 7)])
-        with pytest.raises(ParameterError, match="repair events in order"):
-            repair_hk_push(state, v2, v2.last_event)
-        repair_hk_push(state, v1, v1.last_event)
-        repair_hk_push(state, v2, v2.last_event)
-        assert state.epoch == 2

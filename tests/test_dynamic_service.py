@@ -2,7 +2,9 @@
 
 Epoch bumps through :meth:`GraphRegistry.mutate`, one-code-path cache
 invalidation (mutation and removal both evict via the registry hooks),
-walk-index staleness, and the ``POST /graphs/<name>/edges`` HTTP endpoint.
+answers computed and rendered on the admission snapshot while mutations
+land mid-query, walk-index staleness, and the ``POST /graphs/<name>/edges``
+HTTP endpoint.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ from repro.dynamic import DeltaGraph, default_compaction_threshold
 from repro.exceptions import GraphError, ServiceError, WalkIndexError
 from repro.graph.generators import chung_lu_graph, power_law_degree_sequence
 from repro.graph.graph import Graph
+from repro.hkpr.poisson import cached_weights
 from repro.index import build_walk_index
 from repro.service import GraphRegistry, QueryService, ResultCache
 from repro.service.http import serve_in_thread
+from repro.service.planner import build_plan, normalize_request
 
 
 @pytest.fixture
@@ -60,7 +64,7 @@ class TestRegistryMutation:
         assert not registry.mutate("g", add=[e1])["compacted"]
         summary = registry.mutate("g", add=[e2])
         assert summary["compacted"] and summary["delta_edges"] == 0
-        # the rebuilt base keeps the epoch for repair validation
+        # the rebuilt base keeps the epoch, so cache keys never go back
         assert entry.graph.epoch == 2
         assert isinstance(entry.graph, DeltaGraph)
         assert entry.graph.delta_edges == 0
@@ -109,15 +113,28 @@ class TestRegistryMutation:
         with pytest.raises(ServiceError, match="unknown graph"):
             registry.remove("g")
 
-    def test_weight_cache_epoch_guarded(self, graph):
+    def test_distinct_t_queries_keep_weight_tables_bounded(self, graph):
+        cached_weights.cache_clear()
+        registry = GraphRegistry()
+        registry.add_graph("g", graph)
+        with QueryService(registry, cache_entries=0) as svc:
+            for i in range(100):
+                svc.query("g", "monte-carlo", 0, {"t": 1.0 + i / 64, "num_walks": 1})
+        info = cached_weights.cache_info()
+        assert info.misses == 100
+        assert info.currsize == 64
+
+    def test_weight_tables_shared_across_mutation(self, graph):
         registry = GraphRegistry()
         entry = registry.add_graph("g", graph)
-        warm = entry.poisson_weights(5.0)
-        assert entry.poisson_weights(5.0) is warm
-        registry.mutate("g", add=[_absent_edge(graph)])
-        rebuilt = entry.poisson_weights(5.0)
-        assert rebuilt is not warm
-        assert entry.poisson_weights(5.0) is rebuilt
+        request = normalize_request("g", "monte-carlo", 0, {"t": 5.0, "num_walks": 10})
+        tables = []
+        for _ in range(2):
+            plan, _rng = build_plan(entry, request, snapshot=entry.graph)
+            tables.append(plan.fused_queries()[0].weights)
+            registry.mutate("g", add=[_absent_edge(entry.graph)])
+        assert entry.epoch == 2
+        assert tables[0] is tables[1] is cached_weights(5.0)
 
 
 class TestIndexStaleness:
@@ -146,6 +163,26 @@ class TestIndexStaleness:
         registry.mutate("g", add=[_absent_edge(graph)])
         with pytest.raises(WalkIndexError):
             registry.attach_index("g", index)
+
+    def test_plan_on_older_snapshot_skips_a_newer_index(self, graph):
+        registry = GraphRegistry()
+        entry = registry.add_graph("g", graph)
+        admitted = entry.graph
+        registry.mutate("g", add=[_absent_edge(graph)])
+        registry.attach_index(
+            "g",
+            build_walk_index(
+                entry.csr_graph(), num_hubs=2, walks_per_sketch=50,
+                t_values=[5.0], rng=0,
+            ),
+        )
+        hub = entry.index.indexed_nodes()[0]
+        request = normalize_request("g", "monte-carlo", hub, {"t": 5.0, "num_walks": 100})
+        current, _rng = build_plan(entry, request, snapshot=entry.graph)
+        assert current.counters.extras["walks_from_index"] == 50.0
+        older, _rng = build_plan(entry, request, snapshot=admitted)
+        assert older.graph is admitted
+        assert "walks_from_index" not in older.counters.extras
 
     def test_current_epoch_index_attaches_to_overlay(self, graph):
         """An index built against the *compacted* current overlay attaches:
@@ -205,6 +242,71 @@ class TestServiceMutation:
         assert response.result.support_size() > 0
         top = response.to_dict()["top"]
         assert top and all(entry.graph.has_node(node) for node, _ in top)
+
+    @pytest.mark.parametrize("rng", [None, 3], ids=["fused", "pinned"])
+    def test_mutation_mid_query_answers_on_admission_snapshot(
+        self, service, graph, monkeypatch, rng
+    ):
+        import repro.service.service as service_module
+
+        # Start from an overlay snapshot, so every graph involved has an epoch.
+        service.mutate_graph("g", add=[_absent_edge(graph)])
+        entry = service.registry.get("g")
+        planned, walked, cached = [], [], []
+        build = service_module.build_plan
+
+        def build_then_mutate(entry, request, **kwargs):
+            plan, plan_rng = build(entry, request, **kwargs)
+            planned.append(plan.graph)
+            service.mutate_graph("g", add=[_absent_edge(entry.graph, 1)])
+            return plan, plan_rng
+
+        def spy(original):
+            def call(backend, graph, *args, **kwargs):
+                walked.append(graph)
+                return original(backend, graph, *args, **kwargs)
+            return call
+
+        def put(key, value, original=service.cache.put):
+            cached.append(key)
+            original(key, value)
+
+        monkeypatch.setattr(service_module, "build_plan", build_then_mutate)
+        monkeypatch.setattr(
+            service_module, "execute_plans", spy(service_module.execute_plans)
+        )
+        monkeypatch.setattr(
+            service_module, "run_walk_tasks", spy(service_module.run_walk_tasks)
+        )
+        monkeypatch.setattr(service.cache, "put", put)
+        seed = int(np.argmax(graph.degrees))
+        response = service.query(
+            "g", "tea+", seed, {"push_budget": 50, "max_walks": 2000}, rng=rng
+        )
+        assert entry.epoch == 2  # the mutation landed between push and walks
+        assert response.result.counters.random_walks > 0
+        assert len(planned) == len(walked) == 1
+        assert walked[0] is planned[0] is response.snapshot
+        assert response.request.epoch == planned[0].epoch == 1
+        assert [key[1] for key in cached] == ([1] if rng is None else [])
+
+    def test_rendering_after_mutation_ranks_on_admission_snapshot(
+        self, service, graph
+    ):
+        seed = int(np.argmax(graph.degrees))
+        response = service.query("g", "hk-push", seed, {}, top_k=5)
+        snapshot = response.snapshot
+        second = response.to_dict()["top"][1][0]
+        # Twenty new edges at the #2 node lower its degree-normalized score.
+        fresh = [
+            [second, v] for v in range(graph.num_nodes)
+            if v != second and not graph.has_edge(second, v)
+        ][:20]
+        service.mutate_graph("g", add=fresh)
+        current = service.registry.get("g").graph
+        top = response.to_dict()["top"]
+        assert top == response.result.top(snapshot, 5)
+        assert top != response.result.top(current, 5)
 
     def test_remove_graph_evicts_cache(self, service, graph):
         service.query("g", "pr-nibble", 0, {"eps": 1e-3})

@@ -24,13 +24,13 @@ def two_cliques() -> Graph:
 
 
 class TestWalkTask:
-    def test_rejects_unknown_kind(self, poisson_weights):
+    def test_rejects_unknown_kind(self, weights_t5):
         with pytest.raises(ParameterError, match="unknown walk task kind"):
-            WalkTask("levy", np.zeros(3, dtype=np.int64), weights=poisson_weights)
+            WalkTask("levy", np.zeros(3, dtype=np.int64), weights=weights_t5)
 
-    def test_heat_requires_weights_and_hops(self, poisson_weights):
+    def test_heat_requires_weights_and_hops(self, weights_t5):
         with pytest.raises(ParameterError, match="heat tasks"):
-            WalkTask("heat", np.zeros(3, dtype=np.int64), weights=poisson_weights)
+            WalkTask("heat", np.zeros(3, dtype=np.int64), weights=weights_t5)
         with pytest.raises(ParameterError, match="heat tasks"):
             WalkTask("heat", np.zeros(3, dtype=np.int64), hop_offsets=0)
 
@@ -42,16 +42,16 @@ class TestWalkTask:
         with pytest.raises(ParameterError, match="geometric tasks"):
             WalkTask("geometric", np.zeros(3, dtype=np.int64))
 
-    def test_scalar_hop_offsets_broadcast(self, poisson_weights):
+    def test_scalar_hop_offsets_broadcast(self, weights_t5):
         task = WalkTask(
-            "heat", np.zeros(4, dtype=np.int64), hop_offsets=2, weights=poisson_weights
+            "heat", np.zeros(4, dtype=np.int64), hop_offsets=2, weights=weights_t5
         )
         assert task.hop_offsets.shape == (4,)
         assert (task.hop_offsets == 2).all()
 
-    def test_fuse_keys(self, poisson_weights):
+    def test_fuse_keys(self, weights_t5):
         heat = WalkTask(
-            "heat", np.zeros(1, dtype=np.int64), hop_offsets=0, weights=poisson_weights
+            "heat", np.zeros(1, dtype=np.int64), hop_offsets=0, weights=weights_t5
         )
         other_weights = PoissonWeights(5.0)
         heat2 = WalkTask(
@@ -60,7 +60,7 @@ class TestWalkTask:
         # Distinct weight objects with the same (t, max_hop) fuse.
         assert heat.fuse_key() == heat2.fuse_key()
         poisson = WalkTask(
-            "poisson", np.zeros(1, dtype=np.int64), weights=poisson_weights
+            "poisson", np.zeros(1, dtype=np.int64), weights=weights_t5
         )
         assert poisson.fuse_key() != heat.fuse_key()
         geo_a = WalkTask("geometric", np.zeros(1, dtype=np.int64), alpha=0.2)
@@ -69,13 +69,13 @@ class TestWalkTask:
 
 
 class TestRunWalkTasks:
-    def test_endpoints_split_per_task_in_order(self, two_cliques, poisson_weights):
+    def test_endpoints_split_per_task_in_order(self, two_cliques, weights_t5):
         # Tasks starting in different components: every returned endpoint
         # must belong to its own task's component.
         tasks = [
-            WalkTask("poisson", np.zeros(300, dtype=np.int64), weights=poisson_weights),
+            WalkTask("poisson", np.zeros(300, dtype=np.int64), weights=weights_t5),
             WalkTask(
-                "poisson", np.full(200, 7, dtype=np.int64), weights=poisson_weights
+                "poisson", np.full(200, 7, dtype=np.int64), weights=weights_t5
             ),
             WalkTask("geometric", np.full(100, 8, dtype=np.int64), alpha=0.3),
         ]
@@ -86,10 +86,10 @@ class TestRunWalkTasks:
         assert (ends[1] >= 5).all()
         assert (ends[2] >= 5).all()
 
-    def test_counters_random_walks_exact_per_task(self, two_cliques, poisson_weights):
+    def test_counters_random_walks_exact_per_task(self, two_cliques, weights_t5):
         tasks = [
-            WalkTask("poisson", np.zeros(120, dtype=np.int64), weights=poisson_weights),
-            WalkTask("poisson", np.full(80, 7, dtype=np.int64), weights=poisson_weights),
+            WalkTask("poisson", np.zeros(120, dtype=np.int64), weights=weights_t5),
+            WalkTask("poisson", np.full(80, 7, dtype=np.int64), weights=weights_t5),
         ]
         counters = [OperationCounters(), OperationCounters()]
         run_walk_tasks(
@@ -101,13 +101,13 @@ class TestRunWalkTasks:
         assert counters[0].extras["fused_tasks"] == 2
         assert counters[0].extras["fused_walks"] == 200
 
-    def test_step_attribution_exact_with_vectorized(self, poisson_weights):
+    def test_step_attribution_exact_with_vectorized(self, weights_t5):
         # One task walks from an isolated node (0 steps, always); the other
         # from a clique.  Exact attribution must give the isolated task 0.
         graph = Graph(6, [(1, 2), (1, 3), (2, 3)])
         tasks = [
-            WalkTask("poisson", np.full(50, 5, dtype=np.int64), weights=poisson_weights),
-            WalkTask("poisson", np.full(50, 1, dtype=np.int64), weights=poisson_weights),
+            WalkTask("poisson", np.full(50, 5, dtype=np.int64), weights=weights_t5),
+            WalkTask("poisson", np.full(50, 1, dtype=np.int64), weights=weights_t5),
         ]
         counters = [OperationCounters(), OperationCounters()]
         run_walk_tasks(
@@ -118,14 +118,14 @@ class TestRunWalkTasks:
         assert counters[1].walk_steps > 0
         assert "walk_steps_attribution" not in counters[0].extras
 
-    def test_step_attribution_sums_match_total(self, two_cliques, poisson_weights):
+    def test_step_attribution_sums_match_total(self, two_cliques, weights_t5):
         for backend_name in available_backends():
             tasks = [
                 WalkTask(
-                    "poisson", np.zeros(70, dtype=np.int64), weights=poisson_weights
+                    "poisson", np.zeros(70, dtype=np.int64), weights=weights_t5
                 ),
                 WalkTask(
-                    "poisson", np.full(30, 7, dtype=np.int64), weights=poisson_weights
+                    "poisson", np.full(30, 7, dtype=np.int64), weights=weights_t5
                 ),
             ]
             counters = [OperationCounters(), OperationCounters()]
@@ -140,7 +140,7 @@ class TestRunWalkTasks:
             backend.poisson_walk_batch(
                 two_cliques,
                 np.concatenate([t.start_nodes for t in tasks]),
-                poisson_weights,
+                weights_t5,
                 rng2,
                 counters=scratch,
             )
@@ -149,14 +149,14 @@ class TestRunWalkTasks:
             assert sum(e.size for e in ends) == 100
 
     def test_proportional_attribution_with_mixed_none_counters(
-        self, two_cliques, poisson_weights
+        self, two_cliques, weights_t5
     ):
         # Tasks without counters must still consume their proportional
         # share: the last counted task must not absorb the skipped tasks'
         # steps.  (reference backend: no per-walk step support.)
         tasks = [
             WalkTask(
-                "poisson", np.zeros(100, dtype=np.int64), weights=poisson_weights
+                "poisson", np.zeros(100, dtype=np.int64), weights=weights_t5
             )
             for _ in range(3)
         ]
@@ -169,7 +169,7 @@ class TestRunWalkTasks:
         assert abs(counters[0].walk_steps - counters[2].walk_steps) <= 2
         assert counters[0].extras["walk_steps_attribution"] == "proportional"
 
-    def test_incompatible_tasks_not_fused(self, two_cliques, poisson_weights):
+    def test_incompatible_tasks_not_fused(self, two_cliques, weights_t5):
         # Different alpha values must run as separate kernel calls and
         # therefore carry no fused_* extras.
         tasks = [
@@ -185,9 +185,9 @@ class TestRunWalkTasks:
             assert tally.random_walks == 40
             assert "fused_tasks" not in tally.extras
 
-    def test_counters_list_length_mismatch_rejected(self, two_cliques, poisson_weights):
+    def test_counters_list_length_mismatch_rejected(self, two_cliques, weights_t5):
         tasks = [
-            WalkTask("poisson", np.zeros(5, dtype=np.int64), weights=poisson_weights)
+            WalkTask("poisson", np.zeros(5, dtype=np.int64), weights=weights_t5)
         ]
         with pytest.raises(ParameterError, match="counters_list"):
             run_walk_tasks(
@@ -200,14 +200,14 @@ class TestRunWalkTasks:
             "vectorized", two_cliques, [], np.random.default_rng(0)
         ) == []
 
-    def test_fusion_respects_walk_cap(self, two_cliques, poisson_weights):
+    def test_fusion_respects_walk_cap(self, two_cliques, weights_t5):
         # Ten 100-walk tasks under a 250-walk cap: sub-batches of at most
         # 2 tasks, never one giant concatenated kernel call.
         tasks = [
             WalkTask(
                 "poisson",
                 np.full(100, (i % 2) * 7, dtype=np.int64),
-                weights=poisson_weights,
+                weights=weights_t5,
             )
             for i in range(10)
         ]
@@ -223,11 +223,11 @@ class TestRunWalkTasks:
             expected_component = (ends[i] >= 5) if i % 2 else (ends[i] < 5)
             assert expected_component.all()
 
-    def test_oversized_single_task_still_runs(self, two_cliques, poisson_weights):
+    def test_oversized_single_task_still_runs(self, two_cliques, weights_t5):
         # A lone task above the cap is executed as-is (plans chunk their own
         # tasks; direct callers may exceed deliberately).
         task = WalkTask(
-            "poisson", np.zeros(300, dtype=np.int64), weights=poisson_weights
+            "poisson", np.zeros(300, dtype=np.int64), weights=weights_t5
         )
         ends = run_walk_tasks(
             "vectorized", two_cliques, [task], np.random.default_rng(13),
@@ -235,9 +235,9 @@ class TestRunWalkTasks:
         )
         assert ends[0].size == 300
 
-    def test_invalid_fusion_cap_rejected(self, two_cliques, poisson_weights):
+    def test_invalid_fusion_cap_rejected(self, two_cliques, weights_t5):
         task = WalkTask(
-            "poisson", np.zeros(5, dtype=np.int64), weights=poisson_weights
+            "poisson", np.zeros(5, dtype=np.int64), weights=weights_t5
         )
         with pytest.raises(ParameterError, match="max_fused_walks"):
             run_walk_tasks(
@@ -245,17 +245,17 @@ class TestRunWalkTasks:
                 max_fused_walks=0,
             )
 
-    def test_heat_tasks_fuse_across_hops(self, two_cliques, poisson_weights):
+    def test_heat_tasks_fuse_across_hops(self, two_cliques, weights_t5):
         # Same weights but different per-walk hop offsets still fuse (hops
         # are per-walk data, not a kernel parameter).
         tasks = [
             WalkTask(
                 "heat", np.zeros(60, dtype=np.int64), hop_offsets=0,
-                weights=poisson_weights,
+                weights=weights_t5,
             ),
             WalkTask(
                 "heat", np.full(40, 7, dtype=np.int64), hop_offsets=3,
-                weights=poisson_weights,
+                weights=weights_t5,
             ),
         ]
         counters = [OperationCounters(), OperationCounters()]

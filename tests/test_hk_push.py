@@ -43,74 +43,74 @@ def invariant_gap(graph, seed, outcome, t):
 
 
 class TestHKPush:
-    def test_invalid_inputs(self, poisson_weights, small_ring):
+    def test_invalid_inputs(self, weights_t5, small_ring):
         with pytest.raises(ParameterError):
-            hk_push(small_ring, 99, 0.01, poisson_weights)
+            hk_push(small_ring, 99, 0.01, weights_t5)
         with pytest.raises(ParameterError):
-            hk_push(small_ring, 0, 0.0, poisson_weights)
+            hk_push(small_ring, 0, 0.0, weights_t5)
 
-    def test_no_push_when_threshold_large(self, poisson_weights, small_ring):
-        outcome = hk_push(small_ring, 0, r_max=10.0, weights=poisson_weights)
+    def test_no_push_when_threshold_large(self, weights_t5, small_ring):
+        outcome = hk_push(small_ring, 0, r_max=10.0, weights=weights_t5)
         assert outcome.reserve.nnz() == 0
         assert outcome.residues.get(0, 0) == pytest.approx(1.0)
         assert outcome.counters.push_operations == 0
 
-    def test_reserve_plus_residue_mass_is_one(self, poisson_weights, small_ring):
-        outcome = hk_push(small_ring, 0, r_max=1e-3, weights=poisson_weights)
+    def test_reserve_plus_residue_mass_is_one(self, weights_t5, small_ring):
+        outcome = hk_push(small_ring, 0, r_max=1e-3, weights=weights_t5)
         total = outcome.reserve.sum() + outcome.residues.total()
         assert total == pytest.approx(1.0, abs=1e-9)
 
-    def test_all_values_non_negative(self, poisson_weights, medium_powerlaw):
-        outcome = hk_push(medium_powerlaw, 0, r_max=1e-3, weights=poisson_weights)
+    def test_all_values_non_negative(self, weights_t5, medium_powerlaw):
+        outcome = hk_push(medium_powerlaw, 0, r_max=1e-3, weights=weights_t5)
         assert all(v >= 0 for v in outcome.reserve.values())
         assert (outcome.residues.entry_arrays()[2] >= 0).all()
 
-    def test_residues_below_threshold_after_termination(self, poisson_weights, small_ring):
+    def test_residues_below_threshold_after_termination(self, weights_t5, small_ring):
         r_max = 1e-3
-        outcome = hk_push(small_ring, 0, r_max=r_max, weights=poisson_weights)
+        outcome = hk_push(small_ring, 0, r_max=r_max, weights=weights_t5)
         _, nodes, values = outcome.residues.entry_arrays()
         for node, value in zip(nodes.tolist(), values.tolist()):
             assert value <= r_max * small_ring.degree(node) + 1e-12
 
-    def test_reserve_lower_bounds_exact(self, poisson_weights, small_ring, default_params):
-        outcome = hk_push(small_ring, 0, r_max=1e-4, weights=poisson_weights)
+    def test_reserve_lower_bounds_exact(self, weights_t5, small_ring, default_params):
+        outcome = hk_push(small_ring, 0, r_max=1e-4, weights=weights_t5)
         exact = exact_hkpr_dense(small_ring, 0, default_params.t)
         reserve = outcome.reserve.to_dense(small_ring.num_nodes)
         assert np.all(reserve <= exact + 1e-9)
 
-    def test_smaller_rmax_means_more_pushes_and_less_residue(self, poisson_weights, small_ring):
-        coarse = hk_push(small_ring, 0, r_max=1e-2, weights=poisson_weights)
-        fine = hk_push(small_ring, 0, r_max=1e-4, weights=poisson_weights)
+    def test_smaller_rmax_means_more_pushes_and_less_residue(self, weights_t5, small_ring):
+        coarse = hk_push(small_ring, 0, r_max=1e-2, weights=weights_t5)
+        fine = hk_push(small_ring, 0, r_max=1e-4, weights=weights_t5)
         assert fine.counters.push_operations >= coarse.counters.push_operations
         assert fine.residues.total() <= coarse.residues.total() + 1e-12
 
-    def test_push_count_bounded_by_inverse_rmax(self, poisson_weights, medium_powerlaw):
+    def test_push_count_bounded_by_inverse_rmax(self, weights_t5, medium_powerlaw):
         """Lemma 3: the number of pushes is O(1 / r_max)."""
         r_max = 5e-3
-        outcome = hk_push(medium_powerlaw, 0, r_max=r_max, weights=poisson_weights)
+        outcome = hk_push(medium_powerlaw, 0, r_max=r_max, weights=weights_t5)
         assert outcome.counters.push_operations <= 1.0 / r_max + medium_powerlaw.num_nodes
 
-    def test_lemma1_invariant_ring(self, poisson_weights):
+    def test_lemma1_invariant_ring(self, weights_t5):
         graph = ring_graph(8)
-        outcome = hk_push(graph, 0, r_max=5e-3, weights=poisson_weights)
-        assert invariant_gap(graph, 0, outcome, poisson_weights.t) < 1e-6
+        outcome = hk_push(graph, 0, r_max=5e-3, weights=weights_t5)
+        assert invariant_gap(graph, 0, outcome, weights_t5.t) < 1e-6
 
-    def test_lemma1_invariant_star(self, poisson_weights):
+    def test_lemma1_invariant_star(self, weights_t5):
         graph = star_graph(7)
-        outcome = hk_push(graph, 0, r_max=2e-2, weights=poisson_weights)
-        assert invariant_gap(graph, 0, outcome, poisson_weights.t) < 1e-6
+        outcome = hk_push(graph, 0, r_max=2e-2, weights=weights_t5)
+        assert invariant_gap(graph, 0, outcome, weights_t5.t) < 1e-6
 
-    def test_lemma1_invariant_complete(self, poisson_weights):
+    def test_lemma1_invariant_complete(self, weights_t5):
         graph = complete_graph(6)
-        outcome = hk_push(graph, 2, r_max=1e-3, weights=poisson_weights)
-        assert invariant_gap(graph, 2, outcome, poisson_weights.t) < 1e-6
+        outcome = hk_push(graph, 2, r_max=1e-3, weights=weights_t5)
+        assert invariant_gap(graph, 2, outcome, weights_t5.t) < 1e-6
 
-    def test_max_hop_property(self, poisson_weights, small_ring):
-        outcome = hk_push(small_ring, 0, r_max=1e-3, weights=poisson_weights)
+    def test_max_hop_property(self, weights_t5, small_ring):
+        outcome = hk_push(small_ring, 0, r_max=1e-3, weights=weights_t5)
         assert outcome.max_hop == outcome.residues.max_nonzero_hop()
 
-    def test_counters_passed_in_are_used(self, poisson_weights, small_ring):
+    def test_counters_passed_in_are_used(self, weights_t5, small_ring):
         counters = OperationCounters()
-        outcome = hk_push(small_ring, 0, 1e-3, poisson_weights, counters=counters)
+        outcome = hk_push(small_ring, 0, 1e-3, weights_t5, counters=counters)
         assert outcome.counters is counters
         assert counters.push_operations > 0

@@ -62,9 +62,9 @@ GRAPHS = {
 
 
 class TestValidation:
-    def test_invalid_seed(self, poisson_weights, small_ring):
+    def test_invalid_seed(self, weights_t5, small_ring):
         with pytest.raises(ParameterError):
-            hk_push_plus(small_ring, 99, 0.5, 1e-3, 5, 100, poisson_weights)
+            hk_push_plus(small_ring, 99, 0.5, 1e-3, 5, 100, weights_t5)
 
     @pytest.mark.parametrize(
         "eps_r,delta,max_hop,budget",
@@ -75,78 +75,78 @@ class TestValidation:
             (0.5, 1e-3, 5, 0),
         ],
     )
-    def test_invalid_parameters(self, poisson_weights, small_ring, eps_r, delta, max_hop, budget):
+    def test_invalid_parameters(self, weights_t5, small_ring, eps_r, delta, max_hop, budget):
         with pytest.raises(ParameterError):
-            hk_push_plus(small_ring, 0, eps_r, delta, max_hop, budget, poisson_weights)
+            hk_push_plus(small_ring, 0, eps_r, delta, max_hop, budget, weights_t5)
 
 
 class TestBehaviour:
-    def test_mass_conservation(self, poisson_weights, small_ring):
-        outcome = hk_push_plus(small_ring, 0, 0.5, 1e-3, 8, 10_000, poisson_weights)
+    def test_mass_conservation(self, weights_t5, small_ring):
+        outcome = hk_push_plus(small_ring, 0, 0.5, 1e-3, 8, 10_000, weights_t5)
         total = outcome.reserve.sum() + outcome.residues.total()
         assert total == pytest.approx(1.0, abs=1e-9)
 
-    def test_hop_cap_respected(self, poisson_weights, medium_powerlaw):
+    def test_hop_cap_respected(self, weights_t5, medium_powerlaw):
         max_hop = 3
         outcome = hk_push_plus(
-            medium_powerlaw, 0, 0.5, 1e-4, max_hop, 1_000_000, poisson_weights
+            medium_powerlaw, 0, 0.5, 1e-4, max_hop, 1_000_000, weights_t5
         )
         assert outcome.residues.max_nonzero_hop() <= max_hop
 
-    def test_budget_exhaustion_flag(self, poisson_weights, medium_powerlaw):
+    def test_budget_exhaustion_flag(self, weights_t5, medium_powerlaw):
         outcome = hk_push_plus(
-            medium_powerlaw, 0, 0.5, 1e-6, 10, 50, poisson_weights
+            medium_powerlaw, 0, 0.5, 1e-6, 10, 50, weights_t5
         )
         assert outcome.budget_exhausted
         assert outcome.pushes_used >= 50
 
-    def test_early_exit_when_target_met(self, poisson_weights, small_ring):
+    def test_early_exit_when_target_met(self, weights_t5, small_ring):
         # Generous delta and a hop cap beyond the Poisson horizon: the push
         # phase alone satisfies Theorem 2.
-        outcome = hk_push_plus(small_ring, 0, 0.9, 0.05, 30, 1_000_000, poisson_weights)
+        outcome = hk_push_plus(small_ring, 0, 0.9, 0.05, 30, 1_000_000, weights_t5)
         assert outcome.satisfied_early_exit
         assert outcome.residues.max_normalized_sum(small_ring) <= 0.9 * 0.05 + 1e-12
 
-    def test_theorem2_absolute_error_bound(self, poisson_weights, small_ring):
+    def test_theorem2_absolute_error_bound(self, weights_t5, small_ring):
         """When the early-exit condition holds, every degree-normalized error
         is at most eps_r * delta (Theorem 2)."""
         eps_r, delta = 0.5, 0.01
         outcome = hk_push_plus(
-            small_ring, 0, eps_r, delta, 10, 1_000_000, poisson_weights
+            small_ring, 0, eps_r, delta, 10, 1_000_000, weights_t5
         )
         assert outcome.satisfied_early_exit
-        exact = exact_hkpr_dense(small_ring, 0, poisson_weights.t)
+        exact = exact_hkpr_dense(small_ring, 0, weights_t5.t)
         reserve = outcome.reserve.to_dense(small_ring.num_nodes)
         degrees = small_ring.degrees.astype(float)
         normalized_error = np.abs(reserve - exact) / degrees
         assert np.max(normalized_error) <= eps_r * delta + 1e-9
 
-    def test_reserve_is_lower_bound(self, poisson_weights, medium_powerlaw):
+    def test_reserve_is_lower_bound(self, weights_t5, medium_powerlaw):
         outcome = hk_push_plus(
-            medium_powerlaw, 0, 0.5, 1e-3, 8, 500_000, poisson_weights
+            medium_powerlaw, 0, 0.5, 1e-3, 8, 500_000, weights_t5
         )
-        exact = exact_hkpr_dense(medium_powerlaw, 0, poisson_weights.t)
+        exact = exact_hkpr_dense(medium_powerlaw, 0, weights_t5.t)
         reserve = outcome.reserve.to_dense(medium_powerlaw.num_nodes)
         assert np.all(reserve <= exact + 1e-9)
 
-    def test_tighter_delta_means_more_pushes(self, poisson_weights, medium_powerlaw):
-        loose = hk_push_plus(medium_powerlaw, 0, 0.5, 1e-2, 8, 10**6, poisson_weights)
-        tight = hk_push_plus(medium_powerlaw, 0, 0.5, 1e-4, 8, 10**6, poisson_weights)
+    def test_tighter_delta_means_more_pushes(self, weights_t5, medium_powerlaw):
+        loose = hk_push_plus(medium_powerlaw, 0, 0.5, 1e-2, 8, 10**6, weights_t5)
+        tight = hk_push_plus(medium_powerlaw, 0, 0.5, 1e-4, 8, 10**6, weights_t5)
         assert tight.counters.push_operations >= loose.counters.push_operations
 
-    def test_star_hub_seed(self, poisson_weights):
+    def test_star_hub_seed(self, weights_t5):
         graph = star_graph(10)
-        outcome = hk_push_plus(graph, 0, 0.5, 1e-3, 6, 10_000, poisson_weights)
+        outcome = hk_push_plus(graph, 0, 0.5, 1e-3, 6, 10_000, weights_t5)
         # The hub keeps a large reserve and the leaves share the rest equally.
         leaf_reserves = {outcome.reserve[v] for v in range(1, 10)}
         assert len(leaf_reserves) == 1
         assert outcome.reserve[0] > outcome.reserve[1]
 
-    def test_isolated_seed(self, poisson_weights):
+    def test_isolated_seed(self, weights_t5):
         from repro.graph.graph import Graph
 
         graph = Graph(3, [(1, 2)])
-        outcome = hk_push_plus(graph, 0, 0.5, 1e-3, 4, 1000, poisson_weights)
+        outcome = hk_push_plus(graph, 0, 0.5, 1e-3, 4, 1000, weights_t5)
         # All mass stays at the isolated seed (either as residue or reserve).
         assert outcome.reserve[0] + outcome.residues.get(0, 0) == pytest.approx(1.0)
 
@@ -166,11 +166,11 @@ class TestHopSchedule:
             ("isolated-nodes", 2, 1e-9, 5),
         ],
     )
-    def test_matches_dense_reference(self, poisson_weights, graph_name, seed, delta, max_hop):
+    def test_matches_dense_reference(self, weights_t5, graph_name, seed, delta, max_hop):
         graph = GRAPHS[graph_name]()
-        outcome = hk_push_plus(graph, seed, 0.5, delta, max_hop, 10**9, poisson_weights)
+        outcome = hk_push_plus(graph, seed, 0.5, delta, max_hop, 10**9, weights_t5)
         reserve, layers, used, _ = dense_push_plus(
-            graph, seed, 0.5, delta, max_hop, 10**9, poisson_weights
+            graph, seed, 0.5, delta, max_hop, 10**9, weights_t5
         )
         # Budget and early exit both out of reach: the full hop-capped push.
         assert not outcome.budget_exhausted
@@ -185,11 +185,11 @@ class TestHopSchedule:
 
     @pytest.mark.parametrize("budget", [1, 4, 9, 50, 333, 1000, 2500])
     @pytest.mark.parametrize("seed", [0, 41])
-    def test_budget_cut_is_exact(self, poisson_weights, budget, seed):
+    def test_budget_cut_is_exact(self, weights_t5, budget, seed):
         graph = GRAPHS["powerlaw"]()
-        outcome = hk_push_plus(graph, seed, 0.5, 1e-9, 8, budget, poisson_weights)
+        outcome = hk_push_plus(graph, seed, 0.5, 1e-9, 8, budget, weights_t5)
         reserve, layers, used, last = dense_push_plus(
-            graph, seed, 0.5, 1e-9, 8, budget, poisson_weights
+            graph, seed, 0.5, 1e-9, 8, budget, weights_t5
         )
         assert outcome.budget_exhausted
         assert outcome.pushes_used == used
@@ -215,10 +215,10 @@ class TestHopSchedule:
         ],
     )
     def test_outcome_carries_theorem2_sum(
-        self, poisson_weights, graph_name, seed, eps_r, delta, max_hop, budget
+        self, weights_t5, graph_name, seed, eps_r, delta, max_hop, budget
     ):
         graph = GRAPHS[graph_name]()
-        outcome = hk_push_plus(graph, seed, eps_r, delta, max_hop, budget, poisson_weights)
+        outcome = hk_push_plus(graph, seed, eps_r, delta, max_hop, budget, weights_t5)
         assert outcome.normalized_residue_sum == outcome.residues.max_normalized_sum(graph)
         assert outcome.satisfied_early_exit == (
             outcome.normalized_residue_sum <= eps_r * delta

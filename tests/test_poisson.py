@@ -9,7 +9,7 @@ import pytest
 
 from repro.exceptions import ParameterError
 from repro.hkpr.params import HKPRParams
-from repro.hkpr.poisson import PoissonWeights
+from repro.hkpr.poisson import PoissonWeights, cached_weights
 
 
 class TestEtaPsi:
@@ -131,3 +131,8 @@ class TestAuxiliary:
         weights = PoissonWeights(5.0)
         assert weights.tail_mass_beyond(2) == pytest.approx(weights.psi(3), rel=1e-9)
         assert weights.tail_mass_beyond(weights.max_hop + 1) == 0.0
+
+    def test_cached_weights_shared_per_t(self):
+        assert cached_weights(5.0) is cached_weights(5.0)
+        assert cached_weights(5.0) is not cached_weights(10.0)
+        assert cached_weights(10.0).t == 10.0

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConvergenceError, ParameterError
-from repro.graph.generators import complete_graph, ring_graph, star_graph
+from repro.graph.generators import (
+    chung_lu_graph,
+    complete_graph,
+    power_law_degree_sequence,
+    star_graph,
+)
 from repro.graph.graph import Graph
 from repro.ppr.exact import exact_ppr
 from repro.ppr.fora import fora, monte_carlo_ppr, walk_count
@@ -77,6 +82,29 @@ class TestForwardPush:
         graph = Graph(2, [])
         outcome = forward_push(graph, 0, alpha=0.2, r_max=1e-3)
         assert outcome.reserve[0] == pytest.approx(1.0)
+
+
+    def test_invariant_exact_with_isolated_nodes(self):
+        """``reserve + sum_u r[u] * ppr_u`` reproduces ``ppr_s`` to float
+        accuracy, from a hub seed and from an isolated one (which settles
+        its whole mass in place)."""
+        alpha = 0.2
+        degs = power_law_degree_sequence(150, 2.5, 2, 15, seed=9)
+        graph = chung_lu_graph(degs, seed=9, connected=False)
+        n = graph.num_nodes
+        isolated = np.flatnonzero(graph.degrees == 0)
+        assert isolated.size == 10
+
+        def ppr(node):
+            return exact_ppr(graph, node, alpha=alpha, tolerance=1e-14).to_dense(graph)
+
+        for seed in (int(np.argmax(graph.degrees)), int(isolated[0])):
+            outcome = forward_push(graph, seed, alpha=alpha, r_max=1e-4)
+            reconstructed = outcome.reserve.to_dense(n)
+            for node, value in outcome.residue.items():
+                if value:
+                    reconstructed += value * ppr(node)
+            assert np.abs(reconstructed - ppr(seed)).max() <= 1e-10
 
 
 class TestFora:

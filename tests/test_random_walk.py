@@ -14,31 +14,31 @@ from repro.utils.counters import OperationCounters
 
 
 class TestKRandomWalk:
-    def test_returns_valid_node(self, poisson_weights, rng, small_ring):
+    def test_returns_valid_node(self, weights_t5, rng, small_ring):
         for _ in range(50):
-            end = k_random_walk(small_ring, 0, 0, poisson_weights, rng)
+            end = k_random_walk(small_ring, 0, 0, weights_t5, rng)
             assert small_ring.has_node(end)
 
-    def test_invalid_start_rejected(self, poisson_weights, rng, small_ring):
+    def test_invalid_start_rejected(self, weights_t5, rng, small_ring):
         with pytest.raises(ParameterError):
-            k_random_walk(small_ring, 99, 0, poisson_weights, rng)
+            k_random_walk(small_ring, 99, 0, weights_t5, rng)
 
-    def test_negative_hop_rejected(self, poisson_weights, rng, small_ring):
+    def test_negative_hop_rejected(self, weights_t5, rng, small_ring):
         with pytest.raises(ParameterError):
-            k_random_walk(small_ring, 0, -1, poisson_weights, rng)
+            k_random_walk(small_ring, 0, -1, weights_t5, rng)
 
-    def test_isolated_node_returns_itself(self, poisson_weights, rng):
+    def test_isolated_node_returns_itself(self, weights_t5, rng):
         graph = Graph(2, [])
-        assert k_random_walk(graph, 0, 0, poisson_weights, rng) == 0
+        assert k_random_walk(graph, 0, 0, weights_t5, rng) == 0
 
-    def test_hop_offset_beyond_truncation_stays_put(self, poisson_weights, rng, small_ring):
-        hop = poisson_weights.max_hop + 1
-        assert k_random_walk(small_ring, 3, hop, poisson_weights, rng) == 3
+    def test_hop_offset_beyond_truncation_stays_put(self, weights_t5, rng, small_ring):
+        hop = weights_t5.max_hop + 1
+        assert k_random_walk(small_ring, 3, hop, weights_t5, rng) == 3
 
-    def test_counters_record_steps(self, poisson_weights, rng, small_ring):
+    def test_counters_record_steps(self, weights_t5, rng, small_ring):
         counters = OperationCounters()
         for _ in range(10):
-            k_random_walk(small_ring, 0, 0, poisson_weights, rng, counters=counters)
+            k_random_walk(small_ring, 0, 0, weights_t5, rng, counters=counters)
         assert counters.random_walks == 10
         assert counters.walk_steps >= 0
 
@@ -117,7 +117,7 @@ class TestStopTestConvention:
         assert counters.walk_steps == 5
         assert small_ring.has_node(end)
 
-    def test_walk_length_distribution_matches_poisson_weights(self):
+    def test_walk_length_distribution_matches_poisson_law(self):
         """Regression pin: from hop offset 0 the number of traversed edges
         is exactly Poisson(t) distributed (Lemma 2), so the empirical CDF
         must match ``PoissonWeights.eta`` to KS accuracy."""
@@ -138,14 +138,14 @@ class TestStopTestConvention:
 
 
 class TestPoissonLengthWalk:
-    def test_returns_valid_node(self, poisson_weights, rng, small_star):
+    def test_returns_valid_node(self, weights_t5, rng, small_star):
         for _ in range(50):
-            end = poisson_length_walk(small_star, 0, poisson_weights, rng)
+            end = poisson_length_walk(small_star, 0, weights_t5, rng)
             assert small_star.has_node(end)
 
-    def test_invalid_start_rejected(self, poisson_weights, rng, small_star):
+    def test_invalid_start_rejected(self, weights_t5, rng, small_star):
         with pytest.raises(ParameterError):
-            poisson_length_walk(small_star, 42, poisson_weights, rng)
+            poisson_length_walk(small_star, 42, weights_t5, rng)
 
     def test_max_length_truncates(self, rng):
         weights = PoissonWeights(10.0)
@@ -155,9 +155,9 @@ class TestPoissonLengthWalk:
             poisson_length_walk(graph, 0, weights, rng, max_length=2, counters=counters)
         assert counters.walk_steps <= 2 * 200
 
-    def test_isolated_start_stays(self, poisson_weights, rng):
+    def test_isolated_start_stays(self, weights_t5, rng):
         graph = Graph(3, [(1, 2)])
-        assert poisson_length_walk(graph, 0, poisson_weights, rng) == 0
+        assert poisson_length_walk(graph, 0, weights_t5, rng) == 0
 
     def test_average_length_close_to_t(self, rng):
         weights = PoissonWeights(4.0)

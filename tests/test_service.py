@@ -75,11 +75,6 @@ class TestGraphRegistry:
         with pytest.raises(ServiceError, match="unknown parameter"):
             build_from_spec("grid3d,bogus=1")
 
-    def test_poisson_weights_cached_per_t(self, registry):
-        entry = registry.get("grid")
-        assert entry.poisson_weights(5.0) is entry.poisson_weights(5.0)
-        assert entry.poisson_weights(5.0) is not entry.poisson_weights(10.0)
-
 
 class TestPlanner:
     def test_unknown_method(self, registry):
@@ -98,7 +93,7 @@ class TestPlanner:
     def test_seed_validated_against_graph(self, registry):
         with pytest.raises(ServiceError, match="not in graph"):
             normalize_request(
-                "grid", "monte-carlo", 1_000_000, entry=registry.get("grid")
+                "grid", "monte-carlo", 1_000_000, snapshot=registry.get("grid").graph
             )
 
     def test_out_of_range_parameters_rejected(self):
@@ -260,7 +255,7 @@ class TestQueryService:
 
             entry = svc.registry.get("grid")
             request = normalize_request("grid", "tea+", 0, {"delta": 1e-7})
-            assert estimate_walks(entry, request) > 10_000
+            assert estimate_walks(entry, request, snapshot=entry.graph) > 10_000
             assert svc.query(
                 "grid", "tea+", 0, {"delta": 1e-7, "max_walks": 500}
             ).result.support_size() > 0
@@ -434,9 +429,9 @@ class TestServingDeadlines:
                 == unbounded.result.estimates.to_dict()
             )
 
-    def test_response_carries_admission_entry(self, service):
+    def test_response_carries_admission_snapshot(self, service):
         response = service.query("grid", "monte-carlo", 0, {"num_walks": 100})
-        assert response.entry is service.registry.get("grid")
+        assert response.snapshot is service.registry.get("grid").graph
         # to_dict no longer needs (and should not get) a second lookup.
         assert response.to_dict()["graph"] == "grid"
 

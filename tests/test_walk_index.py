@@ -338,15 +338,16 @@ class TestServiceIntegration:
     def test_admission_charges_topup_only(self, registry, index):
         hub = index.indexed_nodes()[0]
         entry = registry.get("g")
+        snapshot = entry.graph
         request = normalize_request(
-            "g", "monte-carlo", hub, {"num_walks": 500, "t": 5.0}, entry=entry
+            "g", "monte-carlo", hub, {"num_walks": 500, "t": 5.0}, snapshot=snapshot
         )
-        assert estimate_walks(entry, request) == 300
+        assert estimate_walks(entry, request, snapshot=snapshot) == 300
         pinned = normalize_request(
             "g", "monte-carlo", hub, {"num_walks": 500, "t": 5.0},
-            rng=3, entry=entry,
+            rng=3, snapshot=snapshot,
         )
-        assert estimate_walks(entry, pinned) == 500
+        assert estimate_walks(entry, pinned, snapshot=snapshot) == 500
 
     def test_pinned_requests_bypass_index(self, registry, index):
         hub = index.indexed_nodes()[0]
