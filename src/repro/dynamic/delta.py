@@ -326,7 +326,8 @@ class DeltaGraph:
         :func:`neighbor_rows` gathers every row in node order, each sorted,
         a run of about ``_COMPACT_CHUNK`` entries at a time, and ``indptr``
         is the cumulative sum of the merged degrees — exactly the layout
-        ``Graph.__init__``'s lexsort produces.
+        ``Graph.__init__`` produces by sorting the ``source * n + target``
+        keys.
         """
         with self._lock:
             if self._compacted is None:

@@ -66,6 +66,38 @@ _FALLBACK_BACKEND = "vectorized"
 WALK_CHUNK_SIZE = 1 << 20
 
 
+#: Smallest restart probability the geometric kernels accept.  A restart
+#: walk is expected to take ``(1 - alpha) / alpha`` steps, and one kernel
+#: call runs about ``ln(walks) / alpha`` levels with no deadline checkpoint
+#: between them.  At this floor a call cut by :func:`restart_chunk` holds
+#: 10,010 walks and runs about 9,000 levels; a single walk at
+#: ``alpha = 1e-7`` would run about 10^7.
+MIN_RESTART_ALPHA = 1e-3
+
+#: Cap on the expected steps, ``walks * (1 - alpha) / alpha``, of one
+#: restart-walk kernel call; :func:`restart_chunk` sizes the calls to fit.
+MAX_EXPECTED_STEPS = 10**7
+
+
+def restart_chunk(alpha: float, chunk: int | None = None) -> int:
+    """Most restart walks one kernel call may run at ``alpha``.
+
+    At most ``chunk`` walks (default :data:`WALK_CHUNK_SIZE`, read at call
+    time) and at most :data:`MAX_EXPECTED_STEPS` expected steps, but never
+    fewer than one walk.  Every restart-walk batch is cut to this size, so
+    the deadline checkpoints between kernel calls bound a whole walk phase.
+    Raises :class:`ParameterError` for ``alpha`` outside
+    ``[MIN_RESTART_ALPHA, 1)``.
+    """
+    if not MIN_RESTART_ALPHA <= alpha < 1.0:
+        raise ParameterError(
+            f"restart walks need alpha in [{MIN_RESTART_ALPHA:g}, 1), got {alpha:g}"
+        )
+    if chunk is None:
+        chunk = WALK_CHUNK_SIZE
+    return max(1, min(chunk, int(MAX_EXPECTED_STEPS * alpha / (1.0 - alpha))))
+
+
 def chunk_sizes(total: int, chunk: int | None = None) -> Iterator[int]:
     """Yield batch sizes covering ``total`` walks, each at most ``chunk``.
 
@@ -290,6 +322,8 @@ __all__ = [
     "Backend",
     "FusedGroup",
     "FusedQuery",
+    "MAX_EXPECTED_STEPS",
+    "MIN_RESTART_ALPHA",
     "ParallelBackend",
     "ReferenceBackend",
     "VectorizedBackend",
@@ -305,6 +339,7 @@ __all__ = [
     "fusion_enabled",
     "get_backend",
     "register_backend",
+    "restart_chunk",
     "run_fused_queries",
     "run_walk_tasks",
     "sample_fused_starts",

@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro import obs
-from repro.engine import Backend, as_int_array, get_backend
+from repro.engine import Backend, as_int_array, get_backend, restart_chunk
 from repro.exceptions import ParameterError
 from repro.utils.counters import OperationCounters
 from repro.utils.deadline import Deadline
@@ -333,7 +333,9 @@ def run_fused_queries(
     The fused analogue of :func:`repro.engine.multi.run_walk_tasks`:
     queries group by :meth:`FusedQuery.fuse_key`, each group runs as one
     ``fused_push_walk`` kernel call per ≤``max_fused_walks``-walk
-    sub-batch, and endpoints split back out per query, in order.  Counter
+    sub-batch (restart walks also per :func:`repro.engine.restart_chunk`,
+    at most :data:`repro.engine.MAX_EXPECTED_STEPS` expected steps a call),
+    and endpoints split back out per query, in order.  Counter
     attribution is exact — fused backends report per-walk step counts.
     The optional ``deadline`` is checkpointed before every kernel call.
     """
@@ -369,7 +371,11 @@ def run_fused_queries(
     step_totals = [0] * len(queries)
     for indices in groups.values():
         group_walks = sum(queries[i].num_walks for i in indices)
-        for slices in _split_group(indices, queries, cap):
+        first = queries[indices[0]]
+        group_cap = (
+            restart_chunk(first.alpha, cap) if first.kind == "geometric" else cap
+        )
+        for slices in _split_group(indices, queries, group_cap):
             if deadline is not None:
                 deadline.checkpoint()
             batch_queries = [queries[i] for i, _ in slices]

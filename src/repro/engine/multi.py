@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.engine import Backend, as_int_array, get_backend
+from repro.engine import Backend, as_int_array, get_backend, restart_chunk
 from repro.exceptions import ParameterError
 from repro.utils.counters import OperationCounters
 from repro.utils.deadline import Deadline
@@ -223,26 +223,47 @@ def _adapt_graph(graph: "Graph", engine: Backend) -> "Graph":
     return adapt(engine)
 
 
-def _split_by_size(indices: list[int], tasks: Sequence[WalkTask], cap: int) -> list[list[int]]:
+def _split_by_size(
+    indices: list[int], tasks: Sequence[WalkTask], cap: int
+) -> list[list[tuple[int, int, int]]]:
     """Greedily pack a fuse group into sub-groups of at most ``cap`` walks.
 
-    Preserves order; a single task larger than ``cap`` stands alone (the
-    plans already chunk their own tasks, so this only happens for direct
-    callers who built an oversized task deliberately).
+    Each entry is a ``(task index, lo, hi)`` slice of that task's walks.
+    Preserves order and keeps a task whole when it fits; a task larger than
+    ``cap`` is cut into ``cap``-walk slices, one sub-group each (the plans
+    chunk their own tasks to :data:`~repro.engine.WALK_CHUNK_SIZE`, so this
+    happens for restart walks with a small ``alpha`` and for direct callers
+    who built an oversized task).
     """
-    sub_groups: list[list[int]] = []
-    current: list[int] = []
+    sub_groups: list[list[tuple[int, int, int]]] = []
+    current: list[tuple[int, int, int]] = []
     current_size = 0
     for index in indices:
         size = tasks[index].num_walks
         if current and current_size + size > cap:
             sub_groups.append(current)
             current, current_size = [], 0
-        current.append(index)
+        if size > cap:
+            sub_groups.extend(
+                [(index, lo, min(lo + cap, size))] for lo in range(0, size, cap)
+            )
+            continue
+        current.append((index, 0, size))
         current_size += size
     if current:
         sub_groups.append(current)
     return sub_groups
+
+
+def _task_slice(task: WalkTask, lo: int, hi: int) -> WalkTask:
+    """Walks ``lo:hi`` of ``task`` as a task of their own."""
+    if lo == 0 and hi == task.num_walks:
+        return task
+    return replace(
+        task,
+        start_nodes=task.start_nodes[lo:hi],
+        hop_offsets=None if task.hop_offsets is None else task.hop_offsets[lo:hi],
+    )
 
 
 def run_walk_tasks(
@@ -265,7 +286,9 @@ def run_walk_tasks(
     :data:`repro.engine.WALK_CHUNK_SIZE`, read at call time) so fusing many
     queries preserves the memory bound the per-query chunking established —
     a group is split into consecutive sub-batches rather than concatenated
-    without limit.
+    without limit.  A restart-walk group is further capped by
+    :func:`repro.engine.restart_chunk`, so no call exceeds
+    :data:`repro.engine.MAX_EXPECTED_STEPS` expected steps.
 
     Group order follows first appearance in ``tasks`` and tasks keep their
     relative order within a group, so for a fixed backend the result is a
@@ -289,24 +312,31 @@ def run_walk_tasks(
     for index, task in enumerate(tasks):
         groups.setdefault(task.fuse_key(), []).append(index)
 
-    results: list[np.ndarray | None] = [None] * len(tasks)
+    results: list[list[np.ndarray]] = [[] for _ in tasks]
     for indices in groups.values():
-        for sub_indices in _split_by_size(indices, tasks, cap):
+        first = tasks[indices[0]]
+        group_cap = (
+            restart_chunk(first.alpha, cap) if first.kind == "geometric" else cap
+        )
+        for slices in _split_by_size(indices, tasks, group_cap):
             if deadline is not None:
                 deadline.checkpoint()
-            group = [tasks[i] for i in sub_indices]
+            group = [_task_slice(tasks[i], lo, hi) for i, lo, hi in slices]
             group_counters = [
                 counters_list[i] if counters_list is not None else None
-                for i in sub_indices
+                for i, _, _ in slices
             ]
             want_steps = any(c is not None for c in group_counters)
             pieces, scratch, step_counts = _run_group(
                 engine, graph, group, rng, want_steps
             )
             _attribute_counters(group, group_counters, scratch, step_counts)
-            for position, index in enumerate(sub_indices):
-                results[index] = pieces[position]
-    return results  # type: ignore[return-value]
+            for position, (index, _, _) in enumerate(slices):
+                results[index].append(pieces[position])
+    return [
+        chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        for chunks in results
+    ]
 
 
 @runtime_checkable

@@ -13,10 +13,13 @@ the one implementation and stay byte-identical.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.baselines.crd import capacity_releasing_diffusion
 from repro.baselines.nibble import nibble_hkpr
 from repro.baselines.pr_nibble import pr_nibble_hkpr
 from repro.baselines.simple_local import simple_local
+from repro.engine import MIN_RESTART_ALPHA
 from repro.estimators.registry import register
 from repro.estimators.spec import EstimatorSpec, ParamSpec, ceil_int, hkpr_base_params
 from repro.graph.graph import Graph
@@ -182,6 +185,8 @@ _ALPHA = ParamSpec(
     exclusive_minimum=True, exclusive_maximum=True,
     doc="teleport (restart) probability",
 )
+# Methods that run restart walks take the engine's floor on alpha.
+_RESTART_ALPHA = replace(_ALPHA, minimum=MIN_RESTART_ALPHA, exclusive_minimum=False)
 _MAX_HOP = ParamSpec(
     "max_hop", "int", default=None, default_doc="Eq. 20",
     minimum=1, doc="hop cap K",
@@ -361,7 +366,7 @@ register(EstimatorSpec(
     family="ppr",
     doc="FORA (Wang et al.): forward push plus geometric-length walks.",
     params=(
-        _ALPHA,
+        _RESTART_ALPHA,
         ParamSpec("eps_r", "float", default=0.5, minimum=0.0, maximum=1.0,
                   exclusive_minimum=True, exclusive_maximum=True,
                   doc="relative error bound"),
@@ -389,7 +394,7 @@ register(EstimatorSpec(
     doc="Plain Monte-Carlo PPR: restart walks from the seed.",
     aliases=("monte-carlo-ppr",),
     params=(
-        _ALPHA,
+        _RESTART_ALPHA,
         ParamSpec("num_walks", "int", default=10_000, minimum=1,
                   doc="number of restart walks"),
     ),

@@ -22,6 +22,8 @@ seed node is only meaningful within the seed's component.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.exceptions import ParameterError
@@ -29,17 +31,50 @@ from repro.graph.graph import Graph
 from repro.utils.rng import RandomState, ensure_rng
 
 
+def _component_labels(graph: Graph) -> np.ndarray:
+    """The smallest node id in each node's connected component.
+
+    Min-label propagation in whole-array passes.  Each pass, every node
+    takes the smallest label among itself and its neighbours and hands it
+    on to the node its old label names (without that hook a long cycle
+    with shuffled ids needs a pass per few nodes); then labels are followed
+    to their own labels until they stop moving.  A label is always a node
+    of the same component and never above the node's own id, so at the
+    fixed point each component carries its smallest node id.
+    """
+    rows = np.flatnonzero(graph.degrees)
+    starts = graph.indptr[rows]
+    indices = graph.indices
+    labels = np.arange(graph.num_nodes, dtype=np.int64)
+    while True:
+        lowest = labels.copy()
+        lowest[rows] = np.minimum(
+            labels[rows], np.minimum.reduceat(labels[indices], starts)
+        )
+        np.minimum.at(lowest, labels, lowest.copy())
+        while True:
+            followed = lowest[lowest]
+            if np.array_equal(followed, lowest):
+                break
+            lowest = followed
+        if np.array_equal(lowest, labels):
+            return labels
+        labels = lowest
+
+
 def _largest_component(graph: Graph) -> Graph:
-    """Return the induced subgraph on the largest connected component."""
-    remaining = set(graph.nodes())
-    best: set[int] = set()
-    while remaining:
-        start = next(iter(remaining))
-        component = graph.connected_component(start)
-        remaining -= component
-        if len(component) > len(best):
-            best = component
-    sub, _ = graph.subgraph(sorted(best))
+    """Return the induced subgraph on the largest connected component.
+
+    On a tie in size the component holding the smallest node id wins.
+    """
+    if graph.num_nodes == 0:
+        return graph
+    labels = _component_labels(graph)
+    sizes = np.bincount(labels)
+    best = int(np.argmax(sizes))  # the first maximum: the smallest label
+    if sizes[best] == graph.num_nodes:
+        return graph
+    sub, _ = graph.subgraph(np.flatnonzero(labels == best))
     return sub
 
 
@@ -181,8 +216,13 @@ def powerlaw_cluster_graph(
             if add_edge(new_node, target):
                 added += 1
                 last_target = target
-    edges = [(u, v) for u in range(n) for v in adjacency[u] if u < v]
-    graph = Graph(n, edges)
+    degrees = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
+    sources = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    targets = np.fromiter(
+        itertools.chain.from_iterable(adjacency), dtype=np.int64, count=sources.size
+    )
+    keep = sources < targets
+    graph = Graph(n, np.column_stack((sources[keep], targets[keep])))
     return _largest_component(graph)
 
 
@@ -249,10 +289,8 @@ def chung_lu_graph(
     num_candidates = max(1, int(round(total / 2.0)))
     sources = rng.choice(n, size=num_candidates, p=probabilities)
     targets = rng.choice(n, size=num_candidates, p=probabilities)
-    edges = [
-        (int(u), int(v)) for u, v in zip(sources, targets, strict=True) if u != v
-    ]
-    graph = Graph(n, edges, dedupe=True)
+    # dedupe drops the self-loops and repeated pairs among the candidates.
+    graph = Graph(n, np.column_stack((sources, targets)), dedupe=True)
     return _largest_component(graph) if connected else graph
 
 

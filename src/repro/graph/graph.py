@@ -36,9 +36,10 @@ class Graph:
     n:
         Number of nodes.  Nodes are ``0 .. n-1``.
     edges:
-        Iterable of ``(u, v)`` pairs.  Self-loops and duplicate edges
-        (in either orientation) are rejected unless ``dedupe=True``, in
-        which case they are silently dropped.
+        Iterable of ``(u, v)`` pairs, or an integer ``(m, 2)`` array of
+        them.  Self-loops and duplicate edges (in either orientation) are
+        rejected unless ``dedupe=True``, in which case they are silently
+        dropped.
     dedupe:
         If true, drop self-loops and duplicate edges instead of raising.
 
@@ -55,15 +56,18 @@ class Graph:
 
     __slots__ = ("_indptr", "_indices", "_degrees", "_n", "_m", "_backing")
 
-    def __init__(self, n: int, edges: Iterable[Edge], *, dedupe: bool = False) -> None:
+    def __init__(
+        self, n: int, edges: Iterable[Edge] | np.ndarray, *, dedupe: bool = False
+    ) -> None:
         if n < 0:
             raise GraphError(f"number of nodes must be non-negative, got {n}")
         self._n = n = int(n)
 
         # Materialize the edges as an (m, 2) int64 array; every validation
-        # and the CSR build below is a whole-array operation.
+        # and the CSR build below is a whole-array operation and only reads
+        # it, so an int64 array is used as given.
         if isinstance(edges, np.ndarray):
-            arr = edges.astype(np.int64, copy=True)
+            arr = edges.astype(np.int64, copy=False)
         else:
             edge_list = list(edges)
             arr = np.array(
@@ -91,15 +95,14 @@ class Graph:
         lo = np.minimum(arr[:, 0], arr[:, 1])
         hi = np.maximum(arr[:, 0], arr[:, 1])
         keys = lo * n + hi
-        unique_keys, first_seen = np.unique(keys, return_index=True)
-        if unique_keys.size != keys.size:
+        sorted_keys = np.sort(keys)
+        repeated = sorted_keys[1:] == sorted_keys[:-1]
+        if repeated.any():
             if not dedupe:
                 order = np.argsort(keys, kind="stable")
-                sorted_keys = keys[order]
-                repeats = order[1:][sorted_keys[1:] == sorted_keys[:-1]]
-                first = int(repeats.min())
+                first = int(order[1:][repeated].min())
                 raise GraphError(f"duplicate edge ({arr[first, 0]}, {arr[first, 1]})")
-            lo, hi = lo[first_seen], hi[first_seen]
+            lo, hi = np.divmod(sorted_keys[np.concatenate(([True], ~repeated))], n)
 
         self._m = int(lo.size)
         sources = np.concatenate([lo, hi])
@@ -107,10 +110,10 @@ class Graph:
         degrees = np.bincount(sources, minlength=n).astype(np.int64)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
-        # Lexsort by (source, target): grouping by source yields the CSR
-        # layout and the secondary key leaves every adjacency slice sorted,
-        # so neighbor iteration is deterministic.
-        order = np.lexsort((targets, sources))
+        # The pairs are unique here, so one sort of the key source * n +
+        # target groups the entries by source (the CSR layout) and leaves
+        # every adjacency slice sorted: neighbor iteration is deterministic.
+        order = np.argsort(sources * n + targets)
         indices = targets[order]
 
         self._indptr = indptr
@@ -374,20 +377,32 @@ class Graph:
     def subgraph(self, nodes: Sequence[int]) -> tuple["Graph", dict[int, int]]:
         """Induced subgraph on ``nodes``.
 
-        Returns the new graph (with nodes relabelled ``0..len(nodes)-1``) and
-        the mapping from original node id to new node id.
+        Returns the new graph (with nodes relabelled ``0..k-1`` in order of
+        first appearance; repeats are ignored) and the mapping from original
+        node id to new node id.  The induced edges are read from the rows of
+        the listed nodes only (plus one ``n``-entry id table), so the work
+        grows with their degrees and never scans all ``m`` edges.
         """
-        node_list = [int(v) for v in dict.fromkeys(nodes)]
-        for node in node_list:
-            self._check_node(node)
-        mapping = {node: i for i, node in enumerate(node_list)}
-        sub_edges = [
-            (mapping[u], mapping[v])
-            for u in node_list
-            for v in self.neighbors(u)
-            if int(v) in mapping and u < int(v)
-        ]
-        return Graph(len(node_list), sub_edges), mapping
+        node_arr = self._node_array(nodes)
+        _, first_seen = np.unique(node_arr, return_index=True)
+        node_arr = node_arr[np.sort(first_seen)]
+        k = node_arr.size
+        mapping = dict(zip(node_arr.tolist(), range(k)))
+        local = np.full(self._n, -1, dtype=np.int64)
+        local[node_arr] = np.arange(k)
+        # Gather the rows of the listed nodes as cut_size does and map each
+        # neighbor to its new id (-1 outside the set, below every new id),
+        # keeping each induced edge once, from its lower endpoint.
+        counts = self._degrees[node_arr]
+        ends = np.cumsum(counts)
+        total = int(ends[-1]) if k else 0
+        positions = np.arange(total) + np.repeat(
+            self._indptr[node_arr] - (ends - counts), counts
+        )
+        sources = np.repeat(np.arange(k), counts)
+        targets = local[self._indices[positions]]
+        keep = sources < targets
+        return Graph(k, np.column_stack((sources[keep], targets[keep]))), mapping
 
     @classmethod
     def from_edges(cls, edges: Iterable[Edge], *, dedupe: bool = False) -> "Graph":

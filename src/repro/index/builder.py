@@ -13,9 +13,14 @@ the index:
 * an *alpha-bucket* stores endpoints of geometric restart walks — the law
   the ``mc-ppr`` estimator samples from.
 
-Determinism: given the same graph, hub set, walk counts, backend and seeded
-generator, the builder emits byte-identical arrays (walks for each sketch
-are generated in a fixed order from the single generator), so a rebuilt
+Hubs are walked in groups of ``WALK_CHUNK_SIZE // W`` (at least one), each
+group one fused kernel call per chunk of at most ``WALK_CHUNK_SIZE`` walks,
+so an index of thousands of hubs costs a handful of kernel calls rather
+than one per hub.
+
+Determinism: given the same graph, hub set, walk counts, backend, chunk
+size and seeded generator, the builder emits byte-identical arrays (groups
+are walked in a fixed order from the single generator), so a rebuilt
 ``.rwix`` file round-trips byte-for-byte.
 """
 
@@ -25,6 +30,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro import engine
 from repro.engine import Backend, chunk_sizes
 from repro.engine.multi import WalkTask, run_walk_tasks
 from repro.exceptions import NodeNotFoundError, ParameterError
@@ -121,15 +127,21 @@ def build_walk_index(
     if len(set(buckets)) != len(buckets):
         raise ParameterError("duplicate index buckets")
 
-    nodes_out: list[int] = []
-    kinds_out: list[int] = []
-    buckets_out: list[float] = []
-    sketch_ends: list[np.ndarray] = []
+    # Each group's hub-major walk sequence runs as the chunk tasks of one
+    # run_walk_tasks call; its endpoints are copied into place.
+    walks = int(walks_per_sketch)
+    per_group = max(1, engine.WALK_CHUNK_SIZE // walks)
+    num_hubs = hub_nodes.size
+    endpoints = np.empty(len(buckets) * num_hubs * walks, dtype=np.int64)
+    filled = 0
     for kind, bucket in buckets:
-        for hub in hub_nodes:
+        for first in range(0, num_hubs, per_group):
+            group = hub_nodes[first:first + per_group]
             tasks = []
-            for batch in chunk_sizes(walks_per_sketch):
-                starts = np.full(batch, int(hub), dtype=np.int64)
+            offset = 0
+            for size in chunk_sizes(group.size * walks):
+                starts = group[np.arange(offset, offset + size) // walks]
+                offset += size
                 if kind == rwix.KIND_POISSON:
                     tasks.append(
                         WalkTask("poisson", starts, weights=weights_cache[bucket])
@@ -143,23 +155,17 @@ def build_walk_index(
                 generator,
                 counters_list=[counters] * len(tasks) if counters else None,
             )
-            nodes_out.append(int(hub))
-            kinds_out.append(kind)
-            buckets_out.append(bucket)
-            sketch_ends.append(np.concatenate(ends) if len(ends) > 1 else ends[0])
+            for piece in ends:
+                endpoints[filled:filled + piece.size] = piece
+                filled += piece.size
 
-    counts = np.asarray([ends.size for ends in sketch_ends], dtype=np.int64)
-    ptr = np.zeros(len(sketch_ends) + 1, dtype=np.int64)
-    np.cumsum(counts, out=ptr[1:])
-    endpoints = (
-        np.concatenate(sketch_ends) if sketch_ends else np.zeros(0, dtype=np.int64)
-    )
+    kinds, values = zip(*buckets)
     return WalkIndex(
-        nodes=np.asarray(nodes_out, dtype=np.int64),
-        kinds=np.asarray(kinds_out, dtype=np.int64),
-        buckets=np.asarray(buckets_out, dtype=np.float64),
-        ptr=ptr,
-        endpoints=np.ascontiguousarray(endpoints, dtype=np.int64),
+        nodes=np.tile(hub_nodes, len(buckets)),
+        kinds=np.repeat(np.asarray(kinds, dtype=np.int64), num_hubs),
+        buckets=np.repeat(np.asarray(values, dtype=np.float64), num_hubs),
+        ptr=np.arange(len(buckets) * num_hubs + 1, dtype=np.int64) * walks,
+        endpoints=endpoints,
         graph_n=graph.num_nodes,
         graph_m=graph.num_edges,
         fingerprint=rwix.graph_fingerprint(graph),

@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from repro.engine import Backend, chunk_sizes, get_backend
+from repro.engine import Backend, chunk_sizes, get_backend, restart_chunk
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
 from repro.hkpr.alias import AliasSampler
@@ -58,13 +58,17 @@ def monte_carlo_ppr(
     backend: str | Backend | None = None,
     deadline: Deadline | None = None,
 ) -> HKPRResult:
-    """Plain Monte-Carlo PPR: the fraction of restart walks ending at each node."""
+    """Plain Monte-Carlo PPR: the fraction of restart walks ending at each node.
+
+    ``alpha`` must be at least :data:`repro.engine.MIN_RESTART_ALPHA`; the
+    walks run in :func:`repro.engine.restart_chunk` batches with a deadline
+    checkpoint before each.
+    """
     if not graph.has_node(seed_node):
         raise ParameterError(f"seed node {seed_node} is not in the graph")
     if num_walks < 1:
         raise ParameterError(f"num_walks must be >= 1, got {num_walks}")
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
+    chunk = restart_chunk(alpha)
     generator = ensure_rng(rng)
     engine = get_backend(backend)
     start = time.perf_counter()
@@ -74,7 +78,7 @@ def monte_carlo_ppr(
         deadline.bind(counters)
     estimates = SparseVector()
     increment = 1.0 / num_walks
-    for batch in chunk_sizes(num_walks):
+    for batch in chunk_sizes(num_walks, chunk):
         if deadline is not None:
             deadline.checkpoint()
         end_nodes = engine.geometric_walk_batch(
@@ -116,7 +120,8 @@ def fora(
     Parameters
     ----------
     alpha:
-        Teleport probability.
+        Teleport probability, at least
+        :data:`repro.engine.MIN_RESTART_ALPHA`.
     eps_r, delta, p_f:
         Relative-error target, significance threshold (default ``1/n``) and
         failure probability — the same roles as in the HKPR estimators.
@@ -135,6 +140,7 @@ def fora(
     """
     if not graph.has_node(seed_node):
         raise ParameterError(f"seed node {seed_node} is not in the graph")
+    chunk = restart_chunk(alpha)
     generator = ensure_rng(rng)
     engine = get_backend(backend)
     start = time.perf_counter()
@@ -171,7 +177,7 @@ def fora(
             )
             sampler = AliasSampler(start_nodes, [v for _, v in entries])
             increment = residual_mass / num_walks
-            for batch in chunk_sizes(num_walks):
+            for batch in chunk_sizes(num_walks, chunk):
                 if deadline is not None:
                     deadline.checkpoint()
                 picks = sampler.sample_indices(batch, generator)

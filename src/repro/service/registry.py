@@ -368,10 +368,13 @@ class GraphRegistry:
         # Verify against plain CSR: a mutated entry serves a DeltaGraph
         # overlay, whose compaction is byte-identical to a from-scratch
         # rebuild — so an index built against the *current* epoch attaches
-        # cleanly while any older build fails the fingerprint.
-        index.verify_graph(entry.csr_graph())
-        index.metrics_label = name
-        entry.index = index
+        # cleanly while any older build fails the fingerprint.  Verify and
+        # install under the mutation lock: a mutation landing between the
+        # two would leave an index of the old epoch on the new snapshot.
+        with entry._mutation_lock:
+            index.verify_graph(entry.csr_graph())
+            index.metrics_label = name
+            entry.index = index
         return entry
 
     def get(self, name: str) -> GraphEntry:

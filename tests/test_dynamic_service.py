@@ -10,6 +10,7 @@ HTTP endpoint.
 from __future__ import annotations
 
 import json
+import threading
 import urllib.error
 import urllib.request
 
@@ -153,6 +154,35 @@ class TestIndexStaleness:
         hub = index.indexed_nodes()[0]
         with pytest.raises(WalkIndexError, match="stale walk index"):
             index.lookup("poisson", hub, 5.0)
+
+    def test_mutation_cannot_land_between_verify_and_install(self, graph):
+        """A mutation racing ``attach_index`` either lands first (the index
+        then fails verification) or after the install (and detaches it):
+        no index verified against the old epoch stays attached."""
+        registry = GraphRegistry()
+        registry.add_graph("g", graph)
+        index = build_walk_index(
+            graph, num_hubs=2, walks_per_sketch=50, t_values=[5.0], rng=0
+        )
+        verify = index.verify_graph
+        mutator = threading.Thread(
+            target=registry.mutate, args=("g",), kwargs={"add": [_absent_edge(graph)]}
+        )
+
+        def verify_then_mutate(csr):
+            verify(csr)
+            # Start the mutation inside the window and give it time to land.
+            mutator.start()
+            mutator.join(timeout=0.5)
+
+        index.verify_graph = verify_then_mutate
+        registry.attach_index("g", index)
+        mutator.join(timeout=10)
+        assert not mutator.is_alive()
+        entry = registry.get("g")
+        assert entry.epoch == 1
+        assert entry.index is None and index.stale
+        assert entry.stale_indexes == 1
 
     def test_stale_index_cannot_be_reattached(self, graph):
         registry = GraphRegistry()

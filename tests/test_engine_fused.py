@@ -284,6 +284,82 @@ class TestFusedKernelContract:
             )
 
 
+class TestRestartStepCap:
+    """A fused restart-walk group is cut into kernel calls of at most
+    ``MAX_EXPECTED_STEPS`` expected steps, with a deadline checkpoint before
+    each.  Admitted mc-ppr queries with one alpha fuse into one group: 100 of
+    them with 10,000 walks at alpha = 1e-3 would otherwise be a single call
+    of about 10^9 steps."""
+
+    ALPHA = 0.01  # a restart walk is expected to take 99 steps
+
+    @pytest.fixture
+    def group_sizes(self, monkeypatch):
+        """Shrink the step cap to 2,000 (20 walks a call at ALPHA) and
+        record the walks of every fused kernel call."""
+        import repro.engine as engine_module
+        from repro.engine.vectorized import VectorizedBackend
+
+        monkeypatch.setattr(engine_module, "MAX_EXPECTED_STEPS", 2_000)
+        sizes: list[int] = []
+        kernel = VectorizedBackend.fused_push_walk
+
+        def counted(self, graph, group, *args, **kwargs):
+            sizes.append(group.total_walks)
+            return kernel(self, graph, group, *args, **kwargs)
+
+        monkeypatch.setattr(VectorizedBackend, "fused_push_walk", counted)
+        return sizes
+
+    def _queries(self, alpha=ALPHA):
+        return [
+            FusedQuery("geometric", [seed], [1.0], 30, alpha=alpha)
+            for seed in (0, 5, 9, 17, 30)
+        ]
+
+    def test_fused_group_is_cut_to_the_step_cap(self, graph, group_sizes):
+        counters = [OperationCounters() for _ in range(5)]
+        ends = run_fused_queries(
+            "vectorized", graph, self._queries(), np.random.default_rng(3),
+            counters_list=counters,
+        )
+        assert group_sizes == [20] * 7 + [10]
+        for query_ends, tally in zip(ends, counters):
+            assert query_ends.size == tally.random_walks == 30
+            assert tally.extras["fused_walks"] == 150
+
+    def test_deadline_stops_the_group_between_calls(
+        self, graph, group_sizes, monkeypatch
+    ):
+        from repro.engine.vectorized import VectorizedBackend
+        from repro.exceptions import QueryTimeoutError
+        from repro.utils.deadline import Deadline
+
+        now = [0.0]
+        kernel = VectorizedBackend.fused_push_walk
+
+        def one_second_call(self, *args, **kwargs):
+            now[0] += 1.0
+            return kernel(self, *args, **kwargs)
+
+        monkeypatch.setattr(VectorizedBackend, "fused_push_walk", one_second_call)
+        deadline = Deadline(1500, stride=1, clock=lambda: now[0])
+        with pytest.raises(QueryTimeoutError):
+            run_fused_queries(
+                "vectorized", graph, self._queries(), np.random.default_rng(3),
+                deadline=deadline,
+            )
+        assert group_sizes == [20, 20]
+
+    def test_alpha_below_the_floor_is_refused(self, graph, group_sizes):
+        with pytest.raises(ParameterError, match="alpha"):
+            run_fused_queries(
+                "vectorized", graph, self._queries(alpha=1e-7),
+                np.random.default_rng(3),
+            )
+        assert group_sizes == []
+
+
 # ---------------------------------------------------------------------- #
 # Plan routing through execute_plans
 # ---------------------------------------------------------------------- #

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import available_backends, get_backend
+from repro.engine import available_backends, get_backend, restart_chunk
 from repro.engine.multi import WalkTask, run_walk_tasks
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
@@ -224,8 +224,9 @@ class TestRunWalkTasks:
             assert expected_component.all()
 
     def test_oversized_single_task_still_runs(self, two_cliques, weights_t5):
-        # A lone task above the cap is executed as-is (plans chunk their own
-        # tasks; direct callers may exceed deliberately).
+        # A lone task above the cap runs in cap-sized kernel calls and its
+        # endpoints come back as one array (plans chunk their own tasks;
+        # direct callers may exceed deliberately).
         task = WalkTask(
             "poisson", np.zeros(300, dtype=np.int64), weights=weights_t5
         )
@@ -266,6 +267,76 @@ class TestRunWalkTasks:
         assert counters[0].extras["fused_tasks"] == 2
         assert (ends[0] < 5).all()
         assert (ends[1] >= 5).all()
+
+
+class TestRestartWalkCap:
+    """No restart-walk kernel call exceeds ``MAX_EXPECTED_STEPS`` expected
+    steps, however the walks arrive."""
+
+    ALPHA = 0.01  # a restart walk is expected to take 99 steps
+
+    @pytest.fixture
+    def kernel_sizes(self, monkeypatch):
+        """Shrink the step cap to 2,000 (20 walks a call at ALPHA) and
+        record the walks of every geometric kernel call."""
+        import repro.engine as engine_module
+        from repro.engine.vectorized import VectorizedBackend
+
+        monkeypatch.setattr(engine_module, "MAX_EXPECTED_STEPS", 2_000)
+        sizes: list[int] = []
+        kernel = VectorizedBackend.geometric_walk_batch
+
+        def counted(self, graph, starts, *args, **kwargs):
+            sizes.append(len(starts))
+            return kernel(self, graph, starts, *args, **kwargs)
+
+        monkeypatch.setattr(VectorizedBackend, "geometric_walk_batch", counted)
+        return sizes
+
+    def test_restart_chunk(self, monkeypatch):
+        import repro.engine as engine_module
+
+        assert engine_module.MIN_RESTART_ALPHA == 1e-3
+        assert engine_module.MAX_EXPECTED_STEPS == 10**7
+        # At the floor a call holds 10,010 walks: 10,010 * 999 <= 10^7.
+        assert restart_chunk(1e-3) == 10_010
+        # From alpha ~0.095 up the walk chunk binds, so the default
+        # queries are cut exactly as before the step cap.
+        assert restart_chunk(0.15) == restart_chunk(0.095) == 1 << 20
+        assert restart_chunk(0.15, 300) == 300
+        monkeypatch.setattr(engine_module, "MAX_EXPECTED_STEPS", 2_000)
+        assert restart_chunk(self.ALPHA) == 20
+        assert restart_chunk(0.5) == 2_000
+        for alpha in (5e-324, 1e-7, 9.99e-4, 0.0, 1.0, float("nan")):
+            with pytest.raises(ParameterError, match="alpha"):
+                restart_chunk(alpha)
+
+    def test_oversized_task_is_cut_to_the_step_cap(self, two_cliques, kernel_sizes):
+        tasks = [
+            WalkTask(
+                "geometric", np.full(50, (i % 2) * 7, dtype=np.int64),
+                alpha=self.ALPHA,
+            )
+            for i in range(3)
+        ] + [WalkTask("geometric", np.full(8, 7, dtype=np.int64), alpha=self.ALPHA)] * 3
+        counters = [OperationCounters() for _ in tasks]
+        ends = run_walk_tasks(
+            "vectorized", two_cliques, tasks, np.random.default_rng(4),
+            counters_list=counters,
+        )
+        # Each 50-walk task takes three calls; the 8-walk tasks pack two
+        # to a call.
+        assert kernel_sizes == [20, 20, 10] * 3 + [16, 8]
+        for i, task in enumerate(tasks):
+            assert ends[i].size == counters[i].random_walks == task.num_walks
+            seed_component = task.start_nodes[0] >= 5
+            assert ((ends[i] >= 5) == seed_component).all()
+
+    def test_restart_task_below_the_floor_is_refused(self, two_cliques, kernel_sizes):
+        task = WalkTask("geometric", np.zeros(1, dtype=np.int64), alpha=1e-7)
+        with pytest.raises(ParameterError, match="alpha"):
+            run_walk_tasks("vectorized", two_cliques, [task], np.random.default_rng(0))
+        assert kernel_sizes == []
 
 
 @pytest.mark.statistical

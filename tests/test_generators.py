@@ -158,6 +158,19 @@ class TestPlantedPartition:
         assert g1 == g2
 
 
+def _reference_largest_component(graph):
+    """Reference set-walking search: components in order of their smallest
+    node, a later one kept only if it is larger."""
+    remaining = set(graph.nodes())
+    best: set[int] = set()
+    while remaining:
+        component = graph.connected_component(min(remaining))
+        remaining -= component
+        if len(component) > len(best):
+            best = component
+    return graph.subgraph(sorted(best))[0]
+
+
 class TestLargestComponentHelper:
     def test_largest_component_returned(self):
         # Two cliques of different sizes, disconnected.
@@ -169,3 +182,80 @@ class TestLargestComponentHelper:
         largest = generators._largest_component(g)
         assert largest.num_nodes == 5
         assert largest.is_connected()
+
+    def test_tie_in_size_keeps_the_component_with_the_smallest_node(self):
+        from repro.graph.graph import Graph
+
+        # A path {1, 3, 5} and a triangle {0, 2, 4}: the triangle holds 0.
+        tied = Graph(7, [(1, 3), (3, 5), (0, 2), (2, 4), (4, 0)])
+        assert generators._largest_component(tied).num_edges == 3
+        # Without the triangle's third edge the paths tie; {0, 2, 4} wins.
+        paths = Graph(7, [(5, 3), (3, 1), (4, 0), (2, 4), (6, 6)], dedupe=True)
+        sub = generators._largest_component(paths)
+        assert sub == paths.subgraph([0, 2, 4])[0]
+        # Size still comes first: the larger component wins without node 0.
+        assert generators._largest_component(Graph(5, [(1, 2), (2, 3)])).num_nodes == 3
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_set_walking_search(self, seed):
+        from repro.graph.graph import Graph
+
+        rng = np.random.default_rng(seed)
+        n = 400
+        graph = Graph(n, rng.integers(0, n, size=(int(0.6 * n), 2)), dedupe=True)
+        assert not graph.is_connected()
+        expected = _reference_largest_component(graph)
+        assert generators._largest_component(graph) == expected
+
+    def test_long_shuffled_cycle_is_one_component(self):
+        from repro.graph.graph import Graph
+
+        # Ids shuffled along a cycle: plain label propagation needs a pass
+        # per few nodes here; the hook keeps it to a handful.
+        order = np.random.default_rng(1).permutation(20_000)
+        cycle = Graph(20_000, np.column_stack((order, np.roll(order, 1))))
+        assert generators._largest_component(cycle) is cycle
+        labels = generators._component_labels(cycle)
+        assert not labels.any()
+
+
+#: crc32 of ``indptr`` and ``indices`` (little-endian int64) of every
+#: built-in dataset and of the generator specs the benchmark ledger and CI
+#: serve.  A generator or ``Graph`` change that moves any of them changes
+#: every graph-dependent answer and index fingerprint.
+PINNED_CSR = {
+    "dblp-sim": (3000, 8991, 984097936, 4264565857),
+    "youtube-sim": (3693, 9099, 2349531399, 2702204762),
+    "plc-sim": (5000, 24975, 4080164425, 2763872131),
+    "orkut-sim": (2000, 39600, 3762890254, 3843407057),
+    "livejournal-sim": (4000, 31936, 3268831531, 1529357749),
+    "grid3d-sim": (1728, 5184, 1029373488, 1387434977),
+    "twitter-sim": (2993, 27798, 2675719574, 4018760736),
+    "friendster-sim": (3500, 86875, 1663972519, 688564627),
+    "chung-lu,n=100000,gamma=2.5,min_degree=2,max_degree=200,seed=11": (
+        100000, 215297, 1682492212, 3416836940,
+    ),
+    "chung-lu,n=20000,gamma=2.5,seed=11": (20000, 41674, 1654857994, 2721950301),
+    "erdos-renyi,n=5000,seed=3": (4036, 4863, 4167919927, 4770913),
+}
+
+
+class TestPinnedCSR:
+    @pytest.mark.parametrize("name", sorted(PINNED_CSR))
+    def test_graph_bytes_are_pinned(self, name):
+        import zlib
+
+        from repro.bench.datasets import DATASETS, load_dataset
+        from repro.service.registry import build_from_spec
+
+        graph = load_dataset(name) if name in DATASETS else build_from_spec(name)
+        crcs = [
+            zlib.crc32(np.ascontiguousarray(array, dtype="<i8").tobytes())
+            for array in (graph.indptr, graph.indices)
+        ]
+        assert (graph.num_nodes, graph.num_edges, *crcs) == PINNED_CSR[name]
+
+    def test_every_dataset_is_pinned(self):
+        from repro.bench.datasets import DATASETS
+
+        assert set(DATASETS) <= set(PINNED_CSR)

@@ -55,6 +55,78 @@ class TestConstruction:
         assert g.num_nodes == 0
 
 
+def _reference_csr(n, edges):
+    """CSR of ``edges`` built pair by pair: loops and repeats dropped, each
+    adjacency row sorted."""
+    rows = [set() for _ in range(n)]
+    for u, v in edges:
+        if u != v:
+            rows[u].add(v)
+            rows[v].add(u)
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    indices = [v for row in rows for v in sorted(row)]
+    return indptr, np.asarray(indices, dtype=np.int64)
+
+
+class TestArrayEdges:
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1), (1, 0), (2, 3)],
+            [(0, 1), (0, 1), (1, 2)],
+            [(0, 1), (2, 2), (1, 3)],
+            [(3, 1), (1, 3), (4, 4), (0, 2), (2, 0), (4, 1), (0, 0)],
+        ],
+        ids=["reversed", "repeated", "self-loop", "mixed"],
+    )
+    def test_array_and_tuple_list_build_the_same_graph(self, edges):
+        from_list = Graph(5, edges, dedupe=True)
+        from_array = Graph(5, np.asarray(edges), dedupe=True)
+        indptr, indices = _reference_csr(5, edges)
+        for graph in (from_list, from_array):
+            assert graph.num_edges == indices.size // 2
+            np.testing.assert_array_equal(graph.indptr, indptr)
+            np.testing.assert_array_equal(graph.indices, indices)
+        with pytest.raises(GraphError) as from_list_error:
+            Graph(5, edges)
+        with pytest.raises(GraphError) as from_array_error:
+            Graph(5, np.asarray(edges))
+        assert str(from_array_error.value) == str(from_list_error.value)
+
+    def test_random_pairs_match_the_reference_csr(self):
+        rng = np.random.default_rng(3)
+        n = 200
+        pairs = rng.integers(0, n, size=(1500, 2))
+        graph = Graph(n, pairs, dedupe=True)
+        indptr, indices = _reference_csr(n, pairs.tolist())
+        np.testing.assert_array_equal(graph.indptr, indptr)
+        np.testing.assert_array_equal(graph.indices, indices)
+        np.testing.assert_array_equal(graph.degrees, np.diff(indptr))
+
+    def test_array_errors_name_the_first_bad_pair(self):
+        with pytest.raises(GraphError, match=r"duplicate edge \(2, 1\)"):
+            Graph(4, np.array([(1, 2), (0, 3), (2, 1), (3, 0)]))
+        with pytest.raises(GraphError, match=r"self-loop \(3, 3\)"):
+            Graph(4, np.array([(1, 2), (3, 3), (0, 0)]))
+        with pytest.raises(NodeNotFoundError):
+            Graph(4, np.array([(1, 2), (0, 4)]))
+        with pytest.raises(GraphError, match="pairs"):
+            Graph(4, np.array([(1, 2, 3)]))
+
+
+def _reference_subgraph(graph, nodes):
+    """Reference induced subgraph, built pair by pair."""
+    node_list = [int(v) for v in dict.fromkeys(nodes)]
+    mapping = {node: i for i, node in enumerate(node_list)}
+    edges = [
+        (mapping[u], mapping[int(v)])
+        for u in node_list
+        for v in graph.neighbors(u)
+        if int(v) in mapping and u < int(v)
+    ]
+    return Graph(len(node_list), edges), mapping
+
+
 class TestAccessors:
     def test_degree(self, small_star):
         assert small_star.degree(0) == 8
@@ -155,6 +227,23 @@ class TestSetOperations:
     def test_subgraph_preserves_internal_edges(self, small_complete):
         sub, _ = small_complete.subgraph([0, 1, 2])
         assert sub.num_edges == 3
+
+    def test_subgraph_of_unsorted_nodes_with_repeats(self):
+        rng = np.random.default_rng(5)
+        graph = Graph(60, rng.integers(0, 60, size=(240, 2)), dedupe=True)
+        nodes = [int(v) for v in rng.integers(0, 60, size=45)]
+        assert len(set(nodes)) < len(nodes) and nodes != sorted(nodes)
+        sub, mapping = graph.subgraph(nodes)
+        expected, expected_mapping = _reference_subgraph(graph, nodes)
+        assert sub == expected
+        assert list(mapping.items()) == list(expected_mapping.items())
+        empty, empty_mapping = graph.subgraph([])
+        assert (empty.num_nodes, empty.num_edges, empty_mapping) == (0, 0, {})
+
+    @pytest.mark.parametrize("bad", [10, -1])
+    def test_subgraph_rejects_out_of_range_ids(self, small_ring, bad):
+        with pytest.raises(NodeNotFoundError, match=str(bad)):
+            small_ring.subgraph([3, 1, bad, 3])
 
 
 class TestMatrices:

@@ -161,6 +161,40 @@ class TestMonteCarloPPR:
         with pytest.raises(ParameterError):
             monte_carlo_ppr(small_ring, 99)
 
+    @pytest.mark.parametrize(
+        ("alpha", "num_walks"), [(5e-324, 10_000), (1e-4, 10_000), (1e-7, 1)]
+    )
+    def test_alpha_below_the_restart_floor_is_rejected(
+        self, small_ring, alpha, num_walks
+    ):
+        # One geometric kernel call runs about ln(walks) / alpha levels with
+        # no deadline checkpoint: 10,000 walks at 1e-4 answered seconds late,
+        # at 5e-324 never, and a single walk at 1e-7 runs ~10^7 levels.
+        from repro import estimate
+
+        with pytest.raises(ParameterError, match="alpha"):
+            monte_carlo_ppr(small_ring, 0, alpha=alpha, num_walks=num_walks)
+        with pytest.raises(ParameterError, match="alpha"):
+            fora(small_ring, 0, alpha=alpha)
+        with pytest.raises(ParameterError, match="alpha"):
+            estimate(small_ring, 0, method="mc-ppr", alpha=alpha, num_walks=num_walks)
+        with pytest.raises(ParameterError, match="alpha"):
+            estimate(small_ring, 0, method="fora", alpha=alpha)
+
+    def test_alpha_at_the_floor_is_served(self, small_ring):
+        result = monte_carlo_ppr(small_ring, 0, alpha=1e-3, num_walks=200, rng=1)
+        assert result.counters.random_walks == 200
+        assert result.total_mass(small_ring) == pytest.approx(1.0, abs=1e-9)
+
+    def test_many_walks_at_the_default_alpha_are_accepted(self, small_ring):
+        # The walk count itself is not capped: big counts run in chunks with
+        # a deadline checkpoint before each (and the service sheds them with
+        # a 429 when they exceed its in-flight walk budget).
+        from repro import estimate
+
+        result = estimate(small_ring, 0, method="mc-ppr", num_walks=2_000_000, rng=1)
+        assert result.counters.random_walks == 2_000_000
+
 
 class TestPPRvsHKPRContrast:
     def test_both_diffusions_rank_seed_neighborhood_first(self, clustered_graph):

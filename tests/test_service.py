@@ -110,6 +110,17 @@ class TestPlanner:
             with pytest.raises(ServiceError, match="out of range"):
                 normalize_request("grid", method, 0, params)
 
+    def test_many_mc_ppr_walks_at_the_default_alpha_are_admitted(self, registry):
+        # Only alpha has a floor; the walk count is left to the chunked
+        # kernels and the in-flight walk budget (50M by default).
+        from repro.service.planner import estimate_walks
+
+        entry = registry.get("grid")
+        request = normalize_request(
+            "grid", "mc-ppr", 0, {"num_walks": 2_000_000}, snapshot=entry.graph
+        )
+        assert estimate_walks(entry, request, snapshot=entry.graph) == 2_000_000
+
     def test_pinned_requests_bypass_cache(self):
         pinned = QueryRequest("g", "monte-carlo", 0, rng=3)
         assert pinned.pinned and not pinned.cache_eligible()
@@ -587,6 +598,42 @@ class TestHTTPFrontend:
         assert excinfo.value.code == 400
         error = json.loads(excinfo.value.read())["error"]
         assert "walk count" in error and named in error
+
+    @pytest.mark.parametrize(
+        ("method", "params"),
+        [
+            ("mc-ppr", {"alpha": 5e-324}),
+            ("mc-ppr", {"alpha": 1e-4}),
+            ("mc-ppr", {"alpha": 1e-7, "num_walks": 1}),
+            ("fora", {"alpha": 1e-7}),
+        ],
+        ids=["mc-ppr-5e-324", "mc-ppr-1e-4", "mc-ppr-1e-7-one-walk", "fora-1e-7"],
+    )
+    def test_restart_alpha_below_the_floor_is_400(self, http_service, method, params):
+        # Rejected before admission: mc-ppr {"alpha": 5e-324} never answered
+        # and {"alpha": 1e-4} answered seconds past a 2 s deadline, because
+        # one geometric kernel call loops ~ln(walks)/alpha levels with no
+        # checkpoint; one walk at 1e-7 would loop ~10^7 levels.
+        import time
+
+        base, _ = http_service
+        body = {"graph": "grid", "method": method, "seed_node": 1,
+                "params": params, "timeout_ms": 2000}
+        started = time.monotonic()
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self._post(base, body)
+        assert time.monotonic() - started < 1.0
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read())["error"]
+        assert "'alpha' is out of range" in error and ">= 0.001" in error
+
+    def test_mc_ppr_default_body_is_served(self, http_service):
+        base, _ = http_service
+        payload = self._post(
+            base,
+            {"graph": "grid", "method": "mc-ppr", "seed_node": 1, "timeout_ms": 2000},
+        )
+        assert payload["method"] == "mc-ppr" and payload["top"]
 
     def test_integral_query_fields_still_accepted(self, http_service):
         base, _ = http_service

@@ -109,6 +109,56 @@ class TestBuilder:
         b = build_walk_index(graph, **kwargs).to_file(tmp_path / "b.rwix")
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "chunk,kernel_calls",
+        [(7, 20), (25, 6), (1 << 20, 2)],
+        ids=["hub-straddles-chunks", "two-hubs-per-group", "one-group"],
+    )
+    def test_grouped_build_layout_and_determinism(
+        self, monkeypatch, tmp_path, chunk, kernel_calls
+    ):
+        """Hubs walk in groups of WALK_CHUNK_SIZE // W (at least one), one
+        kernel call per chunk of a group; sketch i still holds hub i's walks,
+        bucket-major."""
+        import repro.engine as engine_module
+        from repro.engine.vectorized import VectorizedBackend
+
+        monkeypatch.setattr(engine_module, "WALK_CHUNK_SIZE", chunk)
+        calls = []
+        for name in ("poisson_walk_batch", "geometric_walk_batch"):
+            kernel = getattr(VectorizedBackend, name)
+
+            def counted(self, graph, starts, *args, _kernel=kernel, **kwargs):
+                calls.append(len(starts))
+                return _kernel(self, graph, starts, *args, **kwargs)
+
+            monkeypatch.setattr(VectorizedBackend, name, counted)
+        # Five disjoint 4-cycles: a walk never leaves its start's island.
+        islands = Graph(
+            20, [(4 * i + j, 4 * i + (j + 1) % 4) for i in range(5) for j in range(4)]
+        )
+        hubs = [13, 2, 19, 4, 9]
+        kwargs = dict(
+            hubs=hubs, walks_per_sketch=10, t_values=(3.0,), alpha_values=(0.3,),
+            backend="vectorized", rng=5,
+        )
+        path = build_walk_index(islands, **kwargs).to_file(tmp_path / "a.rwix")
+        assert len(calls) == kernel_calls and max(calls) <= chunk
+        assert sum(calls) == 2 * len(hubs) * 10
+        again = build_walk_index(islands, **kwargs).to_file(tmp_path / "b.rwix")
+        assert path.read_bytes() == again.read_bytes()
+
+        data = rwix.read_index_file(path, mmap=False)
+        np.testing.assert_array_equal(data["nodes"], hubs * 2)
+        np.testing.assert_array_equal(
+            data["kinds"], [rwix.KIND_POISSON] * 5 + [rwix.KIND_GEOMETRIC] * 5
+        )
+        np.testing.assert_array_equal(data["buckets"], [3.0] * 5 + [0.3] * 5)
+        np.testing.assert_array_equal(data["ptr"], np.arange(11) * 10)
+        for i, hub in enumerate(data["nodes"]):
+            ends = data["endpoints"][data["ptr"][i]:data["ptr"][i + 1]]
+            assert set((ends // 4).tolist()) == {hub // 4}
+
     def test_endpoints_are_graph_nodes(self, graph, index):
         # Every stored endpoint is a real node of the graph.
         for node in index.indexed_nodes():
