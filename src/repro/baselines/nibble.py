@@ -4,7 +4,9 @@ The first local clustering algorithm: starting from the indicator vector of
 the seed, repeatedly apply the lazy random-walk operator
 ``W = (I + D^{-1} A) / 2``, truncate entries whose degree-normalized value
 falls below a threshold (this is what keeps the work local), and sweep the
-distribution after each step, keeping the best cut seen.
+distribution after each step, keeping the best cut seen.  Each step is one
+array scatter over the support's adjacency rows.  An isolated node has no
+walk to take, so it keeps all of its mass.
 
 Included as a related-work baseline; the paper's lineage starts here.
 """
@@ -13,8 +15,11 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from repro.baselines.common import BaselineClusteringResult
-from repro.clustering.sweep import SweepResult, sweep_from_ranking
+from repro.clustering.sweep import SweepResult, sweep_cut
+from repro.engine.vectorized import neighbor_rows
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
 from repro.hkpr.result import HKPRResult
@@ -35,30 +40,30 @@ def lazy_walk_step(
     Applies ``W = (I + D^{-1} A) / 2`` to ``distribution`` and zeroes
     entries whose degree-normalized value falls below ``truncation`` (unless
     that would empty the vector, in which case the un-truncated update is
-    kept).  Shared by :func:`nibble` and :func:`nibble_hkpr`.  An optional
-    ``deadline`` is checked once per source node with the node's degree as
-    the cost.
+    kept).  An isolated node keeps all of its mass.  Shared by
+    :func:`nibble` and :func:`nibble_hkpr`.  An optional ``deadline`` is
+    checked once per step with the support's total degree as the cost.
     """
+    nodes, mass = distribution.arrays()
+    degrees = graph.degrees[nodes]
+    if deadline is not None:
+        deadline.check(max(int(degrees.sum()), 1))
+    linked = degrees > 0
+    counts = degrees[linked]
+    targets = neighbor_rows(graph, nodes[linked], counts)
+    shares = np.repeat(mass[linked] / (2.0 * counts), counts)
     updated = SparseVector()
-    work = 0
-    for node, mass in distribution.items():
-        degree = graph.degree(node)
-        if deadline is not None:
-            deadline.check(max(degree, 1))
-        # Lazy walk: keep half, spread half over the neighbors.
-        updated.add(node, mass / 2.0)
-        if degree > 0:
-            share = mass / (2.0 * degree)
-            for neighbor in graph.neighbors(node):
-                updated.add(int(neighbor), share)
-                work += 1
+    updated.add_many(
+        np.concatenate((nodes, targets)),
+        np.concatenate((np.where(linked, mass / 2.0, mass), shares)),
+    )
     # Truncate small degree-normalized entries to keep the support local.
-    truncated = SparseVector()
-    for node, mass in updated.items():
-        degree = max(graph.degree(node), 1)
-        if mass / degree >= truncation:
-            truncated[node] = mass
-    return (truncated if truncated.nnz() > 0 else updated), work
+    nodes, mass = updated.arrays()
+    kept = mass / np.maximum(graph.degrees[nodes], 1) >= truncation
+    if kept.any() and not kept.all():
+        updated = SparseVector()
+        updated.add_many(nodes[kept], mass[kept])
+    return updated, int(targets.size)
 
 
 def nibble(
@@ -93,17 +98,9 @@ def nibble(
     for _ in range(steps):
         distribution, step_work = lazy_walk_step(graph, distribution, truncation)
         work += step_work
-
-        ranking = sorted(
-            distribution.keys(),
-            key=lambda v: (
-                -(distribution[v] / graph.degree(v)) if graph.degree(v) else 0.0,
-                v,
-            ),
+        sweep = sweep_cut(
+            graph, HKPRResult(estimates=distribution, seed=seed, method="nibble")
         )
-        if seed not in ranking:
-            ranking.insert(0, seed)
-        sweep = sweep_from_ranking(graph, ranking)
         if best_sweep is None or sweep.conductance < best_sweep.conductance:
             best_sweep = sweep
 

@@ -1,11 +1,14 @@
 """PR-Nibble: personalized-PageRank push local clustering (Andersen et al.).
 
 The classic approximate-PPR push procedure: maintain a reserve ``p`` and a
-residual ``r`` with ``r[s] = 1``; while some node has ``r[v] >= eps * d(v)``,
+residual ``r`` with ``r[s] = 1``; while some node has ``r[v] > eps * d(v)``,
 move an ``alpha`` fraction of its residual into the reserve, keep half of
 the remainder at the node (lazy walk), and spread the other half over its
-neighbors.  The reserve approximates the PPR vector with degree-normalized
-error ``eps``, and the usual sweep over ``p[v]/d(v)`` yields the cluster.
+neighbors.  It runs as FORA's frontier push
+(:func:`repro.ppr.push.frontier_push`) with a lazy share of 1/2: every
+above-threshold node is pushed at once, round after round.  The reserve
+approximates the lazy PPR vector with degree-normalized error ``eps``, and
+the usual sweep over ``p[v]/d(v)`` yields the cluster.
 
 Included as a related-work baseline (the paper discusses it in §6 but does
 not plot it); it lets users compare heat kernel and PPR diffusions on the
@@ -15,13 +18,12 @@ same substrate.
 from __future__ import annotations
 
 import time
-from collections import deque
 
 from repro.baselines.common import BaselineClusteringResult
-from repro.clustering.sweep import sweep_from_ranking
-from repro.exceptions import ParameterError
+from repro.clustering.sweep import sweep_cut
 from repro.graph.graph import Graph
 from repro.hkpr.result import HKPRResult
+from repro.ppr.push import frontier_push
 from repro.utils.counters import OperationCounters
 from repro.utils.deadline import Deadline
 from repro.utils.sparsevec import SparseVector
@@ -36,59 +38,17 @@ def approximate_ppr(
     counters: OperationCounters | None = None,
     deadline: Deadline | None = None,
 ) -> tuple[SparseVector, SparseVector, int]:
-    """Andersen–Chung–Lang push: returns (reserve, residual, pushes).
+    """Andersen–Chung–Lang lazy push: returns (reserve, residual, pushes).
 
     When ``counters`` is given, push operations are recorded on it round by
     round (so partial work is visible if a ``deadline`` trips mid-run); the
-    optional ``deadline`` is checked once per push round with the node's
-    degree as the cost.
+    optional ``deadline`` is checked once per round with the round's
+    pushed degree as the cost.
     """
-    if not graph.has_node(seed):
-        raise ParameterError(f"seed node {seed} is not in the graph")
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"teleport probability alpha must be in (0, 1), got {alpha}")
-    if eps <= 0.0:
-        raise ParameterError(f"eps must be positive, got {eps}")
-
-    if deadline is not None and counters is not None:
-        deadline.bind(counters)
-    reserve = SparseVector()
-    residual = SparseVector({seed: 1.0})
-    frontier: deque[int] = deque([seed])
-    queued = {seed}
-    pushes = 0
-
-    while frontier:
-        node = frontier.popleft()
-        queued.discard(node)
-        degree = graph.degree(node)
-        value = residual[node]
-        if degree == 0:
-            # All residual mass at an isolated node belongs to it.
-            reserve.add(node, value)
-            residual[node] = 0.0
-            continue
-        if value < eps * degree:
-            continue
-        if deadline is not None:
-            deadline.check(degree)
-
-        reserve.add(node, alpha * value)
-        residual[node] = (1.0 - alpha) * value / 2.0
-        share = (1.0 - alpha) * value / (2.0 * degree)
-        for neighbor in graph.neighbors(node):
-            neighbor = int(neighbor)
-            residual.add(neighbor, share)
-            pushes += 1
-            if neighbor not in queued and residual[neighbor] >= eps * graph.degree(neighbor):
-                frontier.append(neighbor)
-                queued.add(neighbor)
-        if node not in queued and residual[node] >= eps * degree:
-            frontier.append(node)
-            queued.add(node)
-        if counters is not None:
-            counters.record_pushes(degree)
-    return reserve, residual, pushes
+    outcome = frontier_push(
+        graph, seed, alpha, eps, 0.5, counters=counters, deadline=deadline
+    )
+    return outcome.reserve, outcome.residue, outcome.counters.push_operations
 
 
 def pr_nibble(
@@ -100,14 +60,8 @@ def pr_nibble(
 ) -> BaselineClusteringResult:
     """Local clustering by sweeping the approximate PPR vector of ``seed``."""
     start = time.perf_counter()
-    reserve, _, pushes = approximate_ppr(graph, seed, alpha=alpha, eps=eps)
-    ranking = sorted(
-        reserve.keys(),
-        key=lambda v: (-(reserve[v] / graph.degree(v)) if graph.degree(v) else 0.0, v),
-    )
-    if seed not in ranking:
-        ranking.insert(0, seed)
-    sweep = sweep_from_ranking(graph, ranking)
+    diffusion = pr_nibble_hkpr(graph, seed, alpha=alpha, eps=eps)
+    sweep = sweep_cut(graph, diffusion)
     elapsed = time.perf_counter() - start
     return BaselineClusteringResult(
         cluster=set(sweep.cluster),
@@ -115,8 +69,8 @@ def pr_nibble(
         seed=seed,
         method="pr-nibble",
         elapsed_seconds=elapsed,
-        work=pushes,
-        details={"support_size": float(reserve.nnz())},
+        work=diffusion.counters.push_operations,
+        details={"support_size": float(diffusion.estimates.nnz())},
     )
 
 
@@ -132,19 +86,17 @@ def pr_nibble_hkpr(
 
     The Andersen–Chung–Lang push reserve, returned as an
     :class:`HKPRResult` so the registry, the sweep cut and the serving
-    layer can rank it like any other diffusion vector.  Sweeping it yields
-    exactly :func:`pr_nibble`'s cluster (both order by ``p[v]/d(v)``).
+    layer can rank it like any other diffusion vector; :func:`pr_nibble`
+    is the sweep cut of this vector.
     """
     start = time.perf_counter()
     counters = OperationCounters()
-    reserve, residual, pushes = approximate_ppr(
+    reserve, residual, _ = approximate_ppr(
         graph, seed_node, alpha=alpha, eps=eps, counters=counters, deadline=deadline
     )
     # Unsettled push mass; named to avoid colliding with the method's own
     # ``alpha`` (teleport probability) parameter in telemetry.
     counters.extras["residual_mass"] = residual.sum()
-    counters.residue_entries = residual.nnz()
-    counters.reserve_entries = reserve.nnz()
     return HKPRResult(
         estimates=reserve,
         seed=seed_node,

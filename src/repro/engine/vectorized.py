@@ -51,12 +51,12 @@ def _neighbor_gather(graph):
 
 
 def neighbor_rows(graph, nodes: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """Every neighbor of ``nodes``, row after row, in one gather.
+    """The first ``degrees[i]`` neighbors of each ``nodes[i]``, row after row.
 
-    ``degrees`` must be ``graph.degrees[nodes]``.  HK-Push+ and the sweep
-    expand whole adjacency rows through :func:`_neighbor_gather`, so they
-    read a :class:`~repro.dynamic.delta.DeltaGraph` overlay as the walk
-    kernels do.
+    ``degrees`` is ``graph.degrees[nodes]`` for whole rows; a smaller count
+    takes a row's prefix.  The pushes and the sweep expand adjacency rows
+    through :func:`_neighbor_gather`, so they read a
+    :class:`~repro.dynamic.delta.DeltaGraph` overlay as the walk kernels do.
     """
     offsets = np.arange(int(degrees.sum())) - np.repeat(np.cumsum(degrees) - degrees, degrees)
     return _neighbor_gather(graph)(np.repeat(nodes, degrees), offsets)

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
+import numpy as np
+
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
 from repro.hkpr.params import HKPRParams, default_delta
@@ -123,18 +125,21 @@ def seed_set_hkpr(
         estimator_kwargs=estimator_kwargs,
         backend=backend,
     )
-    mixture = SparseVector()
+    parts_nodes, parts_values = [], []
     offset = 0.0
     counters = OperationCounters()
     elapsed = 0.0
     for node, weight in weights.items():
         share = weight / total_weight
         result = per_seed[node]
-        for vertex, value in result.estimates.items():
-            mixture.add(vertex, share * value)
+        vertices, values = result.estimates.arrays()
+        parts_nodes.append(vertices)
+        parts_values.append(share * values)
         offset += share * result.offset_per_degree
         counters = counters.merge(result.counters)
         elapsed += result.elapsed_seconds
+    mixture = SparseVector()
+    mixture.add_many(np.concatenate(parts_nodes), np.concatenate(parts_values))
 
     representative_seed = max(weights, key=weights.get)
     return HKPRResult(

@@ -1,10 +1,10 @@
-"""HK-Push (Algorithm 1): deterministic multi-hop residue push.
+"""HK-Push (Algorithm 1) and the layered push every heat-kernel push runs.
 
 HK-Push maintains a *reserve* vector ``q_s`` (a running lower bound of the
 HKPR vector) and per-hop *residue* vectors ``r_s^(k)``.  Starting from
-``r_s^(0)[s] = 1``, it repeatedly picks an entry whose residue exceeds
-``r_max * d(v)``, converts an ``eta(k)/psi(k)`` fraction of it into reserve,
-and spreads the remainder evenly over the node's neighbors at hop ``k + 1``.
+``r_s^(0)[s] = 1``, it pushes every entry whose residue exceeds
+``r_max * d(v)``: an ``eta(k)/psi(k)`` fraction of it becomes reserve and
+the remainder is spread evenly over the node's neighbors at hop ``k + 1``.
 
 The invariant (Lemma 1) is that at any point
 
@@ -12,19 +12,29 @@ The invariant (Lemma 1) is that at any point
 
 so the residues describe exactly the probability mass that has not yet been
 settled; TEA later estimates the second term with random walks.
+
+Residue at hop ``k`` only ever feeds hop ``k + 1``, so hop order is a valid
+push order: :func:`layered_push` pushes every above-threshold hop-``k``
+entry in one array step, each ``(hop, node)`` once with its full inflow.
+Algorithm 1's FIFO of ``(hop, node)`` entries also pops hop by hop, so the
+two push the same entries; only the order in which shares are summed
+differs.  The same kernel runs HK-Push+ (:mod:`repro.hkpr.hk_push_plus`,
+with a hop cap, a push budget and the Theorem-2 exit) and HK-Relax
+(:mod:`repro.hkpr.hk_relax`, on the truncated Taylor series).
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
 from repro.hkpr.params import HKPRParams
 from repro.hkpr.poisson import PoissonWeights
-from repro.hkpr.residues import ResidueVectors
+from repro.hkpr.residues import ResidueVectors, max_normalized
 from repro.hkpr.result import HKPRResult
 from repro.utils.counters import OperationCounters
 from repro.utils.deadline import Deadline
@@ -33,16 +43,172 @@ from repro.utils.sparsevec import SparseVector
 
 @dataclass
 class PushOutcome:
-    """Reserve and residue state produced by a push procedure."""
+    """Reserve and residue state produced by a layered push, and how it ended.
+
+    ``pushes_used`` is the total degree of the pushed entries (Algorithm 4
+    charges ``d(v)`` per push round), ``normalized_residue_sum`` the
+    Theorem-2 quantity ``sum_k max_u r^(k)[u]/d(u)`` of the returned
+    residues (what :meth:`ResidueVectors.max_normalized_sum` would compute),
+    and ``satisfied_early_exit`` whether it is at most the exit target.
+    """
 
     reserve: SparseVector
     residues: ResidueVectors
     counters: OperationCounters
+    satisfied_early_exit: bool = False
+    budget_exhausted: bool = False
+    pushes_used: int = 0
+    normalized_residue_sum: float = 0.0
 
     @property
     def max_hop(self) -> int:
         """Largest hop with a non-zero residue (the ``K`` returned by Algorithm 1)."""
         return self.residues.max_nonzero_hop()
+
+
+def layered_push(
+    graph: Graph,
+    seed_node: int,
+    stops: np.ndarray,
+    threshold: float,
+    *,
+    start_mass: float = 1.0,
+    budget: int | None = None,
+    exact_budget: bool = False,
+    exit_target: float | None = None,
+    counters: OperationCounters | None = None,
+    deadline: Deadline | None = None,
+) -> PushOutcome:
+    """Push ``start_mass`` at ``seed_node`` hop by hop; the one heat-kernel push.
+
+    Hop ``k`` pushes, in one array step and in ascending node-id order,
+    every entry with ``r^(k)[v] > threshold * d(v)``: a ``stops[k]``
+    fraction of it becomes reserve and the rest is spread evenly over the
+    node's neighbors at hop ``k + 1``.  An isolated node settles all of its
+    residue.  Neighbors are gathered through the walk kernels' batch
+    accessor, so a :class:`~repro.dynamic.delta.DeltaGraph` overlay works
+    unchanged, and the shares are scatter-added with ``np.unique`` +
+    ``np.bincount``.  Hops ``0 .. len(stops) - 1`` are pushed; residue
+    left at hop ``len(stops)`` stays (HK-Push+'s hop cap).
+
+    Parameters
+    ----------
+    stops:
+        Per-hop stop fractions; a final 1.0 settles the last hop whole.
+    threshold:
+        Per-degree push threshold.
+    start_mass:
+        The seed's hop-0 residue.
+    budget:
+        Push budget in degree units (each pushed entry costs ``d(v)``).
+        The hop that reaches it is cut right after the entry that reaches
+        it, and the push stops there.  With ``exact_budget`` the budget
+        counts recorded pushes: an entry that settles whole costs nothing,
+        and the entry that reaches the budget spreads to only as many
+        neighbors as the budget has left, so exactly ``budget`` pushes are
+        recorded.
+    exit_target:
+        Stop between hops once the Theorem-2 sum is at most this.
+    deadline:
+        Optional cooperative :class:`~repro.utils.Deadline`; checked once
+        per hop with the hop's pushed degree as the cost.
+    """
+    if not graph.has_node(seed_node):
+        raise ParameterError(f"seed node {seed_node} is not in the graph")
+    counters = counters if counters is not None else OperationCounters()
+    if deadline is not None:
+        deadline.bind(counters)
+
+    # Deferred: repro.engine imports this package while it initializes.
+    from repro.engine.vectorized import neighbor_rows
+
+    degrees = graph.degrees
+    residues = ResidueVectors(len(stops))
+    maxima: list[float] = []  # max_u r^(k)[u]/d(u) of each finished hop
+    reserve_nodes: list[np.ndarray] = []
+    reserve_values: list[np.ndarray] = []
+    # The current hop's residues, sorted by node id.
+    nodes = np.array([seed_node], dtype=np.int64)
+    values = np.array([float(start_mass)])
+    current_max = max_normalized(values, degrees[nodes])
+    pushes_used = 0
+    exhausted = False
+
+    for hop, stop_fraction in enumerate(stops.tolist()):
+        layer_degrees = degrees[nodes]
+        pushed = np.flatnonzero(values > threshold * layer_degrees)
+        if pushed.size == 0:
+            break
+        # Algorithm 4 charges d(v) per push round and stops after the round
+        # that reaches the budget: cut the hop's rounds right after that one.
+        # An exact budget charges only the pushes a round records, so a hop
+        # that settles whole is free.
+        charges = layer_degrees[pushed]
+        if exact_budget and stop_fraction >= 1.0:
+            charges = np.zeros_like(charges)
+        spent = pushes_used + np.cumsum(charges)
+        overshoot = 0
+        if budget is not None:
+            cut = int(np.searchsorted(spent, budget))
+            if cut < pushed.size:
+                pushed = pushed[: cut + 1]
+                exhausted = True
+                if exact_budget:
+                    overshoot = int(spent[cut]) - budget
+        spent_through = int(spent[pushed.size - 1])
+        if deadline is not None:
+            deadline.check(max(spent_through - pushes_used, 1))
+        pushes_used = spent_through
+
+        pushed_nodes = nodes[pushed]
+        pushed_values = values[pushed]
+        pushed_degrees = layer_degrees[pushed]
+        kept = np.ones(nodes.size, dtype=bool)
+        kept[pushed] = False
+        residues.set_layer(hop, nodes[kept], values[kept])
+        maxima.append(max_normalized(values[kept], layer_degrees[kept]))
+
+        linked = pushed_degrees > 0
+        # An isolated node keeps all of its residue as reserve.
+        reserve_nodes.append(pushed_nodes)
+        reserve_values.append(
+            np.where(linked, stop_fraction * pushed_values, pushed_values)
+        )
+        spread = linked & (stop_fraction < 1.0)
+        counts = pushed_degrees[spread]
+        shares = (1.0 - stop_fraction) * pushed_values[spread] / counts
+        if overshoot and stop_fraction < 1.0:
+            # The entry that reached the budget is the last one spread.
+            counts[-1] -= overshoot
+        targets = neighbor_rows(graph, pushed_nodes[spread], counts)
+        counters.record_pushes(targets.size)
+        nodes, inverse = np.unique(targets, return_inverse=True)
+        values = np.bincount(inverse, weights=np.repeat(shares, counts))
+        current_max = max_normalized(values, degrees[nodes])
+
+        if exhausted or (
+            exit_target is not None and sum(maxima) + current_max <= exit_target
+        ):
+            break
+
+    residues.set_layer(len(maxima), nodes, values)
+    maxima.append(current_max)
+    normalized_sum = sum(maxima)
+    reserve = SparseVector()
+    if reserve_nodes:
+        reserve.add_many(np.concatenate(reserve_nodes), np.concatenate(reserve_values))
+
+    counters.residue_entries = max(counters.residue_entries, residues.num_nonzero())
+    counters.reserve_entries = max(counters.reserve_entries, reserve.nnz())
+    return PushOutcome(
+        reserve=reserve,
+        residues=residues,
+        counters=counters,
+        satisfied_early_exit=exit_target is not None and normalized_sum <= exit_target,
+        budget_exhausted=exhausted,
+        pushes_used=pushes_used,
+        normalized_residue_sum=normalized_sum,
+    )
 
 
 def hk_push(
@@ -66,73 +232,28 @@ def hk_push(
         Push any entry with ``r^(k)[v] > r_max * d(v)``.  Smaller values push
         more and leave less residue mass for the random-walk phase.
     weights:
-        Poisson weights for the heat constant ``t``.
+        Poisson weights for the heat constant ``t``.  Beyond their
+        truncation hop the stop probability is 1, so the last hop settles
+        every entry it pushes.
     deadline:
         Optional cooperative :class:`~repro.utils.Deadline`; checked once
-        per pushed frontier node with the node's degree as the cost.
+        per hop with the hop's pushed degree as the cost.
 
     Returns
     -------
     PushOutcome
         The reserve vector ``q_s``, the per-hop residues, and cost counters.
     """
-    if not graph.has_node(seed_node):
-        raise ParameterError(f"seed node {seed_node} is not in the graph")
     if r_max <= 0.0:
         raise ParameterError(f"r_max must be positive, got {r_max}")
-    counters = counters if counters is not None else OperationCounters()
-    if deadline is not None:
-        deadline.bind(counters)
-
-    reserve = SparseVector()
-    residues = ResidueVectors()
-    residues.set(0, seed_node, 1.0)
-
-    # FIFO frontier of (hop, node) entries that may exceed the threshold.
-    # An entry can be en-queued at most once while it is above threshold;
-    # `queued` prevents duplicates.
-    frontier: deque[tuple[int, int]] = deque([(0, seed_node)])
-    queued: set[tuple[int, int]] = {(0, seed_node)}
-    # Beyond this hop the Poisson tail is negligible: pushing there would
-    # convert essentially the full residue into reserve anyway.
-    hop_limit = weights.max_hop
-
-    while frontier:
-        hop, node = frontier.popleft()
-        queued.discard((hop, node))
-        degree = graph.degree(node)
-        residue = residues.get(hop, node)
-        if residue <= r_max * degree or residue <= 0.0:
-            continue
-        if deadline is not None:
-            deadline.check(max(degree, 1))
-
-        stop_fraction = weights.stop_probability(hop)
-        reserve.add(node, stop_fraction * residue)
-        residues.clear(hop, node)
-        leftover = (1.0 - stop_fraction) * residue
-        if leftover > 0.0 and degree > 0 and hop + 1 <= hop_limit:
-            share = leftover / degree
-            next_hop = hop + 1
-            for neighbor in graph.neighbors(node):
-                neighbor = int(neighbor)
-                new_residue = residues.add(next_hop, neighbor, share)
-                counters.record_pushes(1)
-                key = (next_hop, neighbor)
-                if (
-                    new_residue > r_max * graph.degree(neighbor)
-                    and key not in queued
-                ):
-                    frontier.append(key)
-                    queued.add(key)
-        elif leftover > 0.0:
-            # Either the node is isolated or we are past the Poisson horizon;
-            # the surviving walk mass would stop here, so settle it as reserve.
-            reserve.add(node, leftover)
-
-    counters.residue_entries = max(counters.residue_entries, residues.num_nonzero())
-    counters.reserve_entries = max(counters.reserve_entries, reserve.nnz())
-    return PushOutcome(reserve=reserve, residues=residues, counters=counters)
+    return layered_push(
+        graph,
+        seed_node,
+        weights.stop_probability_array(),
+        r_max,
+        counters=counters,
+        deadline=deadline,
+    )
 
 
 def hk_push_hkpr(

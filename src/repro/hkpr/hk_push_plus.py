@@ -13,50 +13,28 @@ HK-Push+ differs from HK-Push (Algorithm 1) in three ways, all aimed at the
 3. The maximum hop ``K`` is fixed up front (Eq. 20), so the above-threshold
    test never needs re-evaluation when ``K`` would otherwise change.
 
-The push runs one hop at a time.  Pushing hop ``k`` only ever creates
-hop-``k+1`` residue, so every above-threshold hop-``k`` entry is pushed in
-one array step: their neighbours are gathered through the walk kernels'
-batch accessor (so a :class:`~repro.dynamic.delta.DeltaGraph` overlay works
-unchanged) and the shares are scatter-added with ``np.unique`` +
-``np.bincount``.  The budget is cut exactly inside a hop, taking its
-entries in ascending node-id order, and the Theorem-2 test runs between
-hops on per-hop maxima kept as the push goes, so it never rescans the
-residues.  Residue layers come out in node-id order.
+It runs on HK-Push's layered push (:func:`repro.hkpr.hk_push.layered_push`):
+one hop at a time, every above-threshold entry of the hop in one array
+step.  The budget is cut exactly inside a hop, taking its entries in
+ascending node-id order, and the Theorem-2 test runs between hops on
+per-hop maxima kept as the push goes, so it never rescans the residues.
+Residue layers come out in node-id order.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
-from repro.hkpr.hk_push import PushOutcome
+from repro.hkpr.hk_push import PushOutcome, layered_push
 from repro.hkpr.params import HKPRParams
 from repro.hkpr.poisson import PoissonWeights
-from repro.hkpr.residues import ResidueVectors, max_normalized
 from repro.hkpr.result import HKPRResult
 from repro.utils.counters import OperationCounters
 from repro.utils.deadline import Deadline
-from repro.utils.sparsevec import SparseVector
-
-
-@dataclass
-class PushPlusOutcome(PushOutcome):
-    """HK-Push+ outcome: a :class:`PushOutcome` plus its termination state.
-
-    ``normalized_residue_sum`` is the Theorem-2 quantity
-    ``sum_k max_u r^(k)[u]/d(u)`` of the returned residues (what
-    :meth:`ResidueVectors.max_normalized_sum` would compute), and
-    ``satisfied_early_exit`` says whether it is at most ``eps_r * delta``.
-    """
-
-    satisfied_early_exit: bool = False
-    budget_exhausted: bool = False
-    pushes_used: int = 0
-    normalized_residue_sum: float = 0.0
 
 
 def hk_push_plus(
@@ -70,7 +48,7 @@ def hk_push_plus(
     *,
     counters: OperationCounters | None = None,
     deadline: Deadline | None = None,
-) -> PushPlusOutcome:
+) -> PushOutcome:
     """Run HK-Push+ (Algorithm 4) from ``seed_node``.
 
     Parameters
@@ -91,99 +69,29 @@ def hk_push_plus(
 
     Returns
     -------
-    PushPlusOutcome
+    PushOutcome
+        With ``satisfied_early_exit`` set when the Theorem-2 sum of the
+        returned residues is at most ``eps_r * delta``.
     """
-    if not graph.has_node(seed_node):
-        raise ParameterError(f"seed node {seed_node} is not in the graph")
     if eps_r <= 0 or delta <= 0:
         raise ParameterError("eps_r and delta must be positive")
     if max_hop < 1:
         raise ParameterError(f"max_hop must be >= 1, got {max_hop}")
     if push_budget < 1:
         raise ParameterError(f"push budget must be >= 1, got {push_budget}")
-    counters = counters if counters is not None else OperationCounters()
-    if deadline is not None:
-        deadline.bind(counters)
-
-    # Deferred: repro.engine imports this package while it initializes.
-    from repro.engine.vectorized import neighbor_rows
-
     absolute_target = eps_r * delta
-    push_threshold_per_degree = absolute_target / max_hop
-    degrees = graph.degrees
-
-    residues = ResidueVectors(max_hop)
-    maxima: list[float] = []  # max_u r^(k)[u]/d(u) of each finished hop
-    reserve_nodes: list[np.ndarray] = []
-    reserve_values: list[np.ndarray] = []
-    # The current hop's residues, sorted by node id.
-    nodes = np.array([seed_node], dtype=np.int64)
-    values = np.ones(1)
-    current_max = max_normalized(values, degrees[nodes])
-    pushes_used = 0
-    exhausted = False
-
-    for hop in range(max_hop):
-        layer_degrees = degrees[nodes]
-        pushed = np.flatnonzero(values > push_threshold_per_degree * layer_degrees)
-        if pushed.size == 0:
-            break
-        # Algorithm 4 charges d(v) per push round and stops after the round
-        # that reaches n_p: cut the hop's rounds right after that one.
-        spent = pushes_used + np.cumsum(layer_degrees[pushed])
-        cut = int(np.searchsorted(spent, push_budget))
-        if cut < pushed.size:
-            pushed = pushed[: cut + 1]
-            exhausted = True
-        spent_through = int(spent[pushed.size - 1])
-        if deadline is not None:
-            deadline.check(max(spent_through - pushes_used, 1))
-        pushes_used = spent_through
-
-        pushed_nodes = nodes[pushed]
-        pushed_values = values[pushed]
-        pushed_degrees = layer_degrees[pushed]
-        kept = np.ones(nodes.size, dtype=bool)
-        kept[pushed] = False
-        residues.set_layer(hop, nodes[kept], values[kept])
-        maxima.append(max_normalized(values[kept], layer_degrees[kept]))
-
-        stop_fraction = weights.stop_probability(hop)
-        linked = pushed_degrees > 0
-        # An isolated node keeps all of its residue as reserve.
-        reserve_nodes.append(pushed_nodes)
-        reserve_values.append(
-            np.where(linked, stop_fraction * pushed_values, pushed_values)
-        )
-        spread = linked & (stop_fraction < 1.0)
-        counts = pushed_degrees[spread]
-        shares = (1.0 - stop_fraction) * pushed_values[spread] / counts
-        targets = neighbor_rows(graph, pushed_nodes[spread], counts)
-        counters.record_pushes(targets.size)
-        nodes, inverse = np.unique(targets, return_inverse=True)
-        values = np.bincount(inverse, weights=np.repeat(shares, counts))
-        current_max = max_normalized(values, degrees[nodes])
-
-        if exhausted or sum(maxima) + current_max <= absolute_target:
-            break
-
-    residues.set_layer(len(maxima), nodes, values)
-    maxima.append(current_max)
-    normalized_sum = sum(maxima)
-    reserve = SparseVector()
-    if reserve_nodes:
-        reserve.add_many(np.concatenate(reserve_nodes), np.concatenate(reserve_values))
-
-    counters.residue_entries = max(counters.residue_entries, residues.num_nonzero())
-    counters.reserve_entries = max(counters.reserve_entries, reserve.nnz())
-    return PushPlusOutcome(
-        reserve=reserve,
-        residues=residues,
+    stops = weights.stop_probability_array()[
+        np.minimum(np.arange(max_hop), weights.max_hop)
+    ]
+    return layered_push(
+        graph,
+        seed_node,
+        stops,
+        absolute_target / max_hop,
+        budget=push_budget,
+        exit_target=absolute_target,
         counters=counters,
-        satisfied_early_exit=normalized_sum <= absolute_target,
-        budget_exhausted=exhausted,
-        pushes_used=pushes_used,
-        normalized_residue_sum=normalized_sum,
+        deadline=deadline,
     )
 
 

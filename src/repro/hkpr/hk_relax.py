@@ -11,29 +11,37 @@ level ``j``.  Pushing level-``j`` residual ``r_j(v)`` adds it to the solution
 ``j + 1``; levels beyond ``N`` are dropped.  The push threshold
 
     r_j(v) >= e^t * eps_a * d(v) / (2 N psi_j(t)),
-    psi_j(t) = sum_{i=0}^{N-j} t^i / i!,
+    psi_j(t) = sum_{m=0}^{N-j} t^m * j! / (j+m)!,
 
 guarantees a degree-normalized absolute error below ``eps_a`` and a running
 time of ``O(t e^t log(1/eps_a) / eps_a)`` — the ``e^t`` factor that motivates
-the TEA/TEA+ algorithms.
+the TEA/TEA+ algorithms.  ``psi_j`` is what a level-``j`` residual still
+carries of the series: each push multiplies it by ``t/(j+1)``.
 
-The solution accumulated by the pushes approximates the *unscaled* Taylor
-sum; the final estimate multiplies by ``e^{-t}``.
+Scaled by ``e^{-t} psi_j``, this is HK-Push on the ``N``-truncated series,
+so it runs on the layered push (:func:`repro.hkpr.hk_push.layered_push`):
+level ``j`` settles a ``1/psi_j`` fraction of its residue (``psi_N = 1``),
+every level pushes residue above the per-degree threshold ``eps_a / (2N)``
+(strictly above, as every layered push does), and the seed starts with
+``e^{-t} psi_0``.  The reserve is then the HKPR estimate itself.
+Like every layered push, an isolated node settles all of its residue, so
+an isolated seed gets ``e^{-t} psi_0 >= 1 - eps_a/2``.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections import deque
+
+import numpy as np
 
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
+from repro.hkpr.hk_push import layered_push
 from repro.hkpr.params import HKPRParams
 from repro.hkpr.result import HKPRResult
 from repro.utils.counters import OperationCounters
 from repro.utils.deadline import Deadline
-from repro.utils.sparsevec import SparseVector
 
 #: Default degree-normalized absolute error when none is supplied.
 DEFAULT_EPS_A = 1e-4
@@ -61,15 +69,14 @@ def taylor_degree(t: float, eps_a: float) -> int:
     return max(1, n)
 
 
-def _psi_table(t: float, degree: int) -> list[float]:
-    """``psi_j(t) = sum_{i=0}^{N-j} t^i / i!`` for j = 0..N (Kloster & Gleich)."""
-    # Terms t^i / i! for i = 0..N.
-    terms = [1.0]
-    for i in range(1, degree + 1):
-        terms.append(terms[-1] * t / i)
-    psi = [0.0] * (degree + 1)
-    for j in range(degree + 1):
-        psi[j] = sum(terms[: degree - j + 1])
+def _psi_table(t: float, degree: int) -> np.ndarray:
+    """``psi_j(t) = sum_{m=0}^{N-j} t^m j!/(j+m)!`` for j = 0..N (Kloster & Gleich).
+
+    By the recurrence ``psi_N = 1``, ``psi_j = 1 + t/(j+1) * psi_{j+1}``.
+    """
+    psi = np.ones(degree + 1)
+    for j in range(degree - 1, -1, -1):
+        psi[j] = 1.0 + t / (j + 1) * psi[j + 1]
     return psi
 
 
@@ -95,88 +102,41 @@ def hk_relax(
     max_pushes:
         Optional safety cap on push operations (the guarantee is waived when
         the cap triggers, reported via ``counters.extras["push_cap_hit"]``);
-        ``None`` means run to completion.
+        exactly ``max_pushes`` pushes are made when it does.  ``None``
+        means run to completion.
     deadline:
         Optional cooperative :class:`~repro.utils.Deadline`; checked once
-        per popped frontier node with the node's degree as the cost.
+        per Taylor level with the level's pushed degree as the cost.
     """
-    if not graph.has_node(seed_node):
-        raise ParameterError(f"seed node {seed_node} is not in the graph")
     start = time.perf_counter()
     t = params.t
     eps_value = eps_a if eps_a is not None else params.absolute_error_target()
     if eps_value <= 0:
         raise ParameterError(f"eps_a must be positive, got {eps_value}")
+    if max_pushes is not None and max_pushes < 1:
+        raise ParameterError(f"max_pushes must be >= 1, got {max_pushes}")
 
     degree_n = taylor_degree(t, eps_value)
     psi = _psi_table(t, degree_n)
-    exp_t = math.exp(t)
-
-    # Per-level sparse residuals and the accumulated (unscaled) solution.
-    residuals: list[dict[int, float]] = [{} for _ in range(degree_n + 1)]
-    residuals[0][seed_node] = 1.0
-    solution = SparseVector()
     counters = OperationCounters()
     counters.extras["taylor_degree"] = float(degree_n)
-    if deadline is not None:
-        deadline.bind(counters)
-
-    def threshold(level: int, degree: int) -> float:
-        return exp_t * eps_value * degree / (2.0 * degree_n * psi[level])
-
-    frontier: deque[tuple[int, int]] = deque([(0, seed_node)])
-    queued = {(0, seed_node)}
-    pushes = 0
-    cap_hit = False
-    while frontier and not cap_hit:
-        if max_pushes is not None and pushes >= max_pushes:
-            cap_hit = True
-            break
-        level, node = frontier.popleft()
-        queued.discard((level, node))
-        residual = residuals[level].get(node, 0.0)
-        node_degree = graph.degree(node)
-        if residual <= 0.0 or residual < threshold(level, max(node_degree, 1)):
-            continue
-        if deadline is not None:
-            deadline.check(max(node_degree, 1))
-
-        residuals[level].pop(node, None)
-        solution.add(node, residual)
-        if level < degree_n and node_degree > 0:
-            forward = t / (level + 1) * residual / node_degree
-            next_level = level + 1
-            for neighbor in graph.neighbors(node):
-                neighbor = int(neighbor)
-                new_value = residuals[next_level].get(neighbor, 0.0) + forward
-                residuals[next_level][neighbor] = new_value
-                pushes += 1
-                counters.record_pushes(1)
-                key = (next_level, neighbor)
-                if (
-                    key not in queued
-                    and new_value >= threshold(next_level, max(graph.degree(neighbor), 1))
-                ):
-                    frontier.append(key)
-                    queued.add(key)
-                # Enforce the cap mid-node: a single high-degree push used
-                # to overshoot ``max_pushes`` by up to the node's degree.
-                if max_pushes is not None and pushes >= max_pushes:
-                    cap_hit = True
-                    break
-    if cap_hit:
+    outcome = layered_push(
+        graph,
+        seed_node,
+        1.0 / psi,
+        eps_value / (2.0 * degree_n),
+        start_mass=math.exp(-t) * psi[0],
+        budget=max_pushes,
+        exact_budget=True,
+        counters=counters,
+        deadline=deadline,
+    )
+    if outcome.budget_exhausted:
         counters.extras["push_cap_hit"] = 1.0
-
-    # Scale the Taylor sum by e^{-t} to obtain the HKPR estimate.
-    estimates = solution.scale(math.exp(-t))
-    counters.residue_entries = sum(len(level) for level in residuals)
-    counters.reserve_entries = estimates.nnz()
-    elapsed = time.perf_counter() - start
-    result = HKPRResult(
-        estimates=estimates,
+    return HKPRResult(
+        estimates=outcome.reserve,
         seed=seed_node,
         method="hk-relax",
         counters=counters,
-        elapsed_seconds=elapsed,
+        elapsed_seconds=time.perf_counter() - start,
     )
-    return result

@@ -169,13 +169,7 @@ class ForaPlan:
             num_walks = min(num_walks, max_walks)
         if num_walks <= 0:
             return
-        entries = list(residue.items())
-        self._start_nodes = np.fromiter(
-            (node for node, _ in entries), np.int64, count=len(entries)
-        )
-        self._start_values = np.fromiter(
-            (value for _, value in entries), np.float64, count=len(entries)
-        )
+        self._start_nodes, self._start_values = residue.arrays()
         self._num_walks = num_walks
         self._increment = residual_mass / num_walks
 

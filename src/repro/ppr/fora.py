@@ -171,11 +171,8 @@ def fora(
         if max_walks is not None:
             num_walks = min(num_walks, max_walks)
         if num_walks > 0:
-            entries = list(residue.items())
-            start_nodes = np.fromiter(
-                (node for node, _ in entries), np.int64, count=len(entries)
-            )
-            sampler = AliasSampler(start_nodes, [v for _, v in entries])
+            start_nodes, start_values = residue.arrays()
+            sampler = AliasSampler(start_nodes, start_values)
             increment = residual_mass / num_walks
             for batch in chunk_sizes(num_walks, chunk):
                 if deadline is not None:

@@ -1,19 +1,19 @@
 """Cooperative per-query execution deadlines.
 
-Admission control can bound *walk* work up front, but threshold-driven push
-loops (``hk-relax`` with a tiny ``eps_a``, ``pr-nibble`` with a tiny
+Admission control can bound *walk* work up front, but threshold-driven
+pushes (``hk-relax`` with a tiny ``eps_a``, ``pr-nibble`` with a tiny
 ``eps``, ...) do unbounded work that is only known as it happens.  A
 :class:`Deadline` is the cooperative half of that contract: estimators call
-:meth:`Deadline.check` from their hot loops with the approximate cost of
-the work unit just performed, and the deadline trips with
+:meth:`Deadline.check` with the approximate cost of the work unit just
+performed, and the deadline trips with
 :class:`~repro.exceptions.QueryTimeoutError` once the wall clock passes its
-expiry.
+expiry.  The pushes check once per hop or round, with that step's pushed
+degree as the cost.
 
 ``check()`` is stride-counted: it only reads the clock after roughly
 ``stride`` units of accumulated cost, so the common case is a single
-counter decrement and the overhead in a tight push loop stays well under a
-percent.  Chunked walk loops call :meth:`Deadline.checkpoint` between
-kernel calls instead — those chunks are already coarse.
+counter decrement.  Chunked walk loops call :meth:`Deadline.checkpoint`
+between kernel calls instead — those chunks are already coarse.
 
 Deadlines never interrupt non-Python code and never discard finished work:
 a query that completes before anyone observes the expiry still returns its
@@ -31,9 +31,9 @@ from repro.exceptions import ParameterError, QueryTimeoutError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.utils.counters import OperationCounters
 
-#: Accumulated ``check(cost)`` units between wall-clock reads.  Push loops
-#: pass the popped node's degree as the cost, so this is roughly "clock
-#: read every ~2048 pushes" — cheap even for the scalar reference paths.
+#: Accumulated ``check(cost)`` units between wall-clock reads.  Pushes
+#: pass each step's pushed degree as the cost, so this is roughly "clock
+#: read every ~2048 pushes", and at least once per step past that.
 DEFAULT_CHECK_STRIDE = 2048
 
 
@@ -108,9 +108,9 @@ class Deadline:
         """Record ``cost`` units of work; trip if the deadline has passed.
 
         Only reads the clock once per ~``stride`` accumulated units, so
-        calling this once per popped frontier node (with the node's degree
-        as the cost) keeps push-loop overhead negligible while bounding
-        overshoot to roughly ``stride`` push operations.
+        calling this once per push step (with the step's pushed degree as
+        the cost) costs next to nothing, and the overshoot is bounded by
+        one step's work.
         """
         self._credit -= cost if cost > 0 else 1
         if self._credit <= 0:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.baselines.crd import capacity_releasing_diffusion
@@ -10,7 +11,9 @@ from repro.baselines.pr_nibble import approximate_ppr, pr_nibble
 from repro.baselines.simple_local import simple_local
 from repro.clustering.conductance import conductance
 from repro.exceptions import ParameterError
+from repro.graph.generators import chung_lu_graph, power_law_degree_sequence
 from repro.graph.graph import Graph
+from repro.ppr.exact import exact_ppr
 
 
 def two_cliques_graph() -> Graph:
@@ -31,6 +34,31 @@ class TestApproximatePPR:
         _, residual, _ = approximate_ppr(clustered_graph, 0, eps=eps)
         for node, value in residual.items():
             assert value < eps * clustered_graph.degree(node) + 1e-12
+
+    def test_invariant_exact_with_isolated_nodes(self):
+        """ACL's lazy push keeps ``reserve + sum_u r[u] * pr_u = pr_s`` for
+        the lazy PPR, which is PPR with ``alpha' = 2 alpha / (1 + alpha)``,
+        from a hub seed and from an isolated one (which settles its whole
+        mass in place)."""
+        alpha = 0.2
+        lazy_alpha = 2.0 * alpha / (1.0 + alpha)
+        degs = power_law_degree_sequence(150, 2.5, 2, 15, seed=9)
+        graph = chung_lu_graph(degs, seed=9, connected=False)
+        n = graph.num_nodes
+        isolated = np.flatnonzero(graph.degrees == 0)
+        assert isolated.size == 10
+
+        def ppr(node):
+            return exact_ppr(
+                graph, node, alpha=lazy_alpha, tolerance=1e-14
+            ).to_dense(graph)
+
+        for seed in (int(np.argmax(graph.degrees)), int(isolated[0])):
+            reserve, residual, _ = approximate_ppr(graph, seed, alpha=alpha, eps=1e-4)
+            reconstructed = reserve.to_dense(n)
+            for node, value in residual.items():
+                reconstructed += value * ppr(node)
+            assert np.abs(reconstructed - ppr(seed)).max() <= 1e-10
 
     def test_invalid_parameters(self, clustered_graph):
         with pytest.raises(ParameterError):

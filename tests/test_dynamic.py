@@ -214,8 +214,8 @@ def _overlay_seeds(view):
 
 
 class TestPushOverlay:
-    """The FIFO pushes and the push-based estimators read a mutated graph
-    through the overlay with no behavioural change."""
+    """HK-Push, the PPR frontier push and the push-based estimators read a
+    mutated graph through the overlay with no behavioural change."""
 
     def test_pushes_match_compacted(self, overlay):
         from repro.hkpr.hk_push import hk_push

@@ -418,10 +418,10 @@ class TestAddMany:
         nodes = rng.integers(0, 50, size=1000)
         bulk = SparseVector()
         bulk.add_many(nodes, 0.001)
-        scalar = SparseVector()
-        for node in nodes:
-            scalar.add(int(node), 0.001)
-        assert bulk.to_dict() == pytest.approx(scalar.to_dict())
+        scalar: dict[int, float] = {}
+        for node in nodes.tolist():
+            scalar[node] = scalar.get(node, 0.0) + 0.001
+        assert bulk.to_dict() == pytest.approx(scalar)
 
 
 class TestSampleBatch:

@@ -1,9 +1,8 @@
-"""Array-backed result vectors and residue layers match the dict forms bit for bit.
+"""Result vectors and residue layers match plain-dict reference models bit for bit.
 
-The reference models here are the plain-dict algorithms the array forms
-replace: :class:`DictModel` accumulates exactly as a dict-backed
-:class:`SparseVector` does, and the residue aggregates are recomputed from
-plain per-hop dictionaries.
+:class:`DictModel` accumulates into a ``dict[int, float]`` one entry at a
+time, and the residue aggregates are recomputed from plain per-hop
+dictionaries; the array forms must store and sum exactly the same values.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ NODES = 24
 
 
 class DictModel:
-    """A plain ``dict[int, float]`` filled the way the dict form fills it."""
+    """A plain ``dict[int, float]`` filled one entry at a time."""
 
     def __init__(self) -> None:
         self.data: dict[int, float] = {}
@@ -75,8 +74,6 @@ _operation = st.one_of(
         st.just("add_many_each"),
         st.lists(st.tuples(_node, _values), max_size=12),
     ),
-    st.tuples(st.just("set"), _node, st.one_of(st.just(0.0), _values)),
-    st.tuples(st.just("add"), _node, _values),
 )
 
 
@@ -85,40 +82,22 @@ class TestSparseVectorMatchesDictModel:
     @given(st.lists(_operation, max_size=12))
     def test_random_operations(self, operations):
         vector, model = SparseVector(), DictModel()
-        array_backed = True
         for operation in operations:
-            writes, was_empty = vector.writes, not model.data
-            kind = operation[0]
-            if kind == "add_many":
+            writes = vector.writes
+            if operation[0] == "add_many":
                 _, nodes, increment = operation
                 vector.add_many(nodes, increment)
                 model.add_many(nodes, increment)
-            elif kind == "add_many_each":
+            else:
                 nodes = [node for node, _ in operation[1]]
                 increments = [delta for _, delta in operation[1]]
                 vector.add_many(nodes, increments)
                 model.add_many(nodes, increments)
-            elif kind == "set":
-                nodes = [operation[1]]
-                vector[operation[1]] = operation[2]
-                model.set(operation[1], operation[2])
-            else:
-                nodes = [operation[1]]
-                returned = vector.add(operation[1], operation[2])
-                model.add(operation[1], operation[2])
-                assert _bits(returned) == _bits(model.data.get(operation[1], 0.0))
-            # Per-entry writes give the dict form; add_many keeps or
-            # restores the array form unless it lands in a non-empty dict.
-            if kind in ("set", "add"):
-                array_backed = False
-            elif nodes:
-                array_backed = array_backed or was_empty
             assert vector.writes == writes + bool(nodes)
-            self._check(vector, model, array_backed)
+            self._check(vector, model)
 
-    def _check(self, vector: SparseVector, model: DictModel, array_backed: bool) -> None:
-        form, writes = vector.array_backed, vector.writes
-        assert form == array_backed
+    def _check(self, vector: SparseVector, model: DictModel) -> None:
+        writes = vector.writes
         for node in range(NODES + 1):
             assert _bits(vector[node]) == _bits(model.data.get(node, 0.0))
             assert (node in vector) == (node in model.data)
@@ -134,18 +113,15 @@ class TestSparseVectorMatchesDictModel:
             expected, 0.0
         ).tobytes()
         nodes, values = vector.arrays()
-        assert nodes.tolist() == list(vector)
+        assert nodes.tolist() == list(vector) == sorted(model.data)
         assert values.tolist() == list(vector.values())
-        if array_backed:
-            assert list(vector) == sorted(model.data)
-        # Reads never change the form (a cached answer is shared by threads).
-        assert vector.array_backed == form and vector.writes == writes
+        # Reads never write (a cached answer is shared by threads).
+        assert vector.writes == writes
 
     def test_add_many_merges_exactly(self):
         vector = SparseVector()
         vector.add_many([3, 1, 3], 0.1)
         vector.add_many([2, 3, 9, 1], [0.7, -0.05, 1e-17, -0.1])
-        assert vector.array_backed
         assert list(vector) == [2, 3, 9]  # node 1 cancelled to exactly 0.0
         assert vector[3] == 2 * 0.1 + -0.05
         assert vector[9] == 1e-17
@@ -157,26 +133,6 @@ class TestSparseVectorMatchesDictModel:
         with pytest.raises(ValueError):
             values[0] = 5.0
         assert nodes.dtype == np.int64 and values.dtype == np.float64
-
-    def test_per_entry_write_converts_to_dict(self):
-        vector = SparseVector()
-        vector.add_many([5, 1], 0.5)
-        vector[7] = 0.25
-        assert not vector.array_backed
-        assert vector.to_dict() == {1: 0.5, 5: 0.5, 7: 0.25}
-
-    def test_add_many_into_pushed_dict_keeps_insertion_order(self):
-        # TEA and FORA answers: push reserves first, walk endpoints after.
-        pushed = {9: 0.1, 2: 0.7, 5: 1e-17, 4: 0.2}
-        vector, model = SparseVector(), DictModel()
-        for node, value in pushed.items():
-            vector.add(node, value)
-            model.add(node, value)
-        vector.add_many([3, 2, 9, 3], 0.3)
-        model.add_many([3, 2, 9, 3], 0.3)
-        assert not vector.array_backed
-        assert list(vector) == list(model.data) == [9, 2, 5, 4, 3]
-        assert _bits(vector.sum()) == _bits(sum(model.data.values()))
 
 
 def _graph_with_isolated_nodes() -> Graph:
@@ -255,40 +211,33 @@ def _same_bits(got: dict, want: dict) -> None:
 
 class TestResidueLayersMatchDictLayers:
     @pytest.mark.parametrize("case", range(12))
-    def test_set_layer_equals_per_entry_set(self, case):
+    def test_set_layer_matches_dict_model(self, case):
         rng = np.random.default_rng(case)
         graph = _graph_with_isolated_nodes()
         layers = _dict_layers(rng, graph, hops=int(rng.integers(1, 7)))
-        bulk, single = ResidueVectors(), ResidueVectors()
+        residues = ResidueVectors()
         for hop, layer in enumerate(layers):
             nodes = np.fromiter(layer.keys(), np.int64, count=len(layer))
             values = np.fromiter(layer.values(), np.float64, count=len(layer))
-            bulk.set_layer(hop, nodes, values)
-            single.set(hop, 0, 0.0)  # allocates the hop even when empty
-            for node, value in layer.items():
-                single.set(hop, node, value)
+            residues.set_layer(hop, nodes, values)
         want = _model_aggregates(layers, graph)
-        for residues in (bulk, single):
-            assert residues.num_nonzero() == sum(len(layer) for layer in layers)
-            _same_bits(_aggregates(residues, graph), want)
-            assert [residues.layer(hop) for hop in range(len(layers))] == layers
+        assert residues.num_nonzero() == sum(len(layer) for layer in layers)
+        _same_bits(_aggregates(residues, graph), want)
+        assert [residues.layer(hop) for hop in range(len(layers))] == layers
 
         if want["total"] <= 0.0:
             return
         eps_r, delta = 0.5, float(10.0 ** rng.integers(-7, -2))
         want_betas, want_layers = _model_reduce(layers, graph, eps_r, delta)
-        for residues in (bulk, single):
-            betas = residues.reduce_residues(graph, eps_r, delta)
-            assert [_bits(b) for b in betas] == [_bits(b) for b in want_betas]
-            _same_bits(_aggregates(residues, graph), _model_aggregates(want_layers, graph))
+        betas = residues.reduce_residues(graph, eps_r, delta)
+        assert [_bits(b) for b in betas] == [_bits(b) for b in want_betas]
+        _same_bits(_aggregates(residues, graph), _model_aggregates(want_layers, graph))
 
     def test_set_layer_drops_exact_zeros_and_keeps_order(self):
         residues = ResidueVectors()
         residues.set_layer(1, np.array([9, 4, 6]), np.array([0.5, 0.0, 0.25]))
         assert residues.layer(1) == {9: 0.5, 6: 0.25}
         assert residues.get(1, 6) == 0.25 and residues.get(1, 4) == 0.0
-        residues.add(1, 4, 0.125)  # a per-entry write converts the layer
-        assert residues.layer(1) == {9: 0.5, 6: 0.25, 4: 0.125}
 
 
 # ---------------------------------------------------------------------- #
@@ -328,7 +277,6 @@ class TestServedTopEntries:
         expected = [[node, result.value(node, graph)] for node in result.ranking(graph)[:40]]
         assert top == expected
         assert [type(value) for _, value in top] == [float] * len(top)
-        assert result.estimates.array_backed
         if on_hub:
             assert result.counters.extras["walks_from_index"] == 400.0
             assert result.counters.extras["walks_sampled"] == 300.0
@@ -336,7 +284,6 @@ class TestServedTopEntries:
             assert not result.early_exit and result.offset_per_degree > 0.0
         again = service.query("g", method, seed, params, top_k=40)
         assert again.cached and again.to_dict()["top"] == top
-        assert again.result.estimates.array_backed
 
 
 class TestCachedAnswerMemory:
@@ -369,7 +316,7 @@ class TestCachedAnswerMemory:
 class TestConcurrentReaders:
     def test_threads_reading_one_answer_agree(self):
         # Handler threads share a cached answer: racing readers (and racing
-        # first rankings) must all see the same values and leave the form.
+        # first rankings) must all see the same values and write nothing.
         graph = powerlaw_cluster_graph(400, 3, 0.3, seed=2)
         rng = np.random.default_rng(0)
         failures: list[str] = []
@@ -397,7 +344,7 @@ class TestConcurrentReaders:
                 for thread in threads:
                     thread.join(timeout=60)
                 assert not any(thread.is_alive() for thread in threads)
-                assert estimates.array_backed and estimates.writes == writes
+                assert estimates.writes == writes
         finally:
             sys.setswitchinterval(previous)
         assert not failures, failures[:3]

@@ -93,46 +93,35 @@ class TestSparseVector:
         assert vec[3] == 0.0
         assert 3 not in vec
 
-    def test_set_and_get(self):
-        vec = SparseVector({1: 0.5})
-        vec[2] = 0.25
+    def test_mapping_constructor_sorts_and_drops_zeros(self):
+        vec = SparseVector({4: 0.25, 1: 0.5, 2: 0.0})
         assert vec[1] == 0.5
-        assert vec[2] == 0.25
-        assert len(vec) == 2
-
-    def test_setting_zero_removes_entry(self):
-        vec = SparseVector({1: 0.5})
-        vec[1] = 0.0
-        assert 1 not in vec
-        assert vec.nnz() == 0
-
-    def test_add(self):
-        vec = SparseVector()
-        vec.add(4, 0.1)
-        vec.add(4, 0.2)
-        assert vec[4] == pytest.approx(0.3)
-
-    def test_add_cancelling_removes(self):
-        vec = SparseVector({2: 1.0})
-        vec.add(2, -1.0)
+        assert vec[4] == 0.25
+        assert list(vec) == [1, 4]
         assert 2 not in vec
 
-    def test_sum_and_scale(self):
+    def test_add_many_accumulates(self):
+        vec = SparseVector()
+        vec.add_many([4], 0.1)
+        vec.add_many([4], 0.2)
+        assert vec[4] == pytest.approx(0.3)
+
+    def test_add_many_cancelling_removes(self):
+        vec = SparseVector({2: 1.0})
+        vec.add_many([2], -1.0)
+        assert 2 not in vec
+        assert vec.nnz() == 0
+
+    def test_sum(self):
         vec = SparseVector({0: 0.25, 1: 0.75})
         assert vec.sum() == pytest.approx(1.0)
-        doubled = vec.scale(2.0)
-        assert doubled.sum() == pytest.approx(2.0)
-        assert vec.sum() == pytest.approx(1.0)  # original untouched
-
-    def test_scale_by_zero_gives_empty(self):
-        vec = SparseVector({0: 1.0})
-        assert vec.scale(0.0).nnz() == 0
 
     def test_copy_is_independent(self):
         vec = SparseVector({0: 1.0})
         clone = vec.copy()
-        clone[0] = 2.0
+        clone.add_many([0], 1.0)
         assert vec[0] == 1.0
+        assert clone[0] == 2.0
 
     def test_dense_round_trip(self):
         vec = SparseVector({0: 0.5, 3: 0.5})
