@@ -1,20 +1,19 @@
-"""Benchmark: fused push+walk kernels vs the separate two-pass path.
+"""Benchmark: fused query groups vs task batches vs one query at a time.
 
 ``test_fused_kernel_speedup`` times a service-shaped workload — many small
 monte-carlo HKPR queries on a 100k-node power-law graph — three ways on the
-``vectorized`` backend (the one fused-capable backend):
+``vectorized`` backend:
 
-* ``fused``: ``monte_carlo_hkpr_many`` with fusion on (the default) — one
-  ``fused_push_walk`` kernel call samples every query's starts from its
-  entry distribution and walks them in a single CSR pass.
-* ``task_batched``: the same entry point under
-  :func:`repro.engine.fused.fusion_disabled` — starts are sampled per query
-  in Python, then the walk phases are concatenated into shared kernel calls
-  (the pre-fusion ``run_walk_tasks`` path).  This isolates what the
-  single-pass kernel itself buys over two-pass batching.
+* ``fused``: ``monte_carlo_hkpr_many`` — every query's walk phase is a
+  :class:`~repro.engine.fused.FusedQuery`, and
+  :func:`~repro.engine.fused.run_fused_queries` draws the starts and walks
+  each fuse group in shared kernel calls (the unpinned serving route).
+* ``task_batched``: the same plans' ``tasks`` (start arrays made per query
+  in Python) through :func:`~repro.engine.multi.run_walk_tasks`, which
+  concatenates them into shared kernel calls (the pinned serving route).
 * ``per_query``: a plain loop over the single-query ``monte_carlo_hkpr``
-  API — separate sample + walk passes with full per-query Python re-entry,
-  which is exactly the overhead the fused path eliminates end to end.
+  API — separate kernel calls with full per-query Python re-entry, which
+  is exactly the overhead fusion eliminates end to end.
 
 The ``fused_vs_unfused`` ratio compares ``fused`` against ``per_query``
 (separate passes, as a non-batching caller would run them);
@@ -35,12 +34,13 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.engine.fused import fusion_disabled
+from repro.engine.multi import run_walk_tasks
 from repro.graph.generators import chung_lu_graph, power_law_degree_sequence
 from repro.graph.graph import Graph
-from repro.hkpr.batched import monte_carlo_hkpr_many
+from repro.hkpr.batched import MonteCarloPlan, monte_carlo_hkpr_many
 from repro.hkpr.monte_carlo import monte_carlo_hkpr
 from repro.hkpr.params import HKPRParams
+from repro.hkpr.poisson import PoissonWeights
 
 #: Many small queries: the micro-batched service shape fusion targets.
 NUM_QUERIES = 512
@@ -67,6 +67,24 @@ def _run_workload(backend_name: str, graph, seeds, params) -> None:
         rng=9,
         backend=backend_name,
     )
+
+
+def _run_task_batched(backend_name: str, graph, seeds, params) -> None:
+    weights = PoissonWeights(params.t)
+    plans = [
+        MonteCarloPlan(graph, seed, params, num_walks=WALKS_PER_QUERY, weights=weights)
+        for seed in dict.fromkeys(seeds)
+    ]
+    tasks, counters_list = [], []
+    for plan in plans:
+        tasks.extend(plan.tasks)
+        counters_list.extend([plan.counters] * len(plan.tasks))
+    endpoints = run_walk_tasks(
+        backend_name, graph, tasks, np.random.default_rng(9),
+        counters_list=counters_list,
+    )
+    for plan, ends in zip(plans, endpoints):
+        plan.finalize([ends])
 
 
 def _run_per_query(backend_name: str, graph, seeds, params) -> None:
@@ -103,10 +121,9 @@ def test_fused_kernel_speedup(graph, results_dir):
     name = "vectorized"
     _run_workload(name, graph, seeds[:2], params)  # warm caches
     fused_seconds = _best_of(lambda: _run_workload(name, graph, seeds, params), 3)
-    with fusion_disabled():
-        task_batched_seconds = _best_of(
-            lambda: _run_workload(name, graph, seeds, params), 3
-        )
+    task_batched_seconds = _best_of(
+        lambda: _run_task_batched(name, graph, seeds, params), 3
+    )
     per_query_seconds = _best_of(lambda: _run_per_query(name, graph, seeds, params), 2)
     stats = {
         "fused_seconds": fused_seconds,

@@ -3,8 +3,9 @@
 Each ``bench_*`` module regenerates one table or figure of the paper (see
 DESIGN.md §4 and EXPERIMENTS.md).  The pytest-benchmark fixture times one
 full run of the corresponding experiment driver; the produced rows are also
-rendered as a text table and written to ``benchmarks/results/`` so they can
-be inspected after the run.
+rendered as a text table and written to ``benchmarks/results/`` (with any
+``BENCH_*.json`` summary) so they can be inspected after the run; CI uploads
+that directory as a build artifact.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).parent.parent
 
 
 @pytest.fixture(scope="session")
@@ -27,26 +27,6 @@ def results_dir() -> Path:
     """Directory where each benchmark writes its rendered result table."""
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Mirror ``BENCH_*.json`` payloads to the repository root.
-
-    The perf-trajectory tracker reads root-level ``BENCH_*.json`` files;
-    ``benchmarks/results/`` itself is gitignored (machine-specific tables
-    live there too), so the JSON summaries are copied up after every run
-    that produced or refreshed one.
-    """
-    if not RESULTS_DIR.is_dir():
-        return
-    for payload in sorted(RESULTS_DIR.glob("BENCH_*.json")):
-        target = REPO_ROOT / payload.name
-        try:
-            text = payload.read_text()
-            if not target.exists() or target.read_text() != text:
-                target.write_text(text)
-        except OSError:  # pragma: no cover - read-only checkouts
-            pass
 
 
 @pytest.fixture

@@ -56,20 +56,7 @@ from repro.estimators import estimate
 
 __version__ = "1.0.0"
 
-
-def __getattr__(name: str):
-    # Derived live from the unified registry (repro.estimators), like
-    # repro.hkpr.ESTIMATORS, so the two spellings can never diverge.  The
-    # table is a read-only snapshot view: extend the registry with
-    # repro.estimators.register(), not by mutating this dict.
-    if name == "ESTIMATORS":
-        from repro.hkpr import ESTIMATORS
-
-        return ESTIMATORS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
-    "ESTIMATORS",
     "Graph",
     "estimate",
     "estimators",

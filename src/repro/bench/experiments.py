@@ -432,7 +432,8 @@ def table8_ground_truth(
                     method=config.method,
                     params=config.params,
                     rng=generator,
-                    estimator_kwargs=config.resolved_kwargs(),
+                    estimator_kwargs=config.estimator_kwargs,
+                    backend=config.backend,
                 )
                 f1_total += cluster_f1(outcome.cluster, seed_node, communities)
                 seconds_total += outcome.elapsed_seconds

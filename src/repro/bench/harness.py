@@ -19,7 +19,6 @@ from repro.clustering.sweep import sweep_cut
 from repro.estimators import resolve
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
-from repro.hkpr import backend_estimator_kwargs
 from repro.hkpr.params import HKPRParams, default_delta
 from repro.utils.rng import RandomState, ensure_rng
 
@@ -45,10 +44,6 @@ class MethodConfig:
     def display_name(self) -> str:
         """Label used in reports (method name plus the swept setting)."""
         return self.label or self.method
-
-    def resolved_kwargs(self) -> dict[str, Any]:
-        """``estimator_kwargs`` with the backend selection folded in."""
-        return backend_estimator_kwargs(self.method, self.backend, self.estimator_kwargs)
 
 
 @dataclass
@@ -163,7 +158,8 @@ def run_clustering_query(
         method=method,
         params=effective_params,
         rng=rng,
-        estimator_kwargs=config.resolved_kwargs(),
+        estimator_kwargs=config.estimator_kwargs,
+        backend=config.backend,
     )
     counters = outcome.hkpr.counters
     # Figure-5 memory proxy: graph storage (n + 2m ids) plus working entries.

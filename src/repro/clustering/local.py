@@ -26,18 +26,6 @@ from repro.hkpr.result import HKPRResult
 from repro.utils.rng import RandomState
 
 
-def __getattr__(name: str):
-    # SUPPORTED_METHODS is derived from the estimator registry rather than
-    # hand-maintained here; the lazy attribute avoids an import cycle at
-    # module load (repro.estimators imports the estimator implementations,
-    # some of which import this package's sweep machinery).
-    if name == "SUPPORTED_METHODS":
-        from repro.estimators import method_names
-
-        return method_names(sweepable=True)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass
 class LocalClusteringResult:
     """A local cluster together with the HKPR estimation that produced it."""
@@ -81,7 +69,8 @@ def local_cluster(
     method:
         Any sweepable method registered in :mod:`repro.estimators`
         (canonical name or alias; default ``"tea+"``).  See
-        :data:`SUPPORTED_METHODS` or ``repro-cli methods``.
+        ``repro.estimators.method_names(sweepable=True)`` or
+        ``repro-cli methods``.
     params:
         HKPR parameters; defaults to ``HKPRParams(delta=1/n)``, the setting
         the paper uses for its headline experiments.  Methods outside the

@@ -27,10 +27,15 @@ A backend must satisfy three invariants (enforced by the parity suite in
    scalar primitive (hop-conditioned heat kernel walk, Poisson-length walk,
    geometric restart walk).
 2. **Counter accounting** — ``counters.random_walks`` increases by the batch
-   size and ``counters.walk_steps`` by the total number of traversed edges.
+   size and ``counters.walk_steps`` by the total number of traversed edges;
+   a ``step_counts`` out-array, when given, gains each walk's own steps.
 3. **Shape discipline** — the result is an ``int64`` array with one endpoint
    per requested walk, in order; an empty batch returns an empty array and
    draws nothing from ``rng``.
+
+Every multi-query route (:func:`~repro.engine.fused.run_fused_queries`,
+:func:`~repro.engine.multi.run_walk_tasks`) runs on these three kernels
+alone, so any registered backend runs every fused group.
 
 Backends are selected per call (``tea(..., backend="reference")``), per
 process (:func:`set_default_backend` or the ``REPRO_BACKEND`` environment
@@ -119,19 +124,10 @@ def chunk_sizes(total: int, chunk: int | None = None) -> Iterator[int]:
 class Backend(Protocol):
     """Execution engine for the random-walk phases of the estimators.
 
-    Beyond the three required kernels, backends may advertise *optional*
-    capabilities (deliberately not part of this protocol, so minimal
-    backends remain valid):
-
-    * ``supports_step_counts`` — the kernels accept a per-walk
-      ``step_counts`` out-array for exact fused-batch accounting.
-    * ``supports_fused`` plus ``fused_push_walk(graph, group, rng, *,
-      want_steps=False)`` — one-pass fused execution of a multi-query
-      group (:mod:`repro.engine.fused`): sample each walk's start from its
-      query's residue distribution and run the walk in the same kernel
-      call, returning ``(ends, per_walk_steps)``.
-      :func:`~repro.engine.multi.execute_plans` routes eligible plans
-      through it and falls back to the task path otherwise.
+    Each kernel takes an optional ``step_counts`` out-array: a
+    caller-allocated per-walk ``int64`` array that each walk's traversed
+    edges are added to.  The multi-query layers pass it to split a shared
+    kernel call's ``walk_steps`` exactly among the queries in it.
     """
 
     name: str
@@ -145,6 +141,7 @@ class Backend(Protocol):
         rng: np.random.Generator,
         *,
         counters: OperationCounters | None = None,
+        step_counts: np.ndarray | None = None,
     ) -> np.ndarray:
         """Run one hop-conditioned heat kernel walk per entry (Algorithm 2)."""
         ...
@@ -158,6 +155,7 @@ class Backend(Protocol):
         *,
         max_length: int | None = None,
         counters: OperationCounters | None = None,
+        step_counts: np.ndarray | None = None,
     ) -> np.ndarray:
         """Run one Poisson(t)-length walk per entry (Monte-Carlo / ClusterHKPR)."""
         ...
@@ -170,6 +168,7 @@ class Backend(Protocol):
         rng: np.random.Generator,
         *,
         counters: OperationCounters | None = None,
+        step_counts: np.ndarray | None = None,
     ) -> np.ndarray:
         """Run one restart-probability-``alpha`` walk per entry (FORA / PPR)."""
         ...
@@ -296,12 +295,8 @@ def use_backend(name: str) -> Iterator[Backend]:
 from repro.engine.fused import (  # noqa: E402
     FusedGroup,
     FusedQuery,
-    fusion_disabled,
-    fusion_enabled,
     run_fused_queries,
     sample_fused_starts,
-    set_fusion_enabled,
-    supports_fused,
 )
 from repro.engine.multi import (  # noqa: E402
     WalkPlan,
@@ -335,8 +330,6 @@ __all__ = [
     "chunk_sizes",
     "default_backend_name",
     "execute_plans",
-    "fusion_disabled",
-    "fusion_enabled",
     "get_backend",
     "register_backend",
     "restart_chunk",
@@ -344,8 +337,6 @@ __all__ = [
     "run_walk_tasks",
     "sample_fused_starts",
     "set_default_backend",
-    "set_fusion_enabled",
-    "supports_fused",
     "unregister_backend",
     "use_backend",
 ]

@@ -1,51 +1,37 @@
-"""Fused push→walk execution: residue sampling and walks in one kernel pass.
+"""Many queries' walk phases as shared kernel calls, starts drawn by inverse CDF.
 
-The unfused pipeline answers a batch of queries in two stages with a Python
-re-entry per query between them: each plan samples its walk starts from its
-push phase's residue vector (an :class:`~repro.hkpr.alias.AliasSampler`
-build plus a chunked ``sample_indices`` loop, per query), and only then do
-the assembled :class:`~repro.engine.multi.WalkTask`\\ s fuse into shared
-kernel calls.  This module removes that re-entry: a query's walk phase is
-described *symbolically* as a :class:`FusedQuery` (its residue entries,
-their weights, and a walk count), compatible queries concatenate into one
-:class:`FusedGroup`, and a single backend kernel both samples every walk's
-start from its query's residue distribution (inverse-CDF over an
-offset-concatenated cumulative table) and runs the walk — one pass over
-the CSR arrays, zero per-query Python.
+A query's walk phase is described as data: a :class:`FusedQuery` holds
+its start distribution (residue entries ``(u, k)`` and their weights; a
+Monte-Carlo query has one entry, its seed) and a walk count.
+:func:`run_fused_queries` concatenates fuse-compatible queries into one
+:class:`FusedGroup`, draws every walk's start with
+:func:`sample_fused_starts` (one ``searchsorted`` over an
+offset-concatenated CDF), and runs the walks through the backend's own
+kernel (``walk_batch``, ``poisson_walk_batch`` or
+``geometric_walk_batch``), so every backend runs every group.
 
-Backends advertise the capability with ``supports_fused = True`` and a
-``fused_push_walk(graph, group, rng, *, want_steps=False)`` method
-returning ``(ends, per_walk_steps)``.  The capability is *optional* — it
-is deliberately not part of the :class:`~repro.engine.Backend` protocol,
-so scalar/reference backends remain valid backends and
-:func:`~repro.engine.multi.execute_plans` falls back to the task path
-whenever the resolved backend lacks it (or fusion is disabled via
-``$REPRO_DISABLE_FUSED`` / :func:`set_fusion_enabled`).
+The same draw serves the single-query walk phases of TEA, TEA+ and FORA
+(Algorithms 3 and 5, Line 10) and the pinned plans' ``tasks``: each
+chunk of walks is a one-query :class:`FusedGroup`.  A start costs one
+``rng.random`` draw; a group whose queries all have one entry draws
+nothing.
 
-Determinism contract: a fused batch is a pure function of
+Determinism contract: a batch is a pure function of
 ``(backend, rng state, ordered query list, fusion cap)``.  The start of
-walk ``w`` of query ``q`` follows exactly the query's normalized residue
-distribution (the statistical parity suite verifies this against the
-exact law), and each backend's one-pass kernel is byte-identical to
-running its own two-pass split (sample starts, then walk from those
-starts) with the same seed — the property the byte-parity tests pin down.
-Fused results legitimately differ bytewise from the alias-sampled unfused
-path (different draw sequence, same distribution), which is why the
-service keeps seed-pinned requests on the unfused task route.
+walk ``w`` of query ``q`` follows the query's normalized entry
+distribution, which the statistical parity suite checks against the
+exact mixture law on every backend.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from collections.abc import Sequence
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro import obs
-from repro.engine import Backend, as_int_array, get_backend, restart_chunk
+from repro.engine import Backend, as_int_array, chunk_sizes, get_backend, restart_chunk
+from repro.engine.multi import WalkTask, _adapt_graph, _kernel_call, _merge_extras
 from repro.exceptions import ParameterError
 from repro.utils.counters import OperationCounters
 from repro.utils.deadline import Deadline
@@ -58,58 +44,19 @@ if TYPE_CHECKING:
 #: :data:`repro.engine.multi.TASK_KINDS`).
 FUSED_KINDS = ("heat", "poisson", "geometric")
 
-#: Environment variable that disables fused execution when set to 1/true/yes.
-DISABLE_ENV_VAR = "REPRO_DISABLE_FUSED"
-
-_fusion_override: bool | None = None
-
-
-def fusion_enabled() -> bool:
-    """Whether :func:`~repro.engine.multi.execute_plans` may route through
-    fused kernels (subject to backend capability)."""
-    if _fusion_override is not None:
-        return _fusion_override
-    return os.environ.get(DISABLE_ENV_VAR, "").strip().lower() not in (
-        "1", "true", "yes",
-    )
-
-
-def set_fusion_enabled(enabled: bool | None) -> None:
-    """Force fusion on/off for this process; ``None`` restores the env rule."""
-    global _fusion_override
-    _fusion_override = enabled
-
-
-@contextmanager
-def fusion_disabled():
-    """Temporarily run every plan through the unfused task path (benchmarks
-    time the fused/unfused ratio through this, via public entry points)."""
-    global _fusion_override
-    previous = _fusion_override
-    _fusion_override = False
-    try:
-        yield
-    finally:
-        _fusion_override = previous
-
-
-def supports_fused(backend: Any) -> bool:
-    """Whether ``backend`` implements the optional fused capability."""
-    return bool(getattr(backend, "supports_fused", False)) and callable(
-        getattr(backend, "fused_push_walk", None)
-    )
-
 
 class FusedQuery:
-    """One query's walk phase, reduced to data a fused kernel can consume.
+    """One query's walk phase, reduced to data a kernel call can consume.
 
     ``entry_nodes``/``entry_weights`` describe the residue distribution the
     walk starts are drawn from (for plans whose walks all start at the seed
-    node, a single entry of weight 1).  ``num_walks`` walks are run, each
-    picking its start independently from that distribution.  Kind-specific
-    parameters mirror :class:`~repro.engine.multi.WalkTask`: ``heat`` needs
-    ``weights`` and per-entry ``entry_hops``, ``poisson`` needs ``weights``
-    (plus optional ``max_length``), ``geometric`` needs ``alpha``.
+    node, a single entry of weight 1).  Weights are non-negative with a
+    positive sum; zero-weight entries are dropped, so no walk starts there.
+    ``num_walks`` walks are run, each picking its start independently from
+    that distribution.  Kind-specific parameters mirror
+    :class:`~repro.engine.multi.WalkTask`: ``heat`` needs ``weights`` and
+    per-entry ``entry_hops``, ``poisson`` needs ``weights`` (plus optional
+    ``max_length``), ``geometric`` needs ``alpha``.
     """
 
     __slots__ = (
@@ -135,8 +82,6 @@ class FusedQuery:
             )
         self.kind = kind
         self.entry_nodes = as_int_array(entry_nodes)
-        if self.entry_nodes.size == 0:
-            raise ParameterError("fused query needs at least one entry node")
         self.entry_weights = np.atleast_1d(
             np.asarray(entry_weights, dtype=np.float64)
         )
@@ -146,9 +91,9 @@ class FusedQuery:
                 f"entry_nodes shape {self.entry_nodes.shape}"
             )
         if not np.all(np.isfinite(self.entry_weights)) or np.any(
-            self.entry_weights <= 0.0
+            self.entry_weights < 0.0
         ):
-            raise ParameterError("entry weights must be positive and finite")
+            raise ParameterError("entry weights must be non-negative and finite")
         self.num_walks = int(num_walks)
         if self.num_walks < 1:
             raise ParameterError(
@@ -174,6 +119,14 @@ class FusedQuery:
             raise ParameterError("geometric fused queries need alpha")
         elif not 0.0 < alpha < 1.0:
             raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
+        positive = self.entry_weights > 0.0
+        if not positive.all():
+            self.entry_nodes = self.entry_nodes[positive]
+            self.entry_weights = self.entry_weights[positive]
+            if self.entry_hops is not None:
+                self.entry_hops = self.entry_hops[positive]
+        if self.entry_nodes.size == 0:
+            raise ParameterError("fused query needs an entry of positive weight")
 
     def fuse_key(self) -> tuple:
         """Queries with equal keys may share one kernel call (identical to
@@ -268,13 +221,13 @@ class FusedGroup:
 def sample_fused_starts(
     group: FusedGroup, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Vectorized start sampling for a fused group (draw pass of the
-    vectorized backend's fused kernel, exposed for two-pass byte-parity).
+    """Draw every walk's start in ``group`` from its query's entry weights.
 
-    Draws ``rng.random(total_walks)`` iff any query has more than one
-    residue entry; single-entry groups (e.g. a batch of Monte-Carlo
-    queries, whose walks all start at their seed) draw nothing.  Returns
-    owned arrays safe to hand to the in-place ``*_validated`` kernels.
+    Inverse CDF: one ``rng.random(total_walks)`` draw and one
+    ``searchsorted`` when any query has more than one entry; single-entry
+    groups (e.g. a batch of Monte-Carlo queries, whose walks all start at
+    their seed) draw nothing.  Returns owned ``(starts, hops)`` arrays;
+    ``hops`` is ``None`` unless the group is ``heat``.
     """
     if not group.needs_sampling:
         picks = group.entry_ptr[group.walk_qid]
@@ -328,28 +281,23 @@ def run_fused_queries(
     max_fused_walks: int | None = None,
     deadline: Deadline | None = None,
 ) -> list[np.ndarray]:
-    """Execute ``queries`` on ``graph`` through fused push+walk kernels.
+    """Execute ``queries`` on ``graph``, fusing compatible queries per kernel call.
 
-    The fused analogue of :func:`repro.engine.multi.run_walk_tasks`:
-    queries group by :meth:`FusedQuery.fuse_key`, each group runs as one
-    ``fused_push_walk`` kernel call per ≤``max_fused_walks``-walk
-    sub-batch (restart walks also per :func:`repro.engine.restart_chunk`,
-    at most :data:`repro.engine.MAX_EXPECTED_STEPS` expected steps a call),
-    and endpoints split back out per query, in order.  Counter
-    attribution is exact — fused backends report per-walk step counts.
-    The optional ``deadline`` is checkpointed before every kernel call.
+    Queries group by :meth:`FusedQuery.fuse_key`; each group runs one
+    kernel call per ≤``max_fused_walks``-walk sub-batch (restart walks also
+    per :func:`repro.engine.restart_chunk`, at most
+    :data:`repro.engine.MAX_EXPECTED_STEPS` expected steps a call): draw
+    the starts with :func:`sample_fused_starts`, then walk them with the
+    backend's own kernel.  Endpoints split back out per query, in order.
+    Counters are exact: ``random_walks`` per query, ``walk_steps`` from the
+    kernels' per-walk ``step_counts``, and each call's kernel time split by
+    walk share.  The optional ``deadline`` is checkpointed before every
+    kernel call.
     """
     from repro import engine as engine_module
 
     engine = get_backend(backend)
-    from repro.engine.multi import _adapt_graph
-
     graph = _adapt_graph(graph, engine)
-    if not supports_fused(engine):
-        raise ParameterError(
-            f"backend {getattr(engine, 'name', engine)!r} does not implement "
-            f"fused_push_walk"
-        )
     if counters_list is not None and len(counters_list) != len(queries):
         raise ParameterError(
             f"counters_list length {len(counters_list)} != number of "
@@ -378,49 +326,24 @@ def run_fused_queries(
         for slices in _split_group(indices, queries, group_cap):
             if deadline is not None:
                 deadline.checkpoint()
-            batch_queries = [queries[i] for i, _ in slices]
-            batch_counts = [count for _, count in slices]
-            group = FusedGroup(graph, batch_queries, batch_counts)
-            want_steps = counters_list is not None and any(
-                counters_list[i] is not None for i, _ in slices
+            sizes = [count for _, count in slices]
+            group = FusedGroup(graph, [queries[i] for i, _ in slices], sizes)
+            starts, hops = sample_fused_starts(group, rng)
+            slice_counters = [
+                counters_list[i] if counters_list is not None else None
+                for i, _ in slices
+            ]
+            slice_ends, steps, scratch = _kernel_call(
+                engine, graph, group, starts, hops, rng, sizes,
+                want_steps=any(c is not None for c in slice_counters),
             )
-            obs_on = obs.enabled()
-            kernel_started = time.perf_counter() if obs_on else 0.0
-            ends, step_counts = engine.fused_push_walk(
-                graph, group, rng, want_steps=want_steps
-            )
-            if obs_on:
-                # The fused kernel serves several queries in one pass, so
-                # its wall time is split back out proportionally by each
-                # query's walk share (kernel cost is per-walk to first
-                # order); the registry series keeps the unsplit total.
-                elapsed = time.perf_counter() - kernel_started
-                obs.record_kernel(
-                    getattr(engine, "name", "backend"),
-                    f"fused-{group.kind}",
-                    group.total_walks,
-                    elapsed,
-                )
-                if counters_list is not None and group.total_walks:
-                    for index, take in slices:
-                        slice_counters = counters_list[index]
-                        if slice_counters is None:
-                            continue
-                        share = elapsed * take / group.total_walks
-                        slice_counters.extras["kernel_seconds"] = (
-                            float(slice_counters.extras.get("kernel_seconds", 0.0))
-                            + share
-                        )
-            if ends.shape != (group.total_walks,):
-                raise ParameterError(
-                    f"fused backend returned {ends.shape} endpoints for "
-                    f"{group.total_walks} walks"
-                )
             for position, (index, _) in enumerate(slices):
-                lo, hi = group.walk_ptr[position], group.walk_ptr[position + 1]
-                pieces[index].append(ends[lo:hi])
-                if step_counts is not None:
-                    step_totals[index] += int(step_counts[lo:hi].sum())
+                pieces[index].append(slice_ends[position])
+                step_totals[index] += steps[position]
+                _merge_extras(
+                    slice_counters[position], scratch, sizes[position],
+                    group.total_walks,
+                )
         if counters_list is not None:
             for index in indices:
                 counters = counters_list[index]
@@ -437,3 +360,24 @@ def run_fused_queries(
         chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
         for chunks in pieces
     ]
+
+
+def sampled_tasks(
+    graph: "Graph", queries: Sequence[FusedQuery], rng: np.random.Generator
+) -> list[WalkTask]:
+    """``queries``' walks as :class:`~repro.engine.multi.WalkTask`\\ s with
+    drawn starts, chunked to :data:`repro.engine.WALK_CHUNK_SIZE`.
+
+    Each chunk is a one-query :class:`FusedGroup` sampled by
+    :func:`sample_fused_starts` from ``rng``, so a pinned plan draws its
+    starts the way its single-query estimator does.
+    """
+    tasks = []
+    for query in queries:
+        for batch in chunk_sizes(query.num_walks):
+            starts, hops = sample_fused_starts(FusedGroup(graph, [query], [batch]), rng)
+            tasks.append(WalkTask(
+                query.kind, starts, hop_offsets=hops, weights=query.weights,
+                alpha=query.alpha, max_length=query.max_length,
+            ))
+    return tasks

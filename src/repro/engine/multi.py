@@ -4,23 +4,23 @@ The kernels of the :class:`~repro.engine.Backend` protocol are already
 multi-*source* (every walk in a batch may start at a different node), but the
 estimators each submit their own batches, so `k` concurrent queries pay the
 per-level Python overhead of the level-synchronous kernels `k` times.  This
-module adds the multi-*query* entry point the serving layer
+module adds the multi-*query* entry points the serving layer
 (:mod:`repro.service`) is built on:
 
 * :class:`WalkTask` — one query's walk phase described as data: the kernel
   kind (``"heat"``, ``"poisson"``, ``"geometric"``), its start nodes and the
-  kernel parameters.
+  kernel parameters.  Pinned requests and the walk-index builder run these.
 * :func:`run_walk_tasks` — groups compatible tasks (same kernel and
   parameters), concatenates their start arrays, performs **one** kernel call
   per group, and splits the endpoints back out per task, in order.  Per-task
-  counters receive exact ``random_walks``; ``walk_steps`` is exact whenever
-  the backend advertises ``supports_step_counts`` (the vectorized backend
-  does) and is otherwise attributed proportionally to task size, flagged via
-  ``extras["walk_steps_attribution"]``.
+  counters receive exact ``random_walks`` and, from the kernels' per-walk
+  ``step_counts``, exact ``walk_steps``.
 * :class:`WalkPlan` / :func:`execute_plans` — the two-phase query shape the
   micro-batcher consumes: a plan is built per query (running any
-  deterministic push phase eagerly), exposes its fusible ``tasks``, and is
-  ``finalize``\\ d with the walk endpoints once the fused batch returns.
+  deterministic push phase eagerly), exposes its walk phase as
+  :class:`~repro.engine.fused.FusedQuery` data, and is ``finalize``\\ d with
+  the walk endpoints once :func:`~repro.engine.fused.run_fused_queries`
+  returns.
 
 Determinism caveat: fused walks draw from one shared generator, so a query's
 individual endpoints depend on which queries it was co-batched with.  The
@@ -106,105 +106,76 @@ class WalkTask:
         return ("geometric", self.alpha)
 
 
-def _run_group(
+def _kernel_call(
     backend: Backend,
     graph: "Graph",
-    tasks: list[WalkTask],
+    law,
+    starts: np.ndarray,
+    hops: np.ndarray | None,
     rng: np.random.Generator,
+    sizes: list[int],
+    *,
     want_steps: bool,
-) -> tuple[list[np.ndarray], OperationCounters, np.ndarray | None]:
-    """One kernel call for a group of fuse-compatible tasks; split endpoints."""
-    first = tasks[0]
-    sizes = [task.num_walks for task in tasks]
+) -> tuple[list[np.ndarray], list[int], OperationCounters]:
+    """One backend kernel call for consecutive slices of ``sizes`` walks.
+
+    ``law`` (a :class:`WalkTask` or a :class:`~repro.engine.fused.FusedGroup`)
+    supplies the kind and kernel parameters.  Returns the endpoints split
+    per slice, each slice's walk steps (exact when ``want_steps``, from the
+    kernel's per-walk ``step_counts`` when there is more than one slice),
+    and the call's scratch counters, which hold its ``kernel_seconds`` and
+    backend extras.
+    """
     total = sum(sizes)
     scratch = OperationCounters()
-    if len(tasks) == 1:
-        starts = first.start_nodes
-        hops = first.hop_offsets
-    else:
-        starts = np.concatenate([task.start_nodes for task in tasks])
-        if first.kind == "heat":
-            hops = np.concatenate([task.hop_offsets for task in tasks])
-        else:
-            hops = None
-
-    step_counts = None
-    if (
-        want_steps
-        and len(tasks) > 1
-        and total
-        and getattr(backend, "supports_step_counts", False)
-    ):
-        step_counts = np.zeros(total, dtype=np.int64)
-
     kwargs: dict[str, Any] = {"counters": scratch}
-    if step_counts is not None:
-        kwargs["step_counts"] = step_counts
-    if first.kind == "heat":
-        ends = backend.walk_batch(graph, starts, hops, first.weights, rng, **kwargs)
-    elif first.kind == "poisson":
+    step_counts = None
+    if want_steps and len(sizes) > 1:
+        step_counts = kwargs["step_counts"] = np.zeros(total, dtype=np.int64)
+    if law.kind == "heat":
+        ends = backend.walk_batch(graph, starts, hops, law.weights, rng, **kwargs)
+    elif law.kind == "poisson":
         ends = backend.poisson_walk_batch(
-            graph, starts, first.weights, rng, max_length=first.max_length, **kwargs
+            graph, starts, law.weights, rng, max_length=law.max_length, **kwargs
         )
     else:
-        ends = backend.geometric_walk_batch(graph, starts, first.alpha, rng, **kwargs)
-
+        ends = backend.geometric_walk_batch(graph, starts, law.alpha, rng, **kwargs)
+    if ends.shape != (total,):
+        raise ParameterError(
+            f"backend returned {ends.shape} endpoints for {total} walks"
+        )
     bounds = np.cumsum([0] + sizes)
-    pieces = [ends[bounds[i]: bounds[i + 1]] for i in range(len(tasks))]
-    return pieces, scratch, step_counts
-
-
-def _attribute_counters(
-    tasks: list[WalkTask],
-    counters: list[OperationCounters | None],
-    scratch: OperationCounters,
-    step_counts: np.ndarray | None,
-) -> None:
-    """Split one fused kernel call's accounting back out per task."""
-    sizes = [task.num_walks for task in tasks]
-    total = sum(sizes)
-    bounds = np.cumsum([0] + sizes)
-
-    # Per-task step shares are computed over *every* task — including those
-    # without counters — so tasks with a None entry do not shift their share
-    # onto whichever task with counters happens to come last.
-    proportional = len(tasks) > 1 and step_counts is None
-    if proportional:
-        shares = [
-            int(round(scratch.walk_steps * size / total)) if total else 0
-            for size in sizes[:-1]
+    pieces = [ends[bounds[i]: bounds[i + 1]] for i in range(len(sizes))]
+    if step_counts is None:
+        steps = [scratch.walk_steps] if len(sizes) == 1 else [0] * len(sizes)
+    else:
+        steps = [
+            int(step_counts[bounds[i]: bounds[i + 1]].sum())
+            for i in range(len(sizes))
         ]
-        shares.append(scratch.walk_steps - sum(shares))
+    return pieces, steps, scratch
 
-    # Kernel wall time (recorded by the backend's profiling hook into the
-    # shared scratch counters) is per-walk cost to first order: split it
-    # proportionally by task size instead of letting the generic
-    # setdefault copy below hand every task the full group total.
-    scratch_extras = dict(scratch.extras)
-    kernel_seconds = scratch_extras.pop("kernel_seconds", None)
 
-    for i, task_counters in enumerate(counters):
-        if task_counters is None:
-            continue
-        task_counters.random_walks += sizes[i]
-        if len(tasks) == 1:
-            steps = scratch.walk_steps
-        elif step_counts is not None:
-            steps = int(step_counts[bounds[i]: bounds[i + 1]].sum())
+def _merge_extras(
+    counters: OperationCounters | None,
+    scratch: OperationCounters,
+    walks: int,
+    total: int,
+) -> None:
+    """Give ``counters`` its share of one kernel call's scratch extras.
+
+    Kernel wall time is per-walk cost to first order, so ``kernel_seconds``
+    splits by walk share; other backend extras (``walk_workers``, ...) are
+    copied unless already set.
+    """
+    if counters is None:
+        return
+    for key, value in scratch.extras.items():
+        if key == "kernel_seconds":
+            share = value * walks / total if total else 0.0
+            counters.extras[key] = float(counters.extras.get(key, 0.0)) + share
         else:
-            steps = shares[i]
-            task_counters.extras["walk_steps_attribution"] = "proportional"
-        task_counters.walk_steps += steps
-        if kernel_seconds is not None:
-            share = kernel_seconds * sizes[i] / total if total else 0.0
-            task_counters.extras["kernel_seconds"] = (
-                float(task_counters.extras.get("kernel_seconds", 0.0)) + share
-            )
-        for key, value in scratch_extras.items():
-            task_counters.extras.setdefault(key, value)
-        if len(tasks) > 1:
-            task_counters.extras["fused_tasks"] = len(tasks)
-            task_counters.extras["fused_walks"] = total
+            counters.extras.setdefault(key, value)
 
 
 def _adapt_graph(graph: "Graph", engine: Backend) -> "Graph":
@@ -322,17 +293,36 @@ def run_walk_tasks(
             if deadline is not None:
                 deadline.checkpoint()
             group = [_task_slice(tasks[i], lo, hi) for i, lo, hi in slices]
+            sizes = [task.num_walks for task in group]
+            total = sum(sizes)
+            if len(group) == 1:
+                starts, hops = group[0].start_nodes, group[0].hop_offsets
+            else:
+                starts = np.concatenate([task.start_nodes for task in group])
+                hops = (
+                    np.concatenate([task.hop_offsets for task in group])
+                    if first.kind == "heat"
+                    else None
+                )
             group_counters = [
                 counters_list[i] if counters_list is not None else None
                 for i, _, _ in slices
             ]
-            want_steps = any(c is not None for c in group_counters)
-            pieces, scratch, step_counts = _run_group(
-                engine, graph, group, rng, want_steps
+            pieces, steps, scratch = _kernel_call(
+                engine, graph, first, starts, hops, rng, sizes,
+                want_steps=any(c is not None for c in group_counters),
             )
-            _attribute_counters(group, group_counters, scratch, step_counts)
             for position, (index, _, _) in enumerate(slices):
                 results[index].append(pieces[position])
+                counters = group_counters[position]
+                if counters is None:
+                    continue
+                counters.random_walks += sizes[position]
+                counters.walk_steps += steps[position]
+                _merge_extras(counters, scratch, sizes[position], total)
+                if len(group) > 1:
+                    counters.extras["fused_tasks"] = len(group)
+                    counters.extras["fused_walks"] = total
     return [
         chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
         for chunks in results
@@ -343,18 +333,24 @@ def run_walk_tasks(
 class WalkPlan(Protocol):
     """A query split into a fusible walk phase and a finalization step.
 
-    Implementations run any deterministic work (push phases, residue
-    sampling) at construction time, expose the walk phase as ``tasks``, and
-    assemble the query result from the walk endpoints in ``finalize``.
-    ``counters`` (may be ``None``) receives the walk accounting for every
-    task of the plan.
+    Implementations run any deterministic work (push phases) at
+    construction time, expose the walk phase as
+    :class:`~repro.engine.fused.FusedQuery` data from ``fused_queries()``,
+    and assemble the query result from the walk endpoints in ``finalize``.
+    ``counters`` (may be ``None``) receives the walk accounting.  Plans the
+    service runs for seed-pinned requests also expose ``tasks``: the same
+    walks as :class:`WalkTask`\\ s with drawn starts.
     """
 
-    tasks: Sequence[WalkTask]
     counters: OperationCounters | None
 
+    def fused_queries(self) -> Sequence[Any]:
+        """The walk phase, one :class:`~repro.engine.fused.FusedQuery` per
+        start distribution (empty when there is nothing to walk)."""
+        ...
+
     def finalize(self, endpoints: Sequence[np.ndarray]) -> Any:
-        """Build the query result from one endpoint array per task."""
+        """Build the query result from one endpoint array per fused query."""
         ...
 
 
@@ -371,103 +367,53 @@ def execute_plans(
 
     The batched entry points (``monte_carlo_hkpr_many`` et al.) and the
     service micro-batcher both funnel through here, so fusion semantics
-    exist exactly once.
-
-    Routing: when the resolved backend implements the optional
-    ``fused_push_walk`` capability (and fusion is not disabled), every plan
-    exposing ``fused_queries()`` runs through the one-pass fused kernels of
-    :mod:`repro.engine.fused` — start sampling and walks in a single kernel
-    call per query group, no per-plan Python re-entry.  Plans without the
-    hook (e.g. :class:`~repro.estimators.spec.DirectPlan` or third-party
-    plans) and all plans on non-fused backends take the classic
-    :class:`WalkTask` path.  Fused plans execute before task plans, each
-    set drawing from the shared ``rng`` in plan order.
+    exist exactly once: every plan's ``fused_queries()`` run through one
+    :func:`~repro.engine.fused.run_fused_queries` call on the resolved
+    backend, drawing from the shared ``rng`` in plan order.
 
     The optional ``deadline`` applies to the whole batch: it is checkpointed
-    between kernel calls on both paths, and tripping it abandons the entire
-    remaining batch (the service passes the batch's latest member deadline).
+    between kernel calls, and tripping it abandons the entire remaining
+    batch (the service passes the batch's latest member deadline).
 
     ``traces`` (when given) must align with ``plans``; entries may be
     ``None``.  Each plan's trace receives a ``kernel`` span covering the
-    wall time its walks spent in kernel calls (for fused groups, the whole
-    shared call — each member really did wait that long) and a ``finalize``
-    span around its own result assembly.
+    wall time of the batch's kernel calls (each member really did wait
+    that long) and a ``finalize`` span around its own result assembly.
     """
-    from repro.engine.fused import fusion_enabled, run_fused_queries, supports_fused
+    from repro.engine import fused
 
     engine = get_backend(backend)
     graph = _adapt_graph(graph, engine)
-    fuse = fusion_enabled() and supports_fused(engine)
     if traces is not None and len(traces) != len(plans):
         raise ParameterError(
             f"traces length {len(traces)} != number of plans {len(plans)}"
         )
 
-    def _trace(index: int):
-        return traces[index] if traces is not None else None
+    queries: list[Any] = []
+    counters_list: list[OperationCounters | None] = []
+    spans: list[tuple[int, int]] = []
+    for plan in plans:
+        start = len(queries)
+        queries.extend(plan.fused_queries())
+        counters_list.extend([plan.counters] * (len(queries) - start))
+        spans.append((start, len(queries)))
 
-    def _finalize(index: int, endpoints_slice) -> Any:
-        trace = _trace(index)
+    kernel_started = time.perf_counter()
+    endpoints = fused.run_fused_queries(
+        engine, graph, queries, rng, counters_list=counters_list,
+        deadline=deadline,
+    )
+    kernel_ended = time.perf_counter()
+    results: list[Any] = []
+    for index, (plan, (start, stop)) in enumerate(zip(plans, spans)):
+        trace = traces[index] if traces is not None else None
+        if trace is not None:
+            trace.add_span(
+                "kernel", kernel_started, kernel_ended,
+                backend=getattr(engine, "name", "backend"), fused=True,
+            )
         started = time.perf_counter()
-        result = plans[index].finalize(endpoints_slice)
+        results.append(plan.finalize(endpoints[start:stop]))
         if trace is not None:
             trace.add_span("finalize", started, time.perf_counter())
-        return result
-
-    results: list[Any] = [None] * len(plans)
-    fused_queries: list[Any] = []
-    fused_counters: list[OperationCounters | None] = []
-    fused_spans: list[tuple[int, int, int]] = []
-    task_indices: list[int] = []
-    for index, plan in enumerate(plans):
-        getter = getattr(plan, "fused_queries", None) if fuse else None
-        if getter is None:
-            task_indices.append(index)
-            continue
-        queries = getter()
-        start = len(fused_queries)
-        fused_queries.extend(queries)
-        fused_counters.extend([plan.counters] * len(queries))
-        fused_spans.append((index, start, len(fused_queries)))
-
-    if fused_spans:
-        kernel_started = time.perf_counter()
-        endpoints = run_fused_queries(
-            engine, graph, fused_queries, rng, counters_list=fused_counters,
-            deadline=deadline,
-        )
-        kernel_ended = time.perf_counter()
-        for index, start, stop in fused_spans:
-            trace = _trace(index)
-            if trace is not None:
-                trace.add_span(
-                    "kernel", kernel_started, kernel_ended,
-                    backend=getattr(engine, "name", "backend"), fused=True,
-                )
-            results[index] = _finalize(index, endpoints[start:stop])
-
-    if task_indices:
-        tasks: list[WalkTask] = []
-        counters_list: list[OperationCounters | None] = []
-        spans: list[tuple[int, int, int]] = []
-        for index in task_indices:
-            plan = plans[index]
-            start = len(tasks)
-            tasks.extend(plan.tasks)
-            counters_list.extend([plan.counters] * (len(tasks) - start))
-            spans.append((index, start, len(tasks)))
-        kernel_started = time.perf_counter()
-        endpoints = run_walk_tasks(
-            engine, graph, tasks, rng, counters_list=counters_list,
-            deadline=deadline,
-        )
-        kernel_ended = time.perf_counter()
-        for index, start, stop in spans:
-            trace = _trace(index)
-            if trace is not None:
-                trace.add_span(
-                    "kernel", kernel_started, kernel_ended,
-                    backend=getattr(engine, "name", "backend"), fused=False,
-                )
-            results[index] = _finalize(index, endpoints[start:stop])
     return results

@@ -309,46 +309,40 @@ def _attach_csr(meta: dict) -> _CSRView:  # pragma: no cover - worker-side
 # ---------------------------------------------------------------------- #
 # Shard execution (identical code inline and in workers)
 # ---------------------------------------------------------------------- #
-def _execute_shard(graph_like, payload: dict) -> tuple[np.ndarray, int]:
+def _execute_shard(graph_like, payload: dict) -> tuple[np.ndarray, int, np.ndarray | None]:
     """Run one shard's walks with its own spawned RNG stream.
 
     The payload arrays were validated once by the parent (and are either
     disjoint slices of the parent's private copies, inline, or pickled
     copies, pooled), so the shard calls the vectorized kernels' validated
-    entry points directly — no second validation scan or copy.
+    entry points directly — no second validation scan or copy.  Returns
+    the endpoints, the shard's total steps and, when the payload asks for
+    them, its per-walk step counts.
     """
     rng = np.random.default_rng(payload["seed"])
     counters = OperationCounters()
+    starts = payload["starts"]
+    step_counts = np.zeros(starts.size, dtype=np.int64) if payload["steps"] else None
     kernel = payload["kernel"]
-    if kernel == "walk":
+    if kernel == "heat":
         ends = walk_batch_validated(
-            graph_like,
-            payload["starts"],
-            payload["hops"],
-            payload["weights"],
-            rng,
-            counters=counters,
+            graph_like, starts, payload["hops"], payload["weights"], rng,
+            counters=counters, step_counts=step_counts,
         )
     elif kernel == "poisson":
         ends = poisson_walk_batch_validated(
-            graph_like,
-            payload["starts"],
-            payload["weights"],
-            rng,
-            max_length=payload["max_length"],
-            counters=counters,
+            graph_like, starts, payload["weights"], rng,
+            max_length=payload["max_length"], counters=counters,
+            step_counts=step_counts,
         )
     elif kernel == "geometric":
         ends = geometric_walk_batch_validated(
-            graph_like,
-            payload["starts"],
-            payload["alpha"],
-            rng,
-            counters=counters,
+            graph_like, starts, payload["alpha"], rng,
+            counters=counters, step_counts=step_counts,
         )
     else:  # pragma: no cover - internal invariant
         raise ValueError(f"unknown shard kernel {kernel!r}")
-    return ends, counters.walk_steps
+    return ends, counters.walk_steps, step_counts
 
 
 def _pool_shard(meta: dict, payload: dict):  # pragma: no cover - worker-side
@@ -447,123 +441,88 @@ class ParallelBackend:
         entropy = [int(x) for x in rng.integers(0, 2**63 - 1, size=4)]
         return np.random.SeedSequence(entropy).spawn(self.num_workers)
 
-    def _execute(
-        self, graph, payloads: list[dict], total: int
-    ) -> tuple[np.ndarray, int, str]:
-        use_pool = total >= self._min_parallel_batch and self.num_workers > 1
-        if use_pool:
-            meta = _shared_meta(graph)
+    def _run(
+        self,
+        kernel: str,
+        graph,
+        start_nodes,
+        rng,
+        counters,
+        step_counts,
+        hop_offsets=None,
+        **params,
+    ) -> np.ndarray:
+        """Validate, shard and run one kernel call inline or on the pool.
+
+        ``params`` are the kernel's own parameters (``weights``,
+        ``max_length``, ``alpha``), shipped unchanged to every shard.
+        """
+        starts = _validated_starts(graph, start_nodes)
+        total = starts.size
+        if total == 0:
+            return starts
+        hops = _validated_hops(starts, hop_offsets) if kernel == "heat" else None
+        seeds = self._spawn_seeds(rng)
+        payloads = [
+            {
+                "kernel": kernel,
+                "starts": starts[lo:hi],
+                "hops": None if hops is None else hops[lo:hi],
+                "steps": step_counts is not None,
+                "seed": seeds[i],
+                **params,
+            }
+            for i, (lo, hi) in enumerate(shard_bounds(total, self.num_workers))
+            if hi > lo
+        ]
+        with profile_kernel(self.name, kernel, total, counters):
+            use_pool = total >= self._min_parallel_batch and self.num_workers > 1
+            meta = _shared_meta(graph) if use_pool else None
             pool = self._ensure_pool() if meta is not None else None
             if pool is not None:
                 results = pool.starmap(
                     _pool_shard, [(meta, payload) for payload in payloads]
                 )
-                ends = np.concatenate([r[0] for r in results])
-                steps = sum(r[1] for r in results)
-                return ends, steps, "pool"
-        results = [_execute_shard(graph, payload) for payload in payloads]
+                mode = "pool"
+            else:
+                results = [_execute_shard(graph, payload) for payload in payloads]
+                mode = "inline"
         ends = np.concatenate([r[0] for r in results])
-        steps = sum(r[1] for r in results)
-        return ends, steps, "inline"
-
-    def _record(self, counters, total: int, steps: int, mode: str) -> None:
+        if step_counts is not None:
+            step_counts += np.concatenate([r[2] for r in results])
         if counters is not None:
             counters.random_walks += total
-            counters.walk_steps += steps
+            counters.walk_steps += sum(r[1] for r in results)
             counters.extras["walk_workers"] = self.num_workers
             counters.extras["walk_execution"] = mode
+        return ends
 
     # -------------------------------------------------------------- #
     # Kernels
     # -------------------------------------------------------------- #
     def walk_batch(
-        self,
-        graph,
-        start_nodes,
-        hop_offsets,
-        weights,
-        rng,
-        *,
-        counters=None,
+        self, graph, start_nodes, hop_offsets, weights, rng, *,
+        counters=None, step_counts=None,
     ) -> np.ndarray:
-        starts = _validated_starts(graph, start_nodes)
-        total = starts.size
-        if total == 0:
-            return starts
-        hops = _validated_hops(starts, hop_offsets)
-        seeds = self._spawn_seeds(rng)
-        payloads = [
-            {
-                "kernel": "walk",
-                "starts": starts[lo:hi],
-                "hops": hops[lo:hi],
-                "weights": weights,
-                "seed": seeds[i],
-            }
-            for i, (lo, hi) in enumerate(shard_bounds(total, self.num_workers))
-            if hi > lo
-        ]
-        with profile_kernel(self.name, "heat", total, counters):
-            ends, steps, mode = self._execute(graph, payloads, total)
-        self._record(counters, total, steps, mode)
-        return ends
+        return self._run(
+            "heat", graph, start_nodes, rng, counters, step_counts,
+            hop_offsets=hop_offsets, weights=weights,
+        )
 
     def poisson_walk_batch(
-        self,
-        graph,
-        start_nodes,
-        weights,
-        rng,
-        *,
-        max_length=None,
-        counters=None,
+        self, graph, start_nodes, weights, rng, *,
+        max_length=None, counters=None, step_counts=None,
     ) -> np.ndarray:
-        starts = _validated_starts(graph, start_nodes)
-        total = starts.size
-        if total == 0:
-            return starts
-        seeds = self._spawn_seeds(rng)
-        payloads = [
-            {
-                "kernel": "poisson",
-                "starts": starts[lo:hi],
-                "weights": weights,
-                "max_length": max_length,
-                "seed": seeds[i],
-            }
-            for i, (lo, hi) in enumerate(shard_bounds(total, self.num_workers))
-            if hi > lo
-        ]
-        with profile_kernel(self.name, "poisson", total, counters):
-            ends, steps, mode = self._execute(graph, payloads, total)
-        self._record(counters, total, steps, mode)
-        return ends
+        return self._run(
+            "poisson", graph, start_nodes, rng, counters, step_counts,
+            weights=weights, max_length=max_length,
+        )
 
     def geometric_walk_batch(
-        self,
-        graph,
-        start_nodes,
-        alpha,
-        rng,
-        *,
-        counters=None,
+        self, graph, start_nodes, alpha, rng, *,
+        counters=None, step_counts=None,
     ) -> np.ndarray:
-        starts = _validated_starts(graph, start_nodes)
-        total = starts.size
-        if total == 0:
-            return starts
-        seeds = self._spawn_seeds(rng)
-        payloads = [
-            {
-                "kernel": "geometric",
-                "starts": starts[lo:hi],
-                "alpha": alpha,
-                "seed": seeds[i],
-            }
-            for i, (lo, hi) in enumerate(shard_bounds(total, self.num_workers))
-            if hi > lo
-        ]
-        with profile_kernel(self.name, "geometric", total, counters):
-            ends, steps, mode = self._execute(graph, payloads, total)
-        self._record(counters, total, steps, mode)
-        return ends
+        return self._run(
+            "geometric", graph, start_nodes, rng, counters, step_counts,
+            alpha=alpha,
+        )

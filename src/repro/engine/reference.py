@@ -44,6 +44,19 @@ def geometric_walk(
     return current
 
 
+def _walk_each(starts: np.ndarray, walk_one, counters, step_counts) -> np.ndarray:
+    """``walk_one(i, tally)`` for every walk ``i``; each walk's steps are
+    the change in ``tally.walk_steps`` and go to ``step_counts[i]``."""
+    tally = counters if counters is not None else OperationCounters()
+    ends = np.empty(starts.size, dtype=np.int64)
+    for i in range(starts.size):
+        before = tally.walk_steps
+        ends[i] = walk_one(i, tally)
+        if step_counts is not None:
+            step_counts[i] += tally.walk_steps - before
+    return ends
+
+
 class ReferenceBackend:
     """Scalar per-walk execution (the pre-engine code paths)."""
 
@@ -62,15 +75,18 @@ class ReferenceBackend:
         rng: np.random.Generator,
         *,
         counters: OperationCounters | None = None,
+        step_counts: np.ndarray | None = None,
     ) -> np.ndarray:
         starts = as_int_array(start_nodes)
         hops = np.broadcast_to(as_int_array(hop_offsets), starts.shape)
-        ends = np.empty(starts.size, dtype=np.int64)
-        for i in range(starts.size):
-            ends[i] = k_random_walk(
-                graph, int(starts[i]), int(hops[i]), weights, rng, counters=counters
-            )
-        return ends
+        return _walk_each(
+            starts,
+            lambda i, tally: k_random_walk(
+                graph, int(starts[i]), int(hops[i]), weights, rng, counters=tally
+            ),
+            counters,
+            step_counts,
+        )
 
     def poisson_walk_batch(
         self,
@@ -81,19 +97,18 @@ class ReferenceBackend:
         *,
         max_length: int | None = None,
         counters: OperationCounters | None = None,
+        step_counts: np.ndarray | None = None,
     ) -> np.ndarray:
         starts = as_int_array(start_nodes)
-        ends = np.empty(starts.size, dtype=np.int64)
-        for i in range(starts.size):
-            ends[i] = poisson_length_walk(
-                graph,
-                int(starts[i]),
-                weights,
-                rng,
-                max_length=max_length,
-                counters=counters,
-            )
-        return ends
+        return _walk_each(
+            starts,
+            lambda i, tally: poisson_length_walk(
+                graph, int(starts[i]), weights, rng,
+                max_length=max_length, counters=tally,
+            ),
+            counters,
+            step_counts,
+        )
 
     def geometric_walk_batch(
         self,
@@ -103,11 +118,14 @@ class ReferenceBackend:
         rng: np.random.Generator,
         *,
         counters: OperationCounters | None = None,
+        step_counts: np.ndarray | None = None,
     ) -> np.ndarray:
         starts = as_int_array(start_nodes)
-        ends = np.empty(starts.size, dtype=np.int64)
-        for i in range(starts.size):
-            ends[i] = geometric_walk(
-                graph, int(starts[i]), alpha, rng, counters=counters
-            )
-        return ends
+        return _walk_each(
+            starts,
+            lambda i, tally: geometric_walk(
+                graph, int(starts[i]), alpha, rng, counters=tally
+            ),
+            counters,
+            step_counts,
+        )

@@ -108,9 +108,8 @@ def walk_batch_validated(
     directly so inputs a parent already validated are not re-scanned.
 
     ``step_counts``, when given, is a caller-allocated per-walk array that
-    each walk's traversed-edge count is accumulated into — the multi-query
-    fusion layer (:mod:`repro.engine.multi`) uses it to split the step
-    accounting of a fused batch back out to its constituent queries exactly.
+    each walk's traversed-edge count is accumulated into (the
+    :class:`~repro.engine.Backend` protocol's exact per-query accounting).
     """
     num_walks = current.size
     if num_walks == 0:
@@ -224,14 +223,6 @@ class VectorizedBackend:
         "level-synchronous NumPy kernels advancing all pending walks one "
         "hop per iteration (the default)"
     )
-    #: The kernels accept a per-walk ``step_counts`` out-array, letting the
-    #: fusion layer (:mod:`repro.engine.multi`) attribute traversed edges to
-    #: individual queries of a fused batch exactly.
-    supports_step_counts = True
-    #: Optional fused push+walk capability (:mod:`repro.engine.fused`):
-    #: residue-distribution start sampling and the walk batch run as one
-    #: pass, with no per-query Python re-entry.
-    supports_fused = True
     #: The kernels read neighbors through :func:`_neighbor_gather`, so a
     #: :class:`~repro.dynamic.delta.DeltaGraph` overlay can be walked
     #: directly without compaction (:meth:`DeltaGraph.for_backend`).
@@ -292,42 +283,3 @@ class VectorizedBackend:
                 graph, current, alpha, rng,
                 counters=counters, step_counts=step_counts,
             )
-
-    def fused_push_walk(
-        self,
-        graph: Graph,
-        group,
-        rng: np.random.Generator,
-        *,
-        want_steps: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Sample every walk's start from its query's residue distribution
-        and run the walk batch, in one call.
-
-        The start pass is a single ``searchsorted`` over the group's
-        offset-concatenated CDF (:func:`repro.engine.fused.sample_fused_starts`);
-        the walk pass reuses the validated in-place kernels.  Byte contract:
-        drawing the starts with ``sample_fused_starts`` and then calling the
-        corresponding ``*_walk_batch`` method on the same generator produces
-        identical endpoints — the two-pass equivalence the parity suite pins.
-        """
-        from repro.engine.fused import sample_fused_starts
-
-        current, hops = sample_fused_starts(group, rng)
-        step_counts = (
-            np.zeros(group.total_walks, dtype=np.int64) if want_steps else None
-        )
-        if group.kind == "heat":
-            ends = walk_batch_validated(
-                graph, current, hops, group.weights, rng, step_counts=step_counts
-            )
-        elif group.kind == "poisson":
-            ends = poisson_walk_batch_validated(
-                graph, current, group.weights, rng,
-                max_length=group.max_length, step_counts=step_counts,
-            )
-        else:
-            ends = geometric_walk_batch_validated(
-                graph, current, group.alpha, rng, step_counts=step_counts
-            )
-        return ends, step_counts

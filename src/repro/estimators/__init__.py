@@ -23,10 +23,8 @@ True
 from repro.estimators.registry import (
     alias_table,
     all_specs,
-    backend_aware_methods,
     canonical_name,
     describe_methods,
-    hkpr_estimator_table,
     method_names,
     register,
     resolve,
@@ -83,11 +81,9 @@ __all__ = [
     "ParamSpec",
     "alias_table",
     "all_specs",
-    "backend_aware_methods",
     "canonical_name",
     "describe_methods",
     "estimate",
-    "hkpr_estimator_table",
     "method_names",
     "register",
     "resolve",

@@ -111,21 +111,3 @@ def describe_methods(specs: Iterable[EstimatorSpec] | None = None) -> list[dict]
     """JSON-able descriptions (``repro-cli methods`` / ``GET /methods``)."""
     chosen = all_specs() if specs is None else tuple(specs)
     return [spec.describe() for spec in chosen]
-
-
-def hkpr_estimator_table() -> dict[str, object]:
-    """Legacy ``repro.hkpr.ESTIMATORS`` mapping, derived from the registry.
-
-    Maps each HKPR-family method to its single-query estimator callable
-    (the ``(graph, seed, params, *, ...) -> HKPRResult`` convention).
-    """
-    return {
-        spec.name: spec.estimate_fn
-        for spec in _SPECS.values()
-        if spec.family == "hkpr" and spec.estimate_fn is not None
-    }
-
-
-def backend_aware_methods() -> frozenset[str]:
-    """Legacy ``repro.hkpr.BACKEND_AWARE_METHODS``, derived from the registry."""
-    return frozenset(spec.name for spec in _SPECS.values() if spec.backend_aware)

@@ -138,11 +138,12 @@ class ParamSpec:
 
 
 class DirectPlan:
-    """A plan whose work already happened: zero walk tasks, stored result.
+    """A plan whose work already happened: no walks, stored result.
 
-    The uniform plan shape (``tasks``/``counters``/``finalize``) lets the
-    serving layer treat deterministic and already-executed methods exactly
-    like fusible ones (see :mod:`repro.engine.multi`).
+    The uniform plan shape (``fused_queries``/``tasks``/``counters``/
+    ``finalize``) lets the serving layer treat deterministic and
+    already-executed methods exactly like fusible ones (see
+    :mod:`repro.engine.multi`).
     """
 
     tasks = ()
@@ -151,6 +152,9 @@ class DirectPlan:
     def __init__(self, result) -> None:
         self._result = result
         self.counters = result.counters
+
+    def fused_queries(self) -> list:
+        return []
 
     def finalize(self, endpoints) -> object:
         return self._result

@@ -28,45 +28,7 @@ from repro.hkpr.result import HKPRResult
 from repro.hkpr.tea import tea
 from repro.hkpr.tea_plus import tea_plus
 
-def __getattr__(name: str):
-    # Legacy method tables, derived live from the unified estimator
-    # registry (:mod:`repro.estimators`) rather than hand-maintained here.
-    # Lazy so importing this package does not pull in the registry (which
-    # imports estimator implementations from several subpackages).  Each
-    # access returns a fresh read-only snapshot: extend the registry with
-    # repro.estimators.register(), not by mutating these objects.
-    if name == "ESTIMATORS":
-        from repro.estimators import hkpr_estimator_table
-
-        return hkpr_estimator_table()
-    if name == "BACKEND_AWARE_METHODS":
-        from repro.estimators import backend_aware_methods
-
-        return backend_aware_methods()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def backend_estimator_kwargs(
-    method: str, backend: str | None, estimator_kwargs: dict | None = None
-) -> dict:
-    """``estimator_kwargs`` with ``backend`` folded in where it applies.
-
-    Which methods take a ``backend=`` keyword is declared on their
-    :class:`~repro.estimators.spec.EstimatorSpec` (``backend_aware``), so a
-    new backend-aware estimator needs only its registration.  An explicit
-    ``backend`` key in ``estimator_kwargs`` wins.
-    """
-    from repro.estimators import resolve
-
-    kwargs = dict(estimator_kwargs or {})
-    if backend is not None and resolve(method).backend_aware:
-        kwargs.setdefault("backend", backend)
-    return kwargs
-
 __all__ = [
-    "BACKEND_AWARE_METHODS",
-    "ESTIMATORS",
-    "backend_estimator_kwargs",
     "HKPRParams",
     "HKPRResult",
     "PoissonWeights",

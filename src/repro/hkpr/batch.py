@@ -11,8 +11,8 @@ Two convenience layers on top of the single-seed estimators:
   for a set of nodes" use case the paper attributes to SimpleLocal, using
   any of the HKPR estimators.
 
-Both helpers work with every estimator registered in
-:data:`repro.hkpr.ESTIMATORS`.
+Both helpers work with every HKPR estimator registered in
+:mod:`repro.estimators`.
 """
 
 from __future__ import annotations

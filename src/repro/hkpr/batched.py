@@ -11,10 +11,11 @@ Two layers:
 
 * **Plans** — :class:`MonteCarloPlan` and :class:`TeaPlusPlan` implement the
   :class:`repro.engine.multi.WalkPlan` shape: the deterministic part of the
-  query (validation, HK-Push+, residue reduction, walk-start sampling) runs
-  at construction time, the walk phase is exposed as fusible
-  :class:`~repro.engine.multi.WalkTask`\\ s, and ``finalize`` assembles the
-  :class:`~repro.hkpr.result.HKPRResult`.
+  query (validation, HK-Push+, residue reduction) runs at construction
+  time, the walk phase is exposed as a
+  :class:`~repro.engine.fused.FusedQuery` (plus chunked
+  :class:`~repro.engine.multi.WalkTask`\\ s for seed-pinned serving), and
+  ``finalize`` assembles the :class:`~repro.hkpr.result.HKPRResult`.
 * **Batched entry points** — :func:`monte_carlo_hkpr_many` and
   :func:`tea_plus_many` answer a whole seed list with fused walk phases.
   Results are a pure function of ``(rng seed, graph, ordered seed list)``;
@@ -33,11 +34,10 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.engine import Backend, chunk_sizes, execute_plans, get_backend
-from repro.engine.fused import FusedQuery
+from repro.engine.fused import FusedQuery, sampled_tasks
 from repro.engine.multi import WalkTask
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
-from repro.hkpr.alias import AliasSampler
 from repro.hkpr.hk_push_plus import hk_push_plus
 from repro.hkpr.params import HKPRParams
 from repro.hkpr.poisson import PoissonWeights
@@ -137,11 +137,10 @@ class TeaPlusPlan:
 
     HK-Push+, the Theorem-2 early-exit test and the §5.2 residue reduction
     run at construction time; the surviving residue entries are kept as the
-    walk-start *distribution*.  The unfused route materializes alias-sampled
-    :class:`WalkTask`\\ s lazily on first ``tasks`` access (drawing from the
-    construction ``rng``); the fused route (:meth:`fused_queries`) hands the
-    distribution itself to the kernel, which samples every start in-pass.
-    An early exit leaves both empty, making the plan free to "execute".
+    walk-start *distribution* (:meth:`fused_queries`).  Seed-pinned serving
+    reads ``tasks`` instead, whose starts are drawn lazily, on first access,
+    from the construction ``rng``.  An early exit leaves both empty, making
+    the plan free to "execute".
     """
 
     method = "tea+"
@@ -231,29 +230,16 @@ class TeaPlusPlan:
 
     @property
     def tasks(self) -> list[WalkTask]:
-        """Alias-sampled walk tasks, materialized on first access.
+        """Chunked heat walk tasks with drawn starts, made on first access.
 
         Sampling draws from the plan's construction generator, so for the
         shared-generator entry points the draw order is identical to eager
-        construction (push phases consume nothing from the stream).  The
-        fused route never touches this — start sampling happens inside the
-        kernel instead.
+        construction (push phases consume nothing from the stream).
         """
         if self._tasks is None:
-            tasks: list[WalkTask] = []
-            if self._num_walks:
-                sampler = AliasSampler(self._start_nodes, self._start_values)
-                for batch in chunk_sizes(self._num_walks):
-                    picks = sampler.sample_indices(batch, self._generator)
-                    tasks.append(
-                        WalkTask(
-                            "heat",
-                            self._start_nodes[picks],
-                            hop_offsets=self._start_hops[picks],
-                            weights=self._weights,
-                        )
-                    )
-            self._tasks = tasks
+            self._tasks = sampled_tasks(
+                self.graph, self.fused_queries(), self._generator
+            )
         return self._tasks
 
     def fused_queries(self) -> list[FusedQuery]:

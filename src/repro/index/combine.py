@@ -4,11 +4,11 @@
 that serves a sampling query (``monte-carlo`` HKPR or ``mc-ppr``) from a
 precomputed sketch: of the ``N`` walks the request needs, ``k = min(N, W)``
 endpoints come straight from the index and only the remaining ``N - k`` are
-sampled online (as one fused-eligible top-up task).  ``finalize`` folds both
-sources into one estimate at increment ``1/N``, so the answer is distributed
-exactly as if all ``N`` walks had been sampled fresh — stored sketch walks
-are i.i.d. draws from the same endpoint law (the statcheck chi-square suite
-gates this parity).
+sampled online (as one top-up :class:`~repro.engine.fused.FusedQuery`).
+``finalize`` folds both sources into one estimate at increment ``1/N``, so
+the answer is distributed exactly as if all ``N`` walks had been sampled
+fresh — stored sketch walks are i.i.d. draws from the same endpoint law (the
+statcheck chi-square suite gates this parity).
 
 Counters attribute the split exactly: ``extras["walks_from_index"]`` is the
 stored-endpoint count and ``extras["walks_sampled"]`` the fresh top-up count
@@ -22,9 +22,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.engine import chunk_sizes
 from repro.engine.fused import FusedQuery
-from repro.engine.multi import WalkTask
 from repro.estimators.spec import EstimatorSpec
 from repro.graph.graph import Graph
 from repro.hkpr.poisson import PoissonWeights, cached_weights
@@ -63,25 +61,9 @@ class IndexedWalkPlan:
         self._topup = self._total_walks - int(self._stored.size)
         self._increment = 1.0 / self._total_walks
         self._started = time.perf_counter()
-        self._tasks: list[WalkTask] | None = None
         self.counters.extras["index_hit"] = 1.0
         self.counters.extras["walks_from_index"] = float(self._stored.size)
         self.counters.extras["walks_sampled"] = float(self._topup)
-
-    @property
-    def tasks(self) -> list[WalkTask]:
-        """Chunked top-up walk tasks (empty when the sketch covers N)."""
-        if self._tasks is None:
-            self._tasks = [
-                WalkTask(
-                    self._kind,
-                    np.full(batch, self.seed_node, dtype=np.int64),
-                    weights=self._weights,
-                    alpha=self._alpha,
-                )
-                for batch in chunk_sizes(self._topup)
-            ]
-        return self._tasks
 
     def fused_queries(self) -> list[FusedQuery]:
         """Fused top-up form; empty when no fresh walks are needed."""

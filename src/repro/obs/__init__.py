@@ -114,9 +114,8 @@ def record_kernel(backend: str, kind: str, walks: int, elapsed: float) -> None:
     """Record one kernel call's wall time and walk count on the active
     registry (``kernel_seconds{backend,kind}`` / ``kernel_walks_total``).
 
-    Callers that time the call themselves (the fused execution layer, which
-    needs the elapsed time for per-query attribution) use this directly;
-    everything else goes through :func:`profile_kernel`.
+    :func:`profile_kernel` is the usual entry point; a caller that times
+    the call itself uses this directly.
     """
     registry = active_registry()
     per_registry = _kernel_children.get(registry)
@@ -145,7 +144,7 @@ def profile_kernel(backend: str, kind: str, walks: int, counters=None):
     """Time one engine kernel call and record it everywhere it matters.
 
     Wraps the body of a backend's ``walk_batch`` / ``poisson_walk_batch`` /
-    ``geometric_walk_batch`` / ``fused_push_walk``:
+    ``geometric_walk_batch``:
 
     * ``kernel_seconds{backend,kind}`` histogram and
       ``kernel_walks_total{backend,kind}`` counter on the active registry;

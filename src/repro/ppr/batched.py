@@ -1,8 +1,8 @@
 """Batched (multi-query) PPR entry points built on walk fusion.
 
 The PPR mirror of :mod:`repro.hkpr.batched`: plans decompose FORA and plain
-Monte-Carlo PPR into a deterministic prepare step (validation, forward push,
-residue sampling) and a fusible geometric-walk phase, so the serving layer
+Monte-Carlo PPR into a deterministic prepare step (validation, forward push)
+and a fusible geometric-walk phase, so the serving layer
 can answer many concurrent PPR queries with shared
 ``geometric_walk_batch`` calls.  Because PPR walks are memoryless, queries
 fuse whenever their restart probability ``alpha`` matches.
@@ -17,11 +17,10 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.engine import Backend, chunk_sizes, execute_plans, get_backend
-from repro.engine.fused import FusedQuery
+from repro.engine.fused import FusedQuery, sampled_tasks
 from repro.engine.multi import WalkTask
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
-from repro.hkpr.alias import AliasSampler
 from repro.hkpr.params import default_delta
 from repro.hkpr.result import HKPRResult
 from repro.ppr.fora import walk_count
@@ -175,21 +174,13 @@ class ForaPlan:
 
     @property
     def tasks(self) -> list[WalkTask]:
-        """Alias-sampled geometric walk tasks, materialized on first access
-        (drawing from the construction ``rng``; see
+        """Chunked geometric walk tasks with drawn starts, made on first
+        access (drawing from the construction ``rng``; see
         :class:`repro.hkpr.batched.TeaPlusPlan` for the laziness contract)."""
         if self._tasks is None:
-            tasks: list[WalkTask] = []
-            if self._num_walks:
-                sampler = AliasSampler(self._start_nodes, self._start_values)
-                for batch in chunk_sizes(self._num_walks):
-                    picks = sampler.sample_indices(batch, self._generator)
-                    tasks.append(
-                        WalkTask(
-                            "geometric", self._start_nodes[picks], alpha=self._alpha
-                        )
-                    )
-            self._tasks = tasks
+            self._tasks = sampled_tasks(
+                self.graph, self.fused_queries(), self._generator
+            )
         return self._tasks
 
     def fused_queries(self) -> list[FusedQuery]:

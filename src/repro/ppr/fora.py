@@ -23,9 +23,9 @@ import time
 import numpy as np
 
 from repro.engine import Backend, chunk_sizes, get_backend, restart_chunk
+from repro.engine.fused import FusedGroup, FusedQuery, sample_fused_starts
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
-from repro.hkpr.alias import AliasSampler
 from repro.hkpr.params import checked_walk_ratio, default_delta
 from repro.hkpr.result import HKPRResult
 from repro.ppr.push import forward_push
@@ -171,15 +171,16 @@ def fora(
         if max_walks is not None:
             num_walks = min(num_walks, max_walks)
         if num_walks > 0:
-            start_nodes, start_values = residue.arrays()
-            sampler = AliasSampler(start_nodes, start_values)
+            query = FusedQuery("geometric", *residue.arrays(), num_walks, alpha=alpha)
             increment = residual_mass / num_walks
             for batch in chunk_sizes(num_walks, chunk):
                 if deadline is not None:
                     deadline.checkpoint()
-                picks = sampler.sample_indices(batch, generator)
+                starts, _ = sample_fused_starts(
+                    FusedGroup(graph, [query], [batch]), generator
+                )
                 end_nodes = engine.geometric_walk_batch(
-                    graph, start_nodes[picks], alpha, generator, counters=counters
+                    graph, starts, alpha, generator, counters=counters
                 )
                 estimates.add_many(end_nodes, increment)
 

@@ -17,7 +17,7 @@ and a plan builder, so a method registered in :mod:`repro.estimators`
 becomes servable with no planner change:
 
 * fusible — ``monte-carlo`` and ``tea+`` (HKPR), ``fora`` and ``mc-ppr``
-  (PPR) decompose into walk tasks the micro-batcher fuses across queries;
+  (PPR) decompose into walk phases the micro-batcher fuses across queries;
 * direct — everything else (including the randomized ``tea`` and
   ``cluster-hkpr`` and the deterministic push/baseline methods) runs whole
   inside plan construction and returns an already-finalized
@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
-from repro.estimators import DirectPlan, resolve  # noqa: F401 - DirectPlan re-export
+from repro.estimators import resolve
 from repro.estimators.spec import EstimatorSpec
 from repro.exceptions import ParameterError, ServiceError
 from repro.graph.graph import Graph
@@ -76,7 +76,7 @@ class _ServiceMethods(Mapping):
 
 SERVICE_METHODS: Mapping[str, EstimatorSpec] = _ServiceMethods()
 """Servable methods (name → :class:`~repro.estimators.spec.EstimatorSpec`).
-Fusible specs decompose into walk tasks; the rest execute directly inside
+Fusible specs decompose into walk phases; the rest execute directly inside
 plan construction."""
 
 

@@ -8,7 +8,7 @@ micro-batcher into one long-lived object:
   walks), and enqueue; returns a :class:`concurrent.futures.Future`.
 * the dispatch thread (inside :class:`~repro.service.batcher.MicroBatcher`)
   calls back into ``_execute_batch``: plans are built per request (push
-  phases run here), the walk tasks of all unpinned plans are fused per
+  phases run here), the walk phases of all unpinned plans are fused per
   graph snapshot through :func:`repro.engine.multi.execute_plans`, pinned
   plans run unfused on their private generators, and each future is
   resolved with a :class:`QueryResponse`.  Every phase of a request reads

@@ -21,8 +21,8 @@ Three layers:
   :func:`repro.ppr.exact.exact_ppr` as ground truth, so the harness and the
   estimators cannot share a bug.
 * **Checks** — kernel-level distribution checks
-  (:func:`check_kernel_distributions`), fused push+walk kernel checks for
-  backends advertising ``supports_fused``
+  (:func:`check_kernel_distributions`), fused-group checks through
+  :func:`repro.engine.fused.run_fused_queries`
   (:func:`check_fused_distributions`), estimator-level walk-phase checks
   for TEA / TEA+ / Monte-Carlo HKPR / FORA
   (:func:`check_estimator_walk_parity`), and the deterministic parts of the
@@ -293,7 +293,7 @@ def check_kernel_distributions(
 
 
 # ---------------------------------------------------------------------- #
-# Fused push+walk kernel checks (backends advertising supports_fused)
+# Fused-group checks (starts drawn from residue mixtures, any backend)
 # ---------------------------------------------------------------------- #
 def fused_mixture_law(
     graph: Graph,
@@ -345,9 +345,9 @@ def check_fused_distributions(
     """Chi-square every fused kernel of ``backend`` against its mixture law.
 
     Two queries per kind are submitted in one :func:`run_fused_queries`
-    call (one multi-entry, one single-entry), so in-kernel start sampling,
-    the per-query offset-CDF segmentation and endpoint splitting are all
-    on the tested path.  Requires ``supports_fused(backend)``.
+    call (one multi-entry, one single-entry), so start sampling, the
+    per-query offset-CDF segmentation and endpoint splitting are all on the
+    tested path.
     """
     from repro.engine.fused import FusedQuery, run_fused_queries
 

@@ -41,6 +41,7 @@ from repro.engine import (
     unregister_backend,
     use_backend,
 )
+from repro.engine.fused import FusedGroup, FusedQuery, sample_fused_starts
 from repro.exceptions import ParameterError
 from repro.graph.generators import (
     complete_graph,
@@ -49,7 +50,6 @@ from repro.graph.generators import (
     ring_graph,
 )
 from repro.graph.graph import Graph
-from repro.hkpr.alias import AliasSampler
 from repro.hkpr.monte_carlo import monte_carlo_hkpr
 from repro.hkpr.params import HKPRParams
 from repro.hkpr.poisson import PoissonWeights
@@ -424,29 +424,67 @@ class TestAddMany:
         assert bulk.to_dict() == pytest.approx(scalar)
 
 
-class TestSampleBatch:
-    def test_zero_count_is_empty(self):
-        sampler = AliasSampler(["a", "b"], [1.0, 1.0])
-        rng = np.random.default_rng(0)
-        assert sampler.sample_batch(0, rng) == []
-        assert sampler.sample_indices(0, rng).size == 0
+class TestInverseCDFDraw:
+    """Walk starts of TEA, TEA+, FORA and every fused group are drawn by
+    :func:`sample_fused_starts`: one ``rng.random`` and one binary search
+    per walk over the group's offset-concatenated CDF."""
 
-    def test_negative_count_rejected(self):
-        sampler = AliasSampler(["a"], [1.0])
-        with pytest.raises(ParameterError):
-            sampler.sample_indices(-1, np.random.default_rng(0))
+    @staticmethod
+    def _starts(entries, weights, walks, rng):
+        weights_t5 = PoissonWeights(5.0)
+        queries = [
+            FusedQuery("poisson", nodes, w, walks, weights=weights_t5)
+            for nodes, w in zip(entries, weights)
+        ]
+        group = FusedGroup(complete_graph(16), queries, [walks] * len(queries))
+        starts, _ = sample_fused_starts(group, rng)
+        return starts.reshape(len(queries), walks)
 
-    def test_single_item(self):
-        sampler = AliasSampler([42], [3.0])
+    def test_zero_weight_entries_are_never_drawn(self):
+        weights = [0.0, 2.0, 0.0, 1.0, 0.0]
+        query = FusedQuery("poisson", [0, 1, 2, 3, 4], weights, 10,
+                           weights=PoissonWeights(5.0))
+        np.testing.assert_array_equal(query.entry_nodes, [1, 3])
+        starts = self._starts(
+            [[0, 1, 2, 3, 4]] * 3, [weights] * 3, 2000, np.random.default_rng(0)
+        )
+        assert set(np.unique(starts).tolist()) == {1, 3}
+
+    def test_a_draw_rounding_up_to_one_is_clamped(self):
+        class TopRng:
+            """Every draw is the largest double below 1."""
+
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        # Query 1's target 1 + u rounds to exactly 2.0, past its own
+        # segment (1, 2]; the clamp keeps it on the segment's last entry.
+        assert 1.0 + np.nextafter(1.0, 0.0) == 2.0
+        starts = self._starts(
+            [[0, 1, 2], [5, 6, 7, 8]], [[1.0, 1.0, 1.0], [1.0, 2.0, 0.0, 1.0]],
+            4, TopRng(),
+        )
+        assert (starts[0] == 2).all()
+        assert (starts[1] == 8).all()
+
+    def test_all_zero_weights_rejected(self):
+        with pytest.raises(ParameterError, match="positive weight"):
+            FusedQuery("poisson", [0, 1], [0.0, 0.0], 5,
+                       weights=PoissonWeights(5.0))
+
+    def test_single_entry_draws_nothing(self):
         rng = np.random.default_rng(1)
-        assert sampler.sample_batch(5, rng) == [42] * 5
+        starts = self._starts([[10]], [[3.0]], 5, rng)
+        assert (starts == 10).all()
+        assert rng.random() == np.random.default_rng(1).random()
 
-    def test_distribution_matches_weights(self):
-        sampler = AliasSampler([0, 1, 2], [6.0, 3.0, 1.0])
-        rng = np.random.default_rng(2)
-        indices = sampler.sample_indices(30000, rng)
-        freq = np.bincount(indices, minlength=3) / 30000
-        assert freq == pytest.approx([0.6, 0.3, 0.1], abs=0.02)
+    @pytest.mark.parametrize("weights", [[6.0, 3.0, 1.0], [1e-9, 1.0, 0.0]])
+    def test_distribution_matches_weights(self, weights):
+        starts = self._starts(
+            [[0, 1, 2]], [weights], 30000, np.random.default_rng(2)
+        )
+        freq = np.bincount(starts[0], minlength=3) / 30000
+        assert freq == pytest.approx(np.divide(weights, sum(weights)), abs=0.02)
 
 
 # ---------------------------------------------------------------------- #

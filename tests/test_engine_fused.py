@@ -1,19 +1,19 @@
-"""Tests for the fused push+walk execution path (:mod:`repro.engine.fused`).
+"""Tests for the fused execution path (:mod:`repro.engine.fused`).
 
-Five groups:
+Four groups:
 
 * :class:`FusedQuery` / :class:`FusedGroup` construction and validation,
-* the fusion switch (``REPRO_DISABLE_FUSED``, :func:`set_fusion_enabled`,
-  :func:`fusion_disabled`),
-* the deterministic contract of ``fused_push_walk``: same-seed
-  byte-determinism and one-pass vs two-pass byte parity, parametrized over
-  **every fused-capable backend** (a future backend advertising
-  ``supports_fused`` is covered by registration alone),
-* plan routing: ``execute_plans`` sends fused-capable plans through
+* the deterministic contract of :func:`run_fused_queries`, parametrized
+  over **every registered backend** plus a pool-forced ``parallel``:
+  same-seed byte-determinism, byte parity with drawing the starts and then
+  calling the backend's own kernel, and exact per-query ``random_walks``
+  and ``walk_steps`` for mixed groups,
+* plan routing: ``execute_plans`` sends every plan through
   :func:`run_fused_queries` and the batched estimators conserve their
-  probability mass fused vs unfused,
-* the statistical parity suite (marked ``statistical``): chi-square of the
-  fused kernels' answers against the exact residue-mixture laws.
+  probability mass,
+* the statistical parity suite (marked ``statistical``): chi-square of
+  the fused groups' answers against the exact residue-mixture laws, on
+  every backend.
 """
 
 from __future__ import annotations
@@ -24,47 +24,51 @@ import pytest
 import statcheck
 
 from repro.engine import (
+    ParallelBackend,
     available_backends,
     execute_plans,
     get_backend,
+    run_walk_tasks,
 )
 from repro.engine.fused import (
-    DISABLE_ENV_VAR,
     FusedGroup,
     FusedQuery,
-    fusion_disabled,
-    fusion_enabled,
     run_fused_queries,
     sample_fused_starts,
-    set_fusion_enabled,
-    supports_fused,
-)
-from repro.engine.vectorized import (
-    geometric_walk_batch_validated,
-    poisson_walk_batch_validated,
-    walk_batch_validated,
 )
 from repro.exceptions import ParameterError
 from repro.graph.generators import powerlaw_cluster_graph, ring_graph
-from repro.hkpr.batched import monte_carlo_hkpr_many, tea_plus_many
+from repro.graph.graph import Graph
+from repro.hkpr.batched import MonteCarloPlan, monte_carlo_hkpr_many, tea_plus_many
 from repro.hkpr.params import HKPRParams
 from repro.hkpr.poisson import PoissonWeights
-from repro.ppr.batched import monte_carlo_ppr_many
+from repro.ppr.batched import MonteCarloPPRPlan, monte_carlo_ppr_many
 from repro.utils.counters import OperationCounters
 
 
-def _fused_backends() -> list[tuple[str, object]]:
-    """Every registered fused-capable backend."""
-    return [
-        (name, get_backend(name))
-        for name in available_backends()
-        if supports_fused(get_backend(name))
-    ]
+def _backends() -> list[tuple[str, object]]:
+    """Every registered backend, plus a pool-forced parallel instance."""
+    pairs = [(name, get_backend(name)) for name in available_backends()]
+    pairs.append(
+        ("parallel-pool", ParallelBackend(num_workers=2, min_parallel_batch=1))
+    )
+    return pairs
 
 
-_PAIRS = _fused_backends()
-FUSED_IDS = [pair[0] for pair in _PAIRS]
-FUSED_BACKENDS = [pair[1] for pair in _PAIRS]
+_PAIRS = _backends()
+BACKEND_IDS = [pair[0] for pair in _PAIRS]
+BACKENDS = [pair[1] for pair in _PAIRS]
+
+
+def _walk(backend, graph, group, starts, hops, rng, **kwargs):
+    """The backend's own kernel for ``group``'s kind."""
+    if group.kind == "heat":
+        return backend.walk_batch(graph, starts, hops, group.weights, rng, **kwargs)
+    if group.kind == "poisson":
+        return backend.poisson_walk_batch(
+            graph, starts, group.weights, rng, max_length=group.max_length, **kwargs
+        )
+    return backend.geometric_walk_batch(graph, starts, group.alpha, rng, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -81,11 +85,6 @@ def weights():
 # FusedQuery / FusedGroup construction
 # ---------------------------------------------------------------------- #
 class TestFusedQuery:
-    def test_capability_flags(self):
-        assert supports_fused(get_backend("vectorized"))
-        assert not supports_fused(get_backend("reference"))
-        assert not supports_fused(get_backend("parallel"))
-
     def test_rejects_unknown_kind(self, weights):
         with pytest.raises(ParameterError, match="kind"):
             FusedQuery("levy", [0], [1.0], 10, weights=weights)
@@ -162,41 +161,9 @@ class TestFusedQuery:
 
 
 # ---------------------------------------------------------------------- #
-# The fusion switch
+# Deterministic contract, per backend
 # ---------------------------------------------------------------------- #
-class TestFusionSwitch:
-    def test_enabled_by_default(self):
-        assert fusion_enabled()
-
-    def test_context_manager(self):
-        with fusion_disabled():
-            assert not fusion_enabled()
-        assert fusion_enabled()
-
-    def test_set_override_and_reset(self):
-        try:
-            set_fusion_enabled(False)
-            assert not fusion_enabled()
-            set_fusion_enabled(True)
-            assert fusion_enabled()
-        finally:
-            set_fusion_enabled(None)
-
-    def test_env_var(self, monkeypatch):
-        monkeypatch.setenv(DISABLE_ENV_VAR, "1")
-        assert not fusion_enabled()
-        # An explicit override beats the environment.
-        try:
-            set_fusion_enabled(True)
-            assert fusion_enabled()
-        finally:
-            set_fusion_enabled(None)
-
-
-# ---------------------------------------------------------------------- #
-# Deterministic kernel contract, per fused backend
-# ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", FUSED_BACKENDS, ids=FUSED_IDS)
+@pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
 class TestFusedKernelContract:
     def _queries(self, weights):
         nodes = [0, 1, 5]
@@ -210,53 +177,39 @@ class TestFusedKernelContract:
 
     def test_same_seed_is_byte_deterministic(self, backend, graph, weights):
         for query in self._queries(weights):
-            group = FusedGroup(graph, [query], [query.num_walks])
-            ends1, steps1 = backend.fused_push_walk(
-                graph, group, np.random.default_rng(99), want_steps=True
-            )
-            ends2, steps2 = backend.fused_push_walk(
-                graph, group, np.random.default_rng(99), want_steps=True
-            )
-            np.testing.assert_array_equal(ends1, ends2)
-            if steps1 is not None and steps2 is not None:
-                np.testing.assert_array_equal(steps1, steps2)
+            runs = []
+            for _ in range(2):
+                counters = OperationCounters()
+                (ends,) = run_fused_queries(
+                    backend, graph, [query], np.random.default_rng(99),
+                    counters_list=[counters],
+                )
+                runs.append((ends, counters.walk_steps))
+            np.testing.assert_array_equal(runs[0][0], runs[1][0])
+            assert runs[0][1] == runs[1][1]
 
     def test_endpoints_stay_in_component(self, backend, weights):
         # Walks from a ring component never leave it.
         graph = ring_graph(12)
         query = FusedQuery("poisson", [0, 6], [0.5, 0.5], 60, weights=weights)
-        group = FusedGroup(graph, [query], [60])
-        ends, _ = backend.fused_push_walk(
-            graph, group, np.random.default_rng(1)
+        (ends,) = run_fused_queries(
+            backend, graph, [query], np.random.default_rng(1)
         )
         assert ends.dtype == np.int64
         assert ends.shape == (60,)
         assert (ends >= 0).all() and (ends < 12).all()
 
-    def test_two_pass_split_matches_one_pass(self, backend, graph, weights):
-        """Sampling starts and walking from them (two kernel invocations)
-        reproduces the fused one-pass result byte for byte — the
-        fused-vs-unfused determinism contract at the kernel level."""
+    def test_matches_drawing_starts_then_walking(self, backend, graph, weights):
+        """A fused call is exactly :func:`sample_fused_starts` followed by
+        the backend's own kernel on the same generator."""
         for query in self._queries(weights):
-            group = FusedGroup(graph, [query], [query.num_walks])
-            fused_ends, _ = backend.fused_push_walk(
-                graph, group, np.random.default_rng(7)
+            (fused_ends,) = run_fused_queries(
+                backend, graph, [query], np.random.default_rng(7)
             )
             rng = np.random.default_rng(7)
+            group = FusedGroup(graph, [query], [query.num_walks])
             starts, hops = sample_fused_starts(group, rng)
-            if group.kind == "heat":
-                split_ends = walk_batch_validated(
-                    graph, starts, hops, group.weights, rng
-                )
-            elif group.kind == "poisson":
-                split_ends = poisson_walk_batch_validated(
-                    graph, starts, group.weights, rng,
-                    max_length=group.max_length,
-                )
-            else:
-                split_ends = geometric_walk_batch_validated(
-                    graph, starts, group.alpha, rng
-                )
+            split_ends = _walk(backend, graph, group, starts, hops, rng)
             np.testing.assert_array_equal(fused_ends, split_ends)
 
     def test_run_fused_queries_splits_and_attributes(self, backend, graph, weights):
@@ -276,11 +229,42 @@ class TestFusedKernelContract:
         assert c1.extras["fused_walks"] == 150
         assert c1.walk_steps > 0
 
-    def test_rejects_unfused_backend(self, backend, graph, weights):
-        query = FusedQuery("poisson", [0], [1.0], 4, weights=weights)
-        with pytest.raises(ParameterError, match="fused_push_walk"):
-            run_fused_queries(
-                "reference", graph, [query], np.random.default_rng(0)
+    def test_mixed_group_counters_are_exact(self, backend, weights):
+        # Nodes 0 and 4 are isolated: their walks take no step, so exact
+        # accounting gives their queries 0 steps however they are batched.
+        graph = Graph(6, [(1, 2), (1, 3), (2, 3), (3, 5)])
+        queries = [
+            FusedQuery("poisson", [0], [1.0], 70, weights=weights),
+            FusedQuery("poisson", [1, 2], [0.4, 0.6], 90, weights=weights),
+            FusedQuery("heat", [4, 4], [1.0, 2.0], 60, weights=weights,
+                       entry_hops=[0, 3]),
+            FusedQuery("heat", [1, 5, 4], [1.0, 1.0, 0.0], 80, weights=weights,
+                       entry_hops=[0, 1, 0]),
+            FusedQuery("geometric", [4], [1.0], 50, alpha=0.3),
+            FusedQuery("geometric", [3, 4], [1.0, 0.0], 40, alpha=0.3),
+        ]
+        counters = [OperationCounters() for _ in queries]
+        ends = run_fused_queries(
+            backend, graph, queries, np.random.default_rng(31),
+            counters_list=counters,
+        )
+        for query, tally, query_ends in zip(queries, counters, ends):
+            assert tally.random_walks == query_ends.size == query.num_walks
+            assert tally.extras["fused_queries"] == 2
+        assert [tally.walk_steps for tally in counters[0::2]] == [0, 0, 0]
+        assert all(tally.walk_steps > 0 for tally in counters[1::2])
+
+        # Each kind is one kernel call; run whole, the same calls take as
+        # many steps as the two queries were given.
+        rng = np.random.default_rng(31)
+        for pair in (queries[0:2], queries[2:4], queries[4:6]):
+            group = FusedGroup(graph, pair, [q.num_walks for q in pair])
+            starts, hops = sample_fused_starts(group, rng)
+            whole = OperationCounters()
+            _walk(backend, graph, group, starts, hops, rng, counters=whole)
+            index = queries.index(pair[0])
+            assert whole.walk_steps == sum(
+                tally.walk_steps for tally in counters[index:index + 2]
             )
 
 
@@ -296,19 +280,19 @@ class TestRestartStepCap:
     @pytest.fixture
     def group_sizes(self, monkeypatch):
         """Shrink the step cap to 2,000 (20 walks a call at ALPHA) and
-        record the walks of every fused kernel call."""
+        record the walks of every geometric kernel call."""
         import repro.engine as engine_module
         from repro.engine.vectorized import VectorizedBackend
 
         monkeypatch.setattr(engine_module, "MAX_EXPECTED_STEPS", 2_000)
         sizes: list[int] = []
-        kernel = VectorizedBackend.fused_push_walk
+        kernel = VectorizedBackend.geometric_walk_batch
 
-        def counted(self, graph, group, *args, **kwargs):
-            sizes.append(group.total_walks)
-            return kernel(self, graph, group, *args, **kwargs)
+        def counted(self, graph, starts, *args, **kwargs):
+            sizes.append(len(starts))
+            return kernel(self, graph, starts, *args, **kwargs)
 
-        monkeypatch.setattr(VectorizedBackend, "fused_push_walk", counted)
+        monkeypatch.setattr(VectorizedBackend, "geometric_walk_batch", counted)
         return sizes
 
     def _queries(self, alpha=ALPHA):
@@ -336,13 +320,13 @@ class TestRestartStepCap:
         from repro.utils.deadline import Deadline
 
         now = [0.0]
-        kernel = VectorizedBackend.fused_push_walk
+        kernel = VectorizedBackend.geometric_walk_batch
 
         def one_second_call(self, *args, **kwargs):
             now[0] += 1.0
             return kernel(self, *args, **kwargs)
 
-        monkeypatch.setattr(VectorizedBackend, "fused_push_walk", one_second_call)
+        monkeypatch.setattr(VectorizedBackend, "geometric_walk_batch", one_second_call)
         deadline = Deadline(1500, stride=1, clock=lambda: now[0])
         with pytest.raises(QueryTimeoutError):
             run_fused_queries(
@@ -378,18 +362,22 @@ class TestPlanRouting:
             total = sum(v for _, v in result.estimates.items())
             np.testing.assert_allclose(total, 1.0, rtol=1e-9)
 
-    def test_fused_matches_unfused_mass(self, graph):
+    def test_fused_matches_task_route_mass(self, graph):
         params = self._params(graph)
         fused = monte_carlo_hkpr_many(
             graph, [0], params, num_walks=400, rng=21, backend="vectorized"
         )
-        with fusion_disabled():
-            unfused = monte_carlo_hkpr_many(
-                graph, [0], params, num_walks=400, rng=21, backend="vectorized"
-            )
-        assert "fused_kernel" not in unfused[0].counters.extras
+        # Seed-pinned serving runs the same plan's tasks instead.
+        plan = MonteCarloPlan(graph, 0, params, num_walks=400)
+        tasks = run_walk_tasks(
+            "vectorized", graph, plan.tasks, np.random.default_rng(21),
+            counters_list=[plan.counters] * len(plan.tasks),
+        )
+        unfused = plan.finalize(tasks)
+        assert "fused_kernel" not in unfused.counters.extras
+        assert unfused.counters.random_walks == 400
         mass_f = sum(v for _, v in fused[0].estimates.items())
-        mass_u = sum(v for _, v in unfused[0].estimates.items())
+        mass_u = sum(v for _, v in unfused.estimates.items())
         np.testing.assert_allclose(mass_f, mass_u, rtol=1e-9)
 
     def test_tea_plus_many_runs_fused(self, graph):
@@ -415,46 +403,57 @@ class TestPlanRouting:
             total = sum(v for _, v in result.estimates.items())
             np.testing.assert_allclose(total, 1.0, rtol=1e-9)
 
-    def test_unfused_backend_still_works(self, graph):
+    @pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
+    def test_every_backend_fuses(self, graph, backend):
         params = self._params(graph)
         results = monte_carlo_hkpr_many(
-            graph, [0], params, num_walks=150, rng=23, backend="reference"
+            graph, [0], params, num_walks=150, rng=23, backend=backend
         )
         assert results[0].counters.random_walks == 150
-        assert "fused_kernel" not in results[0].counters.extras
+        assert results[0].counters.extras["fused_kernel"] is True
 
-    def test_execute_plans_mixed_fused_and_direct(self, graph):
-        """A plan without fused_queries rides alongside fused ones."""
+    @pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
+    def test_execute_plans_mixed_fused_and_direct(self, backend):
+        """Plans of three kinds and a walk-free plan share one batch; each
+        plan's walks and steps are its own (node 7 is isolated)."""
 
         class DirectishPlan:
             tasks = ()
             counters = OperationCounters()
             estimated_walks = 0
 
+            def fused_queries(self):
+                return []
+
             def finalize(self, endpoints):
                 assert list(endpoints) == []
                 return "direct"
 
-        from repro.hkpr.batched import MonteCarloPlan
-
-        params = self._params(graph)
+        graph = Graph(8, [(i, (i + 1) % 7) for i in range(7)] + [(0, 3)])
+        params = HKPRParams(t=5.0, eps_r=0.5, delta=0.1, p_f=1e-6)
         weights = PoissonWeights(params.t)
         plans = [
-            MonteCarloPlan(graph, 0, params, weights=weights, num_walks=120),
+            MonteCarloPlan(graph, 7, params, weights=weights, num_walks=120),
+            MonteCarloPlan(graph, 0, params, weights=weights, num_walks=100),
             DirectishPlan(),
+            MonteCarloPPRPlan(graph, 7, alpha=0.2, num_walks=80),
+            MonteCarloPPRPlan(graph, 1, alpha=0.2, num_walks=90),
         ]
-        results = execute_plans(
-            get_backend("vectorized"), graph, plans, np.random.default_rng(2)
-        )
-        assert results[1] == "direct"
-        assert results[0].counters.random_walks == 120
+        results = execute_plans(backend, graph, plans, np.random.default_rng(2))
+        assert results[2] == "direct"
+        walked = [result.counters for i, result in enumerate(results) if i != 2]
+        assert [c.random_walks for c in walked] == [120, 100, 80, 90]
+        assert [c.walk_steps for c in walked][0::2] == [0, 0]
+        assert all(c.walk_steps > 0 for c in walked[1::2])
+        for result in results[:2]:
+            assert result.estimates.to_dict().keys() <= set(range(8))
 
 
 # ---------------------------------------------------------------------- #
 # Statistical parity (chi-square against the exact mixture laws)
 # ---------------------------------------------------------------------- #
 @pytest.mark.statistical
-@pytest.mark.parametrize("backend", FUSED_BACKENDS, ids=FUSED_IDS)
+@pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
 class TestFusedDistributions:
     def test_fused_kernels_match_mixture_laws(self, backend, graph):
         results = statcheck.check_fused_distributions(backend, graph)

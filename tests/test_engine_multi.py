@@ -101,7 +101,8 @@ class TestRunWalkTasks:
         assert counters[0].extras["fused_tasks"] == 2
         assert counters[0].extras["fused_walks"] == 200
 
-    def test_step_attribution_exact_with_vectorized(self, weights_t5):
+    @pytest.mark.parametrize("backend_name", available_backends())
+    def test_step_attribution_exact(self, backend_name, weights_t5):
         # One task walks from an isolated node (0 steps, always); the other
         # from a clique.  Exact attribution must give the isolated task 0.
         graph = Graph(6, [(1, 2), (1, 3), (2, 3)])
@@ -111,12 +112,11 @@ class TestRunWalkTasks:
         ]
         counters = [OperationCounters(), OperationCounters()]
         run_walk_tasks(
-            "vectorized", graph, tasks, np.random.default_rng(6),
+            backend_name, graph, tasks, np.random.default_rng(6),
             counters_list=counters,
         )
         assert counters[0].walk_steps == 0
         assert counters[1].walk_steps > 0
-        assert "walk_steps_attribution" not in counters[0].extras
 
     def test_step_attribution_sums_match_total(self, two_cliques, weights_t5):
         for backend_name in available_backends():
@@ -148,26 +148,21 @@ class TestRunWalkTasks:
             assert total == scratch.walk_steps, backend_name
             assert sum(e.size for e in ends) == 100
 
-    def test_proportional_attribution_with_mixed_none_counters(
-        self, two_cliques, weights_t5
-    ):
-        # Tasks without counters must still consume their proportional
-        # share: the last counted task must not absorb the skipped tasks'
-        # steps.  (reference backend: no per-walk step support.)
+    def test_exact_attribution_with_mixed_none_counters(self, weights_t5):
+        # A task without counters keeps its own steps: the isolated-node
+        # tasks around it are given none of them.
+        graph = Graph(6, [(1, 2), (1, 3), (2, 3)])
         tasks = [
-            WalkTask(
-                "poisson", np.zeros(100, dtype=np.int64), weights=weights_t5
-            )
-            for _ in range(3)
+            WalkTask("poisson", np.full(100, start, dtype=np.int64), weights=weights_t5)
+            for start in (5, 1, 0)
         ]
         counters = [OperationCounters(), None, OperationCounters()]
         run_walk_tasks(
-            "reference", two_cliques, tasks, np.random.default_rng(21),
+            "reference", graph, tasks, np.random.default_rng(21),
             counters_list=counters,
         )
-        # Equal-size tasks: first and last shares differ only by rounding.
-        assert abs(counters[0].walk_steps - counters[2].walk_steps) <= 2
-        assert counters[0].extras["walk_steps_attribution"] == "proportional"
+        assert counters[0].walk_steps == counters[2].walk_steps == 0
+        assert counters[0].random_walks == counters[2].random_walks == 100
 
     def test_incompatible_tasks_not_fused(self, two_cliques, weights_t5):
         # Different alpha values must run as separate kernel calls and

@@ -4,8 +4,8 @@ Three layers of coverage:
 
 * **registry invariants** — every registered spec is complete (docstring,
   schema matching the estimator's real signature, resolvable aliases) and
-  visible on every surface (``SUPPORTED_METHODS``, ``SERVICE_METHODS``,
-  the CLI);
+  visible on every surface (``local_cluster``, ``SERVICE_METHODS``, the
+  CLI);
 * **one-code-path errors** — unknown-method and unknown-parameter errors
   from the library, the service and the CLI all come from the registry's
   single validation path and list the valid options;
@@ -19,7 +19,7 @@ import pytest
 
 from repro import estimators
 from repro.baselines import nibble_hkpr, pr_nibble, pr_nibble_hkpr
-from repro.clustering.local import SUPPORTED_METHODS, local_cluster
+from repro.clustering.local import local_cluster
 from repro.estimators import EstimatorSpec, ParamSpec
 from repro.exceptions import ParameterError, ServiceError
 from repro.hkpr import (
@@ -86,9 +86,10 @@ class TestRegistryInvariants:
         assert not set(names) & set(aliases)
         assert len(aliases) == len(set(aliases))
 
-    def test_every_sweepable_method_in_supported_methods(self):
+    def test_sweepable_filter_matches_specs(self):
         sweepable = set(estimators.method_names(sweepable=True))
-        assert sweepable == set(SUPPORTED_METHODS)
+        assert sweepable == {s.name for s in estimators.all_specs() if s.sweepable}
+        assert set(estimators.method_names(family="hkpr")) <= sweepable
 
     def test_every_servable_method_in_service_methods(self):
         servable = {s.name for s in estimators.all_specs() if s.servable}
@@ -294,9 +295,18 @@ class TestShimParity:
 
     def test_registry_points_at_the_legacy_functions(self):
         """The free functions ARE the implementation — no forked copies."""
-        from repro.hkpr import ESTIMATORS
-
-        for name, fn in ESTIMATORS.items():
+        legacy = {
+            "exact": exact_hkpr,
+            "monte-carlo": monte_carlo_hkpr,
+            "cluster-hkpr": cluster_hkpr,
+            "hk-relax": hk_relax,
+            "hk-push": hk_push_hkpr,
+            "hk-push+": hk_push_plus_hkpr,
+            "tea": tea,
+            "tea+": tea_plus,
+        }
+        assert set(legacy) == set(estimators.method_names(family="hkpr"))
+        for name, fn in legacy.items():
             assert estimators.resolve(name).estimate_fn is fn
 
     def test_pr_nibble_sweep_matches_baseline_cluster(self, clustered_graph):
@@ -337,11 +347,10 @@ class TestDynamicRegistration:
 
     def test_new_method_reaches_library_service_and_cli(self, toy_spec, small_ring, capsys):
         from repro.cli import main
-        from repro.clustering import local as local_module
         from repro.service import GraphRegistry, QueryService
 
         # Library surface (including alias resolution).
-        assert "toy" in local_module.SUPPORTED_METHODS
+        assert "toy" in estimators.method_names(sweepable=True)
         result = local_cluster(small_ring, 3, method="toy-indicator")
         assert result.method == "toy" and result.cluster == {3}
 

@@ -43,9 +43,9 @@ class TestPublicAPI:
             assert hasattr(repro, name), name
 
     def test_estimator_registry_contents(self):
-        # The legacy table is derived from the unified registry's HKPR
-        # family, which PR 5 extended with the push-only methods.
-        assert set(repro.ESTIMATORS) == {
+        # The registry's HKPR family, which PR 5 extended with the
+        # push-only methods.
+        assert set(repro.estimators.method_names(family="hkpr")) == {
             "exact",
             "monte-carlo",
             "cluster-hkpr",

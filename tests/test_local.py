@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.clustering.local import SUPPORTED_METHODS, local_cluster
+from repro.clustering.local import local_cluster
 from repro.exceptions import ParameterError
 from repro.hkpr.params import HKPRParams
 
@@ -58,13 +58,11 @@ class TestLocalCluster:
         )
         assert result.contains_seed()
 
-    def test_supported_methods_constant_matches_registry(self):
+    def test_hkpr_methods_are_sweepable(self):
         from repro.estimators import method_names
-        from repro.hkpr import ESTIMATORS
 
-        assert set(SUPPORTED_METHODS) == set(method_names(sweepable=True))
-        # The legacy HKPR estimator table is a subset of what the sweep accepts.
-        assert set(ESTIMATORS) <= set(SUPPORTED_METHODS)
+        # Every HKPR estimator is among the methods the sweep accepts.
+        assert set(method_names(family="hkpr")) <= set(method_names(sweepable=True))
 
     def test_hk_push_methods_sweepable(self, clustered_graph):
         """hk-push and hk-push+ produce sweepable HKPR vectors (push-only

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from repro.clustering.conductance import conductance
 from repro.clustering.quality import precision_recall_f1
 from repro.clustering.sweep import sweep_from_ranking
+from repro.engine.fused import FusedGroup, FusedQuery, sample_fused_starts
 from repro.graph.generators import powerlaw_cluster_graph, ring_graph
-from repro.hkpr.alias import AliasSampler
 from repro.hkpr.hk_push import hk_push
 from repro.hkpr.poisson import PoissonWeights
 from repro.utils.sparsevec import SparseVector
@@ -57,7 +57,7 @@ class TestPoissonProperties:
         assert 0.0 <= weights.stop_probability(k) <= 1.0
 
 
-class TestAliasSamplerProperties:
+class TestInverseCDFProperties:
     @given(
         st.lists(st.floats(0.0, 10.0), min_size=1, max_size=20).filter(
             lambda w: sum(w) > 0
@@ -65,13 +65,17 @@ class TestAliasSamplerProperties:
         st.integers(0, 2**31 - 1),
     )
     @settings(max_examples=50)
-    def test_samples_only_positive_weight_items(self, weights, seed):
-        items = list(range(len(weights)))
-        sampler = AliasSampler(items, weights)
-        rng = np.random.default_rng(seed)
+    def test_samples_only_positive_weight_entries(self, weights, seed):
+        # Two copies of the query, so the second draws from the offset
+        # segment (1, 2] of the concatenated CDF.
+        query = FusedQuery(
+            "poisson", list(range(len(weights))), weights, 50,
+            weights=PoissonWeights(5.0),
+        )
+        group = FusedGroup(_GRAPH, [query, query], [50, 50])
+        starts, _ = sample_fused_starts(group, np.random.default_rng(seed))
         positive = {i for i, w in enumerate(weights) if w > 0}
-        draws = sampler.sample_many(50, rng)
-        assert set(draws) <= positive
+        assert set(starts.tolist()) <= positive
 
 
 class TestGraphMeasureProperties:

@@ -315,7 +315,6 @@ class TestLookupAndCombine:
         )
         assert plan.estimated_walks == 0
         assert plan.fused_queries() == []
-        assert plan.tasks == []
         result = plan.finalize([])
         assert result.counters.extras["walks_from_index"] == 150.0
         assert result.counters.extras["walks_sampled"] == 0.0
