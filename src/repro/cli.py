@@ -56,6 +56,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from collections.abc import Sequence
 
@@ -65,7 +66,7 @@ from repro.bench.datasets import DATASETS, dataset_statistics, load_dataset
 from repro.bench.reporting import format_rows
 from repro.clustering.local import local_cluster
 from repro.engine import backend_descriptions, default_backend_name, get_backend
-from repro.engine.parallel import WORKERS_ENV_VAR, default_worker_count
+from repro.engine.parallel import WORKERS_ENV_VAR, ParallelBackend, default_worker_count
 from repro.exceptions import ReproError
 from repro.graph.io import load_edge_list
 from repro.hkpr.params import HKPRParams, default_delta
@@ -988,14 +989,21 @@ def _run_serve(args: argparse.Namespace) -> int:
         "endpoints       : POST /query   GET /stats /metrics /trace/recent "
         "/graphs /methods /healthz"
     )
+    # SIGTERM, how process managers and CI stop a server, takes Ctrl-C's
+    # path: the service stops and a parallel backend's pool and shared
+    # memory are released before exit.
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
+    except KeyboardInterrupt:  # pragma: no cover - Ctrl-C or SIGTERM
         pass
     finally:
+        signal.signal(signal.SIGTERM, previous)
         server.shutdown()
         server.server_close()
         service.stop()
+        if isinstance(service.backend, ParallelBackend):
+            service.backend.close()
     return 0
 
 

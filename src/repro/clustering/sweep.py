@@ -85,17 +85,26 @@ def sweep_from_ranking(
     if invalid.any():
         bad = int(nodes[np.flatnonzero(invalid)[0]])
         raise ParameterError(f"node {bad} is not in the graph")
-    # Repeats are ignored: each node joins the prefix at its first rank.
-    _, first = np.unique(nodes, return_index=True)
-    first.sort()
-    nodes = nodes[first]
     size = nodes.size
+    positions = np.arange(size)
+    rank = np.full(graph.num_nodes, size, dtype=np.int64)
+    rank[nodes] = positions
+    # Repeats are ignored: each node joins the prefix at its first rank.
+    # A repeated node cannot hold all of its ranks in the table, whichever
+    # write won, so the check below finds repeats exactly, and only a
+    # ranking with repeats is sorted.  Unranked nodes keep the old size,
+    # which is still past every rank.
+    if (rank[nodes] != positions).any():
+        _, first = np.unique(nodes, return_index=True)
+        first.sort()
+        nodes = nodes[first]
+        size = nodes.size
+        positions = positions[:size]
+        rank[nodes] = positions
 
     # A node's internal edges are those to neighbours ranked before it.
     degrees = graph.degrees[nodes]
-    rank = np.full(graph.num_nodes, size, dtype=np.int64)
-    rank[nodes] = np.arange(size)
-    rows = np.repeat(np.arange(size), degrees)
+    rows = np.repeat(positions, degrees)
     neighbor_rank = rank[neighbor_rows(graph, nodes, degrees)]
     internal_edges = np.bincount(rows[neighbor_rank < rows], minlength=size)
     prefix_volume = np.cumsum(degrees)

@@ -31,15 +31,27 @@ from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.sparsevec import SparseVector
 
 
+#: The most walks one query can count: the walk counters are ``int64``.
+MAX_WALKS = int(np.iinfo(np.int64).max)
+
+
 def default_walk_count(n: int, eps: float) -> int:
-    """The walk count ``16 log(n) / eps^3`` prescribed by Chung & Simpson."""
+    """The walk count ``16 log(n) / eps^3`` prescribed by Chung & Simpson.
+
+    Raises :class:`ParameterError` when the count is not finite or exceeds
+    :data:`MAX_WALKS`.  The default ``eps = min(eps_r * delta, p_f)`` is
+    at most ``p_f`` = 1e-6, which asks for at least 1.1e19 walks on any
+    graph, so a default query fails at once instead of never returning.
+    """
     if not 0.0 < eps < 1.0:
         raise ParameterError(f"eps must be in (0, 1), got {eps}")
-    count = checked_walk_ratio(
-        16.0 * math.log(max(n, 2)),
-        eps**3,
-        f"eps ({eps:g}; it defaults to min(eps_r * delta, p_f))",
-    )
+    culprits = f"eps ({eps:g}; it defaults to min(eps_r * delta, p_f))"
+    count = checked_walk_ratio(16.0 * math.log(max(n, 2)), eps**3, culprits)
+    if count > MAX_WALKS:
+        raise ParameterError(
+            f"walk count 16 log(n) / eps^3 = {count:.3g} exceeds {MAX_WALKS:.3g}, "
+            f"the most the walk counters hold; raise {culprits} or pass num_walks"
+        )
     return max(1, int(math.ceil(count)))
 
 

@@ -38,7 +38,7 @@ from repro.hkpr.residues import ResidueVectors, max_normalized
 from repro.hkpr.result import HKPRResult
 from repro.utils.counters import OperationCounters
 from repro.utils.deadline import Deadline
-from repro.utils.sparsevec import SparseVector
+from repro.utils.sparsevec import SparseVector, sum_by_node
 
 
 @dataclass
@@ -87,9 +87,11 @@ def layered_push(
     node's neighbors at hop ``k + 1``.  An isolated node settles all of its
     residue.  Neighbors are gathered through the walk kernels' batch
     accessor, so a :class:`~repro.dynamic.delta.DeltaGraph` overlay works
-    unchanged, and the shares are scatter-added with ``np.unique`` +
-    ``np.bincount``.  Hops ``0 .. len(stops) - 1`` are pushed; residue
-    left at hop ``len(stops)`` stays (HK-Push+'s hop cap).
+    unchanged, and the shares are summed by target node with
+    :func:`~repro.utils.sparsevec.sum_by_node`, which sorts only a hop
+    whose targets are sparse in id space.  Hops ``0 .. len(stops) - 1``
+    are pushed; residue left at hop ``len(stops)`` stays (HK-Push+'s hop
+    cap).
 
     Parameters
     ----------
@@ -182,8 +184,7 @@ def layered_push(
             counts[-1] -= overshoot
         targets = neighbor_rows(graph, pushed_nodes[spread], counts)
         counters.record_pushes(targets.size)
-        nodes, inverse = np.unique(targets, return_inverse=True)
-        values = np.bincount(inverse, weights=np.repeat(shares, counts))
+        nodes, values = sum_by_node(targets, np.repeat(shares, counts))
         current_max = max_normalized(values, degrees[nodes])
 
         if exhausted or (

@@ -38,7 +38,7 @@ from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
 from repro.utils.counters import OperationCounters
 from repro.utils.deadline import Deadline
-from repro.utils.sparsevec import SparseVector
+from repro.utils.sparsevec import SparseVector, sum_by_node
 
 
 @dataclass
@@ -105,9 +105,9 @@ def frontier_push(
         counters.record_pushes(targets.size)
         shares = spread_share * pushed_values[linked] / counts
         values[pushed] = np.where(linked, kept_share * pushed_values, 0.0)
-        nodes, inverse = np.unique(np.concatenate((nodes, targets)), return_inverse=True)
-        values = np.bincount(
-            inverse, weights=np.concatenate((values, np.repeat(shares, counts)))
+        nodes, values = sum_by_node(
+            np.concatenate((nodes, targets)),
+            np.concatenate((values, np.repeat(shares, counts))),
         )
         nonzero = values != 0.0
         if not nonzero.all():

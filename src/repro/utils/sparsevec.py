@@ -7,7 +7,8 @@ the seed), so the estimators keep only the non-zero entries:
 :meth:`SparseVector.add_many` reduces repeated nodes and merges them into
 the arrays (the push reserves, every walk phase's endpoint accumulation),
 and :meth:`SparseVector.from_dense` builds it from a dense array (the exact
-solvers).
+solvers).  :func:`sum_by_node` is the reduction the push reserves and
+every push round share.
 
 The arrays are read-only and never written in place, so a finished answer
 can be read by many threads at once.  The vector offers the small amount
@@ -30,6 +31,35 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 _NO_NODES = _frozen(np.zeros(0, dtype=np.int64))
 _NO_VALUES = _frozen(np.zeros(0))
+
+
+def sum_by_node(
+    nodes: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ``nodes`` in ascending order and the sum of each one's ``weights``.
+
+    Each node's weights are added in input order, as :func:`numpy.bincount`
+    adds them, so the sums are bit-identical to ``np.unique`` (with
+    ``return_inverse``) + ``np.bincount``.  When the ids span at most 8x
+    as many values as there are entries, they are marked and summed over
+    that span directly: no sort runs and the cost stays ``O(len(nodes))``,
+    so a push round costs what it touches, not the graph's size.  Sparser
+    ids take the sort.
+    """
+    nodes = np.asarray(nodes, dtype=np.int64)
+    if nodes.size == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
+    low = int(nodes.min())
+    span = int(nodes.max()) - low + 1
+    if span > 8 * nodes.size:
+        unique, inverse = np.unique(nodes, return_inverse=True)
+        return unique, np.bincount(inverse, weights=weights)
+    offsets = nodes - low
+    present = np.zeros(span, dtype=bool)
+    present[offsets] = True
+    at = np.flatnonzero(present)
+    sums = np.bincount(offsets, weights=weights, minlength=span)
+    return at + low, sums[at]
 
 
 class SparseVector:
@@ -93,9 +123,9 @@ class SparseVector:
         ``nodes`` is any integer array-like (repeats allowed);
         ``increments`` is either a scalar applied to every node or an array
         of per-node deltas of the same length.  Repeated nodes are reduced
-        with :func:`numpy.bincount` first, in the order given, and the
-        reduced deltas are merged into the arrays: each stored entry
-        becomes ``old + delta``, and exact zeros are dropped.
+        first, in the order given (:func:`sum_by_node` for per-node deltas),
+        and the reduced deltas are merged into the arrays: each stored
+        entry becomes ``old + delta``, and exact zeros are dropped.
         """
         node_arr = np.asarray(nodes, dtype=np.int64).ravel()
         if node_arr.size == 0:
@@ -110,8 +140,7 @@ class SparseVector:
                     f"nodes and increments must have equal length, "
                     f"got {node_arr.size} and {inc_arr.size}"
                 )
-            unique, inverse = np.unique(node_arr, return_inverse=True)
-            deltas = np.bincount(inverse, weights=inc_arr)
+            unique, deltas = sum_by_node(node_arr, inc_arr)
         self._writes += 1
         nodes, values = self._nodes, self._values
         if nodes.size == 0:

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import json
 import os
+import signal
+import subprocess
+import sys
+import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import EXPERIMENTS, build_parser, main
+from repro.engine.parallel import WORKERS_ENV_VAR
 from repro.graph.generators import ring_graph
 from repro.graph.io import save_edge_list
 
@@ -342,6 +350,47 @@ class TestServeCommand:
         assert "grid3d-sim" in service.registry
         assert "ring" in service.registry
 
+    def test_sigterm_stops_a_parallel_server_cleanly(self):
+        # A 10,000-walk batch runs on the 2-worker pool, so the server has
+        # exported the graph's CSR arrays to shared memory.  SIGTERM must
+        # release them: exit 0 and no resource-tracker warning.
+        env = dict(os.environ, PYTHONUNBUFFERED="1", **{WORKERS_ENV_VAR: "2"})
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        server = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve",
+                "--generate", "chung-lu,n=2000,gamma=2.5,seed=11",
+                "--graph-name", "g", "--port", "0", "--backend", "parallel",
+            ],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+        )
+        try:
+            banner = []
+            for line in server.stdout:
+                banner.append(line)
+                if line.startswith("listening on"):
+                    break
+            else:
+                pytest.fail("server exited before listening:\n" + "".join(banner))
+            url = line.split(":", 1)[1].strip() + "/query"
+            for method, params in (
+                ("monte-carlo", {"num_walks": 10_000}),
+                ("tea+", {"c": 1.0}),
+            ):
+                body = {"graph": "g", "method": method, "seed_node": 7, "params": params}
+                request = urllib.request.Request(url, data=json.dumps(body).encode())
+                with urllib.request.urlopen(request, timeout=60) as response:
+                    counters = json.loads(response.read())["counters"]
+                assert counters["walk_execution"] == "pool", counters
+            server.send_signal(signal.SIGTERM)
+            output, _ = server.communicate(timeout=30)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert server.returncode == 0, output
+        assert "leaked shared_memory" not in output, output
 
 
 class TestGraphCommand:

@@ -30,6 +30,13 @@ class TestDefaults:
         with pytest.raises(ParameterError, match="eps .*p_f"):
             default_walk_count(2000, eps)
 
+    @pytest.mark.parametrize("n", [1, 9, 3000])
+    def test_default_walk_count_beyond_int64(self, n):
+        # The default eps is at most p_f = 1e-6: 16 log(n) / eps^3 is at
+        # least 1.1e19 walks, more than an int64 counter holds.
+        with pytest.raises(ParameterError, match="eps .*num_walks"):
+            default_walk_count(n, 1e-6)
+
     def test_default_max_hop_shrinks_with_larger_eps(self):
         assert default_max_hop(5.0, 0.3) <= default_max_hop(5.0, 0.001)
 

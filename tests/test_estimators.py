@@ -15,13 +15,19 @@ Three layers of coverage:
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from repro import estimators
 from repro.baselines import nibble_hkpr, pr_nibble, pr_nibble_hkpr
+from repro.bench.datasets import load_dataset
 from repro.clustering.local import local_cluster
 from repro.estimators import EstimatorSpec, ParamSpec
-from repro.exceptions import ParameterError, ServiceError
+from repro.exceptions import ParameterError, ReproError, ServiceError
+from repro.graph.generators import ring_graph
+from repro.graph.graph import Graph
 from repro.hkpr import (
     cluster_hkpr,
     exact_hkpr,
@@ -484,3 +490,53 @@ class TestDeclarativeEstimate:
     def test_local_cluster_rejects_flow_methods(self, small_ring):
         with pytest.raises(ParameterError, match="sweepable"):
             local_cluster(small_ring, 0, method="simple-local")
+
+
+# ------------------------------------------------------------------ #
+# Default parameters
+# ------------------------------------------------------------------ #
+class _NoAnswer(Exception):
+    pass
+
+
+@contextmanager
+def _alarm(seconds: float):
+    """Raise :class:`_NoAnswer` in the body after ``seconds`` of wall time."""
+
+    def ring(signum, frame):
+        raise _NoAnswer(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(scope="module")
+def default_graphs():
+    return {
+        # A ring of 8 beside an isolated node.
+        "ring-plus-isolated": (Graph(9, list(ring_graph(8).edges())), 0),
+        "dblp-sim": (load_dataset("dblp-sim"), 42),
+    }
+
+
+class TestDefaultParameters:
+    """Every method, given only a graph and a seed, answers or refuses."""
+
+    @pytest.mark.parametrize("graph_name", ["ring-plus-isolated", "dblp-sim"])
+    @pytest.mark.parametrize("method", estimators.method_names())
+    def test_returns_or_raises_a_typed_error(self, default_graphs, graph_name, method):
+        graph, seed = default_graphs[graph_name]
+        spec = estimators.resolve(method)
+        with _alarm(20):
+            try:
+                if spec.estimate_fn is not None:
+                    spec.estimate(graph, seed, rng=1)
+                else:
+                    spec.cluster(graph, seed)
+            except ReproError:
+                pass

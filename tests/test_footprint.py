@@ -35,9 +35,9 @@ for name in ("scipy", "networkx"):
     raise SystemExit(f"{name} was not blocked")
 """
 
-#: Every served method with explicit knobs where its defaults would not fit
-#: the service's in-flight walk budget (cluster-hkpr's eps = min(eps_r *
-#: delta, p_f) implies ~1e20 walks).
+#: Every served method with explicit knobs where its defaults would not be
+#: served (cluster-hkpr's eps = min(eps_r * delta, p_f) asks for ~1e20
+#: walks, more than an int64 counter holds, and is refused).
 SERVE_EVERY_METHOD = """
 import json
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,7 @@ from repro.engine.fused import FusedGroup, FusedQuery, sample_fused_starts
 from repro.graph.generators import powerlaw_cluster_graph, ring_graph
 from repro.hkpr.hk_push import hk_push
 from repro.hkpr.poisson import PoissonWeights
-from repro.utils.sparsevec import SparseVector
+from repro.utils.sparsevec import SparseVector, sum_by_node
 
 # A moderate, connected test graph reused by the stateless properties below.
 _GRAPH = powerlaw_cluster_graph(120, 3, 0.4, seed=17)
@@ -40,6 +41,70 @@ class TestSparseVectorProperties:
         before = vec[node]
         vec.add_many([node], [delta])
         assert math.isclose(vec[node], before + delta, rel_tol=1e-9, abs_tol=1e-12)
+
+
+def _assert_sums_like_the_sort(nodes, weights) -> None:
+    """``sum_by_node`` equals ``np.unique`` + ``np.bincount`` bit for bit."""
+    nodes, weights = np.array(nodes, dtype=np.int64), np.array(weights)
+    got_nodes, got_sums = sum_by_node(nodes, weights)
+    want_nodes, inverse = np.unique(nodes, return_inverse=True)
+    want_sums = np.bincount(inverse, weights=weights)
+    assert got_nodes.dtype == np.int64 and got_sums.dtype == np.float64
+    np.testing.assert_array_equal(got_nodes, want_nodes)
+    np.testing.assert_array_equal(got_sums.view(np.uint64), want_sums.view(np.uint64))
+
+
+_LOWEST_ID = st.integers(0, 2**40)
+_WEIGHT = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+class TestSumByNodeProperties:
+    """Both branches, marked span and sort, against the sort they replace."""
+
+    @settings(max_examples=150)
+    @given(_LOWEST_ID, st.data())
+    def test_dense_span(self, low, data):
+        # At most 8 ids per entry: the marked-span branch.
+        size = data.draw(st.integers(1, 60))
+        offsets = data.draw(
+            st.lists(st.integers(0, 8 * size - 1), min_size=size, max_size=size)
+        )
+        weights = data.draw(st.lists(_WEIGHT, min_size=size, max_size=size))
+        _assert_sums_like_the_sort([low + offset for offset in offsets], weights)
+
+    @settings(max_examples=150)
+    @given(_LOWEST_ID, st.data())
+    def test_sparse_span(self, low, data):
+        # The ids span more than 8 per entry: the sort branch.
+        size = data.draw(st.integers(2, 60))
+        top = data.draw(st.integers(8 * size, 10**6))
+        pool = [0, top, *data.draw(st.lists(st.integers(0, top), max_size=size))]
+        offsets = [0, top] + data.draw(
+            st.lists(st.sampled_from(pool), min_size=size - 2, max_size=size - 2)
+        )
+        offsets = data.draw(st.permutations(offsets))
+        weights = data.draw(st.lists(_WEIGHT, min_size=size, max_size=size))
+        _assert_sums_like_the_sort([low + offset for offset in offsets], weights)
+
+    @pytest.mark.parametrize(
+        "nodes,weights",
+        [([3, 3, 3], [1e16, 1.0, -1e16]), ([3, 1000, 3, 3], [1e16, 5.0, 1.0, -1e16])],
+        ids=["dense", "sparse"],
+    )
+    def test_repeats_add_in_input_order(self, nodes, weights):
+        # 1e16 + 1.0 rounds back to 1e16: node 3 sums to 0 only in input order.
+        _assert_sums_like_the_sort(nodes, weights)
+        assert sum_by_node(np.array(nodes), np.array(weights))[1][0] == 0.0
+
+    def test_single_entry(self):
+        nodes, sums = sum_by_node(np.array([7]), np.array([2.5]))
+        assert nodes.tolist() == [7] and sums.tolist() == [2.5]
+        _assert_sums_like_the_sort([7], [2.5])
+
+    def test_empty_input(self):
+        nodes, sums = sum_by_node(np.zeros(0, dtype=np.int64), np.zeros(0))
+        assert nodes.size == 0 and sums.size == 0
+        _assert_sums_like_the_sort([], [])
 
 
 class TestPoissonProperties:

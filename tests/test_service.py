@@ -243,14 +243,14 @@ class TestQueryService:
 
     def test_single_query_exceeding_whole_walk_budget_rejected(self, registry):
         """A query whose estimate alone exceeds the budget can never fit —
-        the idle-server escape hatch must not admit it (a default
-        cluster-hkpr query implies ~1/eps^3 walks and would wedge the
-        dispatch thread forever)."""
+        the idle-server escape hatch must not admit it (cluster-hkpr
+        implies ~16 log(n)/eps^3 walks, 4.2e5 here at eps 0.05, and would
+        hold the dispatch thread far past any other query)."""
         with QueryService(
             registry, max_batch=4, max_inflight_walks=10_000, cache_entries=0
         ) as svc:
             with pytest.raises(ServiceOverloadedError, match="exceed"):
-                svc.submit("grid", "cluster-hkpr", 0)  # theory-driven count
+                svc.submit("grid", "cluster-hkpr", 0, {"eps": 0.05})
             with pytest.raises(ServiceOverloadedError, match="exceed"):
                 svc.submit("grid", "monte-carlo", 0, {"num_walks": 20_000})
             # With explicit, in-budget knobs the same methods serve fine.
@@ -581,16 +581,18 @@ class TestHTTPFrontend:
             ("cluster-hkpr", {"eps": 1e-120}, "eps"),
             ("cluster-hkpr", {"p_f": 1e-120}, "p_f"),
             ("cluster-hkpr", {"eps": 1e-104}, "eps"),
+            ("cluster-hkpr", {}, "num_walks"),
         ],
         ids=["monte-carlo", "tea", "tea+", "fora", "cluster-eps", "cluster-p_f",
-             "cluster-eps-overflow"],
+             "cluster-eps-overflow", "cluster-defaults"],
     )
     def test_walk_count_beyond_the_float_range_is_400(
         self, http_service, method, params, named
     ):
         # The walk-count denominators underflow to 0 (or the count to inf)
         # for these in-range values: a ZeroDivisionError or OverflowError
-        # and a 500 before.
+        # and a 500 before.  cluster-hkpr's defaults ask for more walks
+        # than an int64 counter holds, a query that never finished before.
         base, _ = http_service
         body = {"graph": "grid", "method": method, "seed_node": 1, "params": params}
         with pytest.raises(urllib.error.HTTPError) as excinfo:
