@@ -28,7 +28,10 @@ from repro.utils.rng import RandomState
 
 @dataclass
 class LocalClusteringResult:
-    """A local cluster together with the HKPR estimation that produced it."""
+    """A local cluster together with the HKPR estimation that produced it.
+
+    ``cluster`` is ``sweep.cluster`` itself, not a copy.
+    """
 
     cluster: set[int]
     conductance: float
@@ -122,7 +125,7 @@ def local_cluster(
     elapsed = time.perf_counter() - start
 
     return LocalClusteringResult(
-        cluster=set(sweep.cluster),
+        cluster=sweep.cluster,
         conductance=sweep.conductance,
         seed=seed,
         method=spec.name,

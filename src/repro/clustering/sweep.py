@@ -103,12 +103,15 @@ def sweep_from_ranking(
         rank[nodes] = positions
 
     # A node's internal edges are those to neighbours ranked before it.
+    # Counting every edge end at the later of its two ranks counts each
+    # internal edge twice, at the rank where it stops being cut; edges to
+    # unranked nodes land past the last rank.
     degrees = graph.degrees[nodes]
     rows = np.repeat(positions, degrees)
-    neighbor_rank = rank[neighbor_rows(graph, nodes, degrees)]
-    internal_edges = np.bincount(rows[neighbor_rank < rows], minlength=size)
+    later = np.maximum(rows, rank[neighbor_rows(graph, nodes, degrees)], out=rows)
+    internal_ends = np.bincount(later, minlength=size)[:size]
     prefix_volume = np.cumsum(degrees)
-    prefix_cut = np.cumsum(degrees - 2 * internal_edges)
+    prefix_cut = np.cumsum(degrees - internal_ends)
 
     denominator = np.minimum(prefix_volume, graph.total_volume - prefix_volume)
     positive = denominator > 0

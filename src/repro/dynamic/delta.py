@@ -11,7 +11,7 @@ untouched and patches only the adjacency rows that mutations have touched:
   per-node ``starts`` offset, the merged ``degrees``, and an append-only
   ``patch`` of rewritten rows.  A start below ``len(base.indices)`` reads
   the base CSR; a start at or past it reads ``patch`` at
-  ``start - len(base.indices)``.  A batch gather is one ``starts``
+  ``start - len(base.indices)``.  A batch read is one ``starts``
   lookup, one add and a select between the two arrays.
 * **Snapshots, not in-place mutation.**  ``add_edges`` / ``remove_edges``
   return a *new* :class:`DeltaGraph`: copies of ``starts`` and
@@ -34,8 +34,10 @@ untouched and patches only the adjacency rows that mutations have touched:
   slices.
 
 Batched execution backends that understand the overlay advertise
-``supports_overlay = True`` and read through :meth:`gather_neighbors`;
-:meth:`for_backend` hands everything else a compacted plain graph.
+``supports_overlay = True`` and read through :attr:`DeltaGraph.row_starts`
+and :meth:`DeltaGraph.read_slots`, the pair a plain :class:`Graph` also
+exposes; :meth:`for_backend` hands everything else a compacted plain
+graph.
 """
 
 from __future__ import annotations
@@ -172,7 +174,8 @@ class DeltaGraph:
     Implements the read API of :class:`~repro.graph.graph.Graph` (degrees,
     neighbors, sampling, volumes) by reading each row at its ``starts``
     offset, in the base CSR or in the patch, plus the vectorized
-    read-through used by batch kernels (:meth:`gather_neighbors`).
+    read-through used by batch kernels (:attr:`row_starts` and
+    :meth:`read_slots`).
     Whole-graph views that genuinely need contiguous CSR
     (``transition_matrix``, ``walk_step``, ``subgraph``, ...) delegate to
     :meth:`compacted`.
@@ -193,6 +196,7 @@ class DeltaGraph:
         "last_event",
         "_lock",
         "_compacted",
+        "_failure_sums",
     )
 
     def __init__(self, base: Graph, *, epoch: int = 0) -> None:
@@ -211,6 +215,8 @@ class DeltaGraph:
         self.last_event: MutationEvent | None = None
         self._lock = threading.Lock()
         self._compacted: Graph | None = base
+        # Per-snapshot Eq. (6) sums, as on Graph (repro.hkpr.params).
+        self._failure_sums: dict[float, float] = {}
 
     # ------------------------------------------------------------------ #
     # Mutation (returns a new snapshot)
@@ -350,7 +356,7 @@ class DeltaGraph:
         """Adapt this snapshot for an execution backend.
 
         Backends that set ``supports_overlay = True`` (the vectorized
-        kernels) read through :meth:`gather_neighbors`; everything else
+        kernels) read through :meth:`read_slots`; everything else
         (the reference loop, parallel workers over shared-memory CSR) gets
         the compacted plain graph.
         """
@@ -361,23 +367,32 @@ class DeltaGraph:
     # ------------------------------------------------------------------ #
     # Vectorized read-through for batch kernels
     # ------------------------------------------------------------------ #
-    def gather_neighbors(self, nodes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """Batch neighbor lookup: the ``offsets``-th neighbor of each node.
+    @property
+    def row_starts(self) -> np.ndarray:
+        """Read-only slot of each node's first neighbor in this snapshot.
 
-        The overlay equivalent of ``indices[indptr[nodes] + offsets]``:
-        a position below the base's length gathers from the base CSR, any
-        other from the patch.  Callers guarantee
-        ``0 <= offsets < degrees[nodes]``.
+        As :attr:`Graph.row_starts`: neighbor ``j`` of ``v`` sits in slot
+        ``row_starts[v] + j`` of the base CSR followed by the patch, which
+        :meth:`read_slots` reads.
         """
-        positions = self._starts[nodes] + offsets
+        view = self._starts.view()
+        view.flags.writeable = False
+        return view
+
+    def read_slots(self, slots: np.ndarray) -> np.ndarray:
+        """The neighbors held in ``slots`` (see :attr:`row_starts`).
+
+        A slot below the base's length reads the base CSR, any other the
+        patch.  Callers pass slots of existing neighbors only.
+        """
         base = self._base.indices
-        in_patch = np.flatnonzero(positions >= base.size)
+        in_patch = np.flatnonzero(slots >= base.size)
         if not in_patch.size:
-            return base[positions]
-        # Clipped positions read a stand-in from the base that the patch
-        # then overwrites; an edgeless base has nothing to clip to.
-        out = base.take(positions, mode="clip") if base.size else positions
-        out[in_patch] = self._patch[positions[in_patch] - base.size]
+            return base[slots]
+        # Clipped slots read a stand-in from the base that the patch then
+        # overwrites; an edgeless base has nothing to clip to.
+        out = base.take(slots, mode="clip") if base.size else slots.copy()
+        out[in_patch] = self._patch[slots[in_patch] - base.size]
         return out
 
     # ------------------------------------------------------------------ #

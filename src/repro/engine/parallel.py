@@ -239,11 +239,18 @@ atexit.register(_release_all_shared)
 class _CSRView:
     """Duck-typed stand-in for :class:`Graph` over attached shared memory.
 
-    Provides exactly the attributes the vectorized kernels touch
-    (``num_nodes``, ``indptr``, ``indices``, ``degrees``).
+    Provides exactly what the vectorized kernels touch (``num_nodes``,
+    ``degrees`` and the slot pair ``row_starts`` / ``read_slots``).
     """
 
     __slots__ = ("num_nodes", "indptr", "indices", "degrees", "_segments")
+
+    @property
+    def row_starts(self) -> np.ndarray:
+        return self.indptr
+
+    def read_slots(self, slots: np.ndarray) -> np.ndarray:
+        return self.indices[slots]
 
 
 _WORKER_GRAPHS: "OrderedDict[str, _CSRView]" = OrderedDict()

@@ -8,7 +8,7 @@ walks and advance every pending walk one hop per iteration.
   probabilities looked up from :meth:`PoissonWeights.stop_probability_array`.
 * The hop itself is two CSR gathers: sample an offset into each walk's
   adjacency slice (``rng.integers(0, degrees[cur])`` broadcasts per-element
-  upper bounds) and gather ``indices[indptr[cur] + offset]``.
+  upper bounds) and read adjacency slot ``row_starts[cur] + offset``.
 
 The loop runs for as many iterations as the *longest* walk in the batch
 (O(t + log batch) for heat kernel walks), so the Python interpreter cost is
@@ -31,35 +31,37 @@ from repro.utils.counters import OperationCounters
 def _neighbor_gather(graph):
     """Batch neighbor-lookup closure: ``gather(cur, offsets)``.
 
-    Plain CSR graphs resolve to the raw fancy-index expression
-    ``indices[indptr[cur] + offsets]``; a
-    :class:`~repro.dynamic.delta.DeltaGraph` overlay supplies its own
-    :meth:`gather_neighbors` that reads patched rows from the delta and
-    everything else from the base CSR.  This is the only graph access in
-    the kernels' hot loops besides the ``degrees`` array, so it is all an
-    overlay needs to override.
+    The ``offsets``-th neighbor of each ``cur`` is in adjacency slot
+    ``row_starts[cur] + offsets``.  A plain CSR graph reads its slots from
+    ``indices``; a :class:`~repro.dynamic.delta.DeltaGraph` overlay reads
+    patched rows from the delta and everything else from the base CSR.
+    This is the only graph access in the kernels' hot loops besides the
+    ``degrees`` array.
     """
-    gather = getattr(graph, "gather_neighbors", None)
-    if gather is not None:
-        return gather
-    indptr, indices = graph.indptr, graph.indices
+    row_starts, read_slots = graph.row_starts, graph.read_slots
 
-    def csr_gather(cur: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        return indices[indptr[cur] + offsets]
+    def gather(cur: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        return read_slots(row_starts[cur] + offsets)
 
-    return csr_gather
+    return gather
 
 
-def neighbor_rows(graph, nodes: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """The first ``degrees[i]`` neighbors of each ``nodes[i]``, row after row.
+def neighbor_rows(graph, nodes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The first ``counts[i]`` neighbors of each ``nodes[i]``, row after row.
 
-    ``degrees`` is ``graph.degrees[nodes]`` for whole rows; a smaller count
-    takes a row's prefix.  The pushes and the sweep expand adjacency rows
-    through :func:`_neighbor_gather`, so they read a
-    :class:`~repro.dynamic.delta.DeltaGraph` overlay as the walk kernels do.
+    ``counts`` is ``graph.degrees[nodes]`` for whole rows; a smaller count
+    takes a row's prefix.  Output entry ``k`` of row ``i`` is neighbor
+    ``k - first[i]`` of ``nodes[i]``, where ``first[i]`` is the row's first
+    output position, so its adjacency slot is
+    ``k + row_starts[nodes[i]] - first[i]``: three passes over the output
+    build the slots and one reads them, on a plain graph or a
+    :class:`~repro.dynamic.delta.DeltaGraph` overlay alike.  The pushes
+    and the sweep expand adjacency rows here.
     """
-    offsets = np.arange(int(degrees.sum())) - np.repeat(np.cumsum(degrees) - degrees, degrees)
-    return _neighbor_gather(graph)(np.repeat(nodes, degrees), offsets)
+    ends = np.cumsum(counts)
+    slots = np.repeat(graph.row_starts[nodes] - (ends - counts), counts)
+    slots += np.arange(slots.size)
+    return graph.read_slots(slots)
 
 
 def _validated_starts(graph: Graph, start_nodes) -> np.ndarray:

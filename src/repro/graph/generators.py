@@ -282,16 +282,33 @@ def chung_lu_graph(
         raise ParameterError("expected degrees must be non-negative")
     n = len(weights)
     total = weights.sum()
-    if total <= 0:
-        raise ParameterError("expected degree sequence must have positive sum")
+    # rng.choice rejected a NaN or infinite p; the CDF below would not.
+    if not 0.0 < total < np.inf:
+        raise ParameterError("expected degree sequence must have a positive, finite sum")
     rng = ensure_rng(seed)
-    probabilities = weights / total
     num_candidates = max(1, int(round(total / 2.0)))
-    sources = rng.choice(n, size=num_candidates, p=probabilities)
-    targets = rng.choice(n, size=num_candidates, p=probabilities)
+    # rng.choice(n, size, p=weights / total), twice, without its per-call
+    # checks and with the uniforms searched in sorted order: the same CDF,
+    # the same draws and the same endpoints.
+    cdf = np.cumsum(weights / total)
+    cdf /= cdf[-1]
+    sources = _search_sorted_uniforms(cdf, rng.random(num_candidates))
+    targets = _search_sorted_uniforms(cdf, rng.random(num_candidates))
     # dedupe drops the self-loops and repeated pairs among the candidates.
     graph = Graph(n, np.column_stack((sources, targets)), dedupe=True)
     return _largest_component(graph) if connected else graph
+
+
+def _search_sorted_uniforms(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """``cdf.searchsorted(uniforms, side="right")``, searched in sorted order.
+
+    Sorted needles let each binary search start where the previous one
+    ended, which on a large CDF is faster than the sort it costs.
+    """
+    order = np.argsort(uniforms)
+    found = np.empty(uniforms.size, dtype=np.int64)
+    found[order] = cdf.searchsorted(uniforms[order], side="right")
+    return found
 
 
 def power_law_degree_sequence(

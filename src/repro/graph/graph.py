@@ -54,7 +54,11 @@ class Graph:
     2
     """
 
-    __slots__ = ("_indptr", "_indices", "_degrees", "_n", "_m", "_backing")
+    # ``_failure_sums`` holds the Eq. (6) sums :mod:`repro.hkpr.params`
+    # derives from this snapshot's degrees, per ``p_f``.
+    __slots__ = (
+        "_indptr", "_indices", "_degrees", "_n", "_m", "_backing", "_failure_sums"
+    )
 
     def __init__(
         self, n: int, edges: Iterable[Edge] | np.ndarray, *, dedupe: bool = False
@@ -120,6 +124,7 @@ class Graph:
         self._indices = indices
         self._degrees = degrees
         self._backing = None
+        self._failure_sums = {}
 
     # ------------------------------------------------------------------ #
     # Basic properties
@@ -194,6 +199,23 @@ class Graph:
         view = self._indices.view()
         view.flags.writeable = False
         return view
+
+    @property
+    def row_starts(self) -> np.ndarray:
+        """Read-only slot of each node's first neighbor (length ``n``).
+
+        Neighbor ``j`` of ``v`` sits in slot ``row_starts[v] + j``, which
+        :meth:`read_slots` reads.  A
+        :class:`~repro.dynamic.delta.DeltaGraph` overlay exposes the same
+        pair, so batch neighbor reads are one formula on either.
+        """
+        view = self._indptr[:-1]
+        view.flags.writeable = False
+        return view
+
+    def read_slots(self, slots: np.ndarray) -> np.ndarray:
+        """The neighbors held in adjacency ``slots`` (see :attr:`row_starts`)."""
+        return self._indices[slots]
 
     def __len__(self) -> int:
         return self._n
@@ -461,6 +483,7 @@ class Graph:
         graph._indices = indices
         graph._degrees = degrees
         graph._backing = backing
+        graph._failure_sums = {}
         return graph
 
     def to_binary(self, path) -> "Path":  # noqa: F821 - Path via binfmt

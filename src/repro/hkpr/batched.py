@@ -40,7 +40,7 @@ from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
 from repro.hkpr.hk_push_plus import hk_push_plus
 from repro.hkpr.params import HKPRParams
-from repro.hkpr.poisson import PoissonWeights
+from repro.hkpr.poisson import PoissonWeights, cached_weights
 from repro.hkpr.result import HKPRResult
 from repro.utils.counters import OperationCounters
 from repro.utils.deadline import Deadline
@@ -77,7 +77,7 @@ class MonteCarloPlan:
         self.graph = graph
         self.seed_node = int(seed_node)
         self.counters = OperationCounters()
-        self._weights = weights if weights is not None else PoissonWeights(params.t)
+        self._weights = weights if weights is not None else cached_weights(params.t)
         self._increment = 1.0 / walks
         self._num_walks = walks
         self._started = time.perf_counter()
@@ -168,11 +168,9 @@ class TeaPlusPlan:
         self._params = params
         self._started = time.perf_counter()
 
-        self._weights = weights if weights is not None else PoissonWeights(params.t)
+        self._weights = weights if weights is not None else cached_weights(params.t)
         omega = params.omega_tea_plus(graph)
-        budget = (
-            push_budget if push_budget is not None else params.push_budget_tea_plus(graph)
-        )
+        budget = push_budget if push_budget is not None else params.push_budget_for(omega)
         hop_cap = max_hop if max_hop is not None else params.max_hop_tea_plus(graph)
 
         counters = OperationCounters()
@@ -310,7 +308,7 @@ def monte_carlo_hkpr_many(
     seeds = _distinct_seeds(seeds)
     generator = ensure_rng(rng)
     engine = get_backend(backend)
-    weights = PoissonWeights(params.t)
+    weights = cached_weights(params.t)
     plans = [
         MonteCarloPlan(graph, seed, params, num_walks=num_walks, weights=weights)
         for seed in seeds
@@ -340,7 +338,7 @@ def tea_plus_many(
     seeds = _distinct_seeds(seeds)
     generator = ensure_rng(rng)
     engine = get_backend(backend)
-    weights = PoissonWeights(params.t)
+    weights = cached_weights(params.t)
     plans = [
         TeaPlusPlan(
             graph, seed, params, rng=generator, max_walks=max_walks,

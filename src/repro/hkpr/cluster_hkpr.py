@@ -23,7 +23,7 @@ from repro.engine import Backend, chunk_sizes, get_backend
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
 from repro.hkpr.params import HKPRParams, checked_walk_ratio
-from repro.hkpr.poisson import PoissonWeights
+from repro.hkpr.poisson import cached_weights
 from repro.hkpr.result import HKPRResult
 from repro.utils.counters import OperationCounters
 from repro.utils.deadline import Deadline
@@ -63,7 +63,7 @@ def default_max_hop(t: float, eps: float) -> int:
     whose Poisson tail is below ``eps``), which matches the intent and is
     well defined for every ``t``.
     """
-    weights = PoissonWeights(t)
+    weights = cached_weights(t)
     for k in range(weights.max_hop + 1):
         if weights.tail_mass_beyond(k) < eps:
             return max(1, k)
@@ -111,7 +111,7 @@ def cluster_hkpr(
     )
     hop_cap = max_hop if max_hop is not None else default_max_hop(params.t, eps_value)
 
-    weights = PoissonWeights(params.t)
+    weights = cached_weights(params.t)
     counters = OperationCounters()
     counters.extras["eps"] = eps_value
     counters.extras["max_hop"] = float(hop_cap)

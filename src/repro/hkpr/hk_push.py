@@ -33,8 +33,8 @@ import numpy as np
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
 from repro.hkpr.params import HKPRParams
-from repro.hkpr.poisson import PoissonWeights
-from repro.hkpr.residues import ResidueVectors, max_normalized
+from repro.hkpr.poisson import PoissonWeights, cached_weights
+from repro.hkpr.residues import ResidueVectors
 from repro.hkpr.result import HKPRResult
 from repro.utils.counters import OperationCounters
 from repro.utils.deadline import Deadline
@@ -84,23 +84,27 @@ def layered_push(
     Hop ``k`` pushes, in one array step and in ascending node-id order,
     every entry with ``r^(k)[v] > threshold * d(v)``: a ``stops[k]``
     fraction of it becomes reserve and the rest is spread evenly over the
-    node's neighbors at hop ``k + 1``.  An isolated node settles all of its
-    residue.  Neighbors are gathered through the walk kernels' batch
-    accessor, so a :class:`~repro.dynamic.delta.DeltaGraph` overlay works
-    unchanged, and the shares are summed by target node with
+    node's neighbors at hop ``k + 1``.  An isolated seed settles all of its
+    residue at hop 0; every later entry is a neighbor, so it has one.
+    Neighbors are read with :func:`~repro.engine.vectorized.neighbor_rows`,
+    so a :class:`~repro.dynamic.delta.DeltaGraph` overlay works unchanged,
+    and the shares are summed by target node with
     :func:`~repro.utils.sparsevec.sum_by_node`, which sorts only a hop
-    whose targets are sparse in id space.  Hops ``0 .. len(stops) - 1``
-    are pushed; residue left at hop ``len(stops)`` stays (HK-Push+'s hop
-    cap).
+    whose targets are sparse in id space.  Each hop's ``r/d`` is computed
+    once: its maximum is the hop's Theorem-2 term before the hop is pushed,
+    and its kept entries' maximum the term after.  Hops
+    ``0 .. len(stops) - 1`` are pushed; residue left at hop ``len(stops)``
+    stays (HK-Push+'s hop cap).
 
     Parameters
     ----------
     stops:
-        Per-hop stop fractions; a final 1.0 settles the last hop whole.
+        Per-hop stop fractions (at least one hop); a final 1.0 settles the
+        last hop whole.
     threshold:
         Per-degree push threshold.
     start_mass:
-        The seed's hop-0 residue.
+        The seed's hop-0 residue (positive).
     budget:
         Push budget in degree units (each pushed entry costs ``d(v)``).
         The hop that reaches it is cut right after the entry that reaches
@@ -117,6 +121,8 @@ def layered_push(
     """
     if not graph.has_node(seed_node):
         raise ParameterError(f"seed node {seed_node} is not in the graph")
+    if len(stops) == 0:
+        raise ParameterError("a layered push needs at least one hop")
     counters = counters if counters is not None else OperationCounters()
     if deadline is not None:
         deadline.bind(counters)
@@ -132,61 +138,65 @@ def layered_push(
     # The current hop's residues, sorted by node id.
     nodes = np.array([seed_node], dtype=np.int64)
     values = np.array([float(start_mass)])
-    current_max = max_normalized(values, degrees[nodes])
+    if degrees[seed_node] == 0:
+        # Only the seed can be isolated (a push target is a neighbor): it
+        # settles whole at hop 0 and nothing spreads.
+        reserve_nodes.append(nodes)
+        reserve_values.append(values)
+        maxima.append(0.0)
+        nodes, values = nodes[:0], values[:0]
+    layer_degrees = degrees[nodes]
+    normalized = values / layer_degrees
+    current_max = float(normalized.max(initial=0.0))
     pushes_used = 0
     exhausted = False
 
     for hop, stop_fraction in enumerate(stops.tolist()):
-        layer_degrees = degrees[nodes]
-        pushed = np.flatnonzero(values > threshold * layer_degrees)
+        above = values > threshold * layer_degrees
+        pushed = np.flatnonzero(above)
         if pushed.size == 0:
             break
-        # Algorithm 4 charges d(v) per push round and stops after the round
-        # that reaches the budget: cut the hop's rounds right after that one.
-        # An exact budget charges only the pushes a round records, so a hop
-        # that settles whole is free.
         charges = layer_degrees[pushed]
         if exact_budget and stop_fraction >= 1.0:
+            # An exact budget charges only the pushes a round records, so
+            # a hop that settles whole is free.
             charges = np.zeros_like(charges)
-        spent = pushes_used + np.cumsum(charges)
-        overshoot = 0
-        if budget is not None:
+        spent_through = pushes_used + int(charges.sum())
+        if budget is not None and spent_through >= budget:
+            # Algorithm 4 charges d(v) per push round and stops after the
+            # round that reaches the budget: cut the hop's rounds right
+            # after that one.  The rest stay residues.
+            spent = pushes_used + np.cumsum(charges)
             cut = int(np.searchsorted(spent, budget))
-            if cut < pushed.size:
-                pushed = pushed[: cut + 1]
-                exhausted = True
-                if exact_budget:
-                    overshoot = int(spent[cut]) - budget
-        spent_through = int(spent[pushed.size - 1])
+            above[pushed[cut + 1 :]] = False
+            pushed, charges = pushed[: cut + 1], charges[: cut + 1]
+            spent_through = int(spent[cut])
+            exhausted = True
         if deadline is not None:
             deadline.check(max(spent_through - pushes_used, 1))
         pushes_used = spent_through
 
+        kept = ~above
+        residues.set_layer(hop, nodes[kept], values[kept])
+        maxima.append(float(normalized[kept].max(initial=0.0)))
         pushed_nodes = nodes[pushed]
         pushed_values = values[pushed]
-        pushed_degrees = layer_degrees[pushed]
-        kept = np.ones(nodes.size, dtype=bool)
-        kept[pushed] = False
-        residues.set_layer(hop, nodes[kept], values[kept])
-        maxima.append(max_normalized(values[kept], layer_degrees[kept]))
-
-        linked = pushed_degrees > 0
-        # An isolated node keeps all of its residue as reserve.
         reserve_nodes.append(pushed_nodes)
-        reserve_values.append(
-            np.where(linked, stop_fraction * pushed_values, pushed_values)
-        )
-        spread = linked & (stop_fraction < 1.0)
-        counts = pushed_degrees[spread]
-        shares = (1.0 - stop_fraction) * pushed_values[spread] / counts
-        if overshoot and stop_fraction < 1.0:
-            # The entry that reached the budget is the last one spread.
-            counts[-1] -= overshoot
-        targets = neighbor_rows(graph, pushed_nodes[spread], counts)
-        counters.record_pushes(targets.size)
-        nodes, values = sum_by_node(targets, np.repeat(shares, counts))
-        current_max = max_normalized(values, degrees[nodes])
+        reserve_values.append(stop_fraction * pushed_values)
+        if stop_fraction < 1.0:
+            shares = (1.0 - stop_fraction) * pushed_values / charges
+            if exact_budget and exhausted:
+                # The entry that reached the budget is the last one spread.
+                charges[-1] -= spent_through - budget
+            targets = neighbor_rows(graph, pushed_nodes, charges)
+            counters.record_pushes(targets.size)
+            nodes, values = sum_by_node(targets, np.repeat(shares, charges))
+        else:
+            nodes, values = nodes[:0], values[:0]
 
+        layer_degrees = degrees[nodes]
+        normalized = values / layer_degrees
+        current_max = float(normalized.max(initial=0.0))
         if exhausted or (
             exit_target is not None and sum(maxima) + current_max <= exit_target
         ):
@@ -288,7 +298,7 @@ def hk_push_hkpr(
         (by Lemma 3 the number of pushes is at most ``1/r_max``).
     """
     start = time.perf_counter()
-    weights = PoissonWeights(params.t)
+    weights = cached_weights(params.t)
     threshold = (
         r_max
         if r_max is not None

@@ -31,7 +31,7 @@ from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
 from repro.hkpr.hk_push import PushOutcome, layered_push
 from repro.hkpr.params import HKPRParams
-from repro.hkpr.poisson import PoissonWeights
+from repro.hkpr.poisson import PoissonWeights, cached_weights
 from repro.hkpr.result import HKPRResult
 from repro.utils.counters import OperationCounters
 from repro.utils.deadline import Deadline
@@ -119,7 +119,7 @@ def hk_push_plus_hkpr(
         (``omega * t / 2`` and Eq. 20), exactly as TEA+ uses them.
     """
     start = time.perf_counter()
-    weights = PoissonWeights(params.t)
+    weights = cached_weights(params.t)
     budget = (
         push_budget if push_budget is not None else params.push_budget_tea_plus(graph)
     )

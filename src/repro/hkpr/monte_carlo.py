@@ -23,7 +23,7 @@ from repro.engine import Backend, chunk_sizes, get_backend
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
 from repro.hkpr.params import HKPRParams
-from repro.hkpr.poisson import PoissonWeights
+from repro.hkpr.poisson import cached_weights
 from repro.hkpr.result import HKPRResult
 from repro.utils.counters import OperationCounters
 from repro.utils.deadline import Deadline
@@ -66,7 +66,7 @@ def monte_carlo_hkpr(
     generator = ensure_rng(rng)
     engine = get_backend(backend)
     start = time.perf_counter()
-    weights = PoissonWeights(params.t)
+    weights = cached_weights(params.t)
 
     walks = num_walks if num_walks is not None else int(
         math.ceil(params.omega_monte_carlo(graph))

@@ -32,7 +32,7 @@ from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
 from repro.hkpr.hk_push import hk_push
 from repro.hkpr.params import HKPRParams
-from repro.hkpr.poisson import PoissonWeights
+from repro.hkpr.poisson import cached_weights
 from repro.hkpr.result import HKPRResult
 from repro.hkpr.walk_phase import run_residue_walk_phase
 from repro.utils.counters import OperationCounters
@@ -88,7 +88,7 @@ def tea(
     engine = get_backend(backend)
     start = time.perf_counter()
 
-    weights = PoissonWeights(params.t)
+    weights = cached_weights(params.t)
     omega = params.omega_tea(graph)
     threshold = r_max if r_max is not None else params.rmax_tea(graph)
     if max_pushes is not None:

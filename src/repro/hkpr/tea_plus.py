@@ -35,7 +35,7 @@ from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
 from repro.hkpr.hk_push_plus import hk_push_plus
 from repro.hkpr.params import HKPRParams
-from repro.hkpr.poisson import PoissonWeights
+from repro.hkpr.poisson import cached_weights
 from repro.hkpr.result import HKPRResult
 from repro.hkpr.walk_phase import run_residue_walk_phase
 from repro.utils.counters import OperationCounters
@@ -94,9 +94,9 @@ def tea_plus(
     engine = get_backend(backend)
     start = time.perf_counter()
 
-    weights = PoissonWeights(params.t)
+    weights = cached_weights(params.t)
     omega = params.omega_tea_plus(graph)
-    budget = push_budget if push_budget is not None else params.push_budget_tea_plus(graph)
+    budget = push_budget if push_budget is not None else params.push_budget_for(omega)
     hop_cap = max_hop if max_hop is not None else params.max_hop_tea_plus(graph)
 
     counters = OperationCounters()

@@ -99,7 +99,7 @@ class TestDeltaGraph:
             assert compact.indices.tobytes() == scratch.indices.tobytes()
             assert compact.degrees.tobytes() == scratch.degrees.tobytes()
 
-    def test_gather_neighbors_matches_compacted(self):
+    def test_slot_reads_match_compacted(self):
         rng = np.random.default_rng(3)
         base = ring_graph(30)
         view = DeltaGraph(base).apply(add=[(0, 5), (2, 9)], remove=[(10, 11)])
@@ -108,7 +108,7 @@ class TestDeltaGraph:
         degrees = view.degrees[nodes]
         nodes = nodes[degrees > 0]
         offsets = (rng.random(nodes.size) * view.degrees[nodes]).astype(np.int64)
-        got = view.gather_neighbors(nodes, offsets)
+        got = view.read_slots(view.row_starts[nodes] + offsets)
         want = compact.indices[compact.indptr[nodes] + offsets]
         assert np.array_equal(got, want)
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.exceptions import ParameterError
 from repro.graph import generators
+from repro.graph.graph import Graph
 
 
 class TestDeterministicFamilies:
@@ -105,13 +106,31 @@ class TestRandomFamilies:
         # Expected total volume is sum(degrees); allow generous sampling slack.
         assert 0.5 * sum(degrees) < g.total_volume <= 1.2 * sum(degrees)
 
+    @pytest.mark.parametrize("seed", [0, 5, 13])
+    def test_chung_lu_endpoints_are_rng_choice_draws(self, seed):
+        # Each side is drawn as rng.choice(n, size, p=weights / total) draws
+        # it, zero weights (never drawn) included: the same graph.
+        shape = np.random.default_rng(seed)
+        weights = shape.pareto(1.5, 3000) * (shape.random(3000) < 0.8)
+        reference = np.random.default_rng(seed + 100)
+        size = max(1, int(round(weights.sum() / 2.0)))
+        p = weights / weights.sum()
+        sources = reference.choice(weights.size, size=size, p=p)
+        targets = reference.choice(weights.size, size=size, p=p)
+        want = Graph(weights.size, np.column_stack((sources, targets)), dedupe=True)
+        got = generators.chung_lu_graph(weights, seed=seed + 100, connected=False)
+        assert got == want
+
     def test_chung_lu_rejects_negative_weights(self):
         with pytest.raises(ParameterError):
             generators.chung_lu_graph([3, -1, 2])
 
-    def test_chung_lu_rejects_zero_sum(self):
-        with pytest.raises(ParameterError):
-            generators.chung_lu_graph([0, 0, 0])
+    @pytest.mark.parametrize(
+        "weights", [[0, 0, 0], [1.0, np.nan, 2.0], [1.0, np.inf]]
+    )
+    def test_chung_lu_rejects_zero_or_non_finite_sum(self, weights):
+        with pytest.raises(ParameterError, match="positive, finite sum"):
+            generators.chung_lu_graph(weights)
 
     def test_power_law_degree_sequence_range(self):
         seq = generators.power_law_degree_sequence(500, 2.5, 2, 50, seed=4)

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro.dynamic import DeltaGraph
 from repro.exceptions import ParameterError
 from repro.graph.generators import (
     complete_graph,
@@ -15,7 +16,11 @@ from repro.graph.generators import (
     star_graph,
 )
 from repro.graph.graph import Graph
-from repro.hkpr.params import HKPRParams, effective_failure_probability
+from repro.hkpr.params import (
+    FAILURE_SUMS_KEPT,
+    HKPRParams,
+    effective_failure_probability,
+)
 
 
 def loop_failure_probability(graph, p_f: float) -> float:
@@ -104,6 +109,42 @@ class TestEffectiveFailureProbability:
         # 19 leaves sum to 19 > 1, and the smallest subnormal p_f / 19 is 0.
         with pytest.raises(ParameterError, match="p_f"):
             effective_failure_probability(star_graph(20), 5e-324)
+
+    def test_underflow_raises_on_every_call(self):
+        # The sum is kept after the first call; the check runs on each.
+        graph = star_graph(20)
+        for _ in range(2):
+            with pytest.raises(ParameterError, match="p_f"):
+                effective_failure_probability(graph, 5e-324)
+
+    def test_kept_sum_is_the_fresh_sum(self):
+        graph = powerlaw_cluster_graph(300, 2, 0.3, seed=3)
+        first = effective_failure_probability(graph, 0.4)
+        assert effective_failure_probability(graph, 0.4) == first
+        fresh = Graph.from_csr_arrays(
+            graph.num_nodes, graph.num_edges, graph.indptr, graph.indices, graph.degrees
+        )
+        assert effective_failure_probability(fresh, 0.4) == first
+
+    def test_mutation_sums_its_own_degrees(self):
+        # Joining two leaves of the star turns two degree-1 nodes into
+        # degree-2 ones, which moves the sum.
+        view = DeltaGraph(star_graph(20))
+        before = effective_failure_probability(view, 0.3)
+        mutated = view.apply(add=[(1, 2)])
+        after = effective_failure_probability(mutated, 0.3)
+        assert after != before
+        assert after == effective_failure_probability(mutated.compacted(), 0.3)
+        assert effective_failure_probability(view, 0.3) == before
+
+    def test_ever_new_pf_keeps_the_sums_bounded(self):
+        graph = ring_graph(12)
+        for step in range(3 * FAILURE_SUMS_KEPT):
+            p_f = 0.1 + step * 1e-3
+            assert effective_failure_probability(graph, p_f) == pytest.approx(
+                loop_failure_probability(graph, p_f), rel=1e-12
+            )
+        assert len(graph._failure_sums) <= FAILURE_SUMS_KEPT
 
     def test_params_method_agrees(self):
         graph = star_graph(20)

@@ -12,8 +12,11 @@ from hypothesis import strategies as st
 from repro.clustering.conductance import conductance
 from repro.clustering.quality import precision_recall_f1
 from repro.clustering.sweep import sweep_from_ranking
+from repro.dynamic import DeltaGraph
 from repro.engine.fused import FusedGroup, FusedQuery, sample_fused_starts
+from repro.engine.vectorized import neighbor_rows
 from repro.graph.generators import powerlaw_cluster_graph, ring_graph
+from repro.graph.graph import Graph
 from repro.hkpr.hk_push import hk_push
 from repro.hkpr.poisson import PoissonWeights
 from repro.utils.sparsevec import SparseVector, sum_by_node
@@ -105,6 +108,56 @@ class TestSumByNodeProperties:
         nodes, sums = sum_by_node(np.zeros(0, dtype=np.int64), np.zeros(0))
         assert nodes.size == 0 and sums.size == 0
         _assert_sums_like_the_sort([], [])
+
+
+def _overlay_graphs() -> dict:
+    """A plain graph and overlays whose patch holds rewritten and dead rows."""
+    absent = [(1, v) for v in range(2, 120) if not _GRAPH.has_edge(1, v)][:3]
+    first = (0, int(_GRAPH.neighbors(0)[0]))
+    overlay = DeltaGraph(_GRAPH).apply(add=absent, remove=[first])
+    overlay = overlay.apply(remove=[absent[0]], add=[first])
+    edgeless = DeltaGraph(Graph(6, [])).apply(add=[(0, 1), (1, 2), (4, 5)])
+    return {
+        "plain": _GRAPH,
+        "overlay": overlay,
+        "edgeless-base-overlay": edgeless,
+    }
+
+
+_ROW_GRAPHS = _overlay_graphs()
+
+
+class TestNeighborRowsProperties:
+    """The one slot gather against each row's prefix, row by row."""
+
+    @staticmethod
+    def _assert_rows(graph, nodes, counts) -> None:
+        got = neighbor_rows(
+            graph, np.array(nodes, dtype=np.int64), np.array(counts, dtype=np.int64)
+        )
+        want = [
+            int(neighbor)
+            for node, count in zip(nodes, counts)
+            for neighbor in graph.neighbors(node)[:count]
+        ]
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+
+    @settings(max_examples=150)
+    @given(st.sampled_from(sorted(_ROW_GRAPHS)), st.data())
+    def test_rows_match_neighbor_prefixes(self, name, data):
+        graph = _ROW_GRAPHS[name]
+        nodes = data.draw(st.lists(st.integers(0, graph.num_nodes - 1), max_size=25))
+        counts = [data.draw(st.integers(0, graph.degree(node))) for node in nodes]
+        self._assert_rows(graph, nodes, counts)
+
+    @pytest.mark.parametrize("name", sorted(_ROW_GRAPHS))
+    def test_whole_rows_empty_input_and_zero_counts(self, name):
+        graph = _ROW_GRAPHS[name]
+        nodes = list(range(graph.num_nodes))
+        self._assert_rows(graph, nodes, graph.degrees.tolist())
+        self._assert_rows(graph, [], [])
+        self._assert_rows(graph, nodes, [0] * len(nodes))
 
 
 class TestPoissonProperties:

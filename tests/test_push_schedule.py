@@ -20,6 +20,7 @@ import pytest
 
 from repro.bench.datasets import load_dataset
 from repro.estimators import resolve
+from repro.exceptions import ParameterError
 from repro.graph.generators import (
     complete_graph,
     grid_3d_graph,
@@ -287,3 +288,51 @@ class TestIsolatedSeed:
         result = spec.estimate(graph, 8, rng=1, estimator_kwargs=kwargs)
         # HK-Relax keeps e^{-t} psi_0, its series truncated at eps_a / 2.
         assert result.estimates.to_dict() == {8: pytest.approx(1.0, abs=2.5e-4)}
+
+    #: Every field of the isolated seed's ``PushOutcome``: reserve, residue
+    #: layers, Theorem-2 sum, pushes used, exit and budget flags and push
+    #: count, recorded while the isolated seed was settled inside the first
+    #: hop's push.  HK-Relax is its layered push, capped at one push and not.
+    PINNED_OUTCOMES = {
+        "hk-push": ({8: 1.0}, [{}, {}], 0.0, 0, False, False, 0),
+        "hk-push+": ({8: 1.0}, [{}, {}], 0.0, 0, True, False, 0),
+        "hk-relax-cap-1": ({8: 0.9997737463238233}, [{}, {}], 0.0, 0, False, False, 0),
+        "hk-relax": ({8: 0.9997737463238233}, [{}, {}], 0.0, 0, False, False, 0),
+    }
+
+    @pytest.mark.parametrize("push", sorted(PINNED_OUTCOMES))
+    def test_push_outcome_is_pinned(self, push, weights_t5):
+        graph = Graph(9, list(ring_graph(8).edges()))
+        params = HKPRParams(delta=1e-3)
+        if push == "hk-push":
+            outcome = hk_push(graph, 8, 1e-4, weights_t5)
+        elif push == "hk-push+":
+            outcome = hk_push_plus(
+                graph, 8, params.eps_r, params.delta, params.max_hop_tea_plus(graph),
+                params.push_budget_tea_plus(graph), weights_t5,
+            )
+        else:
+            eps_a = params.absolute_error_target()
+            n = taylor_degree(params.t, eps_a)
+            psi = _psi_table(params.t, n)
+            outcome = layered_push(
+                graph, 8, 1.0 / psi, eps_a / (2.0 * n),
+                start_mass=math.exp(-params.t) * psi[0],
+                budget=1 if push == "hk-relax-cap-1" else None, exact_budget=True,
+            )
+        residues = outcome.residues
+        observed = (
+            outcome.reserve.to_dict(),
+            [residues.layer(hop) for hop in range(residues.num_hops)],
+            outcome.normalized_residue_sum,
+            outcome.pushes_used,
+            outcome.satisfied_early_exit,
+            outcome.budget_exhausted,
+            outcome.counters.push_operations,
+        )
+        assert observed == self.PINNED_OUTCOMES[push]
+
+
+def test_layered_push_needs_a_hop():
+    with pytest.raises(ParameterError, match="at least one hop"):
+        layered_push(ring_graph(4), 0, np.zeros(0), 1e-3)
