@@ -19,9 +19,8 @@ import numpy as np
 
 from repro.baselines.common import BaselineClusteringResult
 from repro.clustering.sweep import SweepResult, sweep_cut
-from repro.engine.vectorized import neighbor_rows
 from repro.exceptions import ParameterError
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, neighbor_rows
 from repro.hkpr.result import HKPRResult
 from repro.utils.counters import OperationCounters
 from repro.utils.deadline import Deadline

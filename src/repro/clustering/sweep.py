@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engine.vectorized import neighbor_rows
 from repro.exceptions import ParameterError
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, neighbor_rows
 from repro.hkpr.result import HKPRResult
 
 

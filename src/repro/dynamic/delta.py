@@ -48,9 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine.vectorized import neighbor_rows
 from repro.exceptions import EmptyGraphError, GraphError, NodeNotFoundError
-from repro.graph.graph import Edge, Graph
+from repro.graph.graph import Edge, Graph, neighbor_rows
 
 
 def default_compaction_threshold(num_edges: int) -> int:
@@ -196,7 +195,7 @@ class DeltaGraph:
         "last_event",
         "_lock",
         "_compacted",
-        "_failure_sums",
+        "_failure_sum",  # the last p_f's Eq. (6) sum, as on Graph
     )
 
     def __init__(self, base: Graph, *, epoch: int = 0) -> None:
@@ -215,8 +214,6 @@ class DeltaGraph:
         self.last_event: MutationEvent | None = None
         self._lock = threading.Lock()
         self._compacted: Graph | None = base
-        # Per-snapshot Eq. (6) sums, as on Graph (repro.hkpr.params).
-        self._failure_sums: dict[float, float] = {}
 
     # ------------------------------------------------------------------ #
     # Mutation (returns a new snapshot)

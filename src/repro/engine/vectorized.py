@@ -46,24 +46,6 @@ def _neighbor_gather(graph):
     return gather
 
 
-def neighbor_rows(graph, nodes: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The first ``counts[i]`` neighbors of each ``nodes[i]``, row after row.
-
-    ``counts`` is ``graph.degrees[nodes]`` for whole rows; a smaller count
-    takes a row's prefix.  Output entry ``k`` of row ``i`` is neighbor
-    ``k - first[i]`` of ``nodes[i]``, where ``first[i]`` is the row's first
-    output position, so its adjacency slot is
-    ``k + row_starts[nodes[i]] - first[i]``: three passes over the output
-    build the slots and one reads them, on a plain graph or a
-    :class:`~repro.dynamic.delta.DeltaGraph` overlay alike.  The pushes
-    and the sweep expand adjacency rows here.
-    """
-    ends = np.cumsum(counts)
-    slots = np.repeat(graph.row_starts[nodes] - (ends - counts), counts)
-    slots += np.arange(slots.size)
-    return graph.read_slots(slots)
-
-
 def _validated_starts(graph: Graph, start_nodes) -> np.ndarray:
     """Copy of ``start_nodes`` with the reference backend's validation.
 

@@ -54,10 +54,11 @@ class Graph:
     2
     """
 
-    # ``_failure_sums`` holds the Eq. (6) sums :mod:`repro.hkpr.params`
-    # derives from this snapshot's degrees, per ``p_f``.
+    # ``_failure_sum`` (unset until first used) is where
+    # :mod:`repro.hkpr.params` keeps the last ``p_f`` and its Eq. (6) sum
+    # over this snapshot's degrees.
     __slots__ = (
-        "_indptr", "_indices", "_degrees", "_n", "_m", "_backing", "_failure_sums"
+        "_indptr", "_indices", "_degrees", "_n", "_m", "_backing", "_failure_sum"
     )
 
     def __init__(
@@ -124,7 +125,6 @@ class Graph:
         self._indices = indices
         self._degrees = degrees
         self._backing = None
-        self._failure_sums = {}
 
     # ------------------------------------------------------------------ #
     # Basic properties
@@ -318,17 +318,7 @@ class Graph:
             return 0
         member = np.zeros(self._n, dtype=bool)
         member[node_arr] = True
-        starts = self._indptr[node_arr]
-        counts = self._degrees[node_arr]
-        total = int(counts.sum())
-        if total == 0:
-            return 0
-        # Gather the concatenated adjacency slices of all member nodes with
-        # one fancy-index (the standard CSR "ranges" trick), then count the
-        # neighbors that fall outside the set.
-        ends = np.cumsum(counts)
-        positions = np.arange(total) + np.repeat(starts - (ends - counts), counts)
-        neighbors = self._indices[positions]
+        neighbors = neighbor_rows(self, node_arr, self._degrees[node_arr])
         return int(np.count_nonzero(~member[neighbors]))
 
     def adjacency_matrix(self) -> "scipy.sparse.csr_matrix":  # noqa: F821
@@ -412,17 +402,12 @@ class Graph:
         mapping = dict(zip(node_arr.tolist(), range(k)))
         local = np.full(self._n, -1, dtype=np.int64)
         local[node_arr] = np.arange(k)
-        # Gather the rows of the listed nodes as cut_size does and map each
-        # neighbor to its new id (-1 outside the set, below every new id),
-        # keeping each induced edge once, from its lower endpoint.
+        # Read the rows of the listed nodes and map each neighbor to its new
+        # id (-1 outside the set, below every new id), keeping each induced
+        # edge once, from its lower endpoint.
         counts = self._degrees[node_arr]
-        ends = np.cumsum(counts)
-        total = int(ends[-1]) if k else 0
-        positions = np.arange(total) + np.repeat(
-            self._indptr[node_arr] - (ends - counts), counts
-        )
         sources = np.repeat(np.arange(k), counts)
-        targets = local[self._indices[positions]]
+        targets = local[neighbor_rows(self, node_arr, counts)]
         keep = sources < targets
         return Graph(k, np.column_stack((sources[keep], targets[keep]))), mapping
 
@@ -483,7 +468,6 @@ class Graph:
         graph._indices = indices
         graph._degrees = degrees
         graph._backing = backing
-        graph._failure_sums = {}
         return graph
 
     def to_binary(self, path) -> "Path":  # noqa: F821 - Path via binfmt
@@ -504,3 +488,23 @@ class Graph:
         from repro.graph.binfmt import read_graph_binary
 
         return read_graph_binary(path, mmap=mmap)
+
+
+def neighbor_rows(graph, nodes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The first ``counts[i]`` neighbors of each ``nodes[i]``, row after row.
+
+    ``counts`` is ``graph.degrees[nodes]`` for whole rows; a smaller count
+    takes a row's prefix.  Output entry ``k`` of row ``i`` is neighbor
+    ``k - first[i]`` of ``nodes[i]``, where ``first[i]`` is the row's first
+    output position, so its adjacency slot is
+    ``k + row_starts[nodes[i]] - first[i]``: three passes over the output
+    build the slots and one reads them.  ``graph`` is anything with the
+    :attr:`Graph.row_starts` / :meth:`Graph.read_slots` pair, a
+    :class:`~repro.dynamic.delta.DeltaGraph` overlay included; every batch
+    read of whole rows (the pushes, the sweep, :meth:`Graph.cut_size`,
+    :meth:`Graph.subgraph`, the overlay's own merges) goes through here.
+    """
+    ends = np.cumsum(counts)
+    slots = np.repeat(graph.row_starts[nodes] - (ends - counts), counts)
+    slots += np.arange(slots.size)
+    return graph.read_slots(slots)

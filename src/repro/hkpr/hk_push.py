@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ParameterError
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, neighbor_rows
 from repro.hkpr.params import HKPRParams
 from repro.hkpr.poisson import PoissonWeights, cached_weights
 from repro.hkpr.residues import ResidueVectors
@@ -86,7 +86,7 @@ def layered_push(
     fraction of it becomes reserve and the rest is spread evenly over the
     node's neighbors at hop ``k + 1``.  An isolated seed settles all of its
     residue at hop 0; every later entry is a neighbor, so it has one.
-    Neighbors are read with :func:`~repro.engine.vectorized.neighbor_rows`,
+    Neighbors are read with :func:`~repro.graph.graph.neighbor_rows`,
     so a :class:`~repro.dynamic.delta.DeltaGraph` overlay works unchanged,
     and the shares are summed by target node with
     :func:`~repro.utils.sparsevec.sum_by_node`, which sorts only a hop
@@ -126,9 +126,6 @@ def layered_push(
     counters = counters if counters is not None else OperationCounters()
     if deadline is not None:
         deadline.bind(counters)
-
-    # Deferred: repro.engine imports this package while it initializes.
-    from repro.engine.vectorized import neighbor_rows
 
     degrees = graph.degrees
     residues = ResidueVectors(len(stops))

@@ -49,30 +49,25 @@ def default_delta(graph: Graph) -> float:
     return 1.0 / max(graph.num_nodes, 2)
 
 
-#: How many ``p_f`` values a graph snapshot keeps its Eq. (6) sum for; a
-#: new ``p_f`` beyond that replaces the kept sums instead of adding one.
-FAILURE_SUMS_KEPT = 8
-
-
 def effective_failure_probability(graph: Graph, p_f: float) -> float:
     """Per-node failure budget ``p'_f`` from Equation (6).
 
     ``p'_f = p_f`` when ``sum_v p_f^(d(v)-1) <= 1``; otherwise it is scaled
     down by that sum so the union bound over all nodes still yields overall
     failure probability at most ``p_f``.  The paper notes this can be
-    precomputed once per graph: the ``O(n)`` sum is kept on the (immutable)
-    graph snapshot per ``p_f``, so a local query does not pay it.
+    precomputed once per graph: the (immutable) graph snapshot keeps the
+    ``O(n)`` sum of the last ``p_f`` asked for, so a local query does not
+    pay it.
     """
     if not 0.0 < p_f < 1.0:
         raise ParameterError(f"failure probability must be in (0, 1), got {p_f}")
-    sums = graph._failure_sums
-    total = sums.get(p_f)
-    if total is None:
+    kept = getattr(graph, "_failure_sum", None)
+    if kept is not None and kept[0] == p_f:
+        total = kept[1]
+    else:
         exponents = np.maximum(graph.degrees, 1) - 1
         total = float(np.power(p_f, exponents, dtype=float).sum())
-        if len(sums) >= FAILURE_SUMS_KEPT:
-            sums.clear()
-        sums[p_f] = total
+        graph._failure_sum = (p_f, total)
     if total <= 1.0:
         return p_f
     if p_f / total == 0.0:
@@ -195,11 +190,7 @@ class HKPRParams:
 
     def push_budget_tea_plus(self, graph: Graph) -> int:
         """HK-Push+'s push budget ``n_p = omega * t / 2`` (Algorithm 5, Line 5)."""
-        return self.push_budget_for(self.omega_tea_plus(graph))
-
-    def push_budget_for(self, omega: float) -> int:
-        """``n_p = omega * t / 2`` from a TEA+ ``omega`` already computed."""
-        return max(1, int(math.ceil(omega * self.t / 2.0)))
+        return max(1, int(math.ceil(self.omega_tea_plus(graph) * self.t / 2.0)))
 
     def rmax_tea(self, graph: Graph) -> float:
         """TEA's recommended residue threshold ``r_max = 1 / (omega * t)`` (§4.2)."""

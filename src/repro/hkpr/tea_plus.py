@@ -96,7 +96,7 @@ def tea_plus(
 
     weights = cached_weights(params.t)
     omega = params.omega_tea_plus(graph)
-    budget = push_budget if push_budget is not None else params.push_budget_for(omega)
+    budget = push_budget if push_budget is not None else params.push_budget_tea_plus(graph)
     hop_cap = max_hop if max_hop is not None else params.max_hop_tea_plus(graph)
 
     counters = OperationCounters()

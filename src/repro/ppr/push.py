@@ -33,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine.vectorized import neighbor_rows
 from repro.exceptions import ParameterError
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, neighbor_rows
 from repro.utils.counters import OperationCounters
 from repro.utils.deadline import Deadline
 from repro.utils.sparsevec import SparseVector, sum_by_node

@@ -14,9 +14,8 @@ from repro.clustering.quality import precision_recall_f1
 from repro.clustering.sweep import sweep_from_ranking
 from repro.dynamic import DeltaGraph
 from repro.engine.fused import FusedGroup, FusedQuery, sample_fused_starts
-from repro.engine.vectorized import neighbor_rows
 from repro.graph.generators import powerlaw_cluster_graph, ring_graph
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, neighbor_rows
 from repro.hkpr.hk_push import hk_push
 from repro.hkpr.poisson import PoissonWeights
 from repro.utils.sparsevec import SparseVector, sum_by_node
