@@ -1,24 +1,40 @@
-"""Byte pins for the walk traffic the serving ledger checks.
+"""Byte pins for the walk traffic the serving ledger checks, and for every
+route a randomized estimator's walks take.
 
-Recorded before the fused and task walk routes shared the backend kernels:
-each group below draws no walk start by alias sampling, so its bytes are
-the same on either side of that change.  A change to start sampling, to
-the kernels' draw order or to how a fused group splits into kernel calls
-moves them.
+The fused group and the pinned monte-carlo and mc-ppr answers were
+recorded before the fused and task walk routes shared the backend
+kernels: each draws no walk start by alias sampling, so its bytes are the
+same on either side of that change.  The single-query estimators (on two
+backends and two chunk sizes), the ``*_many`` entry points, the pinned
+push-then-walk answers and the index hit were recorded before each
+randomized method became one plan.  A change to start sampling, to the
+kernels' draw order, to how a walk phase splits into kernel calls or to
+the order endpoints are added moves them.
 """
 
 from __future__ import annotations
 
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro import engine
 from repro.bench.datasets import load_dataset
+from repro.engine import WALK_CHUNK_SIZE, execute_plans
 from repro.engine.fused import FusedQuery, run_fused_queries
-from repro.hkpr.batched import TeaPlusPlan
+from repro.estimators import resolve
+from repro.hkpr.batched import TeaPlusPlan, monte_carlo_hkpr_many, tea_plus_many
+from repro.hkpr.cluster_hkpr import cluster_hkpr
+from repro.hkpr.monte_carlo import monte_carlo_hkpr
 from repro.hkpr.params import HKPRParams
 from repro.hkpr.poisson import PoissonWeights
+from repro.hkpr.tea import tea
+from repro.hkpr.tea_plus import tea_plus
+from repro.index import build_walk_index, plan_from_index
+from repro.ppr.batched import monte_carlo_ppr_many
+from repro.ppr.fora import fora, monte_carlo_ppr
 from repro.service import GraphRegistry, QueryService
 from repro.service.registry import build_from_spec
 from repro.utils.counters import OperationCounters
@@ -27,6 +43,22 @@ from repro.utils.counters import OperationCounters
 def _crc(array: np.ndarray) -> int:
     little = array.dtype.newbyteorder("<")
     return zlib.crc32(np.ascontiguousarray(array, dtype=little).tobytes())
+
+
+def _fingerprint(result) -> tuple:
+    """``(random_walks, walk_steps, support, crc32 of nodes, crc32 of
+    values)`` of one answer."""
+    nodes, values = result.estimates.arrays()
+    return (
+        result.counters.random_walks, result.counters.walk_steps,
+        nodes.size, _crc(nodes), _crc(values),
+    )
+
+
+@pytest.fixture(scope="module")
+def dblp():
+    graph = load_dataset("dblp-sim")
+    return graph, HKPRParams(delta=1.0 / graph.num_nodes)
 
 
 #: ``(random_walks, walk_steps, crc32 of endpoints)`` per query of one
@@ -41,9 +73,8 @@ PINNED_FUSED = [
 ]
 
 
-def test_fused_group_endpoints_are_pinned():
-    graph = load_dataset("dblp-sim")
-    params = HKPRParams(delta=1.0 / graph.num_nodes)
+def test_fused_group_endpoints_are_pinned(dblp):
+    graph, params = dblp
     weights = PoissonWeights(params.t)
     plan = TeaPlusPlan(
         graph, 42, params, push_budget=3000, max_walks=4000, weights=weights
@@ -88,6 +119,18 @@ PINNED_SERVED = {
     ("mc-ppr", 11, (("alpha", 0.3), ("num_walks", 3000)), 5): (
         3000, 6982, 731, 390783851, 4038298606,
     ),
+    ("tea", 7, (("max_walks", 2000), ("r_max", 0.001)), 6): (
+        2000, 4512, 1255, 3291635701, 1400188510,
+    ),
+    ("tea+", 7, (("c", 1.0), ("max_walks", 2000)), 7): (
+        2000, 2127, 7127, 2088871182, 2068195173,
+    ),
+    ("fora", 7, (("max_walks", 2000),), 8): (
+        2000, 11643, 18183, 2547259290, 4047286128,
+    ),
+    ("cluster-hkpr", 11, (("eps", 0.05), ("num_walks", 2000)), 9): (
+        2000, 9910, 1135, 3641077825, 541745965,
+    ),
 }
 
 
@@ -103,10 +146,123 @@ def smoke_service():
 def test_pinned_served_answers_are_pinned(smoke_service, key):
     method, seed, params, rng = key
     response = smoke_service.query("smoke", method, seed, dict(params), rng=rng)
-    result = response.result
-    nodes, values = result.estimates.arrays()
-    observed = (
-        result.counters.random_walks, result.counters.walk_steps,
-        nodes.size, _crc(nodes), _crc(values),
+    assert _fingerprint(response.result) == PINNED_SERVED[key]
+
+
+#: Single-query estimators on dblp-sim; every walking query runs 2,000
+#: walks, so at a 700-walk chunk each runs three kernel calls.  ``tea+``
+#: exits early at the default ``c``; at ``c = 1`` it walks.
+SINGLE_QUERIES = {
+    "monte-carlo": lambda g, p, **kw: monte_carlo_hkpr(
+        g, 7, p, num_walks=2000, rng=11, **kw),
+    "cluster-hkpr": lambda g, p, **kw: cluster_hkpr(
+        g, 42, p, eps=0.05, num_walks=2000, rng=12, **kw),
+    "mc-ppr": lambda g, p, **kw: monte_carlo_ppr(
+        g, 7, num_walks=2000, rng=13, **kw),
+    "tea": lambda g, p, **kw: tea(
+        g, 42, p, r_max=1e-3, max_walks=2000, rng=14, **kw),
+    "tea+ early exit": lambda g, p, **kw: tea_plus(g, 42, p, rng=15, **kw),
+    "tea+ c=1": lambda g, p, **kw: tea_plus(
+        g, 42, replace(p, c=1.0), max_walks=2000, rng=16, **kw),
+    "fora": lambda g, p, **kw: fora(g, 42, max_walks=2000, rng=17, **kw),
+}
+
+#: ``(query, backend, walk chunk)`` -> fingerprint of its answer.
+PINNED_SINGLE = {
+    ("monte-carlo", "vectorized", WALK_CHUNK_SIZE): (2000, 9892, 958, 2057443674, 2263988784),
+    ("monte-carlo", "vectorized", 700): (2000, 9875, 977, 1579119035, 3976673483),
+    ("monte-carlo", "reference", WALK_CHUNK_SIZE): (2000, 9964, 982, 2295283429, 103346490),
+    ("monte-carlo", "reference", 700): (2000, 9964, 982, 2295283429, 1158785811),
+    ("cluster-hkpr", "vectorized", WALK_CHUNK_SIZE): (2000, 9980, 909, 1474228032, 2140931486),
+    ("cluster-hkpr", "vectorized", 700): (2000, 9988, 900, 3268043810, 3385272985),
+    ("cluster-hkpr", "reference", WALK_CHUNK_SIZE): (2000, 10021, 872, 230818938, 1786405628),
+    ("cluster-hkpr", "reference", 700): (2000, 10021, 872, 230818938, 2579211455),
+    ("mc-ppr", "vectorized", WALK_CHUNK_SIZE): (2000, 11297, 864, 1307526145, 2977134263),
+    ("mc-ppr", "vectorized", 700): (2000, 11350, 829, 1078488975, 4052817318),
+    ("mc-ppr", "reference", WALK_CHUNK_SIZE): (2000, 11478, 824, 567263971, 612057829),
+    ("mc-ppr", "reference", 700): (2000, 11478, 824, 567263971, 2534213917),
+    ("tea", "vectorized", WALK_CHUNK_SIZE): (2000, 5285, 985, 3711554257, 4099443030),
+    ("tea", "vectorized", 700): (2000, 5348, 975, 2353563383, 414819261),
+    ("tea", "reference", WALK_CHUNK_SIZE): (2000, 5291, 991, 2774087156, 1741400040),
+    ("tea", "reference", 700): (2000, 5151, 1013, 325957310, 231013009),
+    ("tea+ early exit", "vectorized", WALK_CHUNK_SIZE): (0, 0, 1785, 2232890967, 3236028137),
+    ("tea+ early exit", "vectorized", 700): (0, 0, 1785, 2232890967, 3236028137),
+    ("tea+ early exit", "reference", WALK_CHUNK_SIZE): (0, 0, 1785, 2232890967, 3236028137),
+    ("tea+ early exit", "reference", 700): (0, 0, 1785, 2232890967, 3236028137),
+    ("tea+ c=1", "vectorized", WALK_CHUNK_SIZE): (2000, 3748, 1231, 2936063036, 2142102161),
+    ("tea+ c=1", "vectorized", 700): (2000, 3651, 1224, 568565924, 3733556225),
+    ("tea+ c=1", "reference", WALK_CHUNK_SIZE): (2000, 3707, 1220, 3139953315, 3690511521),
+    ("tea+ c=1", "reference", 700): (2000, 3725, 1244, 3602553583, 437741492),
+    ("fora", "vectorized", WALK_CHUNK_SIZE): (2000, 10965, 3000, 2836387588, 1937226913),
+    ("fora", "vectorized", 700): (2000, 11217, 3000, 2836387588, 1366032713),
+    ("fora", "reference", WALK_CHUNK_SIZE): (2000, 11215, 3000, 2836387588, 4252794092),
+    ("fora", "reference", 700): (2000, 11291, 3000, 2836387588, 2287761941),
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_SINGLE), ids=str)
+def test_single_query_answers_are_pinned(dblp, monkeypatch, key):
+    name, backend, chunk = key
+    monkeypatch.setattr(engine, "WALK_CHUNK_SIZE", chunk)
+    result = SINGLE_QUERIES[name](*dblp, backend=backend)
+    assert _fingerprint(result) == PINNED_SINGLE[key]
+
+
+#: ``*_many`` entry point -> fingerprint per seed, in seed order.
+PINNED_MANY = {
+    "monte_carlo_hkpr_many": [
+        (7, (1500, 7674, 817, 1185438348, 2009261795)),
+        (42, (1500, 7663, 729, 2008419470, 2371531027)),
+        (1234, (1500, 7616, 515, 1683065119, 2504184705)),
+    ],
+    "tea_plus_many": [
+        (42, (1500, 2833, 1188, 2904801670, 4127418563)),
+        (7, (1500, 2874, 1311, 2800858722, 1376914681)),
+    ],
+    "monte_carlo_ppr_many": [
+        (7, (1500, 5792, 604, 2747516985, 778406868)),
+        (42, (1500, 5873, 524, 3972276902, 2501197582)),
+    ],
+}
+
+
+def _many_answers(graph, params) -> dict:
+    return {
+        "monte_carlo_hkpr_many": monte_carlo_hkpr_many(
+            graph, [7, 42, 1234], params, num_walks=1500, rng=21,
+            backend="vectorized"),
+        "tea_plus_many": tea_plus_many(
+            graph, [42, 7], replace(params, c=1.0), max_walks=1500, rng=22,
+            backend="vectorized"),
+        "monte_carlo_ppr_many": monte_carlo_ppr_many(
+            graph, [7, 42], alpha=0.2, num_walks=1500, rng=23,
+            backend="vectorized"),
+    }
+
+
+def test_many_answers_are_pinned(dblp):
+    observed = {
+        name: [(seed, _fingerprint(result)) for seed, result in answers.items()]
+        for name, answers in _many_answers(*dblp).items()
+    }
+    assert observed == PINNED_MANY
+
+
+#: A monte-carlo query from an indexed hub: 1,000 stored walks and a
+#: 500-walk top-up.
+PINNED_INDEX_HIT = (500, 2573, 732, 1048428849, 1084492628)
+
+
+def test_index_hit_answer_is_pinned(dblp):
+    graph, _ = dblp
+    index = build_walk_index(
+        graph, hubs=[42], walks_per_sketch=1000, backend="vectorized", rng=0
     )
-    assert observed == PINNED_SERVED[key]
+    plan = plan_from_index(
+        index, graph, resolve("monte-carlo"), 42, {"num_walks": 1500}
+    )
+    (result,) = execute_plans(
+        "vectorized", graph, [plan], np.random.default_rng(31)
+    )
+    assert result.counters.extras["walks_from_index"] == 1000
+    assert _fingerprint(result) == PINNED_INDEX_HIT
