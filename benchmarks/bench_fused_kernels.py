@@ -8,8 +8,9 @@ monte-carlo HKPR queries on a 100k-node power-law graph — three ways on the
   :class:`~repro.engine.fused.FusedQuery`, and
   :func:`~repro.engine.fused.run_fused_queries` draws the starts and walks
   each fuse group in shared kernel calls (the unpinned serving route).
-* ``task_batched``: the same plans' ``tasks`` (start arrays made per query
-  in Python) through :func:`~repro.engine.multi.run_walk_tasks`, which
+* ``task_batched``: the same plans' walks as
+  :func:`~repro.engine.fused.sampled_tasks` (start arrays made per query
+  and chunk) through :func:`~repro.engine.multi.run_walk_tasks`, which
   concatenates them into shared kernel calls (the pinned serving route).
 * ``per_query``: a plain loop over the single-query ``monte_carlo_hkpr``
   API — separate kernel calls with full per-query Python re-entry, which
@@ -34,13 +35,16 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.engine.fused import sampled_tasks
 from repro.engine.multi import run_walk_tasks
 from repro.graph.generators import chung_lu_graph, power_law_degree_sequence
 from repro.graph.graph import Graph
-from repro.hkpr.batched import MonteCarloPlan, monte_carlo_hkpr_many
-from repro.hkpr.monte_carlo import monte_carlo_hkpr
+from repro.hkpr.monte_carlo import (
+    monte_carlo_hkpr,
+    monte_carlo_hkpr_many,
+    monte_carlo_plan,
+)
 from repro.hkpr.params import HKPRParams
-from repro.hkpr.poisson import PoissonWeights
 
 #: Many small queries: the micro-batched service shape fusion targets.
 NUM_QUERIES = 512
@@ -70,21 +74,22 @@ def _run_workload(backend_name: str, graph, seeds, params) -> None:
 
 
 def _run_task_batched(backend_name: str, graph, seeds, params) -> None:
-    weights = PoissonWeights(params.t)
+    rng = np.random.default_rng(9)
     plans = [
-        MonteCarloPlan(graph, seed, params, num_walks=WALKS_PER_QUERY, weights=weights)
+        monte_carlo_plan(graph, seed, params, num_walks=WALKS_PER_QUERY)
         for seed in dict.fromkeys(seeds)
     ]
-    tasks, counters_list = [], []
+    tasks, counters_list, spans = [], [], []
     for plan in plans:
-        tasks.extend(plan.tasks)
-        counters_list.extend([plan.counters] * len(plan.tasks))
+        plan_tasks = sampled_tasks(graph, plan.fused_queries(), rng)
+        spans.append((len(tasks), len(tasks) + len(plan_tasks)))
+        tasks.extend(plan_tasks)
+        counters_list.extend([plan.counters] * len(plan_tasks))
     endpoints = run_walk_tasks(
-        backend_name, graph, tasks, np.random.default_rng(9),
-        counters_list=counters_list,
+        backend_name, graph, tasks, rng, counters_list=counters_list
     )
-    for plan, ends in zip(plans, endpoints):
-        plan.finalize([ends])
+    for plan, (start, stop) in zip(plans, spans):
+        plan.finalize(endpoints[start:stop])
 
 
 def _run_per_query(backend_name: str, graph, seeds, params) -> None:

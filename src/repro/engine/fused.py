@@ -10,11 +10,12 @@ offset-concatenated CDF), and runs the walks through the backend's own
 kernel (``walk_batch``, ``poisson_walk_batch`` or
 ``geometric_walk_batch``), so every backend runs every group.
 
-The same draw serves the single-query walk phases of TEA, TEA+ and FORA
-(Algorithms 3 and 5, Line 10) and the pinned plans' ``tasks``: each
-chunk of walks is a one-query :class:`FusedGroup`.  A start costs one
+The same draw serves every single-query walk phase
+(:func:`repro.hkpr.walk_phase.run_residue_walk_phase`; Algorithms 3 and
+5, Line 10) and seed-pinned requests (:func:`sampled_tasks`): each chunk
+of walks is a one-query :class:`FusedGroup`.  A start costs one
 ``rng.random`` draw; a group whose queries all have one entry draws
-nothing.
+nothing and builds no CDF.
 
 Determinism contract: a batch is a pure function of
 ``(backend, rng state, ordered query list, fusion cap)``.  The start of
@@ -147,8 +148,10 @@ class FusedGroup:
     query index, with the final element forced to exactly ``q + 1``), so a
     walk of query ``q`` with uniform draw ``u`` starts at the first entry
     whose cdf value exceeds ``q + u`` — one binary search over one shared
-    array, no per-query dispatch.  ``walk_qid`` maps each of the
-    ``total_walks`` walks back to its query index.
+    array, no per-query dispatch.  It is built only when some query has
+    more than one entry (``needs_sampling``); otherwise it is ``None``.
+    ``walk_qid`` maps each of the ``total_walks`` walks back to its query
+    index.
     """
 
     __slots__ = (
@@ -193,16 +196,19 @@ class FusedGroup:
         else:
             self.entry_hops = np.zeros(0, dtype=np.int64)
 
-        segments = []
-        for index, query in enumerate(queries):
-            cdf = np.cumsum(query.entry_weights)
-            cdf /= cdf[-1]
-            cdf += float(index)
-            cdf[-1] = float(index + 1)  # exact segment end despite rounding
-            segments.append(cdf)
-        self.entry_cdf = (
-            segments[0] if len(segments) == 1 else np.concatenate(segments)
-        )
+        self.needs_sampling = bool((entry_sizes > 1).any())
+        self.entry_cdf = None
+        if self.needs_sampling:
+            segments = []
+            for index, query in enumerate(queries):
+                cdf = np.cumsum(query.entry_weights)
+                cdf /= cdf[-1]
+                cdf += float(index)
+                cdf[-1] = float(index + 1)  # exact segment end despite rounding
+                segments.append(cdf)
+            self.entry_cdf = (
+                segments[0] if len(segments) == 1 else np.concatenate(segments)
+            )
 
         self.walk_counts = np.fromiter(
             (int(count) for count in walk_counts), np.int64, count=len(queries)
@@ -215,7 +221,6 @@ class FusedGroup:
         self.walk_qid = np.repeat(
             np.arange(len(queries), dtype=np.int64), self.walk_counts
         )
-        self.needs_sampling = bool((entry_sizes > 1).any())
 
 
 def sample_fused_starts(
@@ -369,8 +374,8 @@ def sampled_tasks(
     drawn starts, chunked to :data:`repro.engine.WALK_CHUNK_SIZE`.
 
     Each chunk is a one-query :class:`FusedGroup` sampled by
-    :func:`sample_fused_starts` from ``rng``, so a pinned plan draws its
-    starts the way its single-query estimator does.
+    :func:`sample_fused_starts` from ``rng``, so a seed-pinned request
+    draws its starts the way its single-query estimator does.
     """
     tasks = []
     for query in queries:

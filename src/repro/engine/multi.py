@@ -106,6 +106,31 @@ class WalkTask:
         return ("geometric", self.alpha)
 
 
+def kernel_walks(
+    backend: Backend,
+    graph: "Graph",
+    law,
+    starts: np.ndarray,
+    hops: np.ndarray | None,
+    rng: np.random.Generator,
+    **kwargs,
+) -> np.ndarray:
+    """Walk ``starts`` with the backend kernel of ``law``'s kind.
+
+    ``law`` (a :class:`WalkTask`, :class:`~repro.engine.fused.FusedQuery`
+    or :class:`~repro.engine.fused.FusedGroup`) supplies the kind and the
+    kernel parameters; ``kwargs`` (``counters``, ``step_counts``) go to
+    the kernel.
+    """
+    if law.kind == "heat":
+        return backend.walk_batch(graph, starts, hops, law.weights, rng, **kwargs)
+    if law.kind == "poisson":
+        return backend.poisson_walk_batch(
+            graph, starts, law.weights, rng, max_length=law.max_length, **kwargs
+        )
+    return backend.geometric_walk_batch(graph, starts, law.alpha, rng, **kwargs)
+
+
 def _kernel_call(
     backend: Backend,
     graph: "Graph",
@@ -132,14 +157,7 @@ def _kernel_call(
     step_counts = None
     if want_steps and len(sizes) > 1:
         step_counts = kwargs["step_counts"] = np.zeros(total, dtype=np.int64)
-    if law.kind == "heat":
-        ends = backend.walk_batch(graph, starts, hops, law.weights, rng, **kwargs)
-    elif law.kind == "poisson":
-        ends = backend.poisson_walk_batch(
-            graph, starts, law.weights, rng, max_length=law.max_length, **kwargs
-        )
-    else:
-        ends = backend.geometric_walk_batch(graph, starts, law.alpha, rng, **kwargs)
+    ends = kernel_walks(backend, graph, law, starts, hops, rng, **kwargs)
     if ends.shape != (total,):
         raise ParameterError(
             f"backend returned {ends.shape} endpoints for {total} walks"
@@ -337,9 +355,9 @@ class WalkPlan(Protocol):
     construction time, expose the walk phase as
     :class:`~repro.engine.fused.FusedQuery` data from ``fused_queries()``,
     and assemble the query result from the walk endpoints in ``finalize``.
-    ``counters`` (may be ``None``) receives the walk accounting.  Plans the
-    service runs for seed-pinned requests also expose ``tasks``: the same
-    walks as :class:`WalkTask`\\ s with drawn starts.
+    ``counters`` (may be ``None``) receives the walk accounting.  A
+    seed-pinned request runs the same walks as :class:`WalkTask`\\ s drawn
+    by :func:`~repro.engine.fused.sampled_tasks` on its own generator.
     """
 
     counters: OperationCounters | None
@@ -365,8 +383,8 @@ def execute_plans(
 ) -> list[Any]:
     """Run every plan's walk phase as fused batches and finalize each plan.
 
-    The batched entry points (``monte_carlo_hkpr_many`` et al.) and the
-    service micro-batcher both funnel through here, so fusion semantics
+    The ``*_many`` entry points (:func:`repro.hkpr.walk_phase.answer_many`)
+    and the service micro-batcher both funnel through here, so fusion semantics
     exist exactly once: every plan's ``fused_queries()`` run through one
     :func:`~repro.engine.fused.run_fused_queries` call on the resolved
     backend, drawing from the shared ``rng`` in plan order.

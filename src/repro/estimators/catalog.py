@@ -7,8 +7,9 @@ generic :class:`~repro.estimators.spec.DirectPlan` fallback) makes it
 servable, and its walk estimate feeds admission control.  The estimator
 implementations themselves stay in their home modules
 (:mod:`repro.hkpr`, :mod:`repro.ppr`, :mod:`repro.baselines`) — the
-registry only points at them, so the long-standing free functions remain
-the one implementation and stay byte-identical.
+registry only points at them.  A fusible method's plan builder is the
+same one its free function runs, so the library and the service share
+one implementation.
 """
 
 from __future__ import annotations
@@ -28,13 +29,18 @@ from repro.hkpr.exact import exact_hkpr
 from repro.hkpr.hk_push import hk_push_hkpr
 from repro.hkpr.hk_push_plus import hk_push_plus_hkpr
 from repro.hkpr.hk_relax import hk_relax
-from repro.hkpr.monte_carlo import monte_carlo_hkpr
+from repro.hkpr.monte_carlo import monte_carlo_hkpr, monte_carlo_plan
 from repro.hkpr.params import HKPRParams, default_delta
-from repro.hkpr.poisson import cached_weights
 from repro.hkpr.tea import tea
-from repro.hkpr.tea_plus import tea_plus
+from repro.hkpr.tea_plus import tea_plus, tea_plus_plan
 from repro.ppr.exact import exact_ppr
-from repro.ppr.fora import fora, monte_carlo_ppr, walk_count
+from repro.ppr.fora import (
+    fora,
+    fora_plan,
+    monte_carlo_ppr,
+    monte_carlo_ppr_plan,
+    walk_count,
+)
 
 
 # ------------------------------------------------------------------ #
@@ -45,8 +51,8 @@ def _split_hkpr(method: str, graph: Graph, params: dict) -> tuple[HKPRParams, di
 
     Delegates to :meth:`EstimatorSpec.split_params` so which keys feed the
     shared :class:`HKPRParams` object is decided by each ``ParamSpec``'s
-    ``feeds`` declaration — the fusible plan builders and walk estimates
-    below stay in lockstep with the direct-plan path by construction.
+    ``feeds`` declaration — the walk estimates below split a request the
+    way :meth:`EstimatorSpec.estimate` and ``build_plan`` do.
     """
     from repro.estimators.registry import resolve
 
@@ -104,65 +110,6 @@ def _walks_fora(graph: Graph, params: dict) -> int:
 
 def _walks_mc_ppr(graph: Graph, params: dict) -> int:
     return _with_defaults("mc-ppr", params)["num_walks"]
-
-
-# ------------------------------------------------------------------ #
-# Fusible plan builders (serving layer)
-# ------------------------------------------------------------------ #
-def _plan_monte_carlo(graph, seed_node, params, rng, deadline=None):
-    # No push phase: construction is cheap, so the deadline only applies at
-    # walk execution time (threaded by the engine layer, not the plan).
-    from repro.hkpr.batched import MonteCarloPlan
-
-    hkpr, kwargs = _split_hkpr("monte-carlo", graph, params)
-    return MonteCarloPlan(
-        graph,
-        seed_node,
-        hkpr,
-        num_walks=kwargs.get("num_walks"),
-        weights=cached_weights(hkpr.t),
-    )
-
-
-def _plan_tea_plus(graph, seed_node, params, rng, deadline=None):
-    from repro.hkpr.batched import TeaPlusPlan
-
-    hkpr, kwargs = _split_hkpr("tea+", graph, params)
-    return TeaPlusPlan(
-        graph, seed_node, hkpr, rng=rng, weights=cached_weights(hkpr.t),
-        deadline=deadline, **kwargs
-    )
-
-
-def _plan_fora(graph, seed_node, params, rng, deadline=None):
-    from repro.ppr.batched import ForaPlan
-
-    full = _with_defaults("fora", params)
-    return ForaPlan(
-        graph,
-        seed_node,
-        alpha=full["alpha"],
-        eps_r=full["eps_r"],
-        delta=full.get("delta"),
-        p_f=full["p_f"],
-        r_max=full.get("r_max"),
-        rng=rng,
-        max_walks=full.get("max_walks"),
-        deadline=deadline,
-    )
-
-
-def _plan_mc_ppr(graph, seed_node, params, rng, deadline=None):
-    # No push phase (see _plan_monte_carlo).
-    from repro.ppr.batched import MonteCarloPPRPlan
-
-    full = _with_defaults("mc-ppr", params)
-    return MonteCarloPPRPlan(
-        graph,
-        seed_node,
-        alpha=full["alpha"],
-        num_walks=full["num_walks"],
-    )
 
 
 # ------------------------------------------------------------------ #
@@ -229,7 +176,7 @@ register(EstimatorSpec(
     backend_aware=True,
     estimate_fn=monte_carlo_hkpr,
     takes_deadline=True,
-    plan_fn=_plan_monte_carlo,
+    plan_fn=monte_carlo_plan,
     walks_fn=_walks_monte_carlo,
     takes_params_object=True,
 ))
@@ -334,7 +281,7 @@ register(EstimatorSpec(
     backend_aware=True,
     estimate_fn=tea_plus,
     takes_deadline=True,
-    plan_fn=_plan_tea_plus,
+    plan_fn=tea_plus_plan,
     walks_fn=_walks_tea_plus,
     walks_tight=False,
     takes_params_object=True,
@@ -382,7 +329,7 @@ register(EstimatorSpec(
     backend_aware=True,
     estimate_fn=fora,
     takes_deadline=True,
-    plan_fn=_plan_fora,
+    plan_fn=fora_plan,
     walks_fn=_walks_fora,
     walks_tight=False,
     params_adapter=lambda p: {"eps_r": p.eps_r, "delta": p.delta, "p_f": p.p_f},
@@ -401,7 +348,7 @@ register(EstimatorSpec(
     backend_aware=True,
     estimate_fn=monte_carlo_ppr,
     takes_deadline=True,
-    plan_fn=_plan_mc_ppr,
+    plan_fn=monte_carlo_ppr_plan,
     walks_fn=_walks_mc_ppr,
 ))
 

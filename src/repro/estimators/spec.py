@@ -140,13 +140,11 @@ class ParamSpec:
 class DirectPlan:
     """A plan whose work already happened: no walks, stored result.
 
-    The uniform plan shape (``fused_queries``/``tasks``/``counters``/
-    ``finalize``) lets the serving layer treat deterministic and
-    already-executed methods exactly like fusible ones (see
-    :mod:`repro.engine.multi`).
+    The uniform plan shape (``fused_queries``/``counters``/``finalize``)
+    lets the serving layer treat deterministic and already-executed
+    methods exactly like fusible ones (see :mod:`repro.engine.multi`).
     """
 
-    tasks = ()
     estimated_walks = 0
 
     def __init__(self, result) -> None:
@@ -186,11 +184,11 @@ class EstimatorSpec:
     estimate_fn: Callable | None = None
     #: Flow-baseline runner ``(graph, seed, **kwargs) -> BaselineClusteringResult``.
     cluster_fn: Callable | None = None
-    #: Serving-layer plan builder
-    #: ``(graph, seed, params_dict, rng, deadline=None) -> WalkPlan``;
-    #: a method with one is fusible (its walk phase can batch across
-    #: queries).  ``None`` falls back to a :class:`DirectPlan` around
-    #: :meth:`estimate`.
+    #: Plan builder ``(graph, seed[, params], *, deadline, **kwargs) ->
+    #: ResiduePlan``, called like ``estimate_fn`` minus ``rng`` and
+    #: ``backend``; a method with one is fusible (its walk phase can batch
+    #: across queries).  ``None`` falls back to a :class:`DirectPlan`
+    #: around :meth:`estimate`.
     plan_fn: Callable | None = None
     #: Admission-control walk estimate ``(graph, params_dict) -> int``;
     #: ``None`` means the method performs no random walks.
@@ -436,12 +434,15 @@ class EstimatorSpec:
     ):
         """Build this query's serving plan (``WalkPlan`` or :class:`DirectPlan`).
 
-        The optional ``deadline`` bounds any deterministic work done at plan
-        construction (push phases, direct execution).
+        ``params`` is split as :meth:`estimate` splits it.  A plan builder
+        draws nothing, so ``rng`` only reaches a :class:`DirectPlan`'s
+        estimator.  The optional ``deadline`` bounds any deterministic work
+        done at plan construction (push phases, direct execution).
         """
-        if self.plan_fn is not None:
-            return self.plan_fn(graph, seed_node, params, rng, deadline=deadline)
         hkpr_params, kwargs = self.split_params(graph, params)
+        if self.plan_fn is not None:
+            args = (hkpr_params,) if self.takes_params_object else ()
+            return self.plan_fn(graph, seed_node, *args, deadline=deadline, **kwargs)
         result = self.estimate(
             graph, seed_node, params=hkpr_params, rng=rng,
             estimator_kwargs=kwargs, deadline=deadline,

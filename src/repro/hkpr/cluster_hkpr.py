@@ -15,20 +15,20 @@ which makes the ``1/eps^3`` walk count explode; the benchmark harness sweeps
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
-from repro.engine import Backend, chunk_sizes, get_backend
+from repro.engine import Backend, get_backend
+from repro.engine.fused import FusedQuery
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
 from repro.hkpr.params import HKPRParams, checked_walk_ratio
 from repro.hkpr.poisson import cached_weights
 from repro.hkpr.result import HKPRResult
+from repro.hkpr.walk_phase import ResiduePlan, run_residue_walk_phase, start_plan
 from repro.utils.counters import OperationCounters
 from repro.utils.deadline import Deadline
 from repro.utils.rng import RandomState, ensure_rng
-from repro.utils.sparsevec import SparseVector
 
 
 #: The most walks one query can count: the walk counters are ``int64``.
@@ -70,6 +70,45 @@ def default_max_hop(t: float, eps: float) -> int:
     return weights.max_hop
 
 
+def cluster_hkpr_plan(
+    graph: Graph,
+    seed_node: int,
+    params: HKPRParams,
+    *,
+    eps: float | None = None,
+    num_walks: int | None = None,
+    max_hop: int | None = None,
+    deadline: Deadline | None = None,
+) -> ResiduePlan:
+    """ClusterHKPR as a plan: ``num_walks`` Poisson(t) walks from the seed,
+    truncated at hop ``K`` (``max_length = K``), each adding
+    ``1 / num_walks`` at its endpoint.  There is no push, so the
+    ``deadline`` only gets the plan's counters for partial-work accounting.
+    """
+    started = start_plan(graph, seed_node)
+    eps_value = eps if eps is not None else min(params.eps_r * params.delta, params.p_f)
+    if not 0.0 < eps_value < 1.0:
+        raise ParameterError(f"eps must be in (0, 1), got {eps_value}")
+    walks = num_walks if num_walks is not None else default_walk_count(
+        graph.num_nodes, eps_value
+    )
+    hop_cap = max_hop if max_hop is not None else default_max_hop(params.t, eps_value)
+
+    counters = OperationCounters()
+    counters.extras["eps"] = eps_value
+    counters.extras["max_hop"] = float(hop_cap)
+    if deadline is not None:
+        deadline.bind(counters)
+    query = FusedQuery(
+        "poisson", [seed_node], [1.0], walks,
+        weights=cached_weights(params.t), max_length=hop_cap,
+    )
+    return ResiduePlan(
+        "cluster-hkpr", graph, seed_node, counters, started=started,
+        query=query, increment=1.0 / walks,
+    )
+
+
 def cluster_hkpr(
     graph: Graph,
     seed_node: int,
@@ -97,49 +136,12 @@ def cluster_hkpr(
         Execution backend for the walks (name, instance, or ``None`` for
         the process default; see :mod:`repro.engine`).
     """
-    if not graph.has_node(seed_node):
-        raise ParameterError(f"seed node {seed_node} is not in the graph")
     generator = ensure_rng(rng)
     engine = get_backend(backend)
-    start = time.perf_counter()
-
-    eps_value = eps if eps is not None else min(params.eps_r * params.delta, params.p_f)
-    if not 0.0 < eps_value < 1.0:
-        raise ParameterError(f"eps must be in (0, 1), got {eps_value}")
-    walks = num_walks if num_walks is not None else default_walk_count(
-        graph.num_nodes, eps_value
+    plan = cluster_hkpr_plan(
+        graph, seed_node, params, eps=eps, num_walks=num_walks,
+        max_hop=max_hop, deadline=deadline,
     )
-    hop_cap = max_hop if max_hop is not None else default_max_hop(params.t, eps_value)
-
-    weights = cached_weights(params.t)
-    counters = OperationCounters()
-    counters.extras["eps"] = eps_value
-    counters.extras["max_hop"] = float(hop_cap)
-    counters.extras["backend"] = engine.name
-    if deadline is not None:
-        deadline.bind(counters)
-    estimates = SparseVector()
-    increment = 1.0 / walks
-    # Chunked so the 16 log(n) / eps^3 walk count stays bounded-memory.
-    for batch in chunk_sizes(walks):
-        if deadline is not None:
-            deadline.checkpoint()
-        end_nodes = engine.poisson_walk_batch(
-            graph,
-            np.full(batch, seed_node, dtype=np.int64),
-            weights,
-            generator,
-            max_length=hop_cap,
-            counters=counters,
-        )
-        estimates.add_many(end_nodes, increment)
-
-    counters.reserve_entries = estimates.nnz()
-    elapsed = time.perf_counter() - start
-    return HKPRResult(
-        estimates=estimates,
-        seed=seed_node,
-        method="cluster-hkpr",
-        counters=counters,
-        elapsed_seconds=elapsed,
-    )
+    plan.counters.extras["backend"] = engine.name
+    run_residue_walk_phase(plan, engine=engine, rng=generator, deadline=deadline)
+    return plan.finalize()

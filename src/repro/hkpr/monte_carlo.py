@@ -15,20 +15,55 @@ but slow (Figure 4).
 from __future__ import annotations
 
 import math
-import time
+from collections.abc import Sequence
 
-import numpy as np
-
-from repro.engine import Backend, chunk_sizes, get_backend
+from repro.engine import Backend, get_backend
+from repro.engine.fused import FusedQuery
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
 from repro.hkpr.params import HKPRParams
 from repro.hkpr.poisson import cached_weights
 from repro.hkpr.result import HKPRResult
+from repro.hkpr.walk_phase import (
+    ResiduePlan,
+    answer_many,
+    run_residue_walk_phase,
+    start_plan,
+)
 from repro.utils.counters import OperationCounters
 from repro.utils.deadline import Deadline
 from repro.utils.rng import RandomState, ensure_rng
-from repro.utils.sparsevec import SparseVector
+
+
+def monte_carlo_plan(
+    graph: Graph,
+    seed_node: int,
+    params: HKPRParams,
+    *,
+    num_walks: int | None = None,
+    deadline: Deadline | None = None,
+) -> ResiduePlan:
+    """Plain Monte-Carlo HKPR as a plan: ``num_walks`` Poisson(t) walks
+    from the seed (the §3 count by default), each adding
+    ``1 / num_walks`` at its endpoint.  There is no push, so the
+    ``deadline`` only gets the plan's counters for partial-work accounting.
+    """
+    started = start_plan(graph, seed_node)
+    walks = num_walks if num_walks is not None else int(
+        math.ceil(params.omega_monte_carlo(graph))
+    )
+    if walks < 1:
+        raise ParameterError(f"number of walks must be >= 1, got {walks}")
+    counters = OperationCounters()
+    if deadline is not None:
+        deadline.bind(counters)
+    query = FusedQuery(
+        "poisson", [seed_node], [1.0], walks, weights=cached_weights(params.t)
+    )
+    return ResiduePlan(
+        "monte-carlo", graph, seed_node, counters, started=started,
+        query=query, increment=1.0 / walks,
+    )
 
 
 def monte_carlo_hkpr(
@@ -61,44 +96,33 @@ def monte_carlo_hkpr(
     -------
     HKPRResult
     """
-    if not graph.has_node(seed_node):
-        raise ParameterError(f"seed node {seed_node} is not in the graph")
     generator = ensure_rng(rng)
     engine = get_backend(backend)
-    start = time.perf_counter()
-    weights = cached_weights(params.t)
-
-    walks = num_walks if num_walks is not None else int(
-        math.ceil(params.omega_monte_carlo(graph))
+    plan = monte_carlo_plan(
+        graph, seed_node, params, num_walks=num_walks, deadline=deadline
     )
-    if walks < 1:
-        raise ParameterError(f"number of walks must be >= 1, got {walks}")
+    plan.counters.extras["backend"] = engine.name
+    run_residue_walk_phase(plan, engine=engine, rng=generator, deadline=deadline)
+    return plan.finalize()
 
-    counters = OperationCounters()
-    counters.extras["backend"] = engine.name
-    if deadline is not None:
-        deadline.bind(counters)
-    estimates = SparseVector()
-    increment = 1.0 / walks
-    # Chunked so the theory-driven walk count stays bounded-memory.
-    for batch in chunk_sizes(walks):
-        if deadline is not None:
-            deadline.checkpoint()
-        end_nodes = engine.poisson_walk_batch(
-            graph,
-            np.full(batch, seed_node, dtype=np.int64),
-            weights,
-            generator,
-            counters=counters,
-        )
-        estimates.add_many(end_nodes, increment)
 
-    counters.reserve_entries = estimates.nnz()
-    elapsed = time.perf_counter() - start
-    return HKPRResult(
-        estimates=estimates,
-        seed=seed_node,
-        method="monte-carlo",
-        counters=counters,
-        elapsed_seconds=elapsed,
+def monte_carlo_hkpr_many(
+    graph: Graph,
+    seeds: Sequence[int],
+    params: HKPRParams,
+    *,
+    num_walks: int | None = None,
+    rng: RandomState = None,
+    backend: str | Backend | None = None,
+) -> dict[int, HKPRResult]:
+    """Monte-Carlo HKPR for every seed in ``seeds``, walks fused per batch.
+
+    All seeds' walks run through shared ``poisson_walk_batch`` calls, so
+    the per-level kernel overhead is paid once per *batch* instead of once
+    per *query* (:func:`repro.hkpr.walk_phase.answer_many`).
+    """
+    return answer_many(
+        graph, seeds,
+        lambda seed: monte_carlo_plan(graph, seed, params, num_walks=num_walks),
+        rng=rng, backend=backend,
     )

@@ -12,8 +12,8 @@ walks (Algorithm 2), where ``alpha`` is the total residue mass and
     omega = 2 (1 + eps_r/3) log(1/p'_f) / (eps_r^2 delta).
 
 Walk starting entries ``(u, k)`` are sampled proportionally to the residues
-via an alias structure; each walk ending at ``v`` adds ``alpha / n_r`` to the
-estimate.  Theorem 1 shows the output is (d, eps_r, delta)-approximate with
+by inverse CDF (:func:`repro.engine.fused.sample_fused_starts`); each walk
+ending at ``v`` adds ``alpha / n_r`` to the estimate.  Theorem 1 shows the output is (d, eps_r, delta)-approximate with
 probability at least ``1 - p_f``.
 
 The paper recommends ``r_max = Theta(1 / (omega t))`` so the push and walk
@@ -24,9 +24,6 @@ tunes it per dataset, mirroring §7.3).
 
 from __future__ import annotations
 
-import math
-import time
-
 from repro.engine import Backend, get_backend
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
@@ -34,10 +31,53 @@ from repro.hkpr.hk_push import hk_push
 from repro.hkpr.params import HKPRParams
 from repro.hkpr.poisson import cached_weights
 from repro.hkpr.result import HKPRResult
-from repro.hkpr.walk_phase import run_residue_walk_phase
+from repro.hkpr.walk_phase import (
+    ResiduePlan,
+    residue_query,
+    run_residue_walk_phase,
+    start_plan,
+)
 from repro.utils.counters import OperationCounters
 from repro.utils.deadline import Deadline
 from repro.utils.rng import RandomState, ensure_rng
+
+
+def tea_plan(
+    graph: Graph,
+    seed_node: int,
+    params: HKPRParams,
+    *,
+    r_max: float | None = None,
+    max_walks: int | None = None,
+    max_pushes: int | None = None,
+    deadline: Deadline | None = None,
+) -> ResiduePlan:
+    """TEA's push phase (Lines 1-11) as a plan: the HK-Push reserve plus
+    ``ceil(alpha * omega)`` hop-conditioned walks drawn from the residues
+    (see :func:`tea` for the parameters)."""
+    started = start_plan(graph, seed_node)
+    weights = cached_weights(params.t)
+    omega = params.omega_tea(graph)
+    threshold = r_max if r_max is not None else params.rmax_tea(graph)
+    if max_pushes is not None:
+        if max_pushes < 1:
+            raise ParameterError(f"max_pushes must be >= 1, got {max_pushes}")
+        threshold = max(threshold, 1.0 / max_pushes)
+
+    counters = OperationCounters()
+    push_outcome = hk_push(
+        graph, seed_node, threshold, weights, counters=counters, deadline=deadline
+    )
+    hops, nodes, values = push_outcome.residues.entry_arrays()
+    query, increment, alpha = residue_query(
+        "heat", nodes, values, omega, max_walks, entry_hops=hops, weights=weights
+    )
+    counters.extras["alpha"] = alpha
+    counters.extras["omega"] = omega
+    return ResiduePlan(
+        "tea", graph, seed_node, counters, started=started,
+        reserve=push_outcome.reserve, query=query, increment=increment,
+    )
 
 
 def tea(
@@ -82,57 +122,13 @@ def tea(
     -------
     HKPRResult
     """
-    if not graph.has_node(seed_node):
-        raise ParameterError(f"seed node {seed_node} is not in the graph")
     generator = ensure_rng(rng)
     engine = get_backend(backend)
-    start = time.perf_counter()
-
-    weights = cached_weights(params.t)
-    omega = params.omega_tea(graph)
-    threshold = r_max if r_max is not None else params.rmax_tea(graph)
-    if max_pushes is not None:
-        if max_pushes < 1:
-            raise ParameterError(f"max_pushes must be >= 1, got {max_pushes}")
-        threshold = max(threshold, 1.0 / max_pushes)
-
-    counters = OperationCounters()
-    push_outcome = hk_push(
-        graph, seed_node, threshold, weights, counters=counters, deadline=deadline
+    plan = tea_plan(
+        graph, seed_node, params, r_max=r_max, max_walks=max_walks,
+        max_pushes=max_pushes, deadline=deadline,
     )
-    estimates = push_outcome.reserve
-    residues = push_outcome.residues
-
-    hops, nodes, values = residues.entry_arrays()
-    alpha = sum(values.tolist())
-    counters.extras["alpha"] = alpha
-    counters.extras["omega"] = omega
-    counters.extras["backend"] = engine.name
-
-    if alpha > 0.0:
-        num_walks = int(math.ceil(alpha * omega))
-        if max_walks is not None:
-            num_walks = min(num_walks, max_walks)
-        if num_walks > 0:
-            run_residue_walk_phase(
-                graph,
-                (hops, nodes, values),
-                num_walks,
-                alpha / num_walks,
-                engine=engine,
-                weights=weights,
-                rng=generator,
-                estimates=estimates,
-                counters=counters,
-                deadline=deadline,
-            )
-
-    counters.reserve_entries = max(counters.reserve_entries, estimates.nnz())
-    elapsed = time.perf_counter() - start
-    return HKPRResult(
-        estimates=estimates,
-        seed=seed_node,
-        method="tea",
-        counters=counters,
-        elapsed_seconds=elapsed,
-    )
+    plan.counters.extras["backend"] = engine.name
+    if plan.query is not None:
+        run_residue_walk_phase(plan, engine=engine, rng=generator, deadline=deadline)
+    return plan.finalize()

@@ -27,20 +27,97 @@ at least ``1 - p_f``, and the expected time is ``O(t log(n/p_f)/(eps_r^2 delta))
 
 from __future__ import annotations
 
-import math
-import time
+from collections.abc import Sequence
 
 from repro.engine import Backend, get_backend
-from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
 from repro.hkpr.hk_push_plus import hk_push_plus
 from repro.hkpr.params import HKPRParams
 from repro.hkpr.poisson import cached_weights
 from repro.hkpr.result import HKPRResult
-from repro.hkpr.walk_phase import run_residue_walk_phase
+from repro.hkpr.walk_phase import (
+    ResiduePlan,
+    answer_many,
+    residue_query,
+    run_residue_walk_phase,
+    start_plan,
+)
 from repro.utils.counters import OperationCounters
 from repro.utils.deadline import Deadline
 from repro.utils.rng import RandomState, ensure_rng
+
+
+def tea_plus_plan(
+    graph: Graph,
+    seed_node: int,
+    params: HKPRParams,
+    *,
+    max_walks: int | None = None,
+    apply_residue_reduction: bool = True,
+    apply_offset: bool = True,
+    push_budget: int | None = None,
+    max_hop: int | None = None,
+    deadline: Deadline | None = None,
+) -> ResiduePlan:
+    """TEA+'s deterministic part (Lines 1-11) as a plan: HK-Push+, the
+    Theorem-2 early-exit test and the §5.2 residue reduction.
+
+    The surviving residue entries are the walk-start distribution; after
+    an early exit the plan has no walks.  See :func:`tea_plus` for the
+    parameters.
+    """
+    started = start_plan(graph, seed_node)
+    weights = cached_weights(params.t)
+    omega = params.omega_tea_plus(graph)
+    budget = push_budget if push_budget is not None else params.push_budget_tea_plus(graph)
+    hop_cap = max_hop if max_hop is not None else params.max_hop_tea_plus(graph)
+
+    counters = OperationCounters()
+    counters.extras["omega"] = omega
+    counters.extras["push_budget"] = float(budget)
+    counters.extras["max_hop"] = float(hop_cap)
+
+    push_outcome = hk_push_plus(
+        graph,
+        seed_node,
+        params.eps_r,
+        params.delta,
+        hop_cap,
+        budget,
+        weights,
+        counters=counters,
+        deadline=deadline,
+    )
+    # Early exit (Theorem 2): the reserve alone already meets the guarantee.
+    if push_outcome.satisfied_early_exit:
+        return ResiduePlan(
+            "tea+", graph, seed_node, counters, started=started,
+            reserve=push_outcome.reserve, early_exit=True,
+        )
+
+    # Residue reduction (Lines 8-11).
+    residues = push_outcome.residues
+    if apply_residue_reduction:
+        betas = residues.reduce_residues(graph, params.eps_r, params.delta)
+        counters.extras["num_reduced_hops"] = float(sum(1 for b in betas if b > 0))
+
+    # Random-walk refinement (Lines 12-17, identical to TEA's walk phase).
+    hops, nodes, values = residues.entry_arrays()
+    query, increment, alpha = residue_query(
+        "heat", nodes, values, omega, max_walks, entry_hops=hops, weights=weights
+    )
+    counters.extras["alpha"] = alpha
+    # Offset correction (Lines 18-19), stored lazily on the result.
+    offset = (
+        params.eps_r * params.delta / 2.0
+        if (apply_offset and apply_residue_reduction)
+        else 0.0
+    )
+    return ResiduePlan(
+        "tea+", graph, seed_node, counters, started=started,
+        reserve=push_outcome.reserve, query=query, increment=increment,
+        offset=offset,
+    )
 
 
 def tea_plus(
@@ -88,93 +165,41 @@ def tea_plus(
         ``early_exit`` is set when Theorem 2 allowed returning without walks;
         ``offset_per_degree`` carries the lazy offset coefficient.
     """
-    if not graph.has_node(seed_node):
-        raise ParameterError(f"seed node {seed_node} is not in the graph")
     generator = ensure_rng(rng)
     engine = get_backend(backend)
-    start = time.perf_counter()
-
-    weights = cached_weights(params.t)
-    omega = params.omega_tea_plus(graph)
-    budget = push_budget if push_budget is not None else params.push_budget_tea_plus(graph)
-    hop_cap = max_hop if max_hop is not None else params.max_hop_tea_plus(graph)
-
-    counters = OperationCounters()
-    counters.extras["omega"] = omega
-    counters.extras["push_budget"] = float(budget)
-    counters.extras["max_hop"] = float(hop_cap)
-    counters.extras["backend"] = engine.name
-
-    push_outcome = hk_push_plus(
-        graph,
-        seed_node,
-        params.eps_r,
-        params.delta,
-        hop_cap,
-        budget,
-        weights,
-        counters=counters,
+    plan = tea_plus_plan(
+        graph, seed_node, params, max_walks=max_walks,
+        apply_residue_reduction=apply_residue_reduction,
+        apply_offset=apply_offset, push_budget=push_budget, max_hop=max_hop,
         deadline=deadline,
     )
-    estimates = push_outcome.reserve
-    residues = push_outcome.residues
+    plan.counters.extras["backend"] = engine.name
+    if plan.query is not None:
+        run_residue_walk_phase(plan, engine=engine, rng=generator, deadline=deadline)
+    return plan.finalize()
 
-    # Early exit (Theorem 2): the reserve alone already meets the guarantee.
-    if push_outcome.satisfied_early_exit:
-        counters.reserve_entries = max(counters.reserve_entries, estimates.nnz())
-        elapsed = time.perf_counter() - start
-        return HKPRResult(
-            estimates=estimates,
-            seed=seed_node,
-            method="tea+",
-            counters=counters,
-            elapsed_seconds=elapsed,
-            offset_per_degree=0.0,
-            early_exit=True,
-        )
 
-    # Residue reduction (Lines 8-11).
-    if apply_residue_reduction:
-        betas = residues.reduce_residues(graph, params.eps_r, params.delta)
-        counters.extras["num_reduced_hops"] = float(sum(1 for b in betas if b > 0))
+def tea_plus_many(
+    graph: Graph,
+    seeds: Sequence[int],
+    params: HKPRParams,
+    *,
+    rng: RandomState = None,
+    max_walks: int | None = None,
+    backend: str | Backend | None = None,
+    **plan_kwargs,
+) -> dict[int, HKPRResult]:
+    """TEA+ for every seed in ``seeds`` with residue walks fused per batch.
 
-    # Random-walk refinement (Lines 12-17, identical to TEA's walk phase).
-    hops, nodes, values = residues.entry_arrays()
-    alpha = sum(values.tolist())
-    counters.extras["alpha"] = alpha
-    if alpha > 0.0:
-        num_walks = int(math.ceil(alpha * omega))
-        if max_walks is not None:
-            num_walks = min(num_walks, max_walks)
-        if num_walks > 0:
-            run_residue_walk_phase(
-                graph,
-                (hops, nodes, values),
-                num_walks,
-                alpha / num_walks,
-                engine=engine,
-                weights=weights,
-                rng=generator,
-                estimates=estimates,
-                counters=counters,
-                deadline=deadline,
-            )
-
-    # Offset correction (Lines 18-19), stored lazily on the result.
-    offset = (
-        params.eps_r * params.delta / 2.0
-        if (apply_offset and apply_residue_reduction)
-        else 0.0
-    )
-
-    counters.reserve_entries = max(counters.reserve_entries, estimates.nnz())
-    elapsed = time.perf_counter() - start
-    return HKPRResult(
-        estimates=estimates,
-        seed=seed_node,
-        method="tea+",
-        counters=counters,
-        elapsed_seconds=elapsed,
-        offset_per_degree=offset,
-        early_exit=False,
+    Push phases run per seed (they are deterministic and query-specific);
+    the hop-conditioned walk phases of all non-early-exit seeds share
+    ``walk_batch`` calls (:func:`repro.hkpr.walk_phase.answer_many`).
+    ``plan_kwargs`` are :func:`tea_plus_plan`'s.
+    """
+    return answer_many(
+        graph, seeds,
+        lambda seed: tea_plus_plan(
+            graph, seed, params, max_walks=max_walks, **plan_kwargs
+        ),
+        rng=rng, backend=backend,
     )

@@ -12,7 +12,7 @@ walk endpoints whose distribution never changes between queries on the same
   ``W`` endpoints per (hub, bucket) sketch.
 * :mod:`repro.index.walk_index` — :class:`WalkIndex`, the in-memory lookup
   with the epoch/staleness contract (``verify_graph``) and serving counters.
-* :mod:`repro.index.combine` — :class:`IndexedWalkPlan` merges a stored
+* :mod:`repro.index.combine` — :func:`plan_from_index` merges a stored
   sketch with a fresh top-up batch so the effective sample size matches the
   request; counters attribute ``walks_from_index`` vs ``walks_sampled``.
 
@@ -23,7 +23,7 @@ combiner automatically.
 """
 
 from repro.index.builder import build_walk_index, select_hubs
-from repro.index.combine import INDEXABLE_METHODS, IndexedWalkPlan, plan_from_index
+from repro.index.combine import INDEXABLE_METHODS, plan_from_index
 from repro.index.format import (
     EXTENSION,
     FORMAT_VERSION,
@@ -39,7 +39,6 @@ __all__ = [
     "EXTENSION",
     "FORMAT_VERSION",
     "INDEXABLE_METHODS",
-    "IndexedWalkPlan",
     "MAGIC",
     "WalkIndex",
     "build_walk_index",

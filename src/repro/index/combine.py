@@ -1,14 +1,14 @@
 """Combine stored walk sketches with a fresh top-up walk batch.
 
-:class:`IndexedWalkPlan` is a drop-in :class:`~repro.engine.multi.WalkPlan`
-that serves a sampling query (``monte-carlo`` HKPR or ``mc-ppr``) from a
-precomputed sketch: of the ``N`` walks the request needs, ``k = min(N, W)``
-endpoints come straight from the index and only the remaining ``N - k`` are
-sampled online (as one top-up :class:`~repro.engine.fused.FusedQuery`).
-``finalize`` folds both sources into one estimate at increment ``1/N``, so
-the answer is distributed exactly as if all ``N`` walks had been sampled
-fresh — stored sketch walks are i.i.d. draws from the same endpoint law (the
-statcheck chi-square suite gates this parity).
+:func:`plan_from_index` serves a sampling query (``monte-carlo`` HKPR or
+``mc-ppr``) from a precomputed sketch: of the ``N`` walks the request
+needs, ``k = min(N, W)`` endpoints come straight from the index and only
+the remaining ``N - k`` are sampled online.  The query's own plan builder
+makes the plan; its reserve then takes the stored endpoints at increment
+``1/N`` and its walk phase shrinks to the top-up, so the answer is
+distributed exactly as if all ``N`` walks had been sampled fresh — stored
+sketch walks are i.i.d. draws from the same endpoint law (the statcheck
+chi-square suite gates this parity).
 
 Counters attribute the split exactly: ``extras["walks_from_index"]`` is the
 stored-endpoint count and ``extras["walks_sampled"]`` the fresh top-up count
@@ -17,88 +17,13 @@ stored-endpoint count and ``extras["walks_sampled"]`` the fresh top-up count
 
 from __future__ import annotations
 
-import time
-from collections.abc import Sequence
-
-import numpy as np
-
-from repro.engine.fused import FusedQuery
 from repro.estimators.spec import EstimatorSpec
 from repro.graph.graph import Graph
-from repro.hkpr.poisson import PoissonWeights, cached_weights
-from repro.hkpr.result import HKPRResult
+from repro.hkpr.walk_phase import ResiduePlan
 from repro.index.walk_index import WalkIndex
-from repro.utils.counters import OperationCounters
-from repro.utils.sparsevec import SparseVector
 
 #: Service method name -> walk-law kind stored in the index.
 INDEXABLE_METHODS = {"monte-carlo": "poisson", "mc-ppr": "geometric"}
-
-
-class IndexedWalkPlan:
-    """A sampling query answered from stored endpoints plus a fresh top-up."""
-
-    def __init__(
-        self,
-        *,
-        method: str,
-        graph: Graph,
-        seed_node: int,
-        stored_endpoints: np.ndarray,
-        total_walks: int,
-        weights: PoissonWeights | None = None,
-        alpha: float | None = None,
-    ) -> None:
-        self.method = method
-        self.graph = graph
-        self.seed_node = int(seed_node)
-        self.counters = OperationCounters()
-        self._kind = INDEXABLE_METHODS[method]
-        self._weights = weights
-        self._alpha = alpha
-        self._total_walks = int(total_walks)
-        self._stored = stored_endpoints[: self._total_walks]
-        self._topup = self._total_walks - int(self._stored.size)
-        self._increment = 1.0 / self._total_walks
-        self._started = time.perf_counter()
-        self.counters.extras["index_hit"] = 1.0
-        self.counters.extras["walks_from_index"] = float(self._stored.size)
-        self.counters.extras["walks_sampled"] = float(self._topup)
-
-    def fused_queries(self) -> list[FusedQuery]:
-        """Fused top-up form; empty when no fresh walks are needed."""
-        if self._topup == 0:
-            return []
-        return [
-            FusedQuery(
-                self._kind,
-                [self.seed_node],
-                [1.0],
-                self._topup,
-                weights=self._weights,
-                alpha=self._alpha,
-            )
-        ]
-
-    @property
-    def estimated_walks(self) -> int:
-        """Online walks this query will actually run (the top-up only)."""
-        return self._topup
-
-    def finalize(self, endpoints: Sequence[np.ndarray]) -> HKPRResult:
-        estimates = SparseVector()
-        if self._stored.size:
-            estimates.add_many(self._stored, self._increment)
-        for ends in endpoints:
-            estimates.add_many(ends, self._increment)
-        self.counters.reserve_entries = estimates.nnz()
-        return HKPRResult(
-            estimates=estimates,
-            seed=self.seed_node,
-            method=self.method,
-            counters=self.counters,
-            elapsed_seconds=time.perf_counter() - self._started,
-        )
 
 
 def _bucket_for(spec: EstimatorSpec, params: dict) -> tuple[str, float] | None:
@@ -136,8 +61,9 @@ def plan_from_index(
     spec: EstimatorSpec,
     seed_node: int,
     params: dict,
-) -> IndexedWalkPlan | None:
-    """Build an :class:`IndexedWalkPlan` if ``index`` covers this query.
+) -> ResiduePlan | None:
+    """The query's plan with its stored walks already in the reserve, if
+    ``index`` covers this query.
 
     Returns ``None`` (after recording an index miss) when the method's
     bucket — ``t`` for ``monte-carlo``, ``alpha`` for ``mc-ppr`` — has no
@@ -148,24 +74,18 @@ def plan_from_index(
     if resolved is None:
         return None
     kind, bucket = resolved
-    if kind == "poisson":
-        weights = cached_weights(bucket)
-        alpha = None
-    else:
-        weights = None
-        alpha = bucket
     total_walks = spec.estimate_walks(graph, params)
-    if total_walks < 1:
-        return None
     stored = index.lookup(kind, seed_node, bucket, max_walks=total_walks)
     if stored is None:
         return None
-    return IndexedWalkPlan(
-        method=spec.name,
-        graph=graph,
-        seed_node=seed_node,
-        stored_endpoints=stored,
-        total_walks=total_walks,
-        weights=weights,
-        alpha=alpha,
-    )
+    plan = spec.build_plan(graph, seed_node, params, None)
+    plan.reserve.add_many(stored, plan.increment)
+    topup = total_walks - int(stored.size)
+    if topup:
+        plan.query.num_walks = topup
+    else:
+        plan.query = None
+    plan.counters.extras["index_hit"] = 1.0
+    plan.counters.extras["walks_from_index"] = float(stored.size)
+    plan.counters.extras["walks_sampled"] = float(topup)
+    return plan

@@ -18,21 +18,25 @@ can also be made empirically on the same substrate.
 from __future__ import annotations
 
 import math
-import time
+from collections.abc import Sequence
 
-import numpy as np
-
-from repro.engine import Backend, chunk_sizes, get_backend, restart_chunk
-from repro.engine.fused import FusedGroup, FusedQuery, sample_fused_starts
+from repro.engine import Backend, get_backend, restart_chunk
+from repro.engine.fused import FusedQuery
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
 from repro.hkpr.params import checked_walk_ratio, default_delta
 from repro.hkpr.result import HKPRResult
+from repro.hkpr.walk_phase import (
+    ResiduePlan,
+    answer_many,
+    residue_query,
+    run_residue_walk_phase,
+    start_plan,
+)
 from repro.ppr.push import forward_push
 from repro.utils.counters import OperationCounters
 from repro.utils.deadline import Deadline
 from repro.utils.rng import RandomState, ensure_rng
-from repro.utils.sparsevec import SparseVector
 
 
 def walk_count(graph: Graph, eps_r: float, delta: float, p_f: float) -> int:
@@ -46,6 +50,33 @@ def walk_count(graph: Graph, eps_r: float, delta: float, p_f: float) -> int:
         f"eps_r ({eps_r:g}) or delta ({delta:g})",
     )
     return max(1, int(math.ceil(omega)))
+
+
+def monte_carlo_ppr_plan(
+    graph: Graph,
+    seed_node: int,
+    *,
+    alpha: float = 0.15,
+    num_walks: int = 10_000,
+    deadline: Deadline | None = None,
+) -> ResiduePlan:
+    """Plain Monte-Carlo PPR as a plan: ``num_walks`` restart walks from
+    the seed, each adding ``1 / num_walks`` at its endpoint.  There is no
+    push, so the ``deadline`` only gets the plan's counters for
+    partial-work accounting.
+    """
+    started = start_plan(graph, seed_node)
+    if num_walks < 1:
+        raise ParameterError(f"num_walks must be >= 1, got {num_walks}")
+    restart_chunk(alpha)  # refuses alpha below MIN_RESTART_ALPHA
+    counters = OperationCounters()
+    if deadline is not None:
+        deadline.bind(counters)
+    query = FusedQuery("geometric", [seed_node], [1.0], num_walks, alpha=alpha)
+    return ResiduePlan(
+        "mc-ppr", graph, seed_node, counters, started=started,
+        query=query, increment=1.0 / num_walks,
+    )
 
 
 def monte_carlo_ppr(
@@ -62,42 +93,79 @@ def monte_carlo_ppr(
 
     ``alpha`` must be at least :data:`repro.engine.MIN_RESTART_ALPHA`; the
     walks run in :func:`repro.engine.restart_chunk` batches with a deadline
-    checkpoint before each.
+    checkpoint before each.  The result is labelled ``"mc-ppr"``, the
+    method's registry name.
     """
-    if not graph.has_node(seed_node):
-        raise ParameterError(f"seed node {seed_node} is not in the graph")
-    if num_walks < 1:
-        raise ParameterError(f"num_walks must be >= 1, got {num_walks}")
-    chunk = restart_chunk(alpha)
     generator = ensure_rng(rng)
     engine = get_backend(backend)
-    start = time.perf_counter()
-    counters = OperationCounters()
-    counters.extras["backend"] = engine.name
-    if deadline is not None:
-        deadline.bind(counters)
-    estimates = SparseVector()
-    increment = 1.0 / num_walks
-    for batch in chunk_sizes(num_walks, chunk):
-        if deadline is not None:
-            deadline.checkpoint()
-        end_nodes = engine.geometric_walk_batch(
-            graph,
-            np.full(batch, seed_node, dtype=np.int64),
-            alpha,
-            generator,
-            counters=counters,
+    plan = monte_carlo_ppr_plan(
+        graph, seed_node, alpha=alpha, num_walks=num_walks, deadline=deadline
+    )
+    plan.counters.extras["backend"] = engine.name
+    run_residue_walk_phase(plan, engine=engine, rng=generator, deadline=deadline)
+    return plan.finalize()
+
+
+def monte_carlo_ppr_many(
+    graph: Graph,
+    seeds: Sequence[int],
+    *,
+    alpha: float = 0.15,
+    num_walks: int = 10_000,
+    rng: RandomState = None,
+    backend: str | Backend | None = None,
+) -> dict[int, HKPRResult]:
+    """Monte-Carlo PPR for every seed in ``seeds``, walks fused per batch
+    (:func:`repro.hkpr.walk_phase.answer_many`)."""
+    return answer_many(
+        graph, seeds,
+        lambda seed: monte_carlo_ppr_plan(
+            graph, seed, alpha=alpha, num_walks=num_walks
+        ),
+        rng=rng, backend=backend,
+    )
+
+
+def fora_plan(
+    graph: Graph,
+    seed_node: int,
+    *,
+    alpha: float = 0.15,
+    eps_r: float = 0.5,
+    delta: float | None = None,
+    p_f: float = 1e-6,
+    r_max: float | None = None,
+    max_walks: int | None = None,
+    deadline: Deadline | None = None,
+) -> ResiduePlan:
+    """FORA's forward push as a plan: its reserve plus
+    ``ceil(r_sum * omega)`` restart walks drawn from the residue (see
+    :func:`fora` for the parameters)."""
+    started = start_plan(graph, seed_node)
+    restart_chunk(alpha)  # refuses alpha below MIN_RESTART_ALPHA
+    effective_delta = delta if delta is not None else default_delta(graph)
+    omega = walk_count(graph, eps_r, effective_delta, p_f)
+    if r_max is None:
+        m = max(graph.num_edges, 1)
+        balanced = math.sqrt(
+            eps_r**2 * effective_delta / (m * math.log(2.0 * graph.num_nodes / p_f))
         )
-        estimates.add_many(end_nodes, increment)
-    counters.reserve_entries = estimates.nnz()
-    return HKPRResult(
-        estimates=estimates,
-        seed=seed_node,
-        # Canonical registry name; the batched plan (MonteCarloPPRPlan) and
-        # every serving/telemetry surface label this method "mc-ppr".
-        method="mc-ppr",
-        counters=counters,
-        elapsed_seconds=time.perf_counter() - start,
+        r_max = min(balanced, 1.0 / omega) if omega > 0 else balanced
+        r_max = max(r_max, 1e-12)
+
+    counters = OperationCounters()
+    counters.extras["omega"] = float(omega)
+    push_outcome = forward_push(
+        graph, seed_node, alpha=alpha, r_max=r_max, counters=counters,
+        deadline=deadline,
+    )
+    query, increment, mass = residue_query(
+        "geometric", *push_outcome.residue.arrays(), omega, max_walks, alpha=alpha
+    )
+    counters.extras["alpha_mass"] = mass
+    return ResiduePlan(
+        "fora", graph, seed_node, counters, started=started,
+        reserve=push_outcome.reserve, query=query, increment=increment,
     )
 
 
@@ -138,57 +206,13 @@ def fora(
         Optional cooperative :class:`~repro.utils.Deadline`, threaded
         through the push phase and the chunked walk phase.
     """
-    if not graph.has_node(seed_node):
-        raise ParameterError(f"seed node {seed_node} is not in the graph")
-    chunk = restart_chunk(alpha)
     generator = ensure_rng(rng)
     engine = get_backend(backend)
-    start = time.perf_counter()
-    effective_delta = delta if delta is not None else default_delta(graph)
-    omega = walk_count(graph, eps_r, effective_delta, p_f)
-    if r_max is None:
-        m = max(graph.num_edges, 1)
-        balanced = math.sqrt(
-            eps_r**2 * effective_delta / (m * math.log(2.0 * graph.num_nodes / p_f))
-        )
-        r_max = min(balanced, 1.0 / omega) if omega > 0 else balanced
-        r_max = max(r_max, 1e-12)
-
-    counters = OperationCounters()
-    counters.extras["omega"] = float(omega)
-    counters.extras["backend"] = engine.name
-    push_outcome = forward_push(
-        graph, seed_node, alpha=alpha, r_max=r_max, counters=counters,
-        deadline=deadline,
+    plan = fora_plan(
+        graph, seed_node, alpha=alpha, eps_r=eps_r, delta=delta, p_f=p_f,
+        r_max=r_max, max_walks=max_walks, deadline=deadline,
     )
-    estimates = push_outcome.reserve
-    residue = push_outcome.residue
-
-    residual_mass = residue.sum()
-    counters.extras["alpha_mass"] = residual_mass
-    if residual_mass > 0.0 and residue.nnz() > 0:
-        num_walks = int(math.ceil(residual_mass * omega))
-        if max_walks is not None:
-            num_walks = min(num_walks, max_walks)
-        if num_walks > 0:
-            query = FusedQuery("geometric", *residue.arrays(), num_walks, alpha=alpha)
-            increment = residual_mass / num_walks
-            for batch in chunk_sizes(num_walks, chunk):
-                if deadline is not None:
-                    deadline.checkpoint()
-                starts, _ = sample_fused_starts(
-                    FusedGroup(graph, [query], [batch]), generator
-                )
-                end_nodes = engine.geometric_walk_batch(
-                    graph, starts, alpha, generator, counters=counters
-                )
-                estimates.add_many(end_nodes, increment)
-
-    counters.reserve_entries = max(counters.reserve_entries, estimates.nnz())
-    return HKPRResult(
-        estimates=estimates,
-        seed=seed_node,
-        method="fora",
-        counters=counters,
-        elapsed_seconds=time.perf_counter() - start,
-    )
+    plan.counters.extras["backend"] = engine.name
+    if plan.query is not None:
+        run_residue_walk_phase(plan, engine=engine, rng=generator, deadline=deadline)
+    return plan.finalize()

@@ -24,9 +24,9 @@ becomes servable with no planner change:
   :class:`~repro.estimators.spec.DirectPlan`.
 
 Determinism: requests carrying an explicit ``rng`` seed are marked
-*pinned* — the cache is bypassed and the batcher runs their walk tasks
-unfused on a private generator, so the response is a pure function of the
-request.  Unpinned requests may be fused and may be served from cache.
+*pinned* — the cache is bypassed and the batcher runs their plan's walks as
+unfused tasks on a private generator, so the response is a pure function
+of the request.  Unpinned requests may be fused and may be served from cache.
 """
 
 from __future__ import annotations
@@ -264,9 +264,12 @@ def build_plan(
     ``snapshot`` is the graph of ``entry`` the request was admitted at; the
     push phase, the index lookup and (by the caller) the walk phase all
     read it, so a mutation landing mid-query cannot mix epochs.
-    Push phases and residue sampling run here (on the dispatch thread).
-    Pinned requests get a private generator seeded with ``request.rng``;
-    the batcher runs their tasks on that same generator, unfused.
+    Push phases run here (on the dispatch thread).  Pinned requests get a
+    private generator seeded with ``request.rng``; the batcher draws their
+    walk tasks from the plan's fused queries on that same generator and
+    runs them unfused.  Unpinned requests get ``None``: a plan builder
+    draws nothing, and a :class:`~repro.estimators.spec.DirectPlan`'s
+    estimator then seeds itself from fresh entropy.
     ``deadline`` (when given) is threaded into deadline-aware estimators'
     push loops, so unbounded plan-construction work trips it too.
 
@@ -282,7 +285,7 @@ def build_plan(
     ``trace`` (a :class:`repro.obs.QueryTrace`, optional) receives an
     ``index_lookup`` span around the index-combiner attempt.
     """
-    rng = ensure_rng(request.rng) if request.pinned else ensure_rng(None)
+    rng = ensure_rng(request.rng) if request.pinned else None
     # Read the index before the snapshot check: a mutation detaches the
     # index before it installs the next snapshot.
     index = entry.index

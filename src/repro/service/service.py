@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.engine import Backend, get_backend
+from repro.engine.fused import sampled_tasks
 from repro.engine.multi import execute_plans, run_walk_tasks
 from repro.exceptions import (
     QueryTimeoutError,
@@ -895,12 +896,15 @@ class QueryService:
             trace = pending.trace
             try:
                 kernel_started = time.perf_counter()
+                tasks = sampled_tasks(
+                    pending.snapshot, plan.fused_queries(), plan_rng
+                )
                 endpoints = run_walk_tasks(
                     self._backend,
                     pending.snapshot,
-                    plan.tasks,
+                    tasks,
                     plan_rng,
-                    counters_list=[plan.counters] * len(plan.tasks),
+                    counters_list=[plan.counters] * len(tasks),
                     deadline=pending.deadline,
                 )
                 if trace is not None:

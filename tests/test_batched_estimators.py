@@ -1,4 +1,4 @@
-"""Tests for the batched entry points (:mod:`repro.hkpr.batched`, :mod:`repro.ppr.batched`)."""
+"""Tests for the ``*_many`` entry points and the plan builders they run."""
 
 from __future__ import annotations
 
@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ParameterError
-from repro.hkpr.batched import MonteCarloPlan, TeaPlusPlan, monte_carlo_hkpr_many, tea_plus_many
+from repro.hkpr.monte_carlo import monte_carlo_hkpr_many
 from repro.hkpr.params import HKPRParams
-from repro.hkpr.tea_plus import tea_plus
-from repro.ppr.batched import ForaPlan, MonteCarloPPRPlan, monte_carlo_ppr_many
+from repro.hkpr.tea_plus import tea_plus, tea_plus_many, tea_plus_plan
+from repro.ppr.fora import fora_plan, monte_carlo_ppr_many, monte_carlo_ppr_plan
 from repro.ppr.exact import exact_ppr
 
 from statcheck import chi_square_gof, poisson_probs
@@ -62,10 +62,10 @@ class TestTeaPlusPlan:
         # An early-exit TEA+ query is fully deterministic: the plan and the
         # estimator must agree byte for byte.
         direct = tea_plus(tiny_grid, 0, default_params, rng=1)
-        plan = TeaPlusPlan(tiny_grid, 0, default_params, rng=1)
+        plan = tea_plus_plan(tiny_grid, 0, default_params)
         if direct.early_exit:
             assert plan.early_exit
-            assert plan.tasks == []
+            assert plan.fused_queries() == []
             result = plan.finalize([])
             assert result.estimates.to_dict() == direct.estimates.to_dict()
             assert result.counters.push_operations == direct.counters.push_operations
@@ -74,8 +74,8 @@ class TestTeaPlusPlan:
 
     def test_walk_phase_runs_when_budgeted(self, medium_powerlaw):
         params = HKPRParams(t=5.0, eps_r=0.2, delta=1e-4, p_f=1e-6)
-        plan = TeaPlusPlan(
-            medium_powerlaw, 0, params, rng=3, max_walks=2000, push_budget=200,
+        plan = tea_plus_plan(
+            medium_powerlaw, 0, params, max_walks=2000, push_budget=200,
             apply_residue_reduction=False, apply_offset=False,
         )
         assert not plan.early_exit
@@ -92,9 +92,11 @@ class TestTeaPlusPlan:
 
     def test_offset_matches_estimator_policy(self, medium_powerlaw):
         params = HKPRParams(t=5.0, eps_r=0.2, delta=1e-4, p_f=1e-6)
-        plan = TeaPlusPlan(medium_powerlaw, 0, params, rng=3, push_budget=200)
+        plan = tea_plus_plan(medium_powerlaw, 0, params, push_budget=200)
         if not plan.early_exit:
-            result = plan.finalize([np.zeros(0, dtype=np.int64)] * len(plan.tasks))
+            result = plan.finalize(
+                [np.zeros(0, dtype=np.int64)] * len(plan.fused_queries())
+            )
             assert result.offset_per_degree == params.eps_r * params.delta / 2.0
 
 
@@ -109,16 +111,15 @@ class TestPPRPlans:
 
     def test_mc_ppr_plan_validation(self, tiny_grid):
         with pytest.raises(ParameterError):
-            MonteCarloPPRPlan(tiny_grid, 0, alpha=1.5)
+            monte_carlo_ppr_plan(tiny_grid, 0, alpha=1.5)
         with pytest.raises(ParameterError):
-            MonteCarloPPRPlan(tiny_grid, 0, num_walks=0)
+            monte_carlo_ppr_plan(tiny_grid, 0, num_walks=0)
         with pytest.raises(ParameterError):
-            MonteCarloPPRPlan(tiny_grid, 999)
+            monte_carlo_ppr_plan(tiny_grid, 999)
 
     def test_fora_plan_total_mass(self, medium_powerlaw):
-        plan = ForaPlan(
-            medium_powerlaw, 0, alpha=0.2, eps_r=0.5, r_max=0.01, rng=5,
-            max_walks=3000,
+        plan = fora_plan(
+            medium_powerlaw, 0, alpha=0.2, eps_r=0.5, r_max=0.01, max_walks=3000,
         )
         assert plan.estimated_walks > 0
         from repro.engine import execute_plans, get_backend

@@ -35,14 +35,16 @@ from repro.engine.fused import (
     FusedQuery,
     run_fused_queries,
     sample_fused_starts,
+    sampled_tasks,
 )
 from repro.exceptions import ParameterError
 from repro.graph.generators import powerlaw_cluster_graph, ring_graph
 from repro.graph.graph import Graph
-from repro.hkpr.batched import MonteCarloPlan, monte_carlo_hkpr_many, tea_plus_many
+from repro.hkpr.monte_carlo import monte_carlo_hkpr_many, monte_carlo_plan
 from repro.hkpr.params import HKPRParams
 from repro.hkpr.poisson import PoissonWeights
-from repro.ppr.batched import MonteCarloPPRPlan, monte_carlo_ppr_many
+from repro.hkpr.tea_plus import tea_plus_many
+from repro.ppr.fora import monte_carlo_ppr_many, monte_carlo_ppr_plan
 from repro.utils.counters import OperationCounters
 
 
@@ -367,13 +369,15 @@ class TestPlanRouting:
         fused = monte_carlo_hkpr_many(
             graph, [0], params, num_walks=400, rng=21, backend="vectorized"
         )
-        # Seed-pinned serving runs the same plan's tasks instead.
-        plan = MonteCarloPlan(graph, 0, params, num_walks=400)
-        tasks = run_walk_tasks(
-            "vectorized", graph, plan.tasks, np.random.default_rng(21),
-            counters_list=[plan.counters] * len(plan.tasks),
+        # Seed-pinned serving runs the same plan's walks as tasks instead.
+        plan = monte_carlo_plan(graph, 0, params, num_walks=400)
+        rng = np.random.default_rng(21)
+        tasks = sampled_tasks(graph, plan.fused_queries(), rng)
+        ends = run_walk_tasks(
+            "vectorized", graph, tasks, rng,
+            counters_list=[plan.counters] * len(tasks),
         )
-        unfused = plan.finalize(tasks)
+        unfused = plan.finalize(ends)
         assert "fused_kernel" not in unfused.counters.extras
         assert unfused.counters.random_walks == 400
         mass_f = sum(v for _, v in fused[0].estimates.items())
@@ -418,7 +422,6 @@ class TestPlanRouting:
         plan's walks and steps are its own (node 7 is isolated)."""
 
         class DirectishPlan:
-            tasks = ()
             counters = OperationCounters()
             estimated_walks = 0
 
@@ -431,13 +434,12 @@ class TestPlanRouting:
 
         graph = Graph(8, [(i, (i + 1) % 7) for i in range(7)] + [(0, 3)])
         params = HKPRParams(t=5.0, eps_r=0.5, delta=0.1, p_f=1e-6)
-        weights = PoissonWeights(params.t)
         plans = [
-            MonteCarloPlan(graph, 7, params, weights=weights, num_walks=120),
-            MonteCarloPlan(graph, 0, params, weights=weights, num_walks=100),
+            monte_carlo_plan(graph, 7, params, num_walks=120),
+            monte_carlo_plan(graph, 0, params, num_walks=100),
             DirectishPlan(),
-            MonteCarloPPRPlan(graph, 7, alpha=0.2, num_walks=80),
-            MonteCarloPPRPlan(graph, 1, alpha=0.2, num_walks=90),
+            monte_carlo_ppr_plan(graph, 7, alpha=0.2, num_walks=80),
+            monte_carlo_ppr_plan(graph, 1, alpha=0.2, num_walks=90),
         ]
         results = execute_plans(backend, graph, plans, np.random.default_rng(2))
         assert results[2] == "direct"

@@ -22,7 +22,7 @@ from repro.graph.binfmt import read_graph_binary, sniff, write_graph_binary
 from repro.graph.generators import powerlaw_cluster_graph
 from repro.graph.graph import Graph
 from repro.graph.io import load_edge_list, save_edge_list
-from repro.hkpr.batched import monte_carlo_hkpr_many
+from repro.hkpr.monte_carlo import monte_carlo_hkpr_many
 from repro.hkpr.params import HKPRParams
 
 

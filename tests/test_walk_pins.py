@@ -25,16 +25,14 @@ from repro.bench.datasets import load_dataset
 from repro.engine import WALK_CHUNK_SIZE, execute_plans
 from repro.engine.fused import FusedQuery, run_fused_queries
 from repro.estimators import resolve
-from repro.hkpr.batched import TeaPlusPlan, monte_carlo_hkpr_many, tea_plus_many
 from repro.hkpr.cluster_hkpr import cluster_hkpr
-from repro.hkpr.monte_carlo import monte_carlo_hkpr
+from repro.hkpr.monte_carlo import monte_carlo_hkpr, monte_carlo_hkpr_many
 from repro.hkpr.params import HKPRParams
 from repro.hkpr.poisson import PoissonWeights
 from repro.hkpr.tea import tea
-from repro.hkpr.tea_plus import tea_plus
+from repro.hkpr.tea_plus import tea_plus, tea_plus_many, tea_plus_plan
 from repro.index import build_walk_index, plan_from_index
-from repro.ppr.batched import monte_carlo_ppr_many
-from repro.ppr.fora import fora, monte_carlo_ppr
+from repro.ppr.fora import fora, monte_carlo_ppr, monte_carlo_ppr_many
 from repro.service import GraphRegistry, QueryService
 from repro.service.registry import build_from_spec
 from repro.utils.counters import OperationCounters
@@ -76,9 +74,7 @@ PINNED_FUSED = [
 def test_fused_group_endpoints_are_pinned(dblp):
     graph, params = dblp
     weights = PoissonWeights(params.t)
-    plan = TeaPlusPlan(
-        graph, 42, params, push_budget=3000, max_walks=4000, weights=weights
-    )
+    plan = tea_plus_plan(graph, 42, params, push_budget=3000, max_walks=4000)
     (heat,) = plan.fused_queries()
     assert heat.entry_nodes.size == 369
     queries = [
