@@ -219,10 +219,11 @@ def _split_by_size(
 
     Each entry is a ``(task index, lo, hi)`` slice of that task's walks.
     Preserves order and keeps a task whole when it fits; a task larger than
-    ``cap`` is cut into ``cap``-walk slices, one sub-group each (the plans
-    chunk their own tasks to :data:`~repro.engine.WALK_CHUNK_SIZE`, so this
-    happens for restart walks with a small ``alpha`` and for direct callers
-    who built an oversized task).
+    ``cap`` is cut into ``cap``-walk slices, one sub-group each
+    (:func:`~repro.engine.fused.sampled_tasks` chunks its tasks to
+    :data:`~repro.engine.WALK_CHUNK_SIZE`, so this happens for restart
+    walks with a small ``alpha`` and for direct callers who built an
+    oversized task).
     """
     sub_groups: list[list[tuple[int, int, int]]] = []
     current: list[tuple[int, int, int]] = []

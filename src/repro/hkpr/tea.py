@@ -13,8 +13,9 @@ walks (Algorithm 2), where ``alpha`` is the total residue mass and
 
 Walk starting entries ``(u, k)`` are sampled proportionally to the residues
 by inverse CDF (:func:`repro.engine.fused.sample_fused_starts`); each walk
-ending at ``v`` adds ``alpha / n_r`` to the estimate.  Theorem 1 shows the output is (d, eps_r, delta)-approximate with
-probability at least ``1 - p_f``.
+ending at ``v`` adds ``alpha / n_r`` to the estimate.  Theorem 1 shows the
+output is (d, eps_r, delta)-approximate with probability at least
+``1 - p_f``.
 
 The paper recommends ``r_max = Theta(1 / (omega t))`` so the push and walk
 phases cost roughly the same; :func:`repro.hkpr.params.HKPRParams.rmax_tea`

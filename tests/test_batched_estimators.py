@@ -9,8 +9,8 @@ from repro.exceptions import ParameterError
 from repro.hkpr.monte_carlo import monte_carlo_hkpr_many
 from repro.hkpr.params import HKPRParams
 from repro.hkpr.tea_plus import tea_plus, tea_plus_many, tea_plus_plan
-from repro.ppr.fora import fora_plan, monte_carlo_ppr_many, monte_carlo_ppr_plan
 from repro.ppr.exact import exact_ppr
+from repro.ppr.fora import fora_plan, monte_carlo_ppr_many, monte_carlo_ppr_plan
 
 from statcheck import chi_square_gof, poisson_probs
 from repro.hkpr.exact import exact_hkpr

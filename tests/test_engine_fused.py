@@ -156,6 +156,7 @@ class TestFusedQuery:
     def test_single_entry_skips_rng(self, graph, weights):
         query = FusedQuery("poisson", [4], [1.0], 50, weights=weights)
         group = FusedGroup(graph, [query], [50])
+        assert not group.needs_sampling and group.entry_cdf is None
         rng = np.random.default_rng(3)
         starts, _ = sample_fused_starts(group, rng)
         assert (starts == 4).all()
