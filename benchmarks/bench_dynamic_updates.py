@@ -165,7 +165,7 @@ def parity_section() -> dict:
         batch = _fresh_edges(graph, rng, 32, taken)
         summary = service.mutate_graph("parity", add=batch)
         entry = service.registry.get("parity")
-        mutated = entry.csr_graph()
+        mutated = entry.graph.compacted()
         law = poisson_probs(mutated, 0, PoissonWeights(HEAT_T))
 
         futures = [

@@ -33,23 +33,25 @@ untouched and patches only the adjacency rows that mutations have touched:
   because rewritten rows are kept sorted exactly like CSR adjacency
   slices.
 
-Batched execution backends that understand the overlay advertise
-``supports_overlay = True`` and read through :attr:`DeltaGraph.row_starts`
-and :meth:`DeltaGraph.read_slots`, the pair a plain :class:`Graph` also
-exposes; :meth:`for_backend` hands everything else a compacted plain
-graph.
+:class:`DeltaGraph` shares the whole read API with :class:`Graph`
+through their base, :class:`~repro.graph.graph.GraphReads`.  It supplies
+only its row read, the :attr:`DeltaGraph.row_starts` /
+:meth:`DeltaGraph.read_slots` pair that the walk kernels and
+:func:`neighbor_rows` read, ``csr_nbytes`` and :meth:`DeltaGraph.compacted`.
+Every estimator and every backend therefore reads an overlay as it is,
+and code that needs contiguous CSR (the parallel backend's shared-memory
+export, the walk index's fingerprint) calls ``compacted()`` itself.
 """
 
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.exceptions import EmptyGraphError, GraphError, NodeNotFoundError
-from repro.graph.graph import Edge, Graph, neighbor_rows
+from repro.exceptions import GraphError, NodeNotFoundError
+from repro.graph.graph import Graph, GraphReads, neighbor_rows
 
 
 def default_compaction_threshold(num_edges: int) -> int:
@@ -167,17 +169,15 @@ class MutationEvent:
     removed: np.ndarray
 
 
-class DeltaGraph:
+class DeltaGraph(GraphReads):
     """An immutable snapshot of a base CSR graph plus an adjacency delta.
 
-    Implements the read API of :class:`~repro.graph.graph.Graph` (degrees,
-    neighbors, sampling, volumes) by reading each row at its ``starts``
-    offset, in the base CSR or in the patch, plus the vectorized
-    read-through used by batch kernels (:attr:`row_starts` and
+    The read API of :class:`~repro.graph.graph.Graph` (degrees, neighbors,
+    sampling, volumes, whole-graph views) comes from their shared base,
+    :class:`~repro.graph.graph.GraphReads`; this class supplies the row
+    read, which finds each row at its ``starts`` offset in the base CSR or
+    in the patch, and the batch read-through (:attr:`row_starts` and
     :meth:`read_slots`).
-    Whole-graph views that genuinely need contiguous CSR
-    (``transition_matrix``, ``walk_step``, ``subgraph``, ...) delegate to
-    :meth:`compacted`.
 
     Mutations never modify ``self``: :meth:`add_edges` /
     :meth:`remove_edges` / :meth:`apply` return a new snapshot with
@@ -187,15 +187,12 @@ class DeltaGraph:
     __slots__ = (
         "_base",
         "_starts",
-        "_degrees",
         "_patch",
-        "_m",
         "_delta_edges",
         "epoch",
         "last_event",
         "_lock",
         "_compacted",
-        "_failure_sum",  # the last p_f's Eq. (6) sum, as on Graph
     )
 
     def __init__(self, base: Graph, *, epoch: int = 0) -> None:
@@ -208,6 +205,7 @@ class DeltaGraph:
         self._starts = base.indptr[:-1]
         self._degrees = base.degrees
         self._patch = np.empty(0, dtype=np.int64)
+        self._n = base.num_nodes
         self._m = base.num_edges
         self._delta_edges = 0
         self.epoch = int(epoch)
@@ -349,20 +347,8 @@ class DeltaGraph:
                 )
             return self._compacted
 
-    def for_backend(self, backend) -> "Graph | DeltaGraph":
-        """Adapt this snapshot for an execution backend.
-
-        Backends that set ``supports_overlay = True`` (the vectorized
-        kernels) read through :meth:`read_slots`; everything else
-        (the reference loop, parallel workers over shared-memory CSR) gets
-        the compacted plain graph.
-        """
-        if getattr(backend, "supports_overlay", False):
-            return self
-        return self.compacted()
-
     # ------------------------------------------------------------------ #
-    # Vectorized read-through for batch kernels
+    # Row reads (the rest of the read API is GraphReads')
     # ------------------------------------------------------------------ #
     @property
     def row_starts(self) -> np.ndarray:
@@ -392,30 +378,12 @@ class DeltaGraph:
         out[in_patch] = self._patch[slots[in_patch] - base.size]
         return out
 
-    # ------------------------------------------------------------------ #
-    # Graph read API (scalar)
-    # ------------------------------------------------------------------ #
-    @property
-    def num_nodes(self) -> int:
-        """Number of nodes ``n`` (fixed across mutations)."""
-        return self._base.num_nodes
-
-    @property
-    def num_edges(self) -> int:
-        """Number of undirected edges ``m`` in this snapshot."""
-        return self._m
-
-    @property
-    def average_degree(self) -> float:
-        """Average degree ``2m / n``."""
-        if self.num_nodes == 0:
-            raise EmptyGraphError("average degree of an empty graph is undefined")
-        return 2.0 * self._m / self.num_nodes
-
-    @property
-    def total_volume(self) -> int:
-        """Sum of all degrees, ``2m``."""
-        return 2 * self._m
+    def _row(self, node: int) -> np.ndarray:
+        start, degree = int(self._starts[node]), int(self._degrees[node])
+        base = self._base.indices
+        if start < base.size:
+            return base[start : start + degree]
+        return self._patch[start - base.size : start - base.size + degree]
 
     @property
     def csr_nbytes(self) -> int:
@@ -424,143 +392,3 @@ class DeltaGraph:
             return self._base.csr_nbytes
         own = self._starts.nbytes + self._degrees.nbytes + self._patch.nbytes
         return self._base.csr_nbytes + own
-
-    @property
-    def degrees(self) -> np.ndarray:
-        """Read-only merged degree array for this snapshot."""
-        view = self._degrees.view()
-        view.flags.writeable = False
-        return view
-
-    def __len__(self) -> int:
-        return self.num_nodes
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DeltaGraph(n={self.num_nodes}, m={self._m}, "
-            f"epoch={self.epoch}, delta={self._delta_edges})"
-        )
-
-    def nodes(self) -> range:
-        """Iterate over all node ids."""
-        return range(self.num_nodes)
-
-    def has_node(self, node: int) -> bool:
-        """Whether ``node`` is a valid node id."""
-        return 0 <= node < self.num_nodes
-
-    def _check_node(self, node: int) -> None:
-        if not self.has_node(node):
-            raise NodeNotFoundError(node, self.num_nodes)
-
-    def degree(self, node: int) -> int:
-        """Degree of ``node`` in this snapshot."""
-        self._check_node(node)
-        return int(self._degrees[node])
-
-    def _neighbors_array(self, node: int) -> np.ndarray:
-        start, degree = int(self._starts[node]), int(self._degrees[node])
-        base = self._base.indices
-        if start < base.size:
-            return base[start : start + degree]
-        return self._patch[start - base.size : start - base.size + degree]
-
-    def neighbors(self, node: int) -> np.ndarray:
-        """Neighbors of ``node`` as a read-only sorted array."""
-        self._check_node(node)
-        view = self._neighbors_array(node).view()
-        view.flags.writeable = False
-        return view
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether edge ``(u, v)`` exists in this snapshot."""
-        self._check_node(u)
-        self._check_node(v)
-        nbrs = self._neighbors_array(u)
-        pos = np.searchsorted(nbrs, v)
-        return bool(pos < len(nbrs) and nbrs[pos] == v)
-
-    def edges(self) -> Iterator[Edge]:
-        """Iterate over each undirected edge once, as ``(u, v)`` with u < v."""
-        for u in range(self.num_nodes):
-            for v in self._neighbors_array(u):
-                if u < v:
-                    yield (u, int(v))
-
-    def random_neighbor(self, node: int, rng: np.random.Generator) -> int:
-        """Uniformly sample a neighbor of ``node``."""
-        self._check_node(node)
-        nbrs = self._neighbors_array(node)
-        if nbrs.size == 0:
-            raise GraphError(f"node {node} has no neighbors to sample")
-        return int(nbrs[rng.integers(nbrs.size)])
-
-    def volume(self, nodes: Iterable[int]) -> int:
-        """Sum of degrees over ``nodes`` in this snapshot."""
-        node_arr = np.fromiter((int(v) for v in nodes), dtype=np.int64)
-        if node_arr.size == 0:
-            return 0
-        invalid = (node_arr < 0) | (node_arr >= self.num_nodes)
-        if invalid.any():
-            raise NodeNotFoundError(
-                int(node_arr[np.flatnonzero(invalid)[0]]), self.num_nodes
-            )
-        return int(self._degrees[node_arr].sum())
-
-    def cut_size(self, nodes: Iterable[int]) -> int:
-        """Number of edges with exactly one endpoint in ``nodes``."""
-        node_arr = np.unique(
-            np.fromiter((int(v) for v in nodes), dtype=np.int64)
-        )
-        if node_arr.size == 0:
-            return 0
-        invalid = (node_arr < 0) | (node_arr >= self.num_nodes)
-        if invalid.any():
-            raise NodeNotFoundError(
-                int(node_arr[np.flatnonzero(invalid)[0]]), self.num_nodes
-            )
-        member = np.zeros(self.num_nodes, dtype=bool)
-        member[node_arr] = True
-        nbrs = neighbor_rows(self, node_arr, self._degrees[node_arr])
-        return int(np.count_nonzero(~member[nbrs]))
-
-    # ------------------------------------------------------------------ #
-    # Whole-graph views (delegate to the compacted CSR)
-    # ------------------------------------------------------------------ #
-    def adjacency_matrix(self):
-        """Sparse adjacency matrix of this snapshot (via compaction)."""
-        return self.compacted().adjacency_matrix()
-
-    def transition_matrix(self):
-        """Random-walk transition matrix of this snapshot (via compaction)."""
-        return self.compacted().transition_matrix()
-
-    def walk_step(self, distribution: np.ndarray) -> np.ndarray:
-        """One random-walk step of a row vector (via compaction)."""
-        return self.compacted().walk_step(distribution)
-
-    def connected_component(self, start: int) -> set[int]:
-        """Nodes reachable from ``start`` in this snapshot (BFS)."""
-        self._check_node(start)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            next_frontier: list[int] = []
-            for node in frontier:
-                for nbr in self._neighbors_array(node):
-                    nbr = int(nbr)
-                    if nbr not in seen:
-                        seen.add(nbr)
-                        next_frontier.append(nbr)
-            frontier = next_frontier
-        return seen
-
-    def is_connected(self) -> bool:
-        """Whether this snapshot is connected."""
-        if self.num_nodes == 0:
-            return True
-        return len(self.connected_component(0)) == self.num_nodes
-
-    def subgraph(self, nodes: Sequence[int]) -> tuple[Graph, dict[int, int]]:
-        """Induced subgraph on ``nodes`` (via compaction)."""
-        return self.compacted().subgraph(nodes)

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.engine import Backend, as_int_array, chunk_sizes, get_backend, restart_chunk
-from repro.engine.multi import WalkTask, _adapt_graph, _kernel_call, _merge_extras
+from repro.engine.multi import WalkTask, _kernel_call, _merge_extras
 from repro.exceptions import ParameterError
 from repro.utils.counters import OperationCounters
 from repro.utils.deadline import Deadline
@@ -302,7 +302,6 @@ def run_fused_queries(
     from repro import engine as engine_module
 
     engine = get_backend(backend)
-    graph = _adapt_graph(graph, engine)
     if counters_list is not None and len(counters_list) != len(queries):
         raise ParameterError(
             f"counters_list length {len(counters_list)} != number of "

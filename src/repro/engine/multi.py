@@ -196,22 +196,6 @@ def _merge_extras(
             counters.extras.setdefault(key, value)
 
 
-def _adapt_graph(graph: "Graph", engine: Backend) -> "Graph":
-    """Resolve a graph view for ``engine`` via the optional adaptation hook.
-
-    A :class:`~repro.dynamic.delta.DeltaGraph` overlay implements
-    ``for_backend``: backends advertising ``supports_overlay`` walk it
-    directly, everything else (the reference loop, parallel workers over
-    shared-memory CSR) receives its compacted plain-CSR equivalent.  Plain
-    graphs have no hook and pass through untouched.  Duck-typed so this
-    module never imports :mod:`repro.dynamic`.
-    """
-    adapt = getattr(graph, "for_backend", None)
-    if adapt is None:
-        return graph
-    return adapt(engine)
-
-
 def _split_by_size(
     indices: list[int], tasks: Sequence[WalkTask], cap: int
 ) -> list[list[tuple[int, int, int]]]:
@@ -290,7 +274,6 @@ def run_walk_tasks(
     from repro import engine as engine_module
 
     engine = get_backend(backend)
-    graph = _adapt_graph(graph, engine)
     if counters_list is not None and len(counters_list) != len(tasks):
         raise ParameterError(
             f"counters_list length {len(counters_list)} != number of tasks {len(tasks)}"
@@ -402,7 +385,6 @@ def execute_plans(
     from repro.engine import fused
 
     engine = get_backend(backend)
-    graph = _adapt_graph(graph, engine)
     if traces is not None and len(traces) != len(plans):
         raise ParameterError(
             f"traces length {len(traces)} != number of plans {len(plans)}"

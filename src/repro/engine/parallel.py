@@ -8,7 +8,10 @@ concurrently in a separate process.  Three design points:
   arrays are exported once into :class:`multiprocessing.shared_memory`
   segments (and re-used for every subsequent batch on the same graph), so
   workers read the topology without per-batch pickling and the graph is
-  held in physical memory once regardless of worker count.  The export is
+  held in physical memory once regardless of worker count.  The export
+  reads ``graph.compacted()``, so a
+  :class:`~repro.dynamic.delta.DeltaGraph` overlay ships its cached
+  compaction, while inline shards walk the overlay itself.  The export is
   released when the graph is garbage-collected or evicted from a small LRU
   of recently-used graphs.  Graphs loaded from an ``.rcsr`` container with
   ``mmap=True`` (:mod:`repro.graph.binfmt`) skip the export entirely:
@@ -484,7 +487,9 @@ class ParallelBackend:
         ]
         with profile_kernel(self.name, kernel, total, counters):
             use_pool = total >= self._min_parallel_batch and self.num_workers > 1
-            meta = _shared_meta(graph) if use_pool else None
+            # Workers read contiguous CSR; inline shards read ``graph`` as
+            # it is, an overlay too, and give the same bytes.
+            meta = _shared_meta(graph.compacted()) if use_pool else None
             pool = self._ensure_pool() if meta is not None else None
             if pool is not None:
                 results = pool.starmap(

@@ -207,10 +207,6 @@ class VectorizedBackend:
         "level-synchronous NumPy kernels advancing all pending walks one "
         "hop per iteration (the default)"
     )
-    #: The kernels read neighbors through :func:`_neighbor_gather`, so a
-    #: :class:`~repro.dynamic.delta.DeltaGraph` overlay can be walked
-    #: directly without compaction (:meth:`DeltaGraph.for_backend`).
-    supports_overlay = True
 
     def walk_batch(
         self,

@@ -15,6 +15,12 @@ original C++ implementation stores graphs, and keeps memory at
 Nodes are integers ``0 .. n-1``.  Graphs are simple (no self-loops, no
 parallel edges) and undirected: every edge ``(u, v)`` appears in both
 adjacency lists.
+
+The read API lives in :class:`GraphReads`, written once over a row read;
+:class:`Graph` supplies the CSR row and the
+:class:`~repro.dynamic.delta.DeltaGraph` overlay its patched one.  Code
+that needs contiguous CSR arrays asks for ``graph.compacted()``, which a
+plain :class:`Graph` answers with itself.
 """
 
 from __future__ import annotations
@@ -28,7 +34,242 @@ from repro.exceptions import EmptyGraphError, GraphError, NodeNotFoundError
 Edge = tuple[int, int]
 
 
-class Graph:
+class GraphReads:
+    """The read API every graph shares, written once over a row read.
+
+    A subclass holds ``_n``, ``_m`` and the ``_degrees`` array and supplies
+    ``_row(node)`` (the sorted neighbors of a valid node, as an array
+    slice), the slot pair :attr:`Graph.row_starts` /
+    :meth:`Graph.read_slots` that batch row reads go through
+    (:func:`neighbor_rows`, the walk kernels), and ``compacted()`` (the
+    graph as contiguous CSR), which the whole-graph views read.  The CSR
+    :class:`Graph` and the :class:`~repro.dynamic.delta.DeltaGraph`
+    overlay are the two row layouts, so an overlay answers every read as
+    its compaction does.
+    """
+
+    # ``_failure_sum`` (unset until first used) is where
+    # :mod:`repro.hkpr.params` keeps the last ``p_f`` and its Eq. (6) sum
+    # over this snapshot's degrees.
+    __slots__ = ("_n", "_m", "_degrees", "_failure_sum")
+
+    # ------------------------------------------------------------------ #
+    # Basic properties
+    # ------------------------------------------------------------------ #
+    @property
+    def num_nodes(self) -> int:
+        """Number of nodes ``n``."""
+        return self._n
+
+    @property
+    def num_edges(self) -> int:
+        """Number of undirected edges ``m``."""
+        return self._m
+
+    @property
+    def average_degree(self) -> float:
+        """Average degree ``2m / n`` (the paper's ``d̄``)."""
+        if self._n == 0:
+            raise EmptyGraphError("average degree of an empty graph is undefined")
+        return 2.0 * self._m / self._n
+
+    @property
+    def total_volume(self) -> int:
+        """Sum of all degrees, ``2m``."""
+        return 2 * self._m
+
+    @property
+    def degrees(self) -> np.ndarray:
+        """Read-only view of the degree array."""
+        view = self._degrees.view()
+        view.flags.writeable = False
+        return view
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"{type(self).__name__}(n={self._n}, m={self._m})"
+
+    # ------------------------------------------------------------------ #
+    # Node / edge access
+    # ------------------------------------------------------------------ #
+    def nodes(self) -> range:
+        """Iterate over all node ids."""
+        return range(self._n)
+
+    def has_node(self, node: int) -> bool:
+        """Whether ``node`` is a valid node id."""
+        return 0 <= node < self._n
+
+    def _check_node(self, node: int) -> None:
+        if not self.has_node(node):
+            raise NodeNotFoundError(node, self._n)
+
+    def degree(self, node: int) -> int:
+        """Degree of ``node``."""
+        self._check_node(node)
+        return int(self._degrees[node])
+
+    def neighbors(self, node: int) -> np.ndarray:
+        """Neighbors of ``node`` as a read-only array slice (sorted)."""
+        self._check_node(node)
+        view = self._row(node).view()
+        view.flags.writeable = False
+        return view
+
+    def has_edge(self, u: int, v: int) -> bool:
+        """Whether edge ``(u, v)`` exists."""
+        self._check_node(u)
+        self._check_node(v)
+        nbrs = self._row(u)
+        pos = np.searchsorted(nbrs, v)
+        return bool(pos < len(nbrs) and nbrs[pos] == v)
+
+    def edges(self) -> Iterator[Edge]:
+        """Iterate over each undirected edge once, as ``(u, v)`` with u < v."""
+        for u in range(self._n):
+            for v in self._row(u):
+                if u < v:
+                    yield (u, int(v))
+
+    def random_neighbor(self, node: int, rng: np.random.Generator) -> int:
+        """Uniformly sample a neighbor of ``node``.
+
+        Raises :class:`GraphError` if ``node`` is isolated — the HKPR push
+        and walk procedures never call this on isolated nodes, so hitting it
+        indicates a logic error upstream.
+        """
+        self._check_node(node)
+        nbrs = self._row(node)
+        if nbrs.size == 0:
+            raise GraphError(f"node {node} has no neighbors to sample")
+        return int(nbrs[rng.integers(nbrs.size)])
+
+    # ------------------------------------------------------------------ #
+    # Whole-graph views
+    # ------------------------------------------------------------------ #
+    def _node_array(self, nodes: Iterable[int]) -> np.ndarray:
+        """Convert an iterable of node ids to a validated int64 array."""
+        node_arr = np.fromiter((int(v) for v in nodes), dtype=np.int64)
+        invalid = (node_arr < 0) | (node_arr >= self._n)
+        if invalid.any():
+            first = int(node_arr[np.flatnonzero(invalid)[0]])
+            raise NodeNotFoundError(first, self._n)
+        return node_arr
+
+    def volume(self, nodes: Iterable[int]) -> int:
+        """Sum of degrees over ``nodes`` (the paper's ``vol(S)``)."""
+        node_arr = self._node_array(nodes)
+        if node_arr.size == 0:
+            return 0
+        return int(self._degrees[node_arr].sum())
+
+    def cut_size(self, nodes: Iterable[int]) -> int:
+        """Number of edges with exactly one endpoint in ``nodes``."""
+        node_arr = np.unique(self._node_array(nodes))
+        if node_arr.size == 0:
+            return 0
+        member = np.zeros(self._n, dtype=bool)
+        member[node_arr] = True
+        neighbors = neighbor_rows(self, node_arr, self._degrees[node_arr])
+        return int(np.count_nonzero(~member[neighbors]))
+
+    def adjacency_matrix(self) -> "scipy.sparse.csr_matrix":  # noqa: F821
+        """The sparse adjacency matrix ``A`` (symmetric, 0/1)."""
+        from scipy.sparse import csr_matrix
+
+        csr = self.compacted()
+        data = np.ones(csr.indices.size, dtype=float)
+        return csr_matrix(
+            (data, csr.indices.copy(), csr.indptr.copy()),
+            shape=(self._n, self._n),
+        )
+
+    def transition_matrix(self) -> "scipy.sparse.csr_matrix":  # noqa: F821
+        """The random-walk transition matrix ``P = D^{-1} A``.
+
+        Rows of isolated nodes are all-zero (a walk at an isolated node has
+        nowhere to go); the HKPR definition treats such walks as staying put
+        only implicitly, and the estimators never start from isolated nodes.
+        """
+        adjacency = self.adjacency_matrix()
+        inv_deg = np.zeros(self._n, dtype=float)
+        nonzero = self._degrees > 0
+        inv_deg[nonzero] = 1.0 / self._degrees[nonzero]
+        from scipy.sparse import diags
+
+        return diags(inv_deg) @ adjacency
+
+    def walk_step(self, distribution: np.ndarray) -> np.ndarray:
+        """One random-walk step of a row vector: ``distribution @ P``.
+
+        The exact solvers iterate this instead of a SciPy
+        :meth:`transition_matrix`, so serving them needs only NumPy.  Mass
+        at an isolated node stays there, as in the walk primitives, which
+        treat such nodes as absorbing.
+        """
+        degrees = self._degrees
+        spread = np.zeros(self._n)
+        np.divide(distribution, degrees, out=spread, where=degrees > 0)
+        stepped = np.bincount(
+            self.compacted().indices,
+            weights=np.repeat(spread, degrees),
+            minlength=self._n,
+        )
+        isolated = degrees == 0
+        stepped[isolated] += distribution[isolated]
+        return stepped
+
+    def connected_component(self, start: int) -> set[int]:
+        """Return the set of nodes reachable from ``start`` (BFS)."""
+        self._check_node(start)
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            next_frontier: list[int] = []
+            for node in frontier:
+                for nbr in self._row(node):
+                    nbr = int(nbr)
+                    if nbr not in seen:
+                        seen.add(nbr)
+                        next_frontier.append(nbr)
+            frontier = next_frontier
+        return seen
+
+    def is_connected(self) -> bool:
+        """Whether the graph is connected (empty graphs count as connected)."""
+        if self._n == 0:
+            return True
+        return len(self.connected_component(0)) == self._n
+
+    def subgraph(self, nodes: Sequence[int]) -> tuple["Graph", dict[int, int]]:
+        """Induced subgraph on ``nodes``.
+
+        Returns the new graph (with nodes relabelled ``0..k-1`` in order of
+        first appearance; repeats are ignored) and the mapping from original
+        node id to new node id.  The induced edges are read from the rows of
+        the listed nodes only (plus one ``n``-entry id table), so the work
+        grows with their degrees and never scans all ``m`` edges.
+        """
+        node_arr = self._node_array(nodes)
+        _, first_seen = np.unique(node_arr, return_index=True)
+        node_arr = node_arr[np.sort(first_seen)]
+        k = node_arr.size
+        mapping = dict(zip(node_arr.tolist(), range(k)))
+        local = np.full(self._n, -1, dtype=np.int64)
+        local[node_arr] = np.arange(k)
+        # Read the rows of the listed nodes and map each neighbor to its new
+        # id (-1 outside the set, below every new id), keeping each induced
+        # edge once, from its lower endpoint.
+        counts = self._degrees[node_arr]
+        sources = np.repeat(np.arange(k), counts)
+        targets = local[neighbor_rows(self, node_arr, counts)]
+        keep = sources < targets
+        return Graph(k, np.column_stack((sources[keep], targets[keep]))), mapping
+
+
+class Graph(GraphReads):
     """An immutable, simple, undirected graph in CSR form.
 
     Parameters
@@ -54,12 +295,7 @@ class Graph:
     2
     """
 
-    # ``_failure_sum`` (unset until first used) is where
-    # :mod:`repro.hkpr.params` keeps the last ``p_f`` and its Eq. (6) sum
-    # over this snapshot's degrees.
-    __slots__ = (
-        "_indptr", "_indices", "_degrees", "_n", "_m", "_backing", "_failure_sum"
-    )
+    __slots__ = ("_indptr", "_indices", "_backing")
 
     def __init__(
         self, n: int, edges: Iterable[Edge] | np.ndarray, *, dedupe: bool = False
@@ -126,31 +362,6 @@ class Graph:
         self._degrees = degrees
         self._backing = None
 
-    # ------------------------------------------------------------------ #
-    # Basic properties
-    # ------------------------------------------------------------------ #
-    @property
-    def num_nodes(self) -> int:
-        """Number of nodes ``n``."""
-        return self._n
-
-    @property
-    def num_edges(self) -> int:
-        """Number of undirected edges ``m``."""
-        return self._m
-
-    @property
-    def average_degree(self) -> float:
-        """Average degree ``2m / n`` (the paper's ``d̄``)."""
-        if self._n == 0:
-            raise EmptyGraphError("average degree of an empty graph is undefined")
-        return 2.0 * self._m / self._n
-
-    @property
-    def total_volume(self) -> int:
-        """Sum of all degrees, ``2m``."""
-        return 2 * self._m
-
     @property
     def backing(self) -> dict | None:
         """Storage metadata for graphs loaded from an ``.rcsr`` container.
@@ -175,19 +386,12 @@ class Graph:
         )
 
     @property
-    def degrees(self) -> np.ndarray:
-        """Read-only view of the degree array."""
-        view = self._degrees.view()
-        view.flags.writeable = False
-        return view
-
-    @property
     def indptr(self) -> np.ndarray:
         """Read-only view of the CSR row-pointer array (length ``n + 1``).
 
-        Together with :attr:`indices` this exposes the raw CSR layout to
-        batched execution backends (:mod:`repro.engine`), which gather
-        neighbors for many walks at once via fancy-indexing.
+        Together with :attr:`indices` this is the raw CSR layout that the
+        ``.rcsr`` writer, the parallel backend's shared-memory export and
+        the walk index's fingerprint read, through :meth:`compacted`.
         """
         view = self._indptr.view()
         view.flags.writeable = False
@@ -217,11 +421,12 @@ class Graph:
         """The neighbors held in adjacency ``slots`` (see :attr:`row_starts`)."""
         return self._indices[slots]
 
-    def __len__(self) -> int:
-        return self._n
+    def _row(self, node: int) -> np.ndarray:
+        return self._indices[self._indptr[node] : self._indptr[node + 1]]
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Graph(n={self._n}, m={self._m})"
+    def compacted(self) -> "Graph":
+        """This graph as contiguous CSR: a plain graph is its own compaction."""
+        return self
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -235,181 +440,6 @@ class Graph:
 
     def __hash__(self) -> int:
         return hash((self._n, self._m))
-
-    # ------------------------------------------------------------------ #
-    # Node / edge access
-    # ------------------------------------------------------------------ #
-    def nodes(self) -> range:
-        """Iterate over all node ids."""
-        return range(self._n)
-
-    def has_node(self, node: int) -> bool:
-        """Whether ``node`` is a valid node id."""
-        return 0 <= node < self._n
-
-    def _check_node(self, node: int) -> None:
-        if not self.has_node(node):
-            raise NodeNotFoundError(node, self._n)
-
-    def degree(self, node: int) -> int:
-        """Degree of ``node``."""
-        self._check_node(node)
-        return int(self._degrees[node])
-
-    def neighbors(self, node: int) -> np.ndarray:
-        """Neighbors of ``node`` as a read-only array slice (sorted)."""
-        self._check_node(node)
-        start, end = self._indptr[node], self._indptr[node + 1]
-        view = self._indices[start:end].view()
-        view.flags.writeable = False
-        return view
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether edge ``(u, v)`` exists."""
-        self._check_node(u)
-        self._check_node(v)
-        nbrs = self.neighbors(u)
-        pos = np.searchsorted(nbrs, v)
-        return bool(pos < len(nbrs) and nbrs[pos] == v)
-
-    def edges(self) -> Iterator[Edge]:
-        """Iterate over each undirected edge once, as ``(u, v)`` with u < v."""
-        for u in range(self._n):
-            for v in self.neighbors(u):
-                if u < v:
-                    yield (u, int(v))
-
-    def random_neighbor(self, node: int, rng: np.random.Generator) -> int:
-        """Uniformly sample a neighbor of ``node``.
-
-        Raises :class:`GraphError` if ``node`` is isolated — the HKPR push
-        and walk procedures never call this on isolated nodes, so hitting it
-        indicates a logic error upstream.
-        """
-        self._check_node(node)
-        start, end = self._indptr[node], self._indptr[node + 1]
-        if start == end:
-            raise GraphError(f"node {node} has no neighbors to sample")
-        return int(self._indices[start + rng.integers(end - start)])
-
-    # ------------------------------------------------------------------ #
-    # Whole-graph views
-    # ------------------------------------------------------------------ #
-    def _node_array(self, nodes: Iterable[int]) -> np.ndarray:
-        """Convert an iterable of node ids to a validated int64 array."""
-        node_arr = np.fromiter((int(v) for v in nodes), dtype=np.int64)
-        invalid = (node_arr < 0) | (node_arr >= self._n)
-        if invalid.any():
-            first = int(node_arr[np.flatnonzero(invalid)[0]])
-            raise NodeNotFoundError(first, self._n)
-        return node_arr
-
-    def volume(self, nodes: Iterable[int]) -> int:
-        """Sum of degrees over ``nodes`` (the paper's ``vol(S)``)."""
-        node_arr = self._node_array(nodes)
-        if node_arr.size == 0:
-            return 0
-        return int(self._degrees[node_arr].sum())
-
-    def cut_size(self, nodes: Iterable[int]) -> int:
-        """Number of edges with exactly one endpoint in ``nodes``."""
-        node_arr = np.unique(self._node_array(nodes))
-        if node_arr.size == 0:
-            return 0
-        member = np.zeros(self._n, dtype=bool)
-        member[node_arr] = True
-        neighbors = neighbor_rows(self, node_arr, self._degrees[node_arr])
-        return int(np.count_nonzero(~member[neighbors]))
-
-    def adjacency_matrix(self) -> "scipy.sparse.csr_matrix":  # noqa: F821
-        """The sparse adjacency matrix ``A`` (symmetric, 0/1)."""
-        from scipy.sparse import csr_matrix
-
-        data = np.ones(len(self._indices), dtype=float)
-        return csr_matrix(
-            (data, self._indices.copy(), self._indptr.copy()),
-            shape=(self._n, self._n),
-        )
-
-    def transition_matrix(self) -> "scipy.sparse.csr_matrix":  # noqa: F821
-        """The random-walk transition matrix ``P = D^{-1} A``.
-
-        Rows of isolated nodes are all-zero (a walk at an isolated node has
-        nowhere to go); the HKPR definition treats such walks as staying put
-        only implicitly, and the estimators never start from isolated nodes.
-        """
-        adjacency = self.adjacency_matrix()
-        inv_deg = np.zeros(self._n, dtype=float)
-        nonzero = self._degrees > 0
-        inv_deg[nonzero] = 1.0 / self._degrees[nonzero]
-        from scipy.sparse import diags
-
-        return diags(inv_deg) @ adjacency
-
-    def walk_step(self, distribution: np.ndarray) -> np.ndarray:
-        """One random-walk step of a row vector: ``distribution @ P``.
-
-        The exact solvers iterate this instead of a SciPy
-        :meth:`transition_matrix`, so serving them needs only NumPy.  Mass
-        at an isolated node stays there, as in the walk primitives, which
-        treat such nodes as absorbing.
-        """
-        degrees = self._degrees
-        spread = np.zeros(self._n)
-        np.divide(distribution, degrees, out=spread, where=degrees > 0)
-        stepped = np.bincount(
-            self._indices, weights=np.repeat(spread, degrees), minlength=self._n
-        )
-        isolated = degrees == 0
-        stepped[isolated] += distribution[isolated]
-        return stepped
-
-    def connected_component(self, start: int) -> set[int]:
-        """Return the set of nodes reachable from ``start`` (BFS)."""
-        self._check_node(start)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            next_frontier: list[int] = []
-            for node in frontier:
-                for nbr in self.neighbors(node):
-                    nbr = int(nbr)
-                    if nbr not in seen:
-                        seen.add(nbr)
-                        next_frontier.append(nbr)
-            frontier = next_frontier
-        return seen
-
-    def is_connected(self) -> bool:
-        """Whether the graph is connected (empty graphs count as connected)."""
-        if self._n == 0:
-            return True
-        return len(self.connected_component(0)) == self._n
-
-    def subgraph(self, nodes: Sequence[int]) -> tuple["Graph", dict[int, int]]:
-        """Induced subgraph on ``nodes``.
-
-        Returns the new graph (with nodes relabelled ``0..k-1`` in order of
-        first appearance; repeats are ignored) and the mapping from original
-        node id to new node id.  The induced edges are read from the rows of
-        the listed nodes only (plus one ``n``-entry id table), so the work
-        grows with their degrees and never scans all ``m`` edges.
-        """
-        node_arr = self._node_array(nodes)
-        _, first_seen = np.unique(node_arr, return_index=True)
-        node_arr = node_arr[np.sort(first_seen)]
-        k = node_arr.size
-        mapping = dict(zip(node_arr.tolist(), range(k)))
-        local = np.full(self._n, -1, dtype=np.int64)
-        local[node_arr] = np.arange(k)
-        # Read the rows of the listed nodes and map each neighbor to its new
-        # id (-1 outside the set, below every new id), keeping each induced
-        # edge once, from its lower endpoint.
-        counts = self._degrees[node_arr]
-        sources = np.repeat(np.arange(k), counts)
-        targets = local[neighbor_rows(self, node_arr, counts)]
-        keep = sources < targets
-        return Graph(k, np.column_stack((sources[keep], targets[keep]))), mapping
 
     @classmethod
     def from_edges(cls, edges: Iterable[Edge], *, dedupe: bool = False) -> "Graph":
@@ -501,8 +531,8 @@ def neighbor_rows(graph, nodes: np.ndarray, counts: np.ndarray) -> np.ndarray:
     build the slots and one reads them.  ``graph`` is anything with the
     :attr:`Graph.row_starts` / :meth:`Graph.read_slots` pair, a
     :class:`~repro.dynamic.delta.DeltaGraph` overlay included; every batch
-    read of whole rows (the pushes, the sweep, :meth:`Graph.cut_size`,
-    :meth:`Graph.subgraph`, the overlay's own merges) goes through here.
+    read of whole rows (the pushes, the sweep, :meth:`GraphReads.cut_size`,
+    :meth:`GraphReads.subgraph`, the overlay's own merges) goes through here.
     """
     ends = np.cumsum(counts)
     slots = np.repeat(graph.row_starts[nodes] - (ends - counts), counts)

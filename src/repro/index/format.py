@@ -87,8 +87,11 @@ def graph_fingerprint(graph: Graph) -> int:
     degree moves every later entry).  Low 32 bits: CRC32 of an evenly
     strided sample of ``indices``.  Combined with the exact ``(n, m)``
     stored alongside it in the header, this catches rebuilt, edited, and
-    swapped graphs without hashing gigabytes of adjacency data.
+    swapped graphs without hashing gigabytes of adjacency data.  It reads
+    ``graph.compacted()``: an overlay fingerprints as its compaction, which
+    is byte-identical to the graph rebuilt from its edges.
     """
+    graph = graph.compacted()
     indptr = np.ascontiguousarray(graph.indptr, dtype=_INT_DTYPE)
     high = zlib.crc32(indptr.tobytes())
     indices = graph.indices

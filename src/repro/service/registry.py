@@ -145,9 +145,8 @@ class GraphEntry:
         return getattr(self.graph, "epoch", 0)
 
     def csr_graph(self) -> Graph:
-        """This entry's graph as plain CSR (compacting an overlay if needed)."""
-        compact = getattr(self.graph, "compacted", None)
-        return compact() if compact is not None else self.graph
+        """``self.graph.compacted()``; read by the ledger's mutate-mix only."""
+        return self.graph.compacted()
 
     def mutate(self, *, add=(), remove=()) -> tuple["MutationEvent", bool]:
         """Apply one edge-mutation batch; returns ``(event, compacted)``.
@@ -365,14 +364,14 @@ class GraphRegistry:
             from repro.index import WalkIndex
 
             index = WalkIndex.from_file(index, mmap=mmap)
-        # Verify against plain CSR: a mutated entry serves a DeltaGraph
-        # overlay, whose compaction is byte-identical to a from-scratch
-        # rebuild — so an index built against the *current* epoch attaches
-        # cleanly while any older build fails the fingerprint.  Verify and
-        # install under the mutation lock: a mutation landing between the
-        # two would leave an index of the old epoch on the new snapshot.
+        # A mutated entry serves a DeltaGraph overlay, which fingerprints as
+        # its compaction, byte-identical to a from-scratch rebuild: an index
+        # built against the *current* epoch attaches cleanly while any older
+        # build fails the fingerprint.  Verify and install under the
+        # mutation lock: a mutation landing between the two would leave an
+        # index of the old epoch on the new snapshot.
         with entry._mutation_lock:
-            index.verify_graph(entry.csr_graph())
+            index.verify_graph(entry.graph)
             index.metrics_label = name
             entry.index = index
         return entry

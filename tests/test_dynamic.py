@@ -139,20 +139,6 @@ class TestDeltaGraph:
         assert default_compaction_threshold(10) == 1024
         assert default_compaction_threshold(80_000) == 10_000
 
-    def test_for_backend_dispatch(self):
-        view = DeltaGraph(ring_graph(8)).apply(add=[(0, 4)])
-
-        class Overlay:
-            supports_overlay = True
-
-        class Plain:
-            pass
-
-        assert view.for_backend(Overlay()) is view
-        compacted = view.for_backend(Plain())
-        assert isinstance(compacted, Graph)
-        assert compacted.num_edges == view.num_edges
-
 
 @pytest.fixture
 def overlay():
@@ -166,15 +152,23 @@ def overlay():
     return view
 
 
+def _walk_backends():
+    """Every registered backend, plus a pool-forced parallel instance
+    (pooled shards read the overlay's compaction, inline ones the overlay)."""
+    from repro.engine import ParallelBackend, available_backends, get_backend
+
+    cases = [pytest.param(get_backend(name), id=name) for name in available_backends()]
+    pooled = ParallelBackend(num_workers=2, min_parallel_batch=1)
+    return cases + [pytest.param(pooled, id="parallel-pool")]
+
+
 class TestVectorizedOverlay:
     """Walk kernels read through the overlay with no behavioural change."""
 
-    def test_walk_batches_identical_to_compacted(self, overlay):
-        from repro.engine import get_backend
+    @pytest.mark.parametrize("backend", _walk_backends())
+    def test_walk_batches_identical_to_compacted(self, overlay, backend):
         from repro.hkpr.poisson import PoissonWeights
 
-        backend = get_backend("vectorized")
-        assert backend.supports_overlay
         compact = overlay.compacted()
         weights = PoissonWeights(5.0)
         starts = np.flatnonzero(overlay.degrees > 0)[:64].astype(np.int64)
@@ -292,3 +286,63 @@ class TestTeaPlusOverlay:
             assert got.sweep.sweep_order == want.sweep.sweep_order
         assert (walks > 0) == (kwargs is not None)
 
+
+
+@pytest.fixture(scope="module")
+def pooled():
+    """``parallel`` on a two-worker pool that takes every batch."""
+    from repro.engine import ParallelBackend
+
+    backend = ParallelBackend(num_workers=2, min_parallel_batch=1)
+    yield backend
+    backend.close()
+
+
+class TestOverlayWhereCSRIsNeeded:
+    """The parallel pool's shared-memory export and the walk index's
+    fingerprint need contiguous CSR; each asks the overlay for its
+    compaction, so library calls on an overlay equal those on the
+    compaction."""
+
+    def test_monte_carlo_on_the_pool_matches_compacted(self, overlay, pooled):
+        from repro.hkpr.monte_carlo import monte_carlo_hkpr
+        from repro.hkpr.params import HKPRParams
+
+        params = HKPRParams(delta=1.0 / overlay.num_nodes)
+        compact = overlay.compacted()
+        for seed in _overlay_seeds(overlay):
+            got = monte_carlo_hkpr(overlay, seed, params, num_walks=2000, rng=3, backend=pooled)
+            want = monte_carlo_hkpr(compact, seed, params, num_walks=2000, rng=3, backend=pooled)
+            assert got.counters.extras["walk_execution"] == "pool"
+            assert got.estimates.to_dict() == want.estimates.to_dict()
+            assert got.counters.walk_steps == want.counters.walk_steps
+
+    def test_tea_plus_walk_phase_on_the_pool_matches_compacted(self, overlay, pooled):
+        from repro.hkpr.params import HKPRParams
+        from repro.hkpr.tea_plus import tea_plus
+
+        params = HKPRParams(delta=1.0 / overlay.num_nodes)
+        compact = overlay.compacted()
+        kwargs = {"rng": 3, "push_budget": 50, "max_walks": 2000, "backend": pooled}
+        walks = 0
+        for seed in _overlay_seeds(overlay):
+            got = tea_plus(overlay, seed, params, **kwargs)
+            want = tea_plus(compact, seed, params, **kwargs)
+            walks += got.counters.random_walks
+            assert got.counters.random_walks == want.counters.random_walks
+            assert got.estimates.to_dict() == want.estimates.to_dict()
+        assert walks > 0
+
+    def test_walk_index_of_an_overlay_matches_compacted(self, overlay):
+        from repro.index import build_walk_index
+
+        kwargs = {"num_hubs": 8, "walks_per_sketch": 300, "alpha_values": (0.2,)}
+        got = build_walk_index(overlay, **kwargs)
+        want = build_walk_index(overlay.compacted(), **kwargs)
+        for name in ("_nodes", "_kinds", "_buckets", "_ptr", "_endpoints"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert (got.graph_n, got.graph_m, got.fingerprint) == (
+            want.graph_n, want.graph_m, want.fingerprint
+        )
+        got.verify_graph(overlay)
+        want.verify_graph(overlay)

@@ -46,6 +46,20 @@ def _assert_matches_model(view: DeltaGraph, model: set, rng) -> None:
             assert view.has_edge(int(u), int(v)) == fresh.has_edge(int(u), int(v))
     assert list(view.edges()) == list(fresh.edges())
 
+    linked = np.flatnonzero(fresh.degrees > 0).tolist()
+    seed = int(rng.integers(2**32))
+    view_rng, fresh_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for node in linked:
+        assert view.random_neighbor(node, view_rng) == fresh.random_neighbor(node, fresh_rng)
+    picked = rng.integers(0, n, size=max(1, n // 4)).tolist()
+    assert view.volume(picked) == fresh.volume(picked)
+    assert view.cut_size(picked) == fresh.cut_size(picked)
+    for start in picked[:5]:
+        assert view.connected_component(start) == fresh.connected_component(start)
+    got, got_map = view.subgraph(picked)
+    want, want_map = fresh.subgraph(picked)
+    assert got == want and got_map == want_map
+
     nodes = rng.integers(0, n, size=2000)
     nodes = nodes[fresh.degrees[nodes] > 0]
     offsets = (rng.random(nodes.size) * fresh.degrees[nodes]).astype(np.int64)

@@ -90,7 +90,7 @@ class TestRegistryMutation:
         assert compactions and compactions[0] < default_compaction_threshold(n)
         assert entry.graph.degree(0) == n - 1
         fresh = Graph(n, sorted(ring.edges()) + [(0, v) for v in range(2, n - 1)])
-        served = entry.csr_graph()
+        served = entry.graph.compacted()
         for name in ("indptr", "indices", "degrees"):
             assert getattr(served, name).tobytes() == getattr(fresh, name).tobytes()
 
@@ -202,7 +202,7 @@ class TestIndexStaleness:
         registry.attach_index(
             "g",
             build_walk_index(
-                entry.csr_graph(), num_hubs=2, walks_per_sketch=50,
+                entry.graph.compacted(), num_hubs=2, walks_per_sketch=50,
                 t_values=[5.0], rng=0,
             ),
         )
@@ -222,7 +222,7 @@ class TestIndexStaleness:
         registry.mutate("g", add=[_absent_edge(graph)])
         entry = registry.get("g")
         fresh = build_walk_index(
-            entry.csr_graph(), num_hubs=2, walks_per_sketch=50,
+            entry.graph.compacted(), num_hubs=2, walks_per_sketch=50,
             t_values=[5.0], rng=0,
         )
         registry.attach_index("g", fresh)
@@ -455,7 +455,7 @@ class TestHTTPMutation:
             assert status == 400, body
             assert message in body["error"]
         assert entry.epoch == 0 and entry.graph is snapshot
-        served = entry.csr_graph()
+        served = entry.graph.compacted()
         for name in ("indptr", "indices", "degrees"):
             assert getattr(served, name).tobytes() == getattr(graph, name).tobytes()
 
