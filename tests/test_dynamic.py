@@ -1,8 +1,9 @@
 """Tests for the dynamic-graph subsystem (:mod:`repro.dynamic`).
 
 Covers the :class:`DeltaGraph` overlay: snapshot semantics, validation,
-byte-identical compaction, and read-through by the walk kernels, the
-pushes and the estimators with no behavioural change.
+byte-identical compaction, and read-through by every backend's walk
+kernels, the pushes, the estimators and the walk index with no
+behavioural change.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.dynamic import DeltaGraph, MutationEvent, default_compaction_threshold
+from repro.engine import ParallelBackend, available_backends, get_backend
 from repro.exceptions import GraphError, NodeNotFoundError
 from repro.graph.generators import chung_lu_graph, power_law_degree_sequence, ring_graph
 from repro.graph.graph import Graph
@@ -152,20 +154,20 @@ def overlay():
     return view
 
 
-def _walk_backends():
-    """Every registered backend, plus a pool-forced parallel instance
-    (pooled shards read the overlay's compaction, inline ones the overlay)."""
-    from repro.engine import ParallelBackend, available_backends, get_backend
+#: ``parallel`` on a two-worker pool that takes every batch: pooled shards
+#: read the overlay's compaction, inline ones the overlay itself.
+POOLED = ParallelBackend(num_workers=2, min_parallel_batch=1)
 
-    cases = [pytest.param(get_backend(name), id=name) for name in available_backends()]
-    pooled = ParallelBackend(num_workers=2, min_parallel_batch=1)
-    return cases + [pytest.param(pooled, id="parallel-pool")]
+#: Every registered backend, plus the pool-forced parallel instance.
+WALK_BACKENDS = [
+    pytest.param(get_backend(name), id=name) for name in available_backends()
+] + [pytest.param(POOLED, id="parallel-pool")]
 
 
 class TestVectorizedOverlay:
     """Walk kernels read through the overlay with no behavioural change."""
 
-    @pytest.mark.parametrize("backend", _walk_backends())
+    @pytest.mark.parametrize("backend", WALK_BACKENDS)
     def test_walk_batches_identical_to_compacted(self, overlay, backend):
         from repro.hkpr.poisson import PoissonWeights
 
@@ -287,43 +289,32 @@ class TestTeaPlusOverlay:
         assert (walks > 0) == (kwargs is not None)
 
 
-
-@pytest.fixture(scope="module")
-def pooled():
-    """``parallel`` on a two-worker pool that takes every batch."""
-    from repro.engine import ParallelBackend
-
-    backend = ParallelBackend(num_workers=2, min_parallel_batch=1)
-    yield backend
-    backend.close()
-
-
 class TestOverlayWhereCSRIsNeeded:
     """The parallel pool's shared-memory export and the walk index's
     fingerprint need contiguous CSR; each asks the overlay for its
     compaction, so library calls on an overlay equal those on the
     compaction."""
 
-    def test_monte_carlo_on_the_pool_matches_compacted(self, overlay, pooled):
+    def test_monte_carlo_on_the_pool_matches_compacted(self, overlay):
         from repro.hkpr.monte_carlo import monte_carlo_hkpr
         from repro.hkpr.params import HKPRParams
 
         params = HKPRParams(delta=1.0 / overlay.num_nodes)
         compact = overlay.compacted()
         for seed in _overlay_seeds(overlay):
-            got = monte_carlo_hkpr(overlay, seed, params, num_walks=2000, rng=3, backend=pooled)
-            want = monte_carlo_hkpr(compact, seed, params, num_walks=2000, rng=3, backend=pooled)
+            got = monte_carlo_hkpr(overlay, seed, params, num_walks=2000, rng=3, backend=POOLED)
+            want = monte_carlo_hkpr(compact, seed, params, num_walks=2000, rng=3, backend=POOLED)
             assert got.counters.extras["walk_execution"] == "pool"
             assert got.estimates.to_dict() == want.estimates.to_dict()
             assert got.counters.walk_steps == want.counters.walk_steps
 
-    def test_tea_plus_walk_phase_on_the_pool_matches_compacted(self, overlay, pooled):
+    def test_tea_plus_walk_phase_on_the_pool_matches_compacted(self, overlay):
         from repro.hkpr.params import HKPRParams
         from repro.hkpr.tea_plus import tea_plus
 
         params = HKPRParams(delta=1.0 / overlay.num_nodes)
         compact = overlay.compacted()
-        kwargs = {"rng": 3, "push_budget": 50, "max_walks": 2000, "backend": pooled}
+        kwargs = {"rng": 3, "push_budget": 50, "max_walks": 2000, "backend": POOLED}
         walks = 0
         for seed in _overlay_seeds(overlay):
             got = tea_plus(overlay, seed, params, **kwargs)
