@@ -69,7 +69,6 @@ from repro.engine import backend_descriptions, default_backend_name, get_backend
 from repro.engine.parallel import WORKERS_ENV_VAR, ParallelBackend, default_worker_count
 from repro.exceptions import ReproError
 from repro.graph.io import load_edge_list
-from repro.hkpr.params import HKPRParams, default_delta
 
 #: Experiment names accepted by the ``experiment`` subcommand.
 EXPERIMENTS = {
@@ -454,8 +453,9 @@ def _run_cluster(args: argparse.Namespace) -> int:
         graph, _ = load_edge_list(args.edge_list)
         source = args.edge_list
 
-    # The dedicated HKPR flags, keyed by parameter name; only explicitly-
-    # set ones are acted on, so defaults stay single-sourced in HKPRParams.
+    # The dedicated HKPR flags are the declared knobs of the same names:
+    # only explicitly-set ones are acted on, so defaults stay single-sourced
+    # in the schema, and they go through --param's validation and dispatch.
     explicit_flags = {
         name: value
         for name, value in {
@@ -464,44 +464,26 @@ def _run_cluster(args: argparse.Namespace) -> int:
         }.items()
         if value is not None
     }
-
-    # A knob set both ways is a contradiction, not a precedence question.
+    declared = spec.param_names()
     for name in explicit_flags:
+        flag = "--" + name.replace("_", "-")
+        # A knob set both ways is a contradiction, not a precedence question.
         if name in estimator_kwargs:
-            flag = "--" + name.replace("_", "-")
             raise ReproError(
                 f"{name!r} was set by both {flag} and --param {name}=...; "
                 f"use one"
             )
-
-    params = None
-    if spec.takes_params_object:
-        fields = dict(explicit_flags)
-        fields.setdefault("delta", default_delta(graph))
-        params = HKPRParams(**fields)
-    else:
-        # Methods outside the HKPRParams convention: flags whose name the
-        # method declares (e.g. --eps-r for fora) become estimator kwargs;
-        # undeclared ones (e.g. --t for nibble) are an error, never
-        # silently dropped.
-        declared = set(spec.param_names())
-        injected = {}
-        for name, value in explicit_flags.items():
-            flag = "--" + name.replace("_", "-")
-            if name not in declared:
-                raise ReproError(
-                    f"{flag} does not apply to method {spec.name!r}; pass "
-                    f"its knobs with --param (allowed: {sorted(declared)})"
-                )
-            injected[name] = value
-        for name, value in spec.validate_params(injected).items():
-            estimator_kwargs.setdefault(name, value)
+        if name not in declared:
+            raise ReproError(
+                f"{flag} does not apply to method {spec.name!r}; pass "
+                f"its knobs with --param (allowed: {sorted(declared)})"
+            )
+    estimator_kwargs.update(spec.validate_params(explicit_flags))
 
     result = local_cluster(
         graph,
         args.seed_node,
         method=spec.name,
-        params=params,
         rng=args.rng,
         estimator_kwargs=estimator_kwargs,
         backend=args.backend,

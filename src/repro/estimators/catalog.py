@@ -2,14 +2,15 @@
 
 One :func:`~repro.estimators.registry.register` call per method is the
 *entire* integration surface: the spec's schema drives validation on every
-layer, its flags decide which surfaces expose it, its plan builder (or the
-generic :class:`~repro.estimators.spec.DirectPlan` fallback) makes it
-servable, and its walk estimate feeds admission control.  The estimator
-implementations themselves stay in their home modules
-(:mod:`repro.hkpr`, :mod:`repro.ppr`, :mod:`repro.baselines`) — the
-registry only points at them.  A fusible method's plan builder is the
-same one its free function runs, so the library and the service share
-one implementation.
+layer, its function's signature says how it is called (params object,
+``rng``, ``backend``, ``deadline``), its plan builder makes a randomized
+method servable (a deterministic one is served through the generic
+:class:`~repro.estimators.spec.DirectPlan`), and its walk estimate feeds
+admission control.  The estimator implementations themselves stay in
+their home modules (:mod:`repro.hkpr`, :mod:`repro.ppr`,
+:mod:`repro.baselines`) — the registry only points at them.  A plan
+builder is the same one its free function runs, so the library and the
+service share one implementation.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ from repro.engine import MIN_RESTART_ALPHA
 from repro.estimators.registry import register
 from repro.estimators.spec import EstimatorSpec, ParamSpec, ceil_int, hkpr_base_params
 from repro.graph.graph import Graph
-from repro.hkpr.cluster_hkpr import cluster_hkpr, default_walk_count
+from repro.hkpr.cluster_hkpr import cluster_hkpr, cluster_hkpr_plan, default_walk_count
 from repro.hkpr.exact import exact_hkpr
 from repro.hkpr.hk_push import hk_push_hkpr
 from repro.hkpr.hk_push_plus import hk_push_plus_hkpr
 from repro.hkpr.hk_relax import hk_relax
 from repro.hkpr.monte_carlo import monte_carlo_hkpr, monte_carlo_plan
 from repro.hkpr.params import HKPRParams, default_delta
-from repro.hkpr.tea import tea
+from repro.hkpr.tea import tea, tea_plan
 from repro.hkpr.tea_plus import tea_plus, tea_plus_plan
 from repro.ppr.exact import exact_ppr
 from repro.ppr.fora import (
@@ -49,10 +50,9 @@ from repro.ppr.fora import (
 def _split_hkpr(method: str, graph: Graph, params: dict) -> tuple[HKPRParams, dict]:
     """Split a validated request dict via the method's own declared schema.
 
-    Delegates to :meth:`EstimatorSpec.split_params` so which keys feed the
-    shared :class:`HKPRParams` object is decided by each ``ParamSpec``'s
-    ``feeds`` declaration — the walk estimates below split a request the
-    way :meth:`EstimatorSpec.estimate` and ``build_plan`` do.
+    Delegates to :meth:`EstimatorSpec.split_params`, so the walk estimates
+    below split a request the way :meth:`EstimatorSpec.estimate` and
+    ``build_plan`` do.
     """
     from repro.estimators.registry import resolve
 
@@ -162,9 +162,7 @@ register(EstimatorSpec(
         ParamSpec("max_iterations", "int", default=None, default_doc="Poisson horizon",
                   minimum=1, doc="cap on Taylor terms"),
     ),
-    deterministic=True,
     estimate_fn=exact_hkpr,
-    takes_params_object=True,
 ))
 
 register(EstimatorSpec(
@@ -173,12 +171,9 @@ register(EstimatorSpec(
     doc="Plain Monte-Carlo HKPR: Poisson-length walks from the seed (§3).",
     aliases=("mc", "monte-carlo-hkpr"),
     params=hkpr_base_params() + (_NUM_WALKS,),
-    backend_aware=True,
     estimate_fn=monte_carlo_hkpr,
-    takes_deadline=True,
     plan_fn=monte_carlo_plan,
     walks_fn=_walks_monte_carlo,
-    takes_params_object=True,
 ))
 
 register(EstimatorSpec(
@@ -194,11 +189,9 @@ register(EstimatorSpec(
         ParamSpec("max_hop", "int", default=None, default_doc="Poisson tail < eps",
                   minimum=1, doc="walk truncation hop K"),
     ),
-    backend_aware=True,
     estimate_fn=cluster_hkpr,
-    takes_deadline=True,
+    plan_fn=cluster_hkpr_plan,
     walks_fn=_walks_cluster_hkpr,
-    takes_params_object=True,
 ))
 
 register(EstimatorSpec(
@@ -212,10 +205,7 @@ register(EstimatorSpec(
                   doc="degree-normalized absolute error"),
         _MAX_PUSHES,
     ),
-    deterministic=True,
     estimate_fn=hk_relax,
-    takes_deadline=True,
-    takes_params_object=True,
 ))
 
 register(EstimatorSpec(
@@ -228,10 +218,7 @@ register(EstimatorSpec(
                   minimum=0.0, exclusive_minimum=True, doc="push residue threshold"),
         _MAX_PUSHES,
     ),
-    deterministic=True,
     estimate_fn=hk_push_hkpr,
-    takes_deadline=True,
-    takes_params_object=True,
 ))
 
 register(EstimatorSpec(
@@ -240,10 +227,7 @@ register(EstimatorSpec(
     doc="HK-Push+ (Algorithm 4) reserve alone: budgeted, hop-capped push.",
     aliases=("hk-push-plus", "hkpush+"),
     params=hkpr_base_params(include_c=True) + (_PUSH_BUDGET, _MAX_HOP),
-    deterministic=True,
     estimate_fn=hk_push_plus_hkpr,
-    takes_deadline=True,
-    takes_params_object=True,
 ))
 
 register(EstimatorSpec(
@@ -256,12 +240,10 @@ register(EstimatorSpec(
         _MAX_WALKS,
         _MAX_PUSHES,
     ),
-    backend_aware=True,
     estimate_fn=tea,
-    takes_deadline=True,
+    plan_fn=tea_plan,
     walks_fn=_walks_tea,
     walks_tight=False,
-    takes_params_object=True,
 ))
 
 register(EstimatorSpec(
@@ -278,13 +260,10 @@ register(EstimatorSpec(
         _PUSH_BUDGET,
         _MAX_HOP,
     ),
-    backend_aware=True,
     estimate_fn=tea_plus,
-    takes_deadline=True,
     plan_fn=tea_plus_plan,
     walks_fn=_walks_tea_plus,
     walks_tight=False,
-    takes_params_object=True,
 ))
 
 
@@ -303,9 +282,7 @@ register(EstimatorSpec(
                   maximum=1_000_000,
                   doc="iteration cap before ConvergenceError"),
     ),
-    deterministic=True,
     estimate_fn=exact_ppr,
-    takes_rng=False,
 ))
 
 register(EstimatorSpec(
@@ -326,13 +303,10 @@ register(EstimatorSpec(
         _R_MAX,
         _MAX_WALKS,
     ),
-    backend_aware=True,
     estimate_fn=fora,
-    takes_deadline=True,
     plan_fn=fora_plan,
     walks_fn=_walks_fora,
     walks_tight=False,
-    params_adapter=lambda p: {"eps_r": p.eps_r, "delta": p.delta, "p_f": p.p_f},
 ))
 
 register(EstimatorSpec(
@@ -345,9 +319,7 @@ register(EstimatorSpec(
         ParamSpec("num_walks", "int", default=10_000, minimum=1,
                   doc="number of restart walks"),
     ),
-    backend_aware=True,
     estimate_fn=monte_carlo_ppr,
-    takes_deadline=True,
     plan_fn=monte_carlo_ppr_plan,
     walks_fn=_walks_mc_ppr,
 ))
@@ -366,10 +338,7 @@ register(EstimatorSpec(
         ParamSpec("truncation", "float", default=1e-5, minimum=0.0,
                   doc="degree-normalized truncation threshold"),
     ),
-    deterministic=True,
     estimate_fn=nibble_hkpr,
-    takes_deadline=True,
-    takes_rng=False,
 ))
 
 register(EstimatorSpec(
@@ -382,10 +351,7 @@ register(EstimatorSpec(
         ParamSpec("eps", "float", default=1e-4, minimum=0.0,
                   exclusive_minimum=True, doc="degree-normalized push threshold"),
     ),
-    deterministic=True,
     estimate_fn=pr_nibble_hkpr,
-    takes_deadline=True,
-    takes_rng=False,
 ))
 
 register(EstimatorSpec(
@@ -398,10 +364,7 @@ register(EstimatorSpec(
         ParamSpec("max_iterations", "int", default=20, minimum=1,
                   maximum=100_000, doc="improvement iterations"),
     ),
-    deterministic=True,
-    sweepable=False,
     cluster_fn=simple_local,
-    takes_rng=False,
 ))
 
 register(EstimatorSpec(
@@ -417,8 +380,5 @@ register(EstimatorSpec(
         ParamSpec("level_cap", "int", default=None, default_doc="unbounded",
                   minimum=1, doc="cap on flow levels"),
     ),
-    deterministic=True,
-    sweepable=False,
     cluster_fn=capacity_releasing_diffusion,
-    takes_rng=False,
 ))

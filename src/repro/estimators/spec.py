@@ -2,11 +2,13 @@
 
 An :class:`EstimatorSpec` is the single description of one estimation
 method: its canonical name and aliases, a declarative parameter schema
-(:class:`ParamSpec` — types, bounds, defaults, error messages), capability
-flags (``deterministic``, ``sweepable``, ``backend_aware``, ``family``),
-the callable that answers a single query, an optional plan builder for
-the serving layer (a method with one is *fusible*), and an
-admission-control walk estimate.
+(:class:`ParamSpec` — types, bounds, defaults, error messages), the
+callable that answers a single query, an optional plan builder for the
+serving layer (a method with one is *fusible*), and an admission-control
+walk estimate.  How the callable is called (``deterministic``,
+``backend_aware``, ``takes_params_object``, ...) is read once from its
+signature, so a spec cannot declare a convention its function does not
+have.
 
 Every query surface of the package — :func:`repro.clustering.local.local_cluster`,
 the service planner, the CLI, and the benchmark harness — dispatches through
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable
 
 from repro.exceptions import ParameterError
@@ -64,11 +66,6 @@ class ParamSpec:
     ``default=None`` means the estimator derives the value itself (for
     example the theory-driven walk count, or ``delta = 1/n``); the schema
     records that with ``default_doc``.
-
-    ``feeds`` says where a supplied value goes when a query is dispatched:
-    ``"params"`` fields are collected into the shared :class:`HKPRParams`
-    object, ``"kwargs"`` fields are forwarded to the estimator as keyword
-    arguments.
     """
 
     name: str
@@ -80,13 +77,10 @@ class ParamSpec:
     maximum: float | None = None
     exclusive_minimum: bool = False
     exclusive_maximum: bool = False
-    feeds: str = "kwargs"  # "params" (HKPRParams field) or "kwargs"
 
     def __post_init__(self) -> None:
         if self.type not in _CASTS:
             raise ValueError(f"unknown param type {self.type!r} for {self.name!r}")
-        if self.feeds not in ("params", "kwargs"):
-            raise ValueError(f"invalid feeds {self.feeds!r} for {self.name!r}")
 
     def cast(self, value: Any) -> Any:
         """Canonicalize ``value`` to this parameter's type."""
@@ -138,11 +132,11 @@ class ParamSpec:
 
 
 class DirectPlan:
-    """A plan whose work already happened: no walks, stored result.
+    """A deterministic method's plan: its work already happened, no walks.
 
     The uniform plan shape (``fused_queries``/``counters``/``finalize``)
-    lets the serving layer treat deterministic and already-executed
-    methods exactly like fusible ones (see :mod:`repro.engine.multi`).
+    lets the serving layer treat deterministic methods exactly like
+    fusible ones (see :mod:`repro.engine.multi`).
     """
 
     estimated_walks = 0
@@ -172,14 +166,6 @@ class EstimatorSpec:
     params: tuple[ParamSpec, ...] = ()
     #: Alternative accepted spellings, resolved to :attr:`name`.
     aliases: tuple[str, ...] = ()
-    #: Result is a pure function of the request (no randomness), so even
-    #: rng-pinned service requests are cache-eligible.
-    deterministic: bool = False
-    #: Produces a diffusion vector that a sweep cut (and the service's
-    #: top-k ranking) can consume.  Flow-based baselines are not sweepable.
-    sweepable: bool = True
-    #: Accepts a ``backend=`` keyword selecting the walk engine.
-    backend_aware: bool = False
     #: Single-query estimator ``(graph, seed[, params], *, ...) -> HKPRResult``.
     estimate_fn: Callable | None = None
     #: Flow-baseline runner ``(graph, seed, **kwargs) -> BaselineClusteringResult``.
@@ -187,8 +173,8 @@ class EstimatorSpec:
     #: Plan builder ``(graph, seed[, params], *, deadline, **kwargs) ->
     #: ResiduePlan``, called like ``estimate_fn`` minus ``rng`` and
     #: ``backend``; a method with one is fusible (its walk phase can batch
-    #: across queries).  ``None`` falls back to a :class:`DirectPlan`
-    #: around :meth:`estimate`.
+    #: across queries).  A deterministic method without one is served as a
+    #: :class:`DirectPlan` around :meth:`estimate`.
     plan_fn: Callable | None = None
     #: Admission-control walk estimate ``(graph, params_dict) -> int``;
     #: ``None`` means the method performs no random walks.
@@ -199,21 +185,36 @@ class EstimatorSpec:
     #: omega-based estimates are upper bounds; the service only
     #: hard-rejects single over-budget queries when the estimate is tight.
     walks_tight: bool = True
-    #: ``estimate_fn`` takes the shared :class:`HKPRParams` object as its
-    #: third positional argument (the HKPR-estimator calling convention).
-    takes_params_object: bool = False
-    #: ``estimate_fn`` accepts an ``rng=`` keyword.
-    takes_rng: bool = True
-    #: ``estimate_fn`` accepts a ``deadline=`` keyword
-    #: (:class:`repro.utils.Deadline`) and checks it cooperatively from its
-    #: unbounded loops.  Methods with bounded, schema-capped work (``exact``,
-    #: ``simple-local``) leave this False and silently ignore deadlines.
-    takes_deadline: bool = False
-    #: For methods without ``takes_params_object``: translate a supplied
-    #: :class:`HKPRParams` into estimator kwargs (``None`` = not translatable).
-    params_adapter: Callable[[HKPRParams], dict] | None = None
-    #: Internal: schema indexed by name (derived in ``__post_init__``).
-    _schema: dict[str, ParamSpec] = field(default=None, repr=False, compare=False)
+
+    # Read once from the callable's signature in ``__post_init__``.
+    #: ``estimate_fn`` (or ``cluster_fn``) accepts an ``rng=`` keyword.
+    takes_rng: bool = field(init=False)
+    #: No ``rng``: the result is a pure function of the request, so even
+    #: rng-pinned service requests are cache-eligible.
+    deterministic: bool = field(init=False)
+    #: Has ``estimate_fn``: produces a diffusion vector that a sweep cut
+    #: (and the service's top-k ranking) can consume.
+    sweepable: bool = field(init=False)
+    #: Accepts a ``backend=`` keyword selecting the walk engine.
+    backend_aware: bool = field(init=False)
+    #: Accepts a ``deadline=`` keyword (:class:`repro.utils.Deadline`) and
+    #: checks it from its unbounded loops; methods with bounded,
+    #: schema-capped work (``exact``, ``simple-local``) ignore deadlines.
+    takes_deadline: bool = field(init=False)
+    #: Third positional parameter named ``params``: the shared
+    #: :class:`HKPRParams` object (the HKPR-estimator calling convention).
+    takes_params_object: bool = field(init=False)
+    #: Declared names that fill the :class:`HKPRParams` object (its fields,
+    #: for a method that takes one); the rest are estimator keywords.
+    params_fields: frozenset[str] = field(init=False)
+    #: For a method without the params object whose keywords share
+    #: :class:`HKPRParams` field names (fora's ``eps_r``/``delta``/``p_f``):
+    #: translate a supplied object into those keywords; else ``None``.
+    params_adapter: Callable[[HKPRParams], dict] | None = field(
+        init=False, repr=False, compare=False
+    )
+    #: Internal: schema indexed by name.
+    _schema: dict[str, ParamSpec] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -222,21 +223,46 @@ class EstimatorSpec:
             raise ValueError(f"{self.name!r}: spec docstring must not be empty")
         if self.estimate_fn is None and self.cluster_fn is None:
             raise ValueError(f"{self.name!r}: needs estimate_fn or cluster_fn")
-        if self.sweepable and self.estimate_fn is None:
-            raise ValueError(f"{self.name!r}: sweepable methods need estimate_fn")
         names = [p.name for p in self.params]
         if len(names) != len(set(names)):
             raise ValueError(f"{self.name!r}: duplicate parameter names")
-        object.__setattr__(self, "_schema", {p.name: p for p in self.params})
+        signature = inspect.signature(self.estimate_fn or self.cluster_fn).parameters
+        positional = [
+            name for name, parameter in signature.items()
+            if parameter.kind == parameter.POSITIONAL_OR_KEYWORD
+        ]
+        takes_params_object = positional[2:3] == ["params"]
+        hkpr_fields = {f.name for f in fields(HKPRParams)}
+        if takes_params_object:
+            params_fields, translated = frozenset(hkpr_fields.intersection(names)), ()
+        else:
+            params_fields, translated = frozenset(), sorted(hkpr_fields & signature.keys())
+        derived = {
+            "takes_rng": "rng" in signature,
+            "deterministic": "rng" not in signature,
+            "sweepable": self.estimate_fn is not None,
+            "backend_aware": "backend" in signature,
+            "takes_deadline": "deadline" in signature,
+            "takes_params_object": takes_params_object,
+            "params_fields": params_fields,
+            "params_adapter": (
+                (lambda p: {name: getattr(p, name) for name in translated})
+                if translated else None
+            ),
+            "_schema": {p.name: p for p in self.params},
+        }
+        for key, value in derived.items():
+            object.__setattr__(self, key, value)
 
     # -------------------------------------------------------------- #
     # Schema
     # -------------------------------------------------------------- #
     @property
     def servable(self) -> bool:
-        """Whether the online service can answer this method (needs a
-        rankable diffusion vector)."""
-        return self.sweepable and self.estimate_fn is not None
+        """Whether the online service can answer this method: it needs a
+        rankable diffusion vector, and a randomized method needs a plan
+        builder, so its walk phase runs on the service's backend."""
+        return self.sweepable and (self.deterministic or self.plan_fn is not None)
 
     @property
     def accepts_params_object(self) -> bool:
@@ -246,11 +272,6 @@ class EstimatorSpec:
     def param_names(self) -> tuple[str, ...]:
         """Names of all declared parameters, in declaration order."""
         return tuple(p.name for p in self.params)
-
-    def _feeds_params(self, name: str) -> bool:
-        """Whether a declared parameter feeds the shared HKPRParams object."""
-        param = self._schema.get(name)
-        return param is not None and param.feeds == "params"
 
     def validate_params(self, raw: dict | None) -> dict:
         """Canonicalize a raw parameter dict against the schema.
@@ -301,22 +322,17 @@ class EstimatorSpec:
     def split_params(self, graph: Graph, params: dict) -> tuple[HKPRParams | None, dict]:
         """Split a validated parameter dict into (HKPRParams, kwargs).
 
-        Fields whose :attr:`ParamSpec.feeds` is ``"params"`` populate the
-        shared :class:`HKPRParams` object (with the paper's ``delta = 1/n``
+        The names in :attr:`params_fields` populate the shared
+        :class:`HKPRParams` object (with the paper's ``delta = 1/n``
         default); the rest are estimator keyword arguments.  Methods that do
         not take a params object get ``(None, dict(params))``.
         """
         if not self.takes_params_object:
             return None, dict(params)
-        fields = {}
-        kwargs = {}
-        for key, value in params.items():
-            if self._schema[key].feeds == "params":
-                fields[key] = value
-            else:
-                kwargs[key] = value
-        fields.setdefault("delta", default_delta(graph))
-        return HKPRParams(**fields), kwargs
+        kwargs = dict(params)
+        values = {key: kwargs.pop(key) for key in self.params_fields & params.keys()}
+        values.setdefault("delta", default_delta(graph))
+        return HKPRParams(**values), kwargs
 
     # -------------------------------------------------------------- #
     # Dispatch
@@ -384,15 +400,12 @@ class EstimatorSpec:
         if deadline is not None and self.takes_deadline:
             kwargs.setdefault("deadline", deadline)
         if self.takes_params_object:
-            fields = {
-                key: kwargs.pop(key)
-                for key in [k for k in kwargs if self._feeds_params(k)]
-            }
+            values = {key: kwargs.pop(key) for key in self.params_fields & kwargs.keys()}
             if params is None:
-                fields.setdefault("delta", default_delta(graph))
-                params = HKPRParams(**fields)
-            elif fields:
-                params = replace(params, **fields)
+                values.setdefault("delta", default_delta(graph))
+                params = HKPRParams(**values)
+            elif values:
+                params = replace(params, **values)
             return self.estimate_fn(graph, seed_node, params, **kwargs)
         if params is not None:
             if self.params_adapter is None:
@@ -428,26 +441,24 @@ class EstimatorSpec:
         graph: Graph,
         seed_node: int,
         params: dict,
-        rng,
         *,
         deadline=None,
     ):
-        """Build this query's serving plan (``WalkPlan`` or :class:`DirectPlan`).
+        """Build this query's serving plan (``ResiduePlan`` or :class:`DirectPlan`).
 
-        ``params`` is split as :meth:`estimate` splits it.  A plan builder
-        draws nothing, so ``rng`` only reaches a :class:`DirectPlan`'s
-        estimator.  The optional ``deadline`` bounds any deterministic work
+        ``params`` is split as :meth:`estimate` splits it.  Neither a plan
+        builder nor a servable method's :class:`DirectPlan` (deterministic)
+        draws a random number.  The optional ``deadline`` bounds the work
         done at plan construction (push phases, direct execution).
         """
         hkpr_params, kwargs = self.split_params(graph, params)
         if self.plan_fn is not None:
             args = (hkpr_params,) if self.takes_params_object else ()
             return self.plan_fn(graph, seed_node, *args, deadline=deadline, **kwargs)
-        result = self.estimate(
-            graph, seed_node, params=hkpr_params, rng=rng,
-            estimator_kwargs=kwargs, deadline=deadline,
-        )
-        return DirectPlan(result)
+        return DirectPlan(self.estimate(
+            graph, seed_node, params=hkpr_params, estimator_kwargs=kwargs,
+            deadline=deadline,
+        ))
 
     # -------------------------------------------------------------- #
     # Introspection
@@ -491,23 +502,23 @@ def hkpr_base_params(*, include_c: bool = False) -> tuple[ParamSpec, ...]:
     """The four (d, eps_r, delta)-query parameters shared by HKPR methods."""
     base = (
         ParamSpec("t", "float", default=5.0, minimum=0.0, exclusive_minimum=True,
-                  doc="heat constant", feeds="params"),
+                  doc="heat constant"),
         ParamSpec("eps_r", "float", default=0.5, minimum=0.0, maximum=1.0,
                   exclusive_minimum=True, exclusive_maximum=True,
-                  doc="relative error bound", feeds="params"),
+                  doc="relative error bound"),
         ParamSpec("delta", "float", default=None, default_doc="1/n",
                   minimum=0.0, maximum=1.0, exclusive_minimum=True,
                   exclusive_maximum=True,
-                  doc="significance threshold", feeds="params"),
+                  doc="significance threshold"),
         ParamSpec("p_f", "float", default=1e-6, minimum=0.0, maximum=1.0,
                   exclusive_minimum=True, exclusive_maximum=True,
-                  doc="failure probability", feeds="params"),
+                  doc="failure probability"),
     )
     if include_c:
         base = base + (
             ParamSpec("c", "float", default=2.5, minimum=0.0,
                       exclusive_minimum=True,
-                      doc="hop-cap constant (Eq. 20)", feeds="params"),
+                      doc="hop-cap constant (Eq. 20)"),
         )
     return base
 

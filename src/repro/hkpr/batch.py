@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
-from repro.hkpr.params import HKPRParams, default_delta
+from repro.hkpr.params import HKPRParams
 from repro.hkpr.result import HKPRResult
 from repro.utils.counters import OperationCounters
 from repro.utils.rng import RandomState, ensure_rng
@@ -55,8 +55,6 @@ def batch_hkpr(
     if not seeds:
         raise ParameterError("need at least one seed node")
     spec = resolve(method)
-    if spec.takes_params_object and params is None:
-        params = HKPRParams(delta=default_delta(graph))
     root = ensure_rng(rng)
     results: dict[int, HKPRResult] = {}
     for seed_node in seeds:

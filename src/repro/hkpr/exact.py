@@ -32,7 +32,6 @@ def exact_hkpr(
     *,
     tail_tolerance: float = 1e-12,
     max_iterations: int | None = None,
-    rng: object = None,  # accepted for interface uniformity; unused
 ) -> HKPRResult:
     """Compute the (numerically) exact HKPR vector of ``seed_node``.
 

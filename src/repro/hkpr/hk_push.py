@@ -271,7 +271,6 @@ def hk_push_hkpr(
     *,
     r_max: float | None = None,
     max_pushes: int | None = None,
-    rng: object = None,  # accepted for interface uniformity; unused
     deadline: Deadline | None = None,
 ) -> HKPRResult:
     """HKPR lower bound from HK-Push alone (Algorithm 1, no walk phase).

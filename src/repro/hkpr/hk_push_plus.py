@@ -102,7 +102,6 @@ def hk_push_plus_hkpr(
     *,
     push_budget: int | None = None,
     max_hop: int | None = None,
-    rng: object = None,  # accepted for interface uniformity; unused
     deadline: Deadline | None = None,
 ) -> HKPRResult:
     """HKPR lower bound from HK-Push+ alone (Algorithm 4, no walk phase).

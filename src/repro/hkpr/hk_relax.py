@@ -86,7 +86,6 @@ def hk_relax(
     params: HKPRParams,
     *,
     eps_a: float | None = None,
-    rng: object = None,  # accepted for interface uniformity; unused
     max_pushes: int | None = None,
     deadline: Deadline | None = None,
 ) -> HKPRResult:

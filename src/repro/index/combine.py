@@ -78,7 +78,7 @@ def plan_from_index(
     stored = index.lookup(kind, seed_node, bucket, max_walks=total_walks)
     if stored is None:
         return None
-    plan = spec.build_plan(graph, seed_node, params, None)
+    plan = spec.build_plan(graph, seed_node, params)
     plan.reserve.add_many(stored, plan.increment)
     topup = total_walks - int(stored.size)
     if topup:

@@ -17,8 +17,7 @@ the ROADMAP's "heavy traffic" north star requires:
   drains the request queue and fuses the walk phases of concurrent queries
   into shared backend kernel batches (:func:`repro.engine.multi.execute_plans`).
 * :mod:`repro.service.service` — :class:`QueryService` (composition root,
-  admission control, telemetry) and :class:`ServiceClient`, the in-process
-  client used by tests and the load harness.
+  admission control, telemetry).
 * :mod:`repro.service.http` — a stdlib ``http.server`` JSON frontend
   (``repro-cli serve``).
 
@@ -29,7 +28,7 @@ determinism caveats under fusion.
 from repro.service.cache import ResultCache
 from repro.service.planner import QueryRequest, SERVICE_METHODS
 from repro.service.registry import GraphRegistry
-from repro.service.service import QueryResponse, QueryService, ServiceClient
+from repro.service.service import QueryResponse, QueryService
 
 __all__ = [
     "GraphRegistry",
@@ -38,5 +37,4 @@ __all__ = [
     "QueryService",
     "ResultCache",
     "SERVICE_METHODS",
-    "ServiceClient",
 ]

@@ -16,11 +16,12 @@ its parameter schema, an admission-control walk estimate, capability flags
 and a plan builder, so a method registered in :mod:`repro.estimators`
 becomes servable with no planner change:
 
-* fusible — ``monte-carlo`` and ``tea+`` (HKPR), ``fora`` and ``mc-ppr``
-  (PPR) decompose into walk phases the micro-batcher fuses across queries;
-* direct — everything else (including the randomized ``tea`` and
-  ``cluster-hkpr`` and the deterministic push/baseline methods) runs whole
-  inside plan construction and returns an already-finalized
+* fusible — every randomized method (``monte-carlo``, ``cluster-hkpr``,
+  ``tea`` and ``tea+`` for HKPR, ``fora`` and ``mc-ppr`` for PPR) pushes
+  inside plan construction and leaves a walk phase the micro-batcher
+  fuses across queries on the service's backend;
+* direct — the deterministic push, exact and baseline methods run whole
+  inside plan construction and return an already-finalized
   :class:`~repro.estimators.spec.DirectPlan`.
 
 Determinism: requests carrying an explicit ``rng`` seed are marked
@@ -264,12 +265,11 @@ def build_plan(
     ``snapshot`` is the graph of ``entry`` the request was admitted at; the
     push phase, the index lookup and (by the caller) the walk phase all
     read it, so a mutation landing mid-query cannot mix epochs.
-    Push phases run here (on the dispatch thread).  Pinned requests get a
-    private generator seeded with ``request.rng``; the batcher draws their
-    walk tasks from the plan's fused queries on that same generator and
-    runs them unfused.  Unpinned requests get ``None``: a plan builder
-    draws nothing, and a :class:`~repro.estimators.spec.DirectPlan`'s
-    estimator then seeds itself from fresh entropy.
+    Push phases run here (on the dispatch thread); building a plan draws
+    no random number.  Pinned requests get a private generator seeded
+    with ``request.rng``; the batcher draws their walk tasks from the
+    plan's fused queries on that same generator and runs them unfused.
+    Unpinned requests get ``None`` and walk on the service's generator.
     ``deadline`` (when given) is threaded into deadline-aware estimators'
     push loops, so unbounded plan-construction work trips it too.
 
@@ -312,6 +312,6 @@ def build_plan(
         if plan is not None:
             return plan, rng
     plan = SERVICE_METHODS[request.method].build_plan(
-        snapshot, request.seed_node, request.params, rng, deadline=deadline
+        snapshot, request.seed_node, request.params, deadline=deadline
     )
     return plan, rng

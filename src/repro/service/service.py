@@ -16,10 +16,6 @@ micro-batcher into one long-lived object:
 * :class:`Telemetry` tallies per-request latency, cache hit rate, batch
   occupancy and walk throughput; ``stats()`` returns the JSON the ``/stats``
   endpoint and the load harness consume.
-
-:class:`ServiceClient` is the in-process client: the same request/response
-surface the HTTP frontend exposes, minus the socket — tests and the
-benchmark load generator drive the service through it.
 """
 
 from __future__ import annotations
@@ -938,43 +934,3 @@ class QueryService:
         self.telemetry.record_batch(
             len(batch), walks_executed, time.perf_counter() - started
         )
-
-
-class ServiceClient:
-    """In-process client mirroring the HTTP surface (used by tests/benchmarks)."""
-
-    def __init__(self, service: QueryService) -> None:
-        self._service = service
-
-    def query(self, *args, **kwargs) -> QueryResponse:
-        """Synchronous query returning the rich :class:`QueryResponse`."""
-        return self._service.query(*args, **kwargs)
-
-    def query_dict(
-        self,
-        graph: str,
-        method: str,
-        seed_node,
-        params: dict | None = None,
-        *,
-        rng=None,
-        top_k=DEFAULT_TOP_K,
-        timeout_ms=None,
-        timeout: float | None = 60.0,
-    ) -> dict:
-        """Query and shape the response exactly like the HTTP frontend."""
-        response = self._service.query(
-            graph, method, seed_node, params, rng=rng, top_k=top_k,
-            timeout_ms=timeout_ms, timeout=timeout,
-        )
-        # The response carries the snapshot resolved at admission; a second
-        # registry lookup here could race with a mutation or re-register.
-        return response.to_dict()
-
-    def stats(self) -> dict:
-        """The ``/stats`` payload."""
-        return self._service.stats()
-
-    def graphs(self) -> list[dict]:
-        """The ``/graphs`` payload."""
-        return self._service.registry.describe()

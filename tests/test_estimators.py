@@ -43,6 +43,32 @@ from repro.ppr import exact_ppr, fora, monte_carlo_ppr
 from repro.service.planner import SERVICE_METHODS, normalize_request
 
 
+_HKPR = frozenset({"t", "eps_r", "delta", "p_f"})
+_HKPR_C = _HKPR | {"c"}
+_NONE = frozenset()
+
+#: Each built-in spec's capabilities: (deterministic, sweepable, servable,
+#: backend_aware, takes_params_object, takes_deadline,
+#: accepts_params_object, takes_rng, names filling HKPRParams).
+CAPABILITY_TABLE = {
+    "exact": (True, True, True, False, True, False, True, False, _HKPR),
+    "monte-carlo": (False, True, True, True, True, True, True, True, _HKPR),
+    "cluster-hkpr": (False, True, True, True, True, True, True, True, _HKPR),
+    "hk-relax": (True, True, True, False, True, True, True, False, _HKPR),
+    "hk-push": (True, True, True, False, True, True, True, False, _HKPR),
+    "hk-push+": (True, True, True, False, True, True, True, False, _HKPR_C),
+    "tea": (False, True, True, True, True, True, True, True, _HKPR),
+    "tea+": (False, True, True, True, True, True, True, True, _HKPR_C),
+    "exact-ppr": (True, True, True, False, False, False, False, False, _NONE),
+    "fora": (False, True, True, True, False, True, True, True, _NONE),
+    "mc-ppr": (False, True, True, True, False, True, False, True, _NONE),
+    "nibble": (True, True, True, False, False, True, False, False, _NONE),
+    "pr-nibble": (True, True, True, False, False, True, False, False, _NONE),
+    "simple-local": (True, False, False, False, False, False, False, False, _NONE),
+    "crd": (True, False, False, False, False, False, False, False, _NONE),
+}
+
+
 # ------------------------------------------------------------------ #
 # Registry invariants
 # ------------------------------------------------------------------ #
@@ -64,13 +90,43 @@ class TestRegistryInvariants:
         """
         for spec in estimators.all_specs():
             declared = {
-                param.name for param in spec.params if param.feeds == "kwargs"
+                param.name for param in spec.params
+                if param.name not in spec.params_fields
             }
             actual = spec.signature_kwargs()
             assert declared == actual, (
                 f"{spec.name}: schema kwargs {sorted(declared)} != "
                 f"signature kwargs {sorted(actual)}"
             )
+
+    def test_capabilities_read_from_signatures_match_the_table(self):
+        for spec in estimators.all_specs():
+            row = CAPABILITY_TABLE[spec.name]
+            assert (
+                spec.deterministic, spec.sweepable, spec.servable,
+                spec.backend_aware, spec.takes_params_object,
+                spec.takes_deadline, spec.accepts_params_object, spec.takes_rng,
+                spec.params_fields,
+            ) == row, spec.name
+        assert set(CAPABILITY_TABLE) == set(estimators.method_names())
+        # fora takes no params object; a supplied one becomes its keywords.
+        adapted = estimators.resolve("fora").params_adapter(
+            HKPRParams(t=3.0, eps_r=0.3, delta=1e-3, p_f=1e-5)
+        )
+        assert adapted == {"eps_r": 0.3, "delta": 1e-3, "p_f": 1e-5}
+        assert all(
+            spec.params_adapter is None
+            for spec in estimators.all_specs() if spec.name != "fora"
+        )
+
+    def test_capabilities_are_read_only(self):
+        spec = estimators.resolve("tea")
+        for name in ("deterministic", "backend_aware", "takes_rng", "params_adapter"):
+            with pytest.raises(AttributeError):
+                setattr(spec, name, None)
+        with pytest.raises(TypeError):
+            EstimatorSpec(name="x", family="hkpr", doc="d",
+                          estimate_fn=tea, deterministic=True)
 
     def test_hkpr_family_declares_the_shared_query_params(self):
         for spec in estimators.all_specs():
@@ -328,7 +384,7 @@ class TestShimParity:
 class TestDynamicRegistration:
     @pytest.fixture
     def toy_spec(self):
-        def toy_estimator(graph, seed_node, *, scale: float = 1.0, rng=None):
+        def toy_estimator(graph, seed_node, *, scale: float = 1.0):
             from repro.hkpr.result import HKPRResult
             from repro.utils.sparsevec import SparseVector
 
@@ -345,7 +401,6 @@ class TestDynamicRegistration:
             aliases=("toy-indicator",),
             params=(ParamSpec("scale", "float", default=1.0, minimum=0.0,
                               exclusive_minimum=True, doc="indicator mass"),),
-            deterministic=True,
             estimate_fn=toy_estimator,
         ))
         yield spec

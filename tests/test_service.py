@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -16,7 +17,7 @@ from repro.exceptions import (
     ServiceOverloadedError,
 )
 from repro.graph.generators import ring_graph
-from repro.service import GraphRegistry, QueryService, ServiceClient
+from repro.service import GraphRegistry, QueryService
 from repro.service.planner import QueryRequest, normalize_request
 from repro.service.registry import build_from_spec
 
@@ -447,20 +448,74 @@ class TestServingDeadlines:
         assert response.to_dict()["graph"] == "grid"
 
 
-class TestServiceClient:
-    def test_query_dict_envelope(self, service):
-        client = ServiceClient(service)
-        payload = client.query_dict(
+class TestResponseEnvelope:
+    def test_query_envelope_graphs_and_stats(self, service):
+        payload = service.query(
             "grid", "monte-carlo", 5, {"num_walks": 300}, top_k=7
-        )
+        ).to_dict()
         assert payload["graph"] == "grid"
         assert payload["seed_node"] == 5
         assert len(payload["top"]) <= 7
         node, score = payload["top"][0]
         assert isinstance(node, int) and score > 0
         assert payload["counters"]["random_walks"] == 300
-        assert client.graphs()[0]["name"] == "grid"
-        assert client.stats()["requests_total"] >= 1
+        assert service.registry.describe()[0]["name"] == "grid"
+        assert service.stats()["requests_total"] >= 1
+
+
+#: Every randomized servable method with knobs that make it walk 500 times
+#: from node 42 of dblp-sim (tea+ exits early after its push at the
+#: default ``c``, so it runs at ``c = 0.5``).
+WALKING_QUERIES = {
+    "monte-carlo": {"num_walks": 500},
+    "cluster-hkpr": {"eps": 0.05, "num_walks": 500},
+    "tea": {"max_walks": 500, "r_max": 0.001},
+    "tea+": {"c": 0.5, "max_walks": 500},
+    "fora": {"max_walks": 500},
+    "mc-ppr": {"num_walks": 500},
+}
+
+
+class TestRandomizedMethodsServedFromPlans:
+    @pytest.fixture
+    def dblp(self):
+        registry = GraphRegistry()
+        registry.add_dataset("dblp-sim")
+        return registry
+
+    def test_every_randomized_servable_method_is_listed(self):
+        from repro.service.planner import SERVICE_METHODS
+
+        randomized = {
+            name for name, spec in SERVICE_METHODS.items() if not spec.deterministic
+        }
+        assert randomized == set(WALKING_QUERIES)
+        assert all(SERVICE_METHODS[name].plan_fn for name in randomized)
+
+    @pytest.mark.parametrize("method", list(WALKING_QUERIES))
+    def test_walks_fused_on_the_services_backend(self, dblp, method):
+        with QueryService(dblp, backend="reference", rng=3) as svc:
+            response = svc.query("dblp-sim", method, 42, WALKING_QUERIES[method])
+        counters = response.result.counters
+        assert counters.random_walks == 500
+        assert counters.extras["backend"] == "reference"
+        assert counters.extras["fused_kernel"] is True
+
+    def test_tea_walk_phase_over_the_budget_is_rejected_after_its_push(self, dblp):
+        """tea's admission estimate is a loose bound, so it takes the
+        idle-server escape hatch; its push then leaves ~8e10 walks, more
+        than the whole in-flight budget: a prompt 429, not a 504 at the
+        deadline."""
+        with QueryService(dblp, rng=1, cache_entries=0) as svc:
+            started = time.perf_counter()
+            future = svc.submit(
+                "dblp-sim", "tea", 42, {"eps_r": 0.001, "r_max": 0.1},
+                timeout_ms=3000,
+            )
+            with pytest.raises(ServiceOverloadedError, match="after its push"):
+                future.result(timeout=20)
+            assert time.perf_counter() - started < 1.0
+            assert svc.stats()["inflight_walks"] == 0
 
 
 class TestHTTPFrontend:
