@@ -146,7 +146,6 @@ def _parity_section() -> dict:
         hubs=[seed_node],
         walks_per_sketch=stored,
         t_values=(HEAT_T,),
-        backend="vectorized",
         rng=0,
     )
     registry = GraphRegistry()

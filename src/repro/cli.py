@@ -384,10 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="restart-probability bucket for mc-ppr queries (repeatable)",
     )
     index_build.add_argument(
-        "--backend", default=None,
-        help="walk execution engine (default: process default)",
-    )
-    index_build.add_argument(
         "--rng", type=int, default=0,
         help="builder RNG seed (default 0, for reproducible builds)",
     )
@@ -769,8 +765,6 @@ def _run_index(args: argparse.Namespace) -> int:
         # --t defaults to the paper's t=5 bucket, but an alpha-only build
         # should not drag a poisson bucket along implicitly.
         t_values = args.t if args.t else ([] if args.alpha else [5.0])
-        if args.backend is not None:
-            get_backend(args.backend)
 
         counters = OperationCounters()
         started = time.perf_counter()
@@ -781,7 +775,6 @@ def _run_index(args: argparse.Namespace) -> int:
             walks_per_sketch=args.walks,
             t_values=t_values,
             alpha_values=args.alpha,
-            backend=args.backend,
             rng=args.rng,
             counters=counters,
         )

@@ -14,6 +14,8 @@ The loop runs for as many iterations as the *longest* walk in the batch
 (O(t + log batch) for heat kernel walks), so the Python interpreter cost is
 amortized over the whole batch instead of being paid per hop per walk.
 Walks at isolated nodes stop in place, matching the scalar primitives.
+The index builder's :func:`length_sorted_walks` draws every length up
+front instead, so it never filters a pending array.
 """
 
 from __future__ import annotations
@@ -197,6 +199,49 @@ def geometric_walk_batch_validated(
         counters.random_walks += num_walks
         counters.walk_steps += total_steps
     return current
+
+
+def length_sorted_walks(
+    graph,
+    starts: np.ndarray,
+    rng: np.random.Generator,
+    *,
+    weights: PoissonWeights | None = None,
+    alpha: float | None = None,
+    counters: OperationCounters | None = None,
+) -> np.ndarray:
+    """Endpoints of one walk per (valid) start, each of a length drawn up front.
+
+    Lengths are Poisson(t) by inverse CDF over ``weights`` (truncated at
+    ``max_hop``, as the hop-conditioned kernel stops) or ``geometric(alpha)
+    - 1``; a walk from a degree-0 node has length 0.  One stable argsort by
+    descending length lets level ``l`` advance just the prefix of walks
+    longer than ``l``, each hop to neighbour ``floor(u * d)``.  Endpoints
+    return in walk order, so i.i.d. walks stay an i.i.d. sequence.
+    """
+    degrees = graph.degrees
+    if weights is not None:
+        cdf = np.cumsum(weights.eta_array(weights.max_hop))[:-1]
+        lengths = np.searchsorted(cdf, rng.random(starts.size), side="right")
+    else:
+        lengths = rng.geometric(alpha, starts.size) - 1
+    lengths[degrees[starts] == 0] = 0
+    longest = int(lengths.max(initial=0))
+    key = longest - lengths
+    order = np.argsort(key.astype(np.uint16) if longest < 1 << 16 else key, kind="stable")
+    current = starts[order]
+    longer = starts.size - np.cumsum(np.bincount(lengths))  # walks longer than l
+    gather = _neighbor_gather(graph)
+    for level in range(longest):
+        head = current[: longer[level]]
+        offsets = (rng.random(head.size) * degrees[head]).astype(np.int64)
+        current[: head.size] = gather(head, offsets)
+    ends = np.empty_like(current)
+    ends[order] = current
+    if counters is not None:
+        counters.random_walks += starts.size
+        counters.walk_steps += int(lengths.sum())
+    return ends
 
 
 class VectorizedBackend:

@@ -1,9 +1,9 @@
 """Offline walk-sketch index builder.
 
-Selects hub nodes (by degree, or from an explicit seed list), runs the
-existing walk kernels to generate ``W`` endpoint samples per hub per bucket,
-and assembles a :class:`~repro.index.walk_index.WalkIndex` ready to persist
-with :meth:`~repro.index.walk_index.WalkIndex.to_file`.
+Selects hub nodes (by degree, or from an explicit seed list), walks ``W``
+endpoint samples per hub per bucket, and assembles a
+:class:`~repro.index.walk_index.WalkIndex` ready to persist with
+:meth:`~repro.index.walk_index.WalkIndex.to_file`.
 
 Buckets mirror the two sampling estimators the service can route through
 the index:
@@ -13,15 +13,17 @@ the index:
 * an *alpha-bucket* stores endpoints of geometric restart walks — the law
   the ``mc-ppr`` estimator samples from.
 
-Hubs are walked in groups of ``WALK_CHUNK_SIZE // W`` (at least one), each
-group one fused kernel call per chunk of at most ``WALK_CHUNK_SIZE`` walks,
-so an index of thousands of hubs costs a handful of kernel calls rather
-than one per hub.
+A bucket's walks run hub-major through
+:func:`~repro.engine.vectorized.length_sorted_walks` in batches of at most
+``WALK_CHUNK_SIZE`` walks (``restart_chunk(alpha)`` for an alpha-bucket),
+so an index of thousands of hubs costs a handful of batches.  No backend
+kernel runs: the loop draws each walk's length up front and orders the
+batch by length once, while the online kernels keep their draw order.
 
-Determinism: given the same graph, hub set, walk counts, backend, chunk
-size and seeded generator, the builder emits byte-identical arrays (groups
-are walked in a fixed order from the single generator), so a rebuilt
-``.rwix`` file round-trips byte-for-byte.
+Determinism: given the same graph, hub set, walk counts, ``WALK_CHUNK_SIZE``
+(and so ``restart_chunk``) and seeded generator, the builder emits
+byte-identical arrays (batches are walked in a fixed order from the single
+generator), so a rebuilt ``.rwix`` file round-trips byte-for-byte.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro import engine
-from repro.engine import Backend, chunk_sizes
-from repro.engine.multi import WalkTask, run_walk_tasks
+from repro.engine import restart_chunk
+from repro.engine.vectorized import length_sorted_walks
 from repro.exceptions import NodeNotFoundError, ParameterError
 from repro.graph.graph import Graph
 from repro.hkpr.poisson import PoissonWeights
@@ -88,7 +90,6 @@ def build_walk_index(
     walks_per_sketch: int = DEFAULT_WALKS_PER_SKETCH,
     t_values: Sequence[float] = (5.0,),
     alpha_values: Sequence[float] = (),
-    backend: str | Backend | None = None,
     rng: np.random.Generator | int | None = 0,
     counters: OperationCounters | None = None,
 ) -> WalkIndex:
@@ -112,59 +113,41 @@ def build_walk_index(
     generator = ensure_rng(rng)
 
     # One bucket per (law, parameter); sketches are laid out bucket-major,
-    # hub-minor, in a fixed order so builds are reproducible.
+    # hub-minor, in a fixed order so builds are reproducible.  Each bucket
+    # keeps its walk law and its batch cap.
     buckets: list[tuple[int, float]] = []
-    weights_cache: dict[float, PoissonWeights] = {}
+    laws: list[tuple[dict, int]] = []
     for t in t_values:
         weights = PoissonWeights(float(t))  # validates t > 0
         buckets.append((rwix.KIND_POISSON, weights.t))
-        weights_cache[weights.t] = weights
+        laws.append(({"weights": weights}, engine.WALK_CHUNK_SIZE))
     for alpha in alpha_values:
         alpha = float(alpha)
-        if not 0.0 < alpha < 1.0:
-            raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
+        cap = restart_chunk(alpha)  # refuses alpha outside [MIN_RESTART_ALPHA, 1)
         buckets.append((rwix.KIND_GEOMETRIC, alpha))
+        laws.append(({"alpha": alpha}, cap))
     if len(set(buckets)) != len(buckets):
         raise ParameterError("duplicate index buckets")
 
-    # Each group's hub-major walk sequence runs as the chunk tasks of one
-    # run_walk_tasks call; its endpoints are copied into place.
+    # Each bucket walks its hub-major sequence (W walks per hub) in
+    # batches of at most its cap, drawn in order from the one generator.
     walks = int(walks_per_sketch)
-    per_group = max(1, engine.WALK_CHUNK_SIZE // walks)
-    num_hubs = hub_nodes.size
-    endpoints = np.empty(len(buckets) * num_hubs * walks, dtype=np.int64)
-    filled = 0
-    for kind, bucket in buckets:
-        for first in range(0, num_hubs, per_group):
-            group = hub_nodes[first:first + per_group]
-            tasks = []
-            offset = 0
-            for size in chunk_sizes(group.size * walks):
-                starts = group[np.arange(offset, offset + size) // walks]
-                offset += size
-                if kind == rwix.KIND_POISSON:
-                    tasks.append(
-                        WalkTask("poisson", starts, weights=weights_cache[bucket])
-                    )
-                else:
-                    tasks.append(WalkTask("geometric", starts, alpha=bucket))
-            ends = run_walk_tasks(
-                backend,
-                graph,
-                tasks,
-                generator,
-                counters_list=[counters] * len(tasks) if counters else None,
+    total = hub_nodes.size * walks
+    endpoints = np.empty(len(buckets) * total, dtype=np.int64)
+    for offset, (law, cap) in zip(range(0, endpoints.size, total), laws):
+        for lo in range(0, total, cap):
+            hi = min(lo + cap, total)
+            endpoints[offset + lo:offset + hi] = length_sorted_walks(
+                graph, hub_nodes[np.arange(lo, hi) // walks], generator,
+                counters=counters, **law,
             )
-            for piece in ends:
-                endpoints[filled:filled + piece.size] = piece
-                filled += piece.size
 
     kinds, values = zip(*buckets)
     return WalkIndex(
         nodes=np.tile(hub_nodes, len(buckets)),
-        kinds=np.repeat(np.asarray(kinds, dtype=np.int64), num_hubs),
-        buckets=np.repeat(np.asarray(values, dtype=np.float64), num_hubs),
-        ptr=np.arange(len(buckets) * num_hubs + 1, dtype=np.int64) * walks,
+        kinds=np.repeat(np.asarray(kinds, dtype=np.int64), hub_nodes.size),
+        buckets=np.repeat(np.asarray(values, dtype=np.float64), hub_nodes.size),
+        ptr=np.arange(len(buckets) * hub_nodes.size + 1, dtype=np.int64) * walks,
         endpoints=endpoints,
         graph_n=graph.num_nodes,
         graph_m=graph.num_edges,

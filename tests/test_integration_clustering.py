@@ -86,3 +86,37 @@ class TestSeedsAcrossDegrees:
             result = local_cluster(graph, seed, method="tea+", params=params, rng=2)
             assert result.contains_seed()
             assert result.conductance < 1.0
+
+
+class TestPaperScalePowerlawCluster:
+    """TEA+'s gap to exact HKPR on a 10k-node powerlaw-cluster graph is
+    its ε_r tolerance: the best cut holds about 44% of the nodes, so its
+    ranking rests on entries near δ = 1/n, where the (d, ε_r, δ) guarantee
+    allows an error as large as the entries themselves."""
+
+    @pytest.fixture(scope="class")
+    def plc(self):
+        from repro.bench.harness import sample_seed_nodes
+        from repro.graph.generators import powerlaw_cluster_graph
+
+        graph = powerlaw_cluster_graph(10_000, 5, 0.3, seed=7)
+        return graph, sample_seed_nodes(graph, 8, rng=1)
+
+    @staticmethod
+    def _mean_conductance(plc, method, **overrides):
+        graph, seeds = plc
+        params = HKPRParams(delta=1.0 / graph.num_nodes, **overrides)
+        results = [
+            local_cluster(graph, seed, method=method, params=params, rng=3)
+            for seed in seeds
+        ]
+        return sum(r.conductance for r in results) / len(results), results
+
+    def test_tea_plus_meets_exact_at_tight_eps_r(self, plc):
+        exact, _ = self._mean_conductance(plc, "exact")  # 0.3729
+        tight, results = self._mean_conductance(plc, "tea+", eps_r=0.1)  # 0.3734
+        assert abs(tight - exact) <= 0.005
+        assert all(r.hkpr.early_exit for r in results)
+        assert sum(r.hkpr.counters.random_walks for r in results) == 0
+        default, _ = self._mean_conductance(plc, "tea+")  # eps_r = 0.5: 0.3927
+        assert default > tight + 0.01

@@ -114,7 +114,6 @@ class TestIndexHitsBeatDeadlines:
             hubs=[hub],
             walks_per_sketch=self.NUM_WALKS,
             t_values=(5.0,),
-            backend="vectorized",
             rng=0,
         )
         params = {"num_walks": self.NUM_WALKS, "t": 5.0}
@@ -151,7 +150,7 @@ class TestIndexHitsBeatDeadlines:
         hub = 0
         index = build_walk_index(
             graph, hubs=[hub], walks_per_sketch=50_000,
-            t_values=(5.0,), backend="vectorized", rng=0,
+            t_values=(5.0,), rng=0,
         )
         registry = GraphRegistry()
         registry.add_graph("g", graph)

@@ -110,29 +110,30 @@ class TestBuilder:
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize(
-        "chunk,kernel_calls",
-        [(7, 20), (25, 6), (1 << 20, 2)],
+        "chunk,batches",
+        [(7, 16), (25, 4), (1 << 20, 2)],
         ids=["hub-straddles-chunks", "two-hubs-per-group", "one-group"],
     )
     def test_grouped_build_layout_and_determinism(
-        self, monkeypatch, tmp_path, chunk, kernel_calls
+        self, monkeypatch, tmp_path, chunk, batches
     ):
-        """Hubs walk in groups of WALK_CHUNK_SIZE // W (at least one), one
-        kernel call per chunk of a group; sketch i still holds hub i's walks,
-        bucket-major."""
+        """A bucket's hub-major walks run in batches of at most its cap
+        (WALK_CHUNK_SIZE, or restart_chunk(alpha) for an alpha-bucket);
+        sketch i still holds hub i's walks, bucket-major."""
         import repro.engine as engine_module
-        from repro.engine.vectorized import VectorizedBackend
+        from repro.engine import restart_chunk
+        from repro.index import builder
 
         monkeypatch.setattr(engine_module, "WALK_CHUNK_SIZE", chunk)
-        calls = []
-        for name in ("poisson_walk_batch", "geometric_walk_batch"):
-            kernel = getattr(VectorizedBackend, name)
+        sizes, caps = [], []
+        walk = builder.length_sorted_walks
 
-            def counted(self, graph, starts, *args, _kernel=kernel, **kwargs):
-                calls.append(len(starts))
-                return _kernel(self, graph, starts, *args, **kwargs)
+        def recorded(graph, starts, rng, *, alpha=None, **kwargs):
+            sizes.append(len(starts))
+            caps.append(chunk if alpha is None else restart_chunk(alpha))
+            return walk(graph, starts, rng, alpha=alpha, **kwargs)
 
-            monkeypatch.setattr(VectorizedBackend, name, counted)
+        monkeypatch.setattr(builder, "length_sorted_walks", recorded)
         # Five disjoint 4-cycles: a walk never leaves its start's island.
         islands = Graph(
             20, [(4 * i + j, 4 * i + (j + 1) % 4) for i in range(5) for j in range(4)]
@@ -140,11 +141,12 @@ class TestBuilder:
         hubs = [13, 2, 19, 4, 9]
         kwargs = dict(
             hubs=hubs, walks_per_sketch=10, t_values=(3.0,), alpha_values=(0.3,),
-            backend="vectorized", rng=5,
+            rng=5,
         )
         path = build_walk_index(islands, **kwargs).to_file(tmp_path / "a.rwix")
-        assert len(calls) == kernel_calls and max(calls) <= chunk
-        assert sum(calls) == 2 * len(hubs) * 10
+        assert len(sizes) == batches
+        assert all(size <= cap for size, cap in zip(sizes, caps))
+        assert sum(sizes) == 2 * len(hubs) * 10
         again = build_walk_index(islands, **kwargs).to_file(tmp_path / "b.rwix")
         assert path.read_bytes() == again.read_bytes()
 
@@ -158,6 +160,41 @@ class TestBuilder:
         for i, hub in enumerate(data["nodes"]):
             ends = data["endpoints"][data["ptr"][i]:data["ptr"][i + 1]]
             assert set((ends // 4).tolist()) == {hub // 4}
+
+    @pytest.mark.statistical
+    def test_sketch_prefixes_obey_their_laws(self, graph):
+        """Endpoints return in walk order, not length order, so the prefix
+        ``lookup`` serves is an i.i.d. sample of the walk law."""
+        hub, walks = select_hubs(graph, 1)[0], 40_000
+        index = build_walk_index(
+            graph, hubs=[hub], walks_per_sketch=walks,
+            t_values=(5.0,), alpha_values=(0.15,), rng=3,
+        )
+        for kind, bucket, law in (
+            ("poisson", 5.0, poisson_probs(graph, hub, PoissonWeights(5.0))),
+            ("geometric", 0.15, geometric_probs(graph, hub, 0.15)),
+        ):
+            ends = index.lookup(kind, hub, bucket, max_walks=walks // 8)
+            counts = endpoint_counts(ends, graph.num_nodes)
+            chi_square_gof(counts, law).assert_ok(context=f"{kind} sketch prefix")
+
+    def test_isolated_hub_stays_put(self):
+        from repro.utils.counters import OperationCounters
+
+        lonely = Graph(4, [(0, 1), (1, 2)])
+        counters = OperationCounters()
+        index = build_walk_index(
+            lonely, hubs=[3], walks_per_sketch=50, t_values=(5.0,),
+            alpha_values=(0.2,), rng=0, counters=counters,
+        )
+        for kind, bucket in (("poisson", 5.0), ("geometric", 0.2)):
+            np.testing.assert_array_equal(index.lookup(kind, 3, bucket), [3] * 50)
+        assert counters.random_walks == 100
+        assert counters.walk_steps == 0
+
+    def test_restart_alpha_floor(self, graph):
+        with pytest.raises(ParameterError, match="alpha"):
+            build_walk_index(graph, walks_per_sketch=10, alpha_values=(1e-5,))
 
     def test_endpoints_are_graph_nodes(self, graph, index):
         # Every stored endpoint is a real node of the graph.

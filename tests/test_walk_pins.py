@@ -251,9 +251,7 @@ PINNED_INDEX_HIT = (500, 2573, 732, 1048428849, 1084492628)
 
 def test_index_hit_answer_is_pinned(dblp):
     graph, _ = dblp
-    index = build_walk_index(
-        graph, hubs=[42], walks_per_sketch=1000, backend="vectorized", rng=0
-    )
+    index = build_walk_index(graph, hubs=[42], walks_per_sketch=1000, rng=0)
     plan = plan_from_index(
         index, graph, resolve("monte-carlo"), 42, {"num_walks": 1500}
     )
