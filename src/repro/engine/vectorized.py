@@ -228,7 +228,9 @@ def length_sorted_walks(
     lengths[degrees[starts] == 0] = 0
     longest = int(lengths.max(initial=0))
     key = longest - lengths
-    order = np.argsort(key.astype(np.uint16) if longest < 1 << 16 else key, kind="stable")
+    if longest < 1 << 16:
+        key = key.astype(np.uint16)  # numpy radix-sorts 16-bit keys
+    order = np.argsort(key, kind="stable")
     current = starts[order]
     longer = starts.size - np.cumsum(np.bincount(lengths))  # walks longer than l
     gather = _neighbor_gather(graph)

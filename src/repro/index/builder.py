@@ -132,7 +132,8 @@ def build_walk_index(
     # Each bucket walks its hub-major sequence (W walks per hub) in
     # batches of at most its cap, drawn in order from the one generator.
     walks = int(walks_per_sketch)
-    total = hub_nodes.size * walks
+    num_hubs = hub_nodes.size
+    total = num_hubs * walks
     endpoints = np.empty(len(buckets) * total, dtype=np.int64)
     for offset, (law, cap) in zip(range(0, endpoints.size, total), laws):
         for lo in range(0, total, cap):
@@ -145,9 +146,9 @@ def build_walk_index(
     kinds, values = zip(*buckets)
     return WalkIndex(
         nodes=np.tile(hub_nodes, len(buckets)),
-        kinds=np.repeat(np.asarray(kinds, dtype=np.int64), hub_nodes.size),
-        buckets=np.repeat(np.asarray(values, dtype=np.float64), hub_nodes.size),
-        ptr=np.arange(len(buckets) * hub_nodes.size + 1, dtype=np.int64) * walks,
+        kinds=np.repeat(np.asarray(kinds, dtype=np.int64), num_hubs),
+        buckets=np.repeat(np.asarray(values, dtype=np.float64), num_hubs),
+        ptr=np.arange(len(buckets) * num_hubs + 1, dtype=np.int64) * walks,
         endpoints=endpoints,
         graph_n=graph.num_nodes,
         graph_m=graph.num_edges,
