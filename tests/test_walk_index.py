@@ -97,6 +97,8 @@ class TestBuilder:
             build_walk_index(graph, t_values=(), alpha_values=())
         with pytest.raises(ParameterError, match="alpha"):
             build_walk_index(graph, alpha_values=(1.5,))
+        with pytest.raises(ParameterError, match="alpha"):  # below MIN_RESTART_ALPHA
+            build_walk_index(graph, walks_per_sketch=10, alpha_values=(1e-5,))
         with pytest.raises(ParameterError, match="duplicate"):
             build_walk_index(graph, t_values=(5.0, 5.0))
 
@@ -191,10 +193,6 @@ class TestBuilder:
             np.testing.assert_array_equal(index.lookup(kind, 3, bucket), [3] * 50)
         assert counters.random_walks == 100
         assert counters.walk_steps == 0
-
-    def test_restart_alpha_floor(self, graph):
-        with pytest.raises(ParameterError, match="alpha"):
-            build_walk_index(graph, walks_per_sketch=10, alpha_values=(1e-5,))
 
     def test_endpoints_are_graph_nodes(self, graph, index):
         # Every stored endpoint is a real node of the graph.
