@@ -97,8 +97,11 @@ def build_walk_index(
 
     ``rng`` defaults to seed 0 so an ``index build`` is reproducible unless
     the caller explicitly asks for entropy (``rng=None``).  ``counters``
-    (optional) accumulates the offline walk accounting.
+    (optional) accumulates the offline walk accounting.  Endpoints are held
+    as :data:`~repro.index.format.NODE_DTYPE`, the dtype ``.rwix`` stores,
+    so a graph of more than ``2**31 - 1`` nodes is refused up front.
     """
+    rwix.check_node_count(graph.num_nodes)
     if walks_per_sketch < 1:
         raise ParameterError(
             f"walks_per_sketch must be >= 1, got {walks_per_sketch}"
@@ -134,7 +137,7 @@ def build_walk_index(
     walks = int(walks_per_sketch)
     num_hubs = hub_nodes.size
     total = num_hubs * walks
-    endpoints = np.empty(len(buckets) * total, dtype=np.int64)
+    endpoints = np.empty(len(buckets) * total, dtype=rwix.NODE_DTYPE)
     for offset, (law, cap) in zip(range(0, endpoints.size, total), laws):
         for lo in range(0, total, cap):
             hi = min(lo + cap, total)

@@ -12,7 +12,7 @@ Layout (little-endian, all offsets from the start of the file)::
     offset  size  field
     ------  ----  -----------------------------------------------
        0      4   magic  b"RWIX"
-       4      2   format version (currently 1)
+       4      2   format version (currently 2)
        6      2   flags (reserved, must be 0)
        8      8   S  (number of sketches)
       16      8   E  (total stored endpoints across all sketches)
@@ -21,15 +21,19 @@ Layout (little-endian, all offsets from the start of the file)::
       40      8   graph fingerprint (see :func:`graph_fingerprint`)
       48      4   CRC32 of header bytes 0..47
       52     12   zero padding
-      64      –   array sections, each aligned to 64 bytes:
-                    nodes      int64[S]    hub/seed node per sketch
+      64      –   array sections (:data:`SECTIONS`), each aligned to 64 bytes:
+                    nodes      int32[S]    hub/seed node per sketch
                     kinds      int64[S]    walk law (0=poisson, 1=geometric)
                     buckets    float64[S]  law parameter (t or alpha)
                     ptr        int64[S+1]  prefix offsets into endpoints
-                    endpoints  int64[E]    walk endpoints, concatenated
+                    endpoints  int32[E]    walk endpoints, concatenated
 
 Section offsets are derived from ``(S, E)`` rather than stored, so a header
-that passes its CRC fully determines the file geometry.  The ``(n, m,
+that passes its CRC fully determines the file geometry.  Node ids take 4
+bytes (:data:`NODE_DTYPE`), so an index covers graphs of up to
+``2**31 - 1`` nodes and its endpoints cost 4 bytes per stored walk;
+version 1 stored them as ``int64`` and is refused, since an index is
+derived data that ``repro-cli index build`` remakes.  The ``(n, m,
 fingerprint)`` triple is the staleness/epoch contract: a reader must refuse
 to serve an index against a graph whose shape or content fingerprint
 differs from what the index was built on — stored endpoints would then be
@@ -51,8 +55,8 @@ from repro.graph.graph import Graph
 #: First bytes of every ``.rwix`` file.
 MAGIC = b"RWIX"
 
-#: Format version written by :func:`write_index_file`.
-FORMAT_VERSION = 1
+#: Format version written by :func:`write_index_file` (2: ``<i4`` node ids).
+FORMAT_VERSION = 2
 
 #: Conventional file extension (readers sniff magic bytes; advisory only).
 EXTENSION = ".rwix"
@@ -66,7 +70,23 @@ HEADER_SIZE = _HEADER_STRUCT.size
 assert HEADER_SIZE == ALIGNMENT
 
 _INT_DTYPE = np.dtype("<i8")
-_FLOAT_DTYPE = np.dtype("<f8")
+
+#: Dtype of both node-id sections, ``nodes`` and ``endpoints``.
+NODE_DTYPE = np.dtype("<i4")
+
+#: Largest node count whose ids fit :data:`NODE_DTYPE`.
+MAX_NODES = int(np.iinfo(NODE_DTYPE).max)
+
+#: Every array section in file order: name, dtype, and element count as a
+#: function of ``(S, E)``.  The geometry, the writer and the reader all read
+#: this one table.
+SECTIONS = (
+    ("nodes", NODE_DTYPE, lambda s, e: s),
+    ("kinds", _INT_DTYPE, lambda s, e: s),
+    ("buckets", np.dtype("<f8"), lambda s, e: s),
+    ("ptr", _INT_DTYPE, lambda s, e: s + 1),
+    ("endpoints", NODE_DTYPE, lambda s, e: e),
+)
 
 #: Walk-law codes stored in the ``kinds`` section.
 KIND_POISSON = 0
@@ -110,21 +130,22 @@ def _align(offset: int) -> int:
 
 def _section_offsets(num_sketches: int, total_endpoints: int) -> dict[str, int]:
     """Byte offsets of every section plus the total file size."""
-    item = _INT_DTYPE.itemsize  # all sections are 8-byte scalars
-    nodes_off = _align(HEADER_SIZE)
-    kinds_off = _align(nodes_off + num_sketches * item)
-    buckets_off = _align(kinds_off + num_sketches * item)
-    ptr_off = _align(buckets_off + num_sketches * item)
-    endpoints_off = _align(ptr_off + (num_sketches + 1) * item)
-    total = endpoints_off + total_endpoints * item
-    return {
-        "nodes": nodes_off,
-        "kinds": kinds_off,
-        "buckets": buckets_off,
-        "ptr": ptr_off,
-        "endpoints": endpoints_off,
-        "total": total,
-    }
+    offsets: dict[str, int] = {}
+    end = HEADER_SIZE
+    for name, dtype, count in SECTIONS:
+        offsets[name] = _align(end)
+        end = offsets[name] + count(num_sketches, total_endpoints) * dtype.itemsize
+    offsets["total"] = end
+    return offsets
+
+
+def check_node_count(graph_n: int) -> None:
+    """Refuse a graph whose node ids would wrap in the ``<i4`` node sections."""
+    if graph_n > MAX_NODES:
+        raise WalkIndexError(
+            f"a graph of {graph_n} nodes cannot be indexed: .rwix stores node "
+            f"ids as 4-byte integers (at most {MAX_NODES} nodes)"
+        )
 
 
 def _validate_payload(
@@ -188,8 +209,10 @@ def write_index_file(
 
     Returns the path written.  Like :func:`repro.graph.binfmt.write_graph_binary`
     the file is written in place — pack into a temporary name yourself if
-    readers may race.
+    readers may race.  A graph of more than :data:`MAX_NODES` nodes is
+    refused before the file is opened.
     """
+    check_node_count(graph_n)
     path = Path(path)
     num_sketches = int(nodes.shape[0])
     total_endpoints = int(endpoints.shape[0])
@@ -204,18 +227,15 @@ def write_index_file(
     checksum = zlib.crc32(bytes(header[:48]))
     struct.pack_into("<I", header, 48, checksum)
 
-    sections = (
-        (offsets["nodes"], nodes, _INT_DTYPE),
-        (offsets["kinds"], kinds, _INT_DTYPE),
-        (offsets["buckets"], buckets, _FLOAT_DTYPE),
-        (offsets["ptr"], ptr, _INT_DTYPE),
-        (offsets["endpoints"], endpoints, _INT_DTYPE),
-    )
+    arrays = {
+        "nodes": nodes, "kinds": kinds, "buckets": buckets, "ptr": ptr,
+        "endpoints": endpoints,
+    }
     with path.open("wb") as handle:
         handle.write(bytes(header))
-        for offset, array, dtype in sections:
-            handle.write(b"\x00" * (offset - handle.tell()))
-            np.ascontiguousarray(array, dtype=dtype).tofile(handle)
+        for name, dtype, _ in SECTIONS:
+            handle.write(b"\x00" * (offsets[name] - handle.tell()))
+            np.ascontiguousarray(arrays[name], dtype=dtype).tofile(handle)
     return path
 
 
@@ -242,7 +262,8 @@ def _read_header(path: Path) -> tuple[int, int, int, int, int]:
     if version != FORMAT_VERSION:
         raise WalkIndexError(
             f"{path}: unsupported .rwix version {version} "
-            f"(this reader understands version {FORMAT_VERSION})"
+            f"(this reader understands version {FORMAT_VERSION}; rebuild it "
+            f"with `repro-cli index build`)"
         )
     if flags != 0:
         raise WalkIndexError(f"{path}: unknown .rwix flags {flags:#06x}")
@@ -271,29 +292,26 @@ def read_index_file(path: str | Path, *, mmap: bool = True) -> dict[str, Any]:
     ``backing`` description (``kind`` is ``"mmap"`` or ``"binary"``).  The
     payload is structurally validated (pointer monotonicity, node range,
     known walk-law codes, parameter ranges) before it is returned, so
-    callers never see a half-believable index.
+    callers never see a half-believable index.  The endpoint section is
+    left unread; :meth:`WalkIndex.lookup` range-checks each slice it serves.
     """
     path = Path(path)
     num_sketches, total_endpoints, graph_n, graph_m, fingerprint = _read_header(path)
     offsets = _section_offsets(num_sketches, total_endpoints)
-    sections = (
-        ("nodes", offsets["nodes"], num_sketches, _INT_DTYPE),
-        ("kinds", offsets["kinds"], num_sketches, _INT_DTYPE),
-        ("buckets", offsets["buckets"], num_sketches, _FLOAT_DTYPE),
-        ("ptr", offsets["ptr"], num_sketches + 1, _INT_DTYPE),
-        ("endpoints", offsets["endpoints"], total_endpoints, _INT_DTYPE),
-    )
     arrays: dict[str, np.ndarray] = {}
     if mmap:
-        for name, offset, count, dtype in sections:
+        for name, dtype, count in SECTIONS:
             arrays[name] = np.memmap(
-                path, dtype=dtype, mode="r", offset=offset, shape=(count,)
+                path, dtype=dtype, mode="r", offset=offsets[name],
+                shape=(count(num_sketches, total_endpoints),),
             )
     else:
         with path.open("rb") as handle:
-            for name, offset, count, dtype in sections:
-                handle.seek(offset)
-                arrays[name] = np.fromfile(handle, dtype=dtype, count=count)
+            for name, dtype, count in SECTIONS:
+                handle.seek(offsets[name])
+                arrays[name] = np.fromfile(
+                    handle, dtype=dtype, count=count(num_sketches, total_endpoints)
+                )
     _validate_payload(
         path,
         graph_n=graph_n,

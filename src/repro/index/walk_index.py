@@ -52,11 +52,15 @@ class WalkIndex:
         self.graph_m = int(graph_m)
         self.fingerprint = int(fingerprint)
         self.backing = backing or {"kind": "memory"}
-        # (kind code, node, bucket) -> (start, stop) into the endpoint array.
-        self._table: dict[tuple[int, int, float], tuple[int, int]] = {}
-        for i in range(nodes.shape[0]):
-            key = (int(kinds[i]), int(nodes[i]), float(buckets[i]))
-            self._table[key] = (int(ptr[i]), int(ptr[i + 1]))
+        # (kind code, node, bucket) -> (start, stop) into the endpoint array,
+        # built from whole columns: a memmap's per-element reads are slow.
+        self._table: dict[tuple[int, int, float], tuple[int, int]] = {
+            (kind, node, bucket): (start, stop)
+            for kind, node, bucket, start, stop in zip(
+                kinds.tolist(), nodes.tolist(), buckets.tolist(),
+                ptr[:-1].tolist(), ptr[1:].tolist(),
+            )
+        }
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -154,7 +158,11 @@ class WalkIndex:
         Records a hit or miss; on a hit, at most ``max_walks`` endpoints are
         returned (a prefix — stored sketches are i.i.d. draws, so any
         subset is a valid sample) and the count served is accumulated into
-        ``walks_served``.
+        ``walks_served``.  The endpoints come back as stored
+        (:data:`~repro.index.format.NODE_DTYPE`).  A served slice holding an
+        id outside ``[0, graph_n)`` raises :class:`WalkIndexError` instead
+        of reaching an answer; only the slice served is checked, so a
+        memory-mapped index stays lazy.
         """
         if kind not in rwix.KIND_CODES:
             raise WalkIndexError(f"unknown walk-law kind {kind!r}")
@@ -172,12 +180,21 @@ class WalkIndex:
         start, stop = span
         if max_walks is not None:
             stop = min(stop, start + max(0, int(max_walks)))
-        served = stop - start
+        endpoints = np.asarray(self._endpoints[start:stop])
+        if endpoints.size and (
+            endpoints.min() < 0 or endpoints.max() >= self.graph_n
+        ):
+            raise WalkIndexError(
+                f"{self.backing.get('path', 'walk index')}: corrupt .rwix "
+                f"payload (a {kind} sketch of node {node} stores an endpoint "
+                f"outside 0..{self.graph_n - 1})"
+            )
+        served = endpoints.size
         with self._lock:
             self._hits += 1
             self._walks_served += served
         self._record_metrics(hit=True, served=served)
-        return np.asarray(self._endpoints[start:stop])
+        return endpoints
 
     def _record_metrics(self, *, hit: bool, served: int) -> None:
         """Mirror a lookup onto the active metrics registry (labeled by the

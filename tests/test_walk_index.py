@@ -9,9 +9,13 @@ routing, ``/stats`` reporting, cache-vs-index hit separation).
 
 from __future__ import annotations
 
+import json
 import struct
+import urllib.error
+import urllib.request
 import zlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,6 +37,7 @@ from repro.index import (
 )
 from repro.index import format as rwix
 from repro.service import GraphRegistry, QueryService
+from repro.service.http import serve_in_thread
 from repro.service.planner import SERVICE_METHODS, estimate_walks, normalize_request
 
 from statcheck import chi_square_gof, endpoint_counts, geometric_probs, poisson_probs
@@ -231,6 +236,33 @@ class TestRoundTrip:
         for offset in data["backing"]["offsets"].values():
             assert offset % rwix.ALIGNMENT == 0
 
+    def test_node_ids_take_4_bytes(self, packed, index):
+        data = rwix.read_index_file(packed)
+        assert data["nodes"].dtype == data["endpoints"].dtype == np.dtype("<i4")
+        hub = index.indexed_nodes()[0]
+        assert index.lookup("poisson", hub, 5.0).dtype == np.dtype("<i4")
+        # The section table accounts for every byte, and each stored walk
+        # costs 4 of them.
+        size = packed.stat().st_size
+        assert size == data["backing"]["bytes"]
+        endpoint_bytes = size - data["backing"]["offsets"]["endpoints"]
+        assert endpoint_bytes == 4 * index.total_endpoints
+
+    def test_node_ids_past_4_bytes_are_refused(self, tmp_path):
+        target = tmp_path / "huge.rwix"
+        one = np.zeros(1, dtype=np.int64)
+        arrays = dict(
+            graph_m=0, fingerprint=0, nodes=one, kinds=one,
+            buckets=np.ones(1), ptr=np.array([0, 1]), endpoints=one,
+        )
+        with pytest.raises(WalkIndexError, match="4-byte"):
+            rwix.write_index_file(target, graph_n=2**31, **arrays)
+        assert not target.exists()
+        with pytest.raises(WalkIndexError, match="4-byte"):
+            build_walk_index(SimpleNamespace(num_nodes=2**31), hubs=[0])
+        rwix.write_index_file(target, graph_n=2**31 - 1, **arrays)
+        assert rwix.read_index_file(target)["graph_n"] == 2**31 - 1
+
 
 class TestCorruptionMatrix:
     def test_bad_magic(self, packed):
@@ -250,12 +282,18 @@ class TestCorruptionMatrix:
         with pytest.raises(WalkIndexError, match="CRC mismatch"):
             WalkIndex.from_file(packed)
 
-    def test_unsupported_version(self, packed):
+    @pytest.mark.parametrize(
+        "version", [1, rwix.FORMAT_VERSION + 1], ids=["int64-ids", "newer"]
+    )
+    def test_unsupported_version(self, packed, version):
         data = bytearray(packed.read_bytes())
-        struct.pack_into("<H", data, 4, rwix.FORMAT_VERSION + 1)
+        struct.pack_into("<H", data, 4, version)
         struct.pack_into("<I", data, 48, zlib.crc32(bytes(data[:48])))
         packed.write_bytes(bytes(data))
-        with pytest.raises(WalkIndexError, match="unsupported .rwix version"):
+        with pytest.raises(
+            WalkIndexError,
+            match="unsupported .rwix version .*rebuild it with `repro-cli index build`",
+        ):
             WalkIndex.from_file(packed)
 
     def test_unknown_flags(self, packed):
@@ -283,6 +321,44 @@ class TestCorruptionMatrix:
         )
         with pytest.raises(WalkIndexError, match="corrupt .rwix payload"):
             WalkIndex.from_file(packed)
+
+    def test_corrupt_endpoint_fails_the_lookup_not_the_answer(self, graph, packed):
+        # An endpoint past the graph passes every load-time check (the
+        # endpoint section stays unread, as .rcsr's mmap does), so only the
+        # lookup that serves it can refuse it.
+        data = rwix.read_index_file(packed)
+        _corrupt(
+            packed, data["backing"]["offsets"]["endpoints"],
+            struct.pack("<i", graph.num_nodes + 5),
+        )
+        hub, other = int(data["nodes"][0]), int(data["nodes"][1])
+        index = WalkIndex.from_file(packed)
+        with pytest.raises(WalkIndexError, match="corrupt .rwix payload"):
+            index.lookup("poisson", hub, 5.0)
+        # Only the slice served is checked: other sketches still serve.
+        assert index.lookup("poisson", other, 5.0).size == 200
+        assert index.stats()["hits"] == 1
+
+        registry = GraphRegistry()
+        registry.add_graph("g", graph)
+        registry.attach_index("g", packed)
+        with QueryService(registry, max_batch=4) as service:
+            httpd, _thread = serve_in_thread(service, port=0)
+            try:
+                request = urllib.request.Request(
+                    f"http://127.0.0.1:{httpd.server_address[1]}/query",
+                    data=json.dumps({
+                        "graph": "g", "method": "monte-carlo", "seed_node": hub,
+                        "params": {"num_walks": 100, "t": 5.0},
+                    }).encode(),
+                    headers={"Content-Type": "application/json"},
+                )
+                with pytest.raises(urllib.error.HTTPError) as caught:
+                    urllib.request.urlopen(request, timeout=10.0)
+            finally:
+                httpd.shutdown()
+        assert caught.value.code == 400
+        assert "corrupt .rwix payload" in json.loads(caught.value.read())["error"]
 
     def test_graph_shape_mismatch(self, packed):
         index = WalkIndex.from_file(packed)
