@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-inflight-walks", type=int, default=50_000_000,
-        help="admission cap on estimated in-flight walks",
+        help="admission cap on in-flight walks",
     )
     serve.add_argument(
         "--cache-size", type=int, default=1024,

@@ -5,8 +5,8 @@ One :func:`~repro.estimators.registry.register` call per method is the
 layer, its function's signature says how it is called (params object,
 ``rng``, ``backend``, ``deadline``), its plan builder makes a randomized
 method servable (a deterministic one is served through the generic
-:class:`~repro.estimators.spec.DirectPlan`), and its walk estimate feeds
-admission control.  The estimator implementations themselves stay in
+:class:`~repro.estimators.spec.DirectPlan`).  The estimator
+implementations themselves stay in
 their home modules (:mod:`repro.hkpr`, :mod:`repro.ppr`,
 :mod:`repro.baselines`) — the registry only points at them.  A plan
 builder is the same one its free function runs, so the library and the
@@ -23,93 +23,17 @@ from repro.baselines.pr_nibble import pr_nibble_hkpr
 from repro.baselines.simple_local import simple_local
 from repro.engine import MIN_RESTART_ALPHA
 from repro.estimators.registry import register
-from repro.estimators.spec import EstimatorSpec, ParamSpec, ceil_int, hkpr_base_params
-from repro.graph.graph import Graph
-from repro.hkpr.cluster_hkpr import cluster_hkpr, cluster_hkpr_plan, default_walk_count
+from repro.estimators.spec import EstimatorSpec, ParamSpec, hkpr_base_params
+from repro.hkpr.cluster_hkpr import cluster_hkpr, cluster_hkpr_plan
 from repro.hkpr.exact import exact_hkpr
 from repro.hkpr.hk_push import hk_push_hkpr
 from repro.hkpr.hk_push_plus import hk_push_plus_hkpr
 from repro.hkpr.hk_relax import hk_relax
 from repro.hkpr.monte_carlo import monte_carlo_hkpr, monte_carlo_plan
-from repro.hkpr.params import HKPRParams, default_delta
 from repro.hkpr.tea import tea, tea_plan
 from repro.hkpr.tea_plus import tea_plus, tea_plus_plan
 from repro.ppr.exact import exact_ppr
-from repro.ppr.fora import (
-    fora,
-    fora_plan,
-    monte_carlo_ppr,
-    monte_carlo_ppr_plan,
-    walk_count,
-)
-
-
-# ------------------------------------------------------------------ #
-# Shared helpers
-# ------------------------------------------------------------------ #
-def _split_hkpr(method: str, graph: Graph, params: dict) -> tuple[HKPRParams, dict]:
-    """Split a validated request dict via the method's own declared schema.
-
-    Delegates to :meth:`EstimatorSpec.split_params`, so the walk estimates
-    below split a request the way :meth:`EstimatorSpec.estimate` and
-    ``build_plan`` do.
-    """
-    from repro.estimators.registry import resolve
-
-    return resolve(method).split_params(graph, params)
-
-
-def _walks_monte_carlo(graph: Graph, params: dict) -> int:
-    if "num_walks" in params:
-        return params["num_walks"]
-    hkpr, _ = _split_hkpr("monte-carlo", graph, params)
-    return ceil_int(hkpr.omega_monte_carlo(graph))
-
-
-def _walks_tea(graph: Graph, params: dict) -> int:
-    if "max_walks" in params:
-        return params["max_walks"]
-    # Upper bound: the walk count is alpha * omega with alpha <= 1.
-    hkpr, _ = _split_hkpr("tea", graph, params)
-    return ceil_int(hkpr.omega_tea(graph))
-
-
-def _walks_tea_plus(graph: Graph, params: dict) -> int:
-    if "max_walks" in params:
-        return params["max_walks"]
-    hkpr, _ = _split_hkpr("tea+", graph, params)
-    return ceil_int(hkpr.omega_tea_plus(graph))
-
-
-def _walks_cluster_hkpr(graph: Graph, params: dict) -> int:
-    if "num_walks" in params:
-        return params["num_walks"]
-    hkpr, _ = _split_hkpr("cluster-hkpr", graph, params)
-    eps = params.get("eps", min(hkpr.eps_r * hkpr.delta, hkpr.p_f))
-    return default_walk_count(graph.num_nodes, eps)
-
-
-def _with_defaults(method: str, params: dict) -> dict:
-    """``params`` plus the method's declared schema defaults (one source)."""
-    from repro.estimators.registry import resolve
-
-    return resolve(method).with_defaults(params)
-
-
-def _walks_fora(graph: Graph, params: dict) -> int:
-    if "max_walks" in params:
-        return params["max_walks"]
-    full = _with_defaults("fora", params)
-    return walk_count(
-        graph,
-        full["eps_r"],
-        full.get("delta", default_delta(graph)),
-        full["p_f"],
-    )
-
-
-def _walks_mc_ppr(graph: Graph, params: dict) -> int:
-    return _with_defaults("mc-ppr", params)["num_walks"]
+from repro.ppr.fora import fora, fora_plan, monte_carlo_ppr, monte_carlo_ppr_plan
 
 
 # ------------------------------------------------------------------ #
@@ -173,7 +97,6 @@ register(EstimatorSpec(
     params=hkpr_base_params() + (_NUM_WALKS,),
     estimate_fn=monte_carlo_hkpr,
     plan_fn=monte_carlo_plan,
-    walks_fn=_walks_monte_carlo,
 ))
 
 register(EstimatorSpec(
@@ -191,7 +114,6 @@ register(EstimatorSpec(
     ),
     estimate_fn=cluster_hkpr,
     plan_fn=cluster_hkpr_plan,
-    walks_fn=_walks_cluster_hkpr,
 ))
 
 register(EstimatorSpec(
@@ -242,8 +164,6 @@ register(EstimatorSpec(
     ),
     estimate_fn=tea,
     plan_fn=tea_plan,
-    walks_fn=_walks_tea,
-    walks_tight=False,
 ))
 
 register(EstimatorSpec(
@@ -262,8 +182,6 @@ register(EstimatorSpec(
     ),
     estimate_fn=tea_plus,
     plan_fn=tea_plus_plan,
-    walks_fn=_walks_tea_plus,
-    walks_tight=False,
 ))
 
 
@@ -305,8 +223,6 @@ register(EstimatorSpec(
     ),
     estimate_fn=fora,
     plan_fn=fora_plan,
-    walks_fn=_walks_fora,
-    walks_tight=False,
 ))
 
 register(EstimatorSpec(
@@ -321,7 +237,6 @@ register(EstimatorSpec(
     ),
     estimate_fn=monte_carlo_ppr,
     plan_fn=monte_carlo_ppr_plan,
-    walks_fn=_walks_mc_ppr,
 ))
 
 

@@ -3,12 +3,11 @@
 An :class:`EstimatorSpec` is the single description of one estimation
 method: its canonical name and aliases, a declarative parameter schema
 (:class:`ParamSpec` — types, bounds, defaults, error messages), the
-callable that answers a single query, an optional plan builder for the
-serving layer (a method with one is *fusible*), and an admission-control
-walk estimate.  How the callable is called (``deterministic``,
-``backend_aware``, ``takes_params_object``, ...) is read once from its
-signature, so a spec cannot declare a convention its function does not
-have.
+callable that answers a single query, and an optional plan builder for
+the serving layer (a method with one is *fusible*).  How the callable is
+called (``deterministic``, ``backend_aware``, ``takes_params_object``,
+...) is read once from its signature, so a spec cannot declare a
+convention its function does not have.
 
 Every query surface of the package — :func:`repro.clustering.local.local_cluster`,
 the service planner, the CLI, and the benchmark harness — dispatches through
@@ -19,7 +18,6 @@ makes a method reachable everywhere at once.
 from __future__ import annotations
 
 import inspect
-import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable
 
@@ -176,15 +174,6 @@ class EstimatorSpec:
     #: across queries).  A deterministic method without one is served as a
     #: :class:`DirectPlan` around :meth:`estimate`.
     plan_fn: Callable | None = None
-    #: Admission-control walk estimate ``(graph, params_dict) -> int``;
-    #: ``None`` means the method performs no random walks.
-    walks_fn: Callable | None = None
-    #: Whether ``walks_fn`` predicts the *actual* walk count (tight) or a
-    #: pessimistic upper bound.  Push-then-walk methods (tea, tea+, fora)
-    #: run ``alpha * omega`` walks with ``alpha`` often near zero, so their
-    #: omega-based estimates are upper bounds; the service only
-    #: hard-rejects single over-budget queries when the estimate is tight.
-    walks_tight: bool = True
 
     # Read once from the callable's signature in ``__post_init__``.
     #: ``estimate_fn`` (or ``cluster_fn``) accepts an ``rng=`` keyword.
@@ -198,8 +187,9 @@ class EstimatorSpec:
     #: Accepts a ``backend=`` keyword selecting the walk engine.
     backend_aware: bool = field(init=False)
     #: Accepts a ``deadline=`` keyword (:class:`repro.utils.Deadline`) and
-    #: checks it from its unbounded loops; methods with bounded,
-    #: schema-capped work (``exact``, ``simple-local``) ignore deadlines.
+    #: checks it from its unbounded loops; the flow baselines
+    #: (``simple-local``, ``crd``) run schema-capped work and ignore
+    #: deadlines.
     takes_deadline: bool = field(init=False)
     #: Third positional parameter named ``params``: the shared
     #: :class:`HKPRParams` object (the HKPR-estimator calling convention).
@@ -306,7 +296,7 @@ class EstimatorSpec:
     def with_defaults(self, params: dict) -> dict:
         """``params`` plus every declared concrete default.
 
-        Plan builders and walk estimators read fallback values from here
+        Plan builders and the index combiner read fallback values from here
         rather than re-hardcoding literals, so the declared schema stays
         the single source of defaults.  Parameters whose default is derived
         by the estimator (``default=None``) are left absent.
@@ -430,12 +420,6 @@ class EstimatorSpec:
             )
         return self.cluster_fn(graph, seed_node, **self.validate_params(kwargs))
 
-    def estimate_walks(self, graph: Graph, params: dict) -> int:
-        """Admission-control estimate of the walks one query will run."""
-        if self.walks_fn is None:
-            return 0
-        return max(0, int(self.walks_fn(graph, params)))
-
     def build_plan(
         self,
         graph: Graph,
@@ -521,10 +505,3 @@ def hkpr_base_params(*, include_c: bool = False) -> tuple[ParamSpec, ...]:
                       doc="hop-cap constant (Eq. 20)"),
         )
     return base
-
-
-def ceil_int(value: float) -> int:
-    """``ceil`` guarded against float overflow (admission estimates only)."""
-    if value == math.inf:
-        return 2**62
-    return int(math.ceil(value))

@@ -22,6 +22,7 @@ from repro.hkpr.params import HKPRParams
 from repro.hkpr.poisson import PoissonWeights
 from repro.hkpr.result import HKPRResult
 from repro.utils.counters import OperationCounters
+from repro.utils.deadline import Deadline
 from repro.utils.sparsevec import SparseVector
 
 
@@ -32,6 +33,7 @@ def exact_hkpr(
     *,
     tail_tolerance: float = 1e-12,
     max_iterations: int | None = None,
+    deadline: Deadline | None = None,
 ) -> HKPRResult:
     """Compute the (numerically) exact HKPR vector of ``seed_node``.
 
@@ -48,6 +50,9 @@ def exact_hkpr(
     max_iterations:
         Optional hard cap on the number of Taylor terms (the paper's
         "40 iterations" corresponds to ``max_iterations=40``).
+    deadline:
+        Optional :class:`~repro.utils.Deadline`, checkpointed once per
+        Taylor term.
 
     Returns
     -------
@@ -57,6 +62,9 @@ def exact_hkpr(
     if not graph.has_node(seed_node):
         raise ParameterError(f"seed node {seed_node} is not in the graph")
     start = time.perf_counter()
+    counters = OperationCounters()
+    if deadline is not None:
+        deadline.bind(counters)
     weights = PoissonWeights(params.t, tail_tolerance=min(tail_tolerance, 1e-9))
     current = np.zeros(graph.num_nodes, dtype=float)
     current[seed_node] = 1.0
@@ -66,6 +74,8 @@ def exact_hkpr(
         weights.max_hop, max_iterations
     )
     for k in range(1, max_hop + 1):
+        if deadline is not None:
+            deadline.checkpoint()
         # Row-vector iteration: x_{k} = x_{k-1} P (isolated nodes absorbing).
         current = graph.walk_step(current)
         eta_k = weights.eta(k)
@@ -76,7 +86,6 @@ def exact_hkpr(
             break
 
     elapsed = time.perf_counter() - start
-    counters = OperationCounters()
     counters.extras["taylor_terms"] = float(max_hop)
     estimates = SparseVector.from_dense(accumulated, tol=1e-15)
     counters.reserve_entries = estimates.nnz()

@@ -4,8 +4,8 @@
 ``mc-ppr``) from a precomputed sketch: of the ``N`` walks the request
 needs, ``k = min(N, W)`` endpoints come straight from the index and only
 the remaining ``N - k`` are sampled online.  The query's own plan builder
-makes the plan; its reserve then takes the stored endpoints at increment
-``1/N`` and its walk phase shrinks to the top-up, so the answer is
+makes the plan first; its reserve then takes the stored endpoints at
+increment ``1/N`` and its walk phase shrinks to the top-up, so the answer is
 distributed exactly as if all ``N`` walks had been sampled fresh — stored
 sketch walks are i.i.d. draws from the same endpoint law (the statcheck
 chi-square suite gates this parity).
@@ -18,7 +18,6 @@ stored-endpoint count and ``extras["walks_sampled"]`` the fresh top-up count
 from __future__ import annotations
 
 from repro.estimators.spec import EstimatorSpec
-from repro.graph.graph import Graph
 from repro.hkpr.walk_phase import ResiduePlan
 from repro.index.walk_index import WalkIndex
 
@@ -37,48 +36,27 @@ def _bucket_for(spec: EstimatorSpec, params: dict) -> tuple[str, float] | None:
     return kind, float(full["alpha"])
 
 
-def stored_walks_for(
-    index: WalkIndex, graph: Graph, spec: EstimatorSpec, seed_node: int, params: dict
-) -> int:
-    """Walks a sketch would cover for this request (0 when not indexable).
-
-    Counter-free (no hit/miss recorded) — used by admission control, which
-    must not distort the serving hit rate.
-    """
-    bucket = _bucket_for(spec, params)
-    if bucket is None:
-        return 0
-    kind, value = bucket
-    stored = index.sketch_size(kind, seed_node, value)
-    if not stored:
-        return 0
-    return min(stored, spec.estimate_walks(graph, params))
-
-
 def plan_from_index(
-    index: WalkIndex,
-    graph: Graph,
-    spec: EstimatorSpec,
-    seed_node: int,
-    params: dict,
+    index: WalkIndex, plan: ResiduePlan, spec: EstimatorSpec, params: dict
 ) -> ResiduePlan | None:
-    """The query's plan with its stored walks already in the reserve, if
-    ``index`` covers this query.
+    """Move the stored walks ``index`` holds for this query into ``plan``.
 
-    Returns ``None`` (after recording an index miss) when the method's
-    bucket — ``t`` for ``monte-carlo``, ``alpha`` for ``mc-ppr`` — has no
-    sketch for ``seed_node``.  Non-indexable methods return ``None`` without
-    touching the index counters.
+    ``plan`` is the query's own plan (``spec.build_plan`` on ``params``).
+    Of its walks, as many as the sketch holds come from the index into its
+    reserve, and its walk phase shrinks to the top-up.  Returns ``plan``,
+    or ``None`` (after recording an index miss; ``plan`` is untouched)
+    when the method's bucket — ``t`` for ``monte-carlo``, ``alpha`` for
+    ``mc-ppr`` — has no sketch for the plan's seed.  Non-indexable methods
+    return ``None`` without touching the index counters.
     """
     resolved = _bucket_for(spec, params)
     if resolved is None:
         return None
     kind, bucket = resolved
-    total_walks = spec.estimate_walks(graph, params)
-    stored = index.lookup(kind, seed_node, bucket, max_walks=total_walks)
+    total_walks = plan.estimated_walks
+    stored = index.lookup(kind, plan.seed_node, bucket, max_walks=total_walks)
     if stored is None:
         return None
-    plan = spec.build_plan(graph, seed_node, params)
     plan.reserve.add_many(stored, plan.increment)
     topup = total_walks - int(stored.size)
     if topup:

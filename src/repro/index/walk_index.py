@@ -219,13 +219,6 @@ class WalkIndex:
                 ("graph",),
             ).labels(graph=self.metrics_label).inc(float(served))
 
-    def sketch_size(self, kind: str, node: int, bucket: float) -> int:
-        """Stored walk count for a sketch (0 if absent); no counters touched."""
-        span = self._table.get(
-            (rwix.KIND_CODES.get(kind, -1), int(node), float(bucket))
-        )
-        return 0 if span is None else span[1] - span[0]
-
     # -- introspection -------------------------------------------------
 
     @property
@@ -238,7 +231,7 @@ class WalkIndex:
 
     def indexed_nodes(self) -> list[int]:
         """Distinct node ids with at least one sketch (sorted)."""
-        return sorted({int(node) for node in self._nodes})
+        return np.unique(self._nodes).tolist()
 
     def describe(self) -> dict:
         """Static metadata (for ``repro-cli index info`` and ``/stats``)."""
@@ -249,7 +242,7 @@ class WalkIndex:
                 buckets[name] = [float(v) for v in values]
         return {
             "sketches": self.num_sketches,
-            "nodes": len({int(node) for node in self._nodes}),
+            "nodes": len(self.indexed_nodes()),
             "endpoints": self.total_endpoints,
             "buckets": buckets,
             "graph_n": self.graph_n,

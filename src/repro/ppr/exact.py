@@ -21,6 +21,7 @@ from repro.exceptions import ConvergenceError, ParameterError
 from repro.graph.graph import Graph
 from repro.hkpr.result import HKPRResult
 from repro.utils.counters import OperationCounters
+from repro.utils.deadline import Deadline
 from repro.utils.sparsevec import SparseVector
 
 
@@ -31,6 +32,7 @@ def exact_ppr(
     alpha: float = 0.15,
     tolerance: float = 1e-12,
     max_iterations: int = 1000,
+    deadline: Deadline | None = None,
 ) -> HKPRResult:
     """Compute the (numerically) exact PPR vector of ``seed_node``.
 
@@ -42,17 +44,25 @@ def exact_ppr(
         Stop when the L1 change between iterations falls below this value.
     max_iterations:
         Raise :class:`ConvergenceError` if the tolerance is not reached.
+    deadline:
+        Optional :class:`~repro.utils.Deadline`, checkpointed once per
+        iteration.
     """
     if not graph.has_node(seed_node):
         raise ParameterError(f"seed node {seed_node} is not in the graph")
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
     start = time.perf_counter()
+    counters = OperationCounters()
+    if deadline is not None:
+        deadline.bind(counters)
 
     restart = np.zeros(graph.num_nodes, dtype=float)
     restart[seed_node] = 1.0
     current = restart.copy()
     for iteration in range(max_iterations):
+        if deadline is not None:
+            deadline.checkpoint()
         updated = alpha * restart + (1.0 - alpha) * graph.walk_step(current)
         change = float(np.abs(updated - current).sum())
         current = updated
@@ -63,7 +73,6 @@ def exact_ppr(
             f"power iteration did not converge within {max_iterations} iterations"
         )
 
-    counters = OperationCounters()
     counters.extras["iterations"] = float(iteration + 1)
     estimates = SparseVector.from_dense(current, tol=1e-15)
     counters.reserve_entries = estimates.nnz()

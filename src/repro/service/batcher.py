@@ -14,7 +14,7 @@ papers over scheduler jitter between a response being delivered and the
 client's next request arriving.
 
 The batcher is policy-free: what a "batch execution" means is injected by
-:class:`repro.service.service.QueryService` (plan building, walk fusion,
+:class:`repro.service.service.QueryService` (walk fusion, finalizing,
 cache fills, telemetry).  Backpressure is a bounded queue — ``submit``
 raises :class:`~repro.exceptions.ServiceOverloadedError` instead of
 blocking, so overload surfaces to clients immediately rather than as

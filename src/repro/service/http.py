@@ -61,8 +61,10 @@ MAX_BODY_BYTES = 1 << 20
 
 #: Hard cap on how long a handler thread blocks on the response future.
 #: A backstop behind the cooperative per-query deadline: it only fires if
-#: an estimator fails to check its deadline (or no deadline is set at all),
-#: and it maps to the same 504 a cooperative trip produces.
+#: a walk phase outlives its deadline checks (or no deadline is set at
+#: all), and it maps to the same 504 a cooperative trip produces.  A push
+#: runs inside ``submit``, before this wait starts, so only the query's
+#: own deadline ends it.
 FUTURE_TIMEOUT_SECONDS = 60.0
 
 

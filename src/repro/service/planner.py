@@ -1,20 +1,22 @@
 """Request validation, normalization, and query planning.
 
-A wire request is a loosely-typed dict; the planner turns it into a
-:class:`QueryRequest` (validated, with canonical method name and parameter
-types) at admission time, and into a :class:`~repro.engine.multi.WalkPlan`
-(the two-phase prepare/finalize form) at dispatch time.  Normalizing
-eagerly means invalid requests fail *before* they occupy queue capacity,
-and the canonical parameter tuple doubles as the result-cache key.
+A wire request is a loosely-typed dict; at admission the planner turns it
+into a :class:`QueryRequest` (validated, with canonical method name and
+parameter types) and, on a cache miss, into a
+:class:`~repro.engine.multi.WalkPlan` (the two-phase prepare/finalize
+form) whose push phase has run and whose walk count is exact.
+Normalizing eagerly means invalid requests fail *before* they occupy
+queue capacity, and the canonical parameter tuple doubles as the
+result-cache key.
 
 Method registry
 ---------------
 ``SERVICE_METHODS`` is a live, read-only view over the unified estimator
 registry (:mod:`repro.estimators`), exposing every registered *servable*
 method (those producing a rankable diffusion vector).  Each spec carries
-its parameter schema, an admission-control walk estimate, capability flags
-and a plan builder, so a method registered in :mod:`repro.estimators`
-becomes servable with no planner change:
+its parameter schema, capability flags and a plan builder, so a method
+registered in :mod:`repro.estimators` becomes servable with no planner
+change:
 
 * fusible — every randomized method (``monte-carlo``, ``cluster-hkpr``,
   ``tea`` and ``tea+`` for HKPR, ``fora`` and ``mc-ppr`` for PPR) pushes
@@ -32,6 +34,7 @@ of the request.  Unpinned requests may be fused and may be served from cache.
 
 from __future__ import annotations
 
+import time
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
@@ -220,38 +223,6 @@ def normalize_request(
     )
 
 
-def estimate_walks(entry: GraphEntry, request: QueryRequest, *, snapshot: Graph) -> int:
-    """Admission-control estimate of the *online* walks ``request`` will run
-    on ``snapshot``, the graph of ``entry`` it was admitted at.
-
-    When the graph entry carries a walk-sketch index that covers part of an
-    unpinned sampling request, only the fresh top-up counts against the
-    in-flight walk budget — stored endpoints cost no online sampling.
-    """
-    spec = SERVICE_METHODS[request.method]
-    estimated = spec.estimate_walks(snapshot, request.params)
-    index = entry.index
-    if index is not None and not request.pinned and estimated > 0:
-        from repro.index.combine import stored_walks_for
-
-        estimated -= stored_walks_for(
-            index, snapshot, spec, request.seed_node, request.params
-        )
-    return estimated
-
-
-def walk_estimate_is_tight(request: QueryRequest) -> bool:
-    """Whether the method's walk estimate predicts actual work (vs a bound).
-
-    Governs the hard single-query budget rejection: a tight over-budget
-    estimate (monte-carlo, cluster-hkpr) means the query really would run
-    that many walks, while an upper bound (tea, tea+, fora) usually
-    collapses after the push phase and deserves the idle-server escape
-    hatch.
-    """
-    return SERVICE_METHODS[request.method].walks_tight
-
-
 def build_plan(
     entry: GraphEntry,
     request: QueryRequest,
@@ -264,19 +235,21 @@ def build_plan(
 
     ``snapshot`` is the graph of ``entry`` the request was admitted at; the
     push phase, the index lookup and (by the caller) the walk phase all
-    read it, so a mutation landing mid-query cannot mix epochs.
-    Push phases run here (on the dispatch thread); building a plan draws
-    no random number.  Pinned requests get a private generator seeded
-    with ``request.rng``; the batcher draws their walk tasks from the
-    plan's fused queries on that same generator and runs them unfused.
-    Unpinned requests get ``None`` and walk on the service's generator.
-    ``deadline`` (when given) is threaded into deadline-aware estimators'
-    push loops, so unbounded plan-construction work trips it too.
+    read it, so a mutation landing mid-query cannot mix epochs.  The push
+    phase runs here, on the submitting thread; building a plan draws no
+    random number, and the plan's ``estimated_walks`` is the exact walk
+    count the request still has to run.  Pinned requests get a private
+    generator seeded with ``request.rng``; the batcher draws their walk
+    tasks from the plan's fused queries on that same generator and runs
+    them unfused.  Unpinned requests get ``None`` and walk on the
+    service's generator.  ``deadline`` (when given) is threaded into
+    deadline-aware estimators' push loops, so unbounded plan-construction
+    work trips it too.
 
-    When the graph entry carries a walk-sketch index, *unpinned* sampling
-    requests (``monte-carlo`` / ``mc-ppr``) are routed through the index
-    combiner first: a sketch hit replaces stored walks one-for-one and only
-    the top-up is sampled online.  The index is consulted only while
+    When the graph entry carries a walk-sketch index, the plans of
+    *unpinned* sampling requests (``monte-carlo`` / ``mc-ppr``) go through
+    the index combiner: a sketch hit replaces stored walks one-for-one and
+    only the top-up is left to sample.  The index is consulted only while
     ``snapshot`` is still the entry's current graph, the one it was built
     for.  Pinned requests bypass the index — their contract is
     byte-reproducible endpoints from the request's own generator, which
@@ -285,33 +258,25 @@ def build_plan(
     ``trace`` (a :class:`repro.obs.QueryTrace`, optional) receives an
     ``index_lookup`` span around the index-combiner attempt.
     """
-    rng = ensure_rng(request.rng) if request.pinned else None
+    spec = SERVICE_METHODS[request.method]
+    plan = spec.build_plan(
+        snapshot, request.seed_node, request.params, deadline=deadline
+    )
+    if request.pinned:
+        return plan, ensure_rng(request.rng)
     # Read the index before the snapshot check: a mutation detaches the
     # index before it installs the next snapshot.
     index = entry.index
-    if index is not None and not request.pinned and entry.graph is snapshot:
-        import time as _time
+    if index is not None and entry.graph is snapshot:
+        from repro.index import combine
 
-        from repro.index.combine import plan_from_index
-
-        lookup_started = _time.perf_counter()
-        plan = plan_from_index(
-            index,
-            snapshot,
-            SERVICE_METHODS[request.method],
-            request.seed_node,
-            request.params,
-        )
+        lookup_started = time.perf_counter()
+        hit = combine.plan_from_index(index, plan, spec, request.params)
         if trace is not None:
             # Nested inside the caller's "plan" span; summing the four
             # top-level phases must therefore skip this one.
             trace.add_span(
-                "index_lookup", lookup_started, _time.perf_counter(),
-                hit=plan is not None,
+                "index_lookup", lookup_started, time.perf_counter(),
+                hit=hit is not None,
             )
-        if plan is not None:
-            return plan, rng
-    plan = SERVICE_METHODS[request.method].build_plan(
-        snapshot, request.seed_node, request.params, deadline=deadline
-    )
-    return plan, rng
+    return plan, None

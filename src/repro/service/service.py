@@ -3,16 +3,19 @@
 :class:`QueryService` wires the registry, result cache, planner and
 micro-batcher into one long-lived object:
 
-* ``submit`` — validate + normalize the request, try the cache, apply
-  admission control (bounded queue *and* a cap on estimated in-flight
-  walks), and enqueue; returns a :class:`concurrent.futures.Future`.
+* ``submit`` — validate + normalize the request and try the cache; on a
+  miss, build the request's plan on the calling thread (its push phase
+  runs here, under the request's deadline), admit on the plan's exact
+  walk count (a cap on in-flight walks, and a bounded queue), and answer
+  a plan with nothing left to walk at once; returns a
+  :class:`concurrent.futures.Future`.
 * the dispatch thread (inside :class:`~repro.service.batcher.MicroBatcher`)
-  calls back into ``_execute_batch``: plans are built per request (push
-  phases run here), the walk phases of all unpinned plans are fused per
-  graph snapshot through :func:`repro.engine.multi.execute_plans`, pinned
-  plans run unfused on their private generators, and each future is
-  resolved with a :class:`QueryResponse`.  Every phase of a request reads
-  the one graph snapshot ``submit`` took at admission.
+  calls back into ``_execute_batch``: the walk phases of all unpinned
+  plans are fused per graph snapshot through
+  :func:`repro.engine.multi.execute_plans`, pinned plans run unfused on
+  their private generators, and each future is resolved with a
+  :class:`QueryResponse`.  Every phase of a request reads the one graph
+  snapshot ``submit`` took at admission.
 * :class:`Telemetry` tallies per-request latency, cache hit rate, batch
   occupancy and walk throughput; ``stats()`` returns the JSON the ``/stats``
   endpoint and the load harness consume.
@@ -51,15 +54,13 @@ from repro.service.planner import (
     DEFAULT_TOP_K,
     QueryRequest,
     build_plan,
-    estimate_walks,
     normalize_request,
-    walk_estimate_is_tight,
 )
-from repro.service.registry import GraphEntry, GraphRegistry
+from repro.service.registry import GraphRegistry
 from repro.utils.deadline import Deadline
 from repro.utils.rng import RandomState, ensure_rng
 
-#: Default cap on the estimated walks admitted but not yet completed.
+#: Default cap on the walks admitted but not yet run.
 DEFAULT_MAX_INFLIGHT_WALKS = 50_000_000
 
 #: Default per-query wall-clock budget (ms) when a request does not carry
@@ -261,17 +262,23 @@ class Telemetry:
 
 @dataclass
 class _Pending:
-    """One admitted request travelling through the batch queue."""
+    """One request from admission to its response."""
 
     request: QueryRequest
-    entry: GraphEntry
     #: ``entry.graph`` as read once at admission; every phase reads it.
     snapshot: Graph
     future: Future
-    estimated_walks: int
     submitted_at: float
     deadline: Deadline | None = None
     trace: QueryTrace | None = None
+    #: The plan built at admission, and its private generator (pinned
+    #: requests only).
+    plan: object = None
+    rng: object = None
+    #: Walks charged to the in-flight budget, given back once.
+    walks: int = 0
+    #: When the plan was built: the request's queue wait starts here.
+    planned_at: float = 0.0
 
 
 class QueryService:
@@ -384,14 +391,25 @@ class QueryService:
     ) -> "Future[QueryResponse]":
         """Admit one query; returns a future resolving to :class:`QueryResponse`.
 
+        Blocks for the request's plan: on a cache miss its push phase runs
+        here, on the calling thread, and admission charges the exact walk
+        count the plan leaves.  A plan with nothing left to walk (a
+        deterministic method, a TEA+ early exit, a fully stored index hit)
+        is answered before ``submit`` returns, with ``batch_size`` 0; the
+        rest queue for the dispatch thread, which fuses their walk phases.
+
         ``timeout_ms`` (or, absent that, the service's ``default_timeout_ms``)
-        starts the query's cooperative deadline *now*, so queue wait counts
-        against the budget; the future fails with
-        :class:`~repro.exceptions.QueryTimeoutError` when the deadline trips.
+        starts the query's cooperative deadline *now*, so the push and the
+        queue wait count against the budget; the future fails with
+        :class:`~repro.exceptions.QueryTimeoutError` when the deadline
+        trips, and with the plan builder's
+        :class:`~repro.exceptions.ReproError` for a parameter combination
+        it refuses.
 
         Raises :class:`ServiceError` for invalid requests and
         :class:`ServiceOverloadedError` when admission control rejects
-        (full queue or the in-flight walk cap).
+        (a walk phase larger than the whole in-flight walk budget, the
+        budget exhausted, or a full queue).
         """
         entry = self.registry.get(graph)
         # The one read of the entry's graph: the request is answered
@@ -422,37 +440,6 @@ class QueryService:
                 future.set_result(response)
                 return future
 
-        estimated = max(0, estimate_walks(entry, request, snapshot=snapshot))
-        if estimated > self._max_inflight_walks and walk_estimate_is_tight(request):
-            # A query that would really run more walks than the whole
-            # budget can never fit, idle server or not — without this
-            # check the single-request escape hatch below would admit it
-            # and the walk phase would wedge the dispatch thread (e.g. a
-            # default cluster-hkpr query implies ~1/eps^3 walks with
-            # eps ~ p_f).  Methods whose estimate is only a loose upper
-            # bound (tea/tea+/fora: the push phase usually collapses it)
-            # keep the escape hatch.
-            self.telemetry.record_rejection(method=request.method, graph=graph)
-            raise ServiceOverloadedError(
-                f"query's estimated walks ({estimated}) exceed the in-flight "
-                f"walk budget ({self._max_inflight_walks}); tighten its "
-                f"parameters (e.g. num_walks/max_walks/eps)"
-            )
-        with self._inflight_lock:
-            if (
-                self._inflight_walks + estimated > self._max_inflight_walks
-                and self._inflight_walks > 0
-            ):
-                self.telemetry.record_rejection(
-                    method=request.method, graph=graph
-                )
-                raise ServiceOverloadedError(
-                    f"in-flight walk budget exhausted "
-                    f"({self._inflight_walks} + {estimated} > "
-                    f"{self._max_inflight_walks})"
-                )
-            self._inflight_walks += estimated
-
         effective_timeout = (
             request.timeout_ms
             if request.timeout_ms is not None
@@ -469,14 +456,69 @@ class QueryService:
             else None
         )
         pending = _Pending(
-            request, entry, snapshot, Future(), estimated, submitted_at,
-            deadline, trace,
+            request, snapshot, Future(), submitted_at, deadline, trace
         )
+        plan_started = time.perf_counter()
+        try:
+            with use_registry(self.metrics):
+                plan, pending.rng = build_plan(
+                    entry, request, snapshot=snapshot,
+                    deadline=deadline, trace=trace,
+                )
+        except QueryTimeoutError as error:
+            self._fail_timeout(pending, error)
+            return pending.future
+        except ReproError as error:
+            # Client-attributable: a bad parameter combination the schema
+            # could not see (HTTP 400).
+            self._fail(pending, error)
+            return pending.future
+        except Exception as error:  # noqa: BLE001 - the future carries it
+            self._fail(
+                pending,
+                ServiceExecutionError(f"plan construction failed: {error}"),
+            )
+            return pending.future
+        pending.planned_at = time.perf_counter()
+        if trace is not None:
+            trace.add_span(
+                "plan", plan_started, pending.planned_at,
+                push_operations=plan.counters.push_operations,
+            )
+        plan.counters.extras.setdefault("backend", self._backend.name)
+        walks = plan.estimated_walks
+        if not walks:
+            result = plan.finalize([])
+            if trace is not None:
+                trace.add_span("finalize", pending.planned_at, time.perf_counter())
+            self._resolve(pending, result, batch_size=0)
+            return pending.future
+        if walks > self._max_inflight_walks:
+            # It could never fit: its walk phase would hold the dispatch
+            # thread past every other query.
+            self._reject(pending)
+            raise ServiceOverloadedError(
+                f"query's walk phase ({walks} walks) exceeds the in-flight "
+                f"walk budget ({self._max_inflight_walks}); tighten its "
+                f"parameters (e.g. num_walks/max_walks/eps/eps_r)"
+            )
+        with self._inflight_lock:
+            inflight = self._inflight_walks
+            if inflight + walks <= self._max_inflight_walks:
+                self._inflight_walks += walks
+                pending.walks = walks
+        if not pending.walks:
+            self._reject(pending)
+            raise ServiceOverloadedError(
+                f"in-flight walk budget exhausted ({inflight} + {walks} > "
+                f"{self._max_inflight_walks})"
+            )
+        pending.plan = plan
         try:
             self._batcher.submit(pending)
         except ServiceOverloadedError:
-            self._release_walks(estimated)
-            self.telemetry.record_rejection(method=request.method, graph=graph)
+            self._release(pending)
+            self._reject(pending)
             raise
         return pending.future
 
@@ -593,7 +635,7 @@ class QueryService:
             ),
             MetricFamily(
                 "service_inflight_walks", "gauge",
-                "Estimated walks admitted but not yet completed.",
+                "Walks admitted but not yet run.",
                 [Sample("service_inflight_walks", {}, float(inflight))],
             ),
             MetricFamily(
@@ -663,14 +705,24 @@ class QueryService:
         return families
 
     # -------------------------------------------------------------- #
-    # Dispatch side (runs on the batcher thread)
+    # Terminal paths (any thread) and the dispatch side
     # -------------------------------------------------------------- #
-    def _release_walks(self, count: int) -> None:
-        with self._inflight_lock:
-            self._inflight_walks = max(0, self._inflight_walks - count)
+    def _release(self, pending: _Pending) -> None:
+        """Give the request's admitted walks back to the budget (once)."""
+        if pending.walks:
+            with self._inflight_lock:
+                self._inflight_walks -= pending.walks
+            pending.walks = 0
+
+    def _reject(self, pending: _Pending) -> None:
+        """Count an admission refusal (HTTP 429) and close its trace."""
+        self.telemetry.record_rejection(
+            method=pending.request.method, graph=pending.request.graph
+        )
+        self._finish_trace(pending, "rejected")
 
     def _drop_pending(self, pending: _Pending) -> None:
-        self._release_walks(pending.estimated_walks)
+        self._release(pending)
         try:
             pending.future.set_exception(
                 ServiceExecutionError(
@@ -691,6 +743,7 @@ class QueryService:
     def _resolve(
         self, pending: _Pending, result: HKPRResult, batch_size: int
     ) -> None:
+        self._release(pending)
         response = QueryResponse(
             request=pending.request,
             result=result,
@@ -712,14 +765,12 @@ class QueryService:
             pass
 
     def _fail(self, pending: _Pending, error: Exception) -> None:
-        """Fail the request; an overload (429) counts as a rejection."""
-        labels = {"method": pending.request.method, "graph": pending.request.graph}
-        if isinstance(error, ServiceOverloadedError):
-            self.telemetry.record_rejection(**labels)
-            self._finish_trace(pending, "rejected")
-        else:
-            self.telemetry.record_error(**labels)
-            self._finish_trace(pending, "error")
+        """Fail the request with ``error`` (HTTP 400 or 500), counted as an error."""
+        self._release(pending)
+        self.telemetry.record_error(
+            method=pending.request.method, graph=pending.request.graph
+        )
+        self._finish_trace(pending, "error")
         try:
             pending.future.set_exception(error)
         except InvalidStateError:  # client cancelled mid-flight
@@ -727,6 +778,7 @@ class QueryService:
 
     def _fail_timeout(self, pending: _Pending, error: QueryTimeoutError) -> None:
         """Deadline trips are accounted apart from errors (see ``/stats``)."""
+        self._release(pending)
         elapsed_ms = getattr(error, "elapsed_ms", None)
         self.telemetry.record_timeout(
             method=pending.request.method,
@@ -749,7 +801,7 @@ class QueryService:
             pass
 
     def _execute_batch(self, batch: list[_Pending]) -> None:
-        """Plan every request, fuse unpinned walk phases per graph, finalize.
+        """Fuse unpinned walk phases per graph, run pinned ones, finalize.
 
         The whole cycle runs with this service's metrics registry active,
         so kernel series recorded deep inside the engine land here rather
@@ -764,86 +816,40 @@ class QueryService:
         # Keyed by snapshot identity, not graph name or entry: plans built
         # against different graphs (a re-registered name, or epochs either
         # side of a mutation) must not share a walk phase.
-        fused: dict[int, list[tuple[_Pending, object]]] = {}
-        pinned: list[tuple[_Pending, object, object]] = []
+        fused: dict[int, list[_Pending]] = {}
+        pinned: list[_Pending] = []
         for pending in batch:
             # Claim the future before doing any work: a client that already
             # cancelled gets skipped, and a RUNNING future can no longer be
             # cancelled out from under _resolve/_fail.
             if not pending.future.set_running_or_notify_cancel():
-                self._release_walks(pending.estimated_walks)
+                self._release(pending)
                 continue
-            trace = pending.trace
-            if trace is not None:
-                # From trace creation (admission) to now: the queue wait.
-                trace.add_span(
-                    "queue_wait", trace.origin, time.perf_counter(),
+            if pending.trace is not None:
+                pending.trace.add_span(
+                    "queue_wait", pending.planned_at, time.perf_counter(),
                     batch_size=len(batch),
                 )
-            try:
-                if pending.deadline is not None:
-                    # Queue wait counts against the budget: a request whose
-                    # deadline already passed fails here instead of burning
-                    # dispatch-thread time on a doomed push phase.
+            if pending.deadline is not None:
+                # Queue wait counts against the budget: a request whose
+                # deadline already passed fails here instead of joining a
+                # walk phase.
+                try:
                     pending.deadline.checkpoint()
-                plan_started = time.perf_counter()
-                plan, plan_rng = build_plan(
-                    pending.entry, pending.request, snapshot=pending.snapshot,
-                    deadline=pending.deadline, trace=trace,
-                )
-                if trace is not None:
-                    trace.add_span(
-                        "plan", plan_started, time.perf_counter(),
-                        push_operations=(
-                            plan.counters.push_operations
-                            if plan.counters is not None
-                            else 0
-                        ),
-                    )
-                if plan.estimated_walks > self._max_inflight_walks:
-                    # Admission let a loose walk bound through the idle-server
-                    # escape hatch; the push has now fixed the real count, and
-                    # a walk phase larger than the whole budget would wedge the
-                    # dispatch thread before its first deadline checkpoint.
-                    raise ServiceOverloadedError(
-                        f"query's walk phase ({plan.estimated_walks} walks after "
-                        f"its push) would exceed the in-flight walk budget "
-                        f"({self._max_inflight_walks}); tighten its parameters "
-                        f"(e.g. eps_r/delta/max_walks)"
-                    )
-            except QueryTimeoutError as error:
-                self._release_walks(pending.estimated_walks)
-                self._fail_timeout(pending, error)
-                continue
-            except ReproError as error:
-                # Client-attributable: a bad parameter combination the
-                # admission checks could not see (HTTP 400), or a walk
-                # phase larger than the whole budget (429).
-                self._release_walks(pending.estimated_walks)
-                self._fail(pending, error)
-                continue
-            except Exception as error:  # noqa: BLE001 - future must not hang
-                self._release_walks(pending.estimated_walks)
-                self._fail(
-                    pending,
-                    ServiceExecutionError(f"plan construction failed: {error}"),
-                )
-                continue
-            if plan.counters is not None:
-                plan.counters.extras.setdefault("backend", self._backend.name)
+                except QueryTimeoutError as error:
+                    self._fail_timeout(pending, error)
+                    continue
             if pending.request.pinned:
-                pinned.append((pending, plan, plan_rng))
+                pinned.append(pending)
             else:
-                fused.setdefault(id(pending.snapshot), []).append((pending, plan))
+                fused.setdefault(id(pending.snapshot), []).append(pending)
 
         for group in fused.values():
-            snapshot = group[0][0].snapshot
-            plans = [plan for _, plan in group]
             # The fused kernels execute all members' walks interleaved, so
             # the group can only honor one deadline: the *latest* member
             # expiry (no member fails earlier than its own budget allows).
             # Any member without a deadline makes the group unbounded.
-            deadlines = [pending.deadline for pending, _ in group]
+            deadlines = [pending.deadline for pending in group]
             group_deadline = (
                 max(deadlines, key=lambda d: d.expires_at)
                 if all(d is not None for d in deadlines)
@@ -851,25 +857,25 @@ class QueryService:
             )
             try:
                 results = execute_plans(
-                    self._backend, snapshot, plans, self._rng,
+                    self._backend, group[0].snapshot,
+                    [pending.plan for pending in group], self._rng,
                     deadline=group_deadline,
-                    traces=[pending.trace for pending, _ in group],
+                    traces=[pending.trace for pending in group],
                 )
             except QueryTimeoutError:
                 # The whole group's remaining walks were abandoned; fail
                 # each member against its own deadline with its own
                 # partial-work counters.
-                for pending, plan in group:
-                    self._release_walks(pending.estimated_walks)
-                    if plan.counters is not None:
-                        plan.counters.extras["deadline_hit"] = 1.0
+                for pending in group:
+                    counters = pending.plan.counters
+                    counters.extras["deadline_hit"] = 1.0
                     member = pending.deadline
                     self._fail_timeout(
                         pending,
                         QueryTimeoutError(
                             member.timeout_ms,
                             member.elapsed_ms(),
-                            counters=plan.counters,
+                            counters=counters,
                         ),
                     )
                 continue
@@ -879,27 +885,25 @@ class QueryService:
                     if isinstance(error, ReproError)
                     else ServiceExecutionError(f"batch execution failed: {error}")
                 )
-                for pending, _ in group:
-                    self._release_walks(pending.estimated_walks)
+                for pending in group:
                     self._fail(pending, wrapped)
                 continue
-            for (pending, plan), result in zip(group, results):
-                walks_executed += plan.counters.random_walks if plan.counters else 0
-                self._release_walks(pending.estimated_walks)
+            for pending, result in zip(group, results):
+                walks_executed += result.counters.random_walks
                 self._resolve(pending, result, batch_size=len(batch))
 
-        for pending, plan, plan_rng in pinned:
-            trace = pending.trace
+        for pending in pinned:
+            plan, trace = pending.plan, pending.trace
             try:
                 kernel_started = time.perf_counter()
                 tasks = sampled_tasks(
-                    pending.snapshot, plan.fused_queries(), plan_rng
+                    pending.snapshot, plan.fused_queries(), pending.rng
                 )
                 endpoints = run_walk_tasks(
                     self._backend,
                     pending.snapshot,
                     tasks,
-                    plan_rng,
+                    pending.rng,
                     counters_list=[plan.counters] * len(tasks),
                     deadline=pending.deadline,
                 )
@@ -915,7 +919,6 @@ class QueryService:
                         "finalize", finalize_started, time.perf_counter()
                     )
             except QueryTimeoutError as error:
-                self._release_walks(pending.estimated_walks)
                 self._fail_timeout(pending, error)
                 continue
             except Exception as error:  # noqa: BLE001 - future must not hang
@@ -924,11 +927,9 @@ class QueryService:
                     if isinstance(error, ReproError)
                     else ServiceExecutionError(f"pinned execution failed: {error}")
                 )
-                self._release_walks(pending.estimated_walks)
                 self._fail(pending, wrapped)
                 continue
-            walks_executed += plan.counters.random_walks if plan.counters else 0
-            self._release_walks(pending.estimated_walks)
+            walks_executed += result.counters.random_walks
             self._resolve(pending, result, batch_size=len(batch))
 
         self.telemetry.record_batch(

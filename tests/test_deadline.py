@@ -14,12 +14,14 @@ from repro.baselines.nibble import nibble_hkpr
 from repro.baselines.pr_nibble import pr_nibble_hkpr
 from repro.exceptions import ParameterError, QueryTimeoutError
 from repro.hkpr.cluster_hkpr import cluster_hkpr
+from repro.hkpr.exact import exact_hkpr
 from repro.hkpr.hk_push import hk_push_hkpr
 from repro.hkpr.hk_push_plus import hk_push_plus_hkpr
 from repro.hkpr.hk_relax import hk_relax
 from repro.hkpr.monte_carlo import monte_carlo_hkpr
 from repro.hkpr.tea import tea
 from repro.hkpr.tea_plus import tea_plus
+from repro.ppr.exact import exact_ppr
 from repro.ppr.fora import fora, monte_carlo_ppr
 from repro.utils import DEFAULT_CHECK_STRIDE, Deadline
 from repro.utils.counters import OperationCounters
@@ -193,6 +195,16 @@ class TestEstimatorDeadlines:
             )
         self._assert_trips(excinfo)
 
+    def test_exact_hkpr_taylor_terms(self, tiny_grid, default_params):
+        with pytest.raises(QueryTimeoutError) as excinfo:
+            exact_hkpr(tiny_grid, 0, default_params, deadline=expired_deadline())
+        self._assert_trips(excinfo)
+
+    def test_exact_ppr_iterations(self, tiny_grid):
+        with pytest.raises(QueryTimeoutError) as excinfo:
+            exact_ppr(tiny_grid, 0, deadline=expired_deadline())
+        self._assert_trips(excinfo)
+
     def test_generous_deadline_leaves_results_byte_identical(
         self, tiny_grid, default_params
     ):
@@ -217,6 +229,16 @@ class TestEstimatorDeadlines:
             tiny_grid, 0, default_params, rng=11, deadline=Deadline(3_600_000.0)
         )
         unbounded = tea_plus(tiny_grid, 0, default_params, rng=11)
+        assert bounded.estimates.to_dict() == unbounded.estimates.to_dict()
+
+        bounded = exact_hkpr(
+            tiny_grid, 0, default_params, deadline=Deadline(3_600_000.0)
+        )
+        unbounded = exact_hkpr(tiny_grid, 0, default_params)
+        assert bounded.estimates.to_dict() == unbounded.estimates.to_dict()
+
+        bounded = exact_ppr(tiny_grid, 0, deadline=Deadline(3_600_000.0))
+        unbounded = exact_ppr(tiny_grid, 0)
         assert bounded.estimates.to_dict() == unbounded.estimates.to_dict()
 
 

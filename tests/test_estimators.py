@@ -51,7 +51,7 @@ _NONE = frozenset()
 #: backend_aware, takes_params_object, takes_deadline,
 #: accepts_params_object, takes_rng, names filling HKPRParams).
 CAPABILITY_TABLE = {
-    "exact": (True, True, True, False, True, False, True, False, _HKPR),
+    "exact": (True, True, True, False, True, True, True, False, _HKPR),
     "monte-carlo": (False, True, True, True, True, True, True, True, _HKPR),
     "cluster-hkpr": (False, True, True, True, True, True, True, True, _HKPR),
     "hk-relax": (True, True, True, False, True, True, True, False, _HKPR),
@@ -59,7 +59,7 @@ CAPABILITY_TABLE = {
     "hk-push+": (True, True, True, False, True, True, True, False, _HKPR_C),
     "tea": (False, True, True, True, True, True, True, True, _HKPR),
     "tea+": (False, True, True, True, True, True, True, True, _HKPR_C),
-    "exact-ppr": (True, True, True, False, False, False, False, False, _NONE),
+    "exact-ppr": (True, True, True, False, False, True, False, False, _NONE),
     "fora": (False, True, True, True, False, True, True, True, _NONE),
     "mc-ppr": (False, True, True, True, False, True, False, True, _NONE),
     "nibble": (True, True, True, False, False, True, False, False, _NONE),
@@ -269,25 +269,6 @@ class TestParamValidation:
             "cluster", "--dataset", "grid3d-sim", "--seed-node", "0",
             "--method", "does-not-exist",
         ]) == 2
-
-    def test_walk_estimates(self, small_ring):
-        assert estimators.resolve("monte-carlo").estimate_walks(
-            small_ring, {"num_walks": 123}
-        ) == 123
-        assert estimators.resolve("mc-ppr").estimate_walks(small_ring, {}) == 10_000
-        for name in ("exact", "hk-relax", "hk-push", "hk-push+", "nibble",
-                     "pr-nibble", "exact-ppr"):
-            assert estimators.resolve(name).estimate_walks(small_ring, {}) == 0
-        # Theory-driven estimates are positive without an override.
-        assert estimators.resolve("tea+").estimate_walks(small_ring, {}) > 0
-
-    def test_walk_estimate_tightness_flags(self):
-        # Tight: the estimate is the walk count the query actually runs.
-        for name in ("monte-carlo", "cluster-hkpr", "mc-ppr"):
-            assert estimators.resolve(name).walks_tight, name
-        # Upper bounds: push-then-walk methods usually run far fewer.
-        for name in ("tea", "tea+", "fora"):
-            assert not estimators.resolve(name).walks_tight, name
 
     def test_with_defaults_fills_declared_schema_defaults(self):
         spec = estimators.resolve("mc-ppr")

@@ -390,13 +390,26 @@ class TestServiceMetrics:
 
 
 class TestTracing:
-    def test_phases_decompose_latency(self, registry):
+    @pytest.mark.parametrize(
+        "graph, method, params",
+        [
+            ("grid", "monte-carlo", {"num_walks": 100_000}),
+            # A push of a few ms that still leaves walks: its plan (on the
+            # submitting thread) and its queue wait must not overlap.
+            ("dblp-sim", "tea", {"t": 10.0, "max_walks": 20_000}),
+        ],
+        ids=["monte-carlo", "tea"],
+    )
+    def test_phases_decompose_latency(self, registry, graph, method, params):
+        if graph not in registry:
+            registry.add_dataset(graph)
         with QueryService(registry, max_batch=4) as service:
-            service.query("grid", "monte-carlo", 0, {"num_walks": 100_000})
+            response = service.query(graph, method, 0, params)
             (trace,) = service.recent_traces(1)
+        assert response.result.counters.random_walks > 0
         assert trace["outcome"] == "ok"
-        assert trace["method"] == "monte-carlo"
-        assert trace["graph"] == "grid"
+        assert trace["method"] == method
+        assert trace["graph"] == graph
         names = [span["name"] for span in trace["spans"]]
         for phase in ("queue_wait", "plan", "kernel", "finalize"):
             assert phase in names, f"missing {phase} in {names}"

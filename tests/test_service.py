@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -114,13 +115,16 @@ class TestPlanner:
     def test_many_mc_ppr_walks_at_the_default_alpha_are_admitted(self, registry):
         # Only alpha has a floor; the walk count is left to the chunked
         # kernels and the in-flight walk budget (50M by default).
-        from repro.service.planner import estimate_walks
+        from repro.service.planner import build_plan
+        from repro.service.service import DEFAULT_MAX_INFLIGHT_WALKS
 
         entry = registry.get("grid")
         request = normalize_request(
             "grid", "mc-ppr", 0, {"num_walks": 2_000_000}, snapshot=entry.graph
         )
-        assert estimate_walks(entry, request, snapshot=entry.graph) == 2_000_000
+        plan, _ = build_plan(entry, request, snapshot=entry.graph)
+        assert plan.estimated_walks == 2_000_000
+        assert plan.estimated_walks <= DEFAULT_MAX_INFLIGHT_WALKS
 
     def test_pinned_requests_bypass_cache(self):
         pinned = QueryRequest("g", "monte-carlo", 0, rng=3)
@@ -243,10 +247,12 @@ class TestQueryService:
             service.submit("grid", "monte-carlo", 10_000)
 
     def test_single_query_exceeding_whole_walk_budget_rejected(self, registry):
-        """A query whose estimate alone exceeds the budget can never fit —
-        the idle-server escape hatch must not admit it (cluster-hkpr
-        implies ~16 log(n)/eps^3 walks, 4.2e5 here at eps 0.05, and would
-        hold the dispatch thread far past any other query)."""
+        """A query whose walk phase alone exceeds the budget can never fit
+        (cluster-hkpr implies ~16 log(n)/eps^3 walks, 4.2e5 here at eps
+        0.05, and would hold the dispatch thread far past any other
+        query): ``submit`` refuses it, even on an idle server."""
+        from repro.service.planner import build_plan
+
         with QueryService(
             registry, max_batch=4, max_inflight_walks=10_000, cache_entries=0
         ) as svc:
@@ -260,31 +266,33 @@ class TestQueryService:
             )
             assert response.result.support_size() > 0
             assert svc.stats()["rejected_total"] == 2
-            # tea+'s omega estimate is only an upper bound (the push phase
-            # usually collapses it), so an over-budget estimate keeps the
-            # idle-server escape hatch instead of hard-rejecting.
-            from repro.service.planner import estimate_walks
-
+            assert svc.stats()["inflight_walks"] == 0
+            # tea+'s walk count is known once its push has run; admission
+            # reads it from the plan, which leaves far fewer walks than
+            # the budget at a delta whose omega alone would exceed it.
             entry = svc.registry.get("grid")
-            request = normalize_request("grid", "tea+", 0, {"delta": 1e-7})
-            assert estimate_walks(entry, request, snapshot=entry.graph) > 10_000
+            request = normalize_request(
+                "grid", "tea+", 0, {"delta": 1e-7}, snapshot=entry.graph
+            )
+            plan, _ = build_plan(entry, request, snapshot=entry.graph)
+            assert plan.estimated_walks <= 10_000
             assert svc.query(
                 "grid", "tea+", 0, {"delta": 1e-7, "max_walks": 500}
             ).result.support_size() > 0
-            # Unbounded: admitted via the escape hatch (no 429), served.
+            # Unbounded: admitted on its plan's count (no 429), served.
             assert svc.query("grid", "tea+", 0, {"delta": 1e-7}, timeout=120)
 
     def test_walk_phase_exceeding_whole_walk_budget_rejected_after_push(self):
-        """fora's admission estimate is a loose bound, so it takes the
-        idle-server escape hatch; the push then leaves ~3e36 walks.  That
-        plan must fail with a 429 before the engine tries to list its
-        sub-batches, and give its walks back to the budget."""
+        """fora's push leaves ~3e36 walks here.  ``submit`` reads that
+        count from the plan and raises the 429 before the engine tries to
+        list its sub-batches; nothing stays charged to the budget."""
         registry = GraphRegistry()
         registry.add_generated("chung-lu,n=2000,gamma=2.5,seed=11", name="g")
         with QueryService(registry, rng=1, cache_entries=0) as svc:
-            future = svc.submit("g", "fora", 5, {"eps_r": 1e-20}, timeout_ms=3000)
+            started = time.perf_counter()
             with pytest.raises(ServiceOverloadedError, match="exceed"):
-                future.result(timeout=20)
+                svc.submit("g", "fora", 5, {"eps_r": 1e-20}, timeout_ms=3000)
+            assert time.perf_counter() - started < 1.0
             assert svc.stats()["rejected_total"] == 1
             assert svc.stats()["inflight_walks"] == 0
             response = svc.query("g", "monte-carlo", 5, {"num_walks": 1000}, timeout=20)
@@ -502,20 +510,155 @@ class TestRandomizedMethodsServedFromPlans:
         assert counters.extras["fused_kernel"] is True
 
     def test_tea_walk_phase_over_the_budget_is_rejected_after_its_push(self, dblp):
-        """tea's admission estimate is a loose bound, so it takes the
-        idle-server escape hatch; its push then leaves ~8e10 walks, more
-        than the whole in-flight budget: a prompt 429, not a 504 at the
-        deadline."""
+        """tea's push leaves ~8e10 walks here, more than the whole
+        in-flight budget: ``submit`` raises a prompt 429, not a 504 at the
+        deadline, and charges nothing to the budget."""
         with QueryService(dblp, rng=1, cache_entries=0) as svc:
             started = time.perf_counter()
-            future = svc.submit(
-                "dblp-sim", "tea", 42, {"eps_r": 0.001, "r_max": 0.1},
-                timeout_ms=3000,
-            )
-            with pytest.raises(ServiceOverloadedError, match="after its push"):
-                future.result(timeout=20)
+            with pytest.raises(ServiceOverloadedError, match="exceed"):
+                svc.submit(
+                    "dblp-sim", "tea", 42, {"eps_r": 0.001, "r_max": 0.1},
+                    timeout_ms=3000,
+                )
             assert time.perf_counter() - started < 1.0
+            assert svc.stats()["rejected_total"] == 1
             assert svc.stats()["inflight_walks"] == 0
+
+
+class TestPlansBuiltAtAdmission:
+    """``submit`` runs the push and admits on the walks the plan leaves."""
+
+    @pytest.fixture
+    def dblp(self):
+        registry = GraphRegistry()
+        registry.add_dataset("dblp-sim")
+        return registry
+
+    def test_a_push_in_flight_does_not_refuse_a_walk_request(self, dblp):
+        """A default tea+ query on dblp-sim has an a-priori walk bound of
+        1,436,814 and runs no walks (Theorem 2).  With half that bound as
+        the budget, a walk request right behind it is admitted: tea+ is
+        charged the walks its plan leaves, and it is answered on the
+        submitting thread without entering the batcher."""
+        with QueryService(
+            dblp, max_inflight_walks=718_407, cache_entries=0, rng=1
+        ) as svc:
+            push = svc.submit("dblp-sim", "tea+", 42)
+            walk = svc.submit("dblp-sim", "monte-carlo", 7, {"num_walks": 100})
+            answer = push.result(timeout=30)
+            assert answer.result.early_exit and answer.batch_size == 0
+            assert answer.result.counters.random_walks == 0
+            assert walk.result(timeout=30).result.counters.random_walks == 100
+            assert svc.stats()["rejected_total"] == 0
+            assert svc.stats()["inflight_walks"] == 0
+
+    def test_a_walk_request_does_not_wait_for_a_push(self):
+        """A push runs on the thread that submitted it, not the dispatch
+        thread: a monte-carlo request submitted 20 ms into a pr-nibble push
+        that only its 400 ms deadline ends is answered before the push
+        trips."""
+        registry = GraphRegistry()
+        registry.add_generated("chung-lu,n=20000,gamma=2.5,seed=11", name="g")
+        finished = {}
+        with QueryService(registry, rng=1, cache_entries=0) as svc:
+
+            def push():
+                try:
+                    svc.query(
+                        "g", "pr-nibble", 7, {"eps": 1e-12, "alpha": 0.01},
+                        timeout_ms=400, timeout=30,
+                    )
+                except QueryTimeoutError:
+                    finished["push"] = time.perf_counter()
+
+            thread = threading.Thread(target=push)
+            thread.start()
+            time.sleep(0.02)
+            response = svc.query(
+                "g", "monte-carlo", 7, {"num_walks": 100}, timeout=30
+            )
+            finished["walk"] = time.perf_counter()
+            thread.join(timeout=30)
+        assert response.result.counters.random_walks == 100
+        assert "push" in finished, "the pr-nibble push did not trip"
+        assert finished["walk"] < finished["push"]
+
+    def test_concurrent_admission_gives_every_walk_back(self, registry):
+        """More submitting threads than cores, a tiny switch interval, and
+        a budget that refuses some of them: every admitted walk is given
+        back exactly once, and every refusal is counted."""
+        import sys
+
+        mix = [
+            ("monte-carlo", {"num_walks": 300}),
+            ("hk-relax", {}),
+            ("tea", {"max_walks": 200}),
+        ]
+        outcomes = []
+
+        def client(worker):
+            for i in range(12):
+                method, params = mix[i % len(mix)]
+                try:
+                    svc.query("grid", method, (worker + i) % 27, params, timeout=30)
+                    outcomes.append("ok")
+                except ServiceOverloadedError:
+                    outcomes.append("rejected")
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with QueryService(
+                registry, max_batch=4, max_inflight_walks=1_000, cache_entries=0
+            ) as svc:
+                threads = [
+                    threading.Thread(target=client, args=(worker,))
+                    for worker in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                stats = svc.stats()
+        finally:
+            sys.setswitchinterval(previous)
+        assert len(outcomes) == 8 * 12
+        assert stats["inflight_walks"] == 0
+        assert stats["rejected_total"] == outcomes.count("rejected")
+        assert stats["requests_total"] == outcomes.count("ok")
+
+    def test_exact_ppr_trips_its_deadline_over_http(self, dblp):
+        """exact-ppr checks its deadline once per power iteration, so a
+        tolerance it never reaches ends in a 504 at the deadline instead of
+        holding a thread for a million iterations (about 35 s here)."""
+        from repro.service.http import serve_in_thread
+
+        body = {
+            "graph": "dblp-sim", "method": "exact-ppr", "seed_node": 42,
+            "params": {"tolerance": 1e-300, "max_iterations": 1_000_000},
+            "timeout_ms": 200,
+        }
+        with QueryService(dblp, rng=1) as svc:
+            server, _ = serve_in_thread(svc, "127.0.0.1", 0)
+            try:
+                request = urllib.request.Request(
+                    f"http://127.0.0.1:{server.server_address[1]}/query",
+                    data=json.dumps(body).encode(),
+                    headers={"Content-Type": "application/json"},
+                )
+                started = time.perf_counter()
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    urllib.request.urlopen(request, timeout=10)
+                elapsed = time.perf_counter() - started
+                payload = json.loads(excinfo.value.read())
+            finally:
+                server.shutdown()
+                server.server_close()
+        assert excinfo.value.code == 504
+        assert elapsed < 2.0
+        assert payload["timeout_ms"] == 200
+        assert payload["counters"]["deadline_hit"] == 1.0
 
 
 class TestHTTPFrontend:

@@ -38,7 +38,7 @@ from repro.index import (
 from repro.index import format as rwix
 from repro.service import GraphRegistry, QueryService
 from repro.service.http import serve_in_thread
-from repro.service.planner import SERVICE_METHODS, estimate_walks, normalize_request
+from repro.service.planner import SERVICE_METHODS, build_plan, normalize_request
 
 from statcheck import chi_square_gof, endpoint_counts, geometric_probs, poisson_probs
 from repro.hkpr.poisson import PoissonWeights
@@ -92,6 +92,7 @@ class TestBuilder:
             graph, hubs=[3, 1, 3], walks_per_sketch=10, rng=0
         )
         assert index.indexed_nodes() == [1, 3]
+        assert index.describe()["nodes"] == len(index.indexed_nodes())
         with pytest.raises(NodeNotFoundError):
             build_walk_index(graph, hubs=[graph.num_nodes], walks_per_sketch=10)
 
@@ -409,8 +410,9 @@ class TestLookupAndCombine:
     def test_partial_hit_attribution(self, graph, index):
         hub = index.indexed_nodes()[0]
         spec = SERVICE_METHODS["monte-carlo"]
+        params = spec.validate_params({"num_walks": 500})
         plan = plan_from_index(
-            index, graph, spec, hub, spec.validate_params({"num_walks": 500})
+            index, spec.build_plan(graph, hub, params), spec, params
         )
         assert plan.estimated_walks == 300  # 200 stored + 300 fresh
         assert plan.counters.extras["walks_from_index"] == 200.0
@@ -421,8 +423,9 @@ class TestLookupAndCombine:
     def test_full_hit_runs_zero_walks(self, graph, index):
         hub = index.indexed_nodes()[0]
         spec = SERVICE_METHODS["mc-ppr"]
+        params = spec.validate_params({"num_walks": 150})
         plan = plan_from_index(
-            index, graph, spec, hub, spec.validate_params({"num_walks": 150})
+            index, spec.build_plan(graph, hub, params), spec, params
         )
         assert plan.estimated_walks == 0
         assert plan.fused_queries() == []
@@ -434,8 +437,9 @@ class TestLookupAndCombine:
     def test_estimate_normalized_over_effective_walks(self, graph, index):
         hub = index.indexed_nodes()[0]
         spec = SERVICE_METHODS["monte-carlo"]
+        params = spec.validate_params({"num_walks": 400})
         plan = plan_from_index(
-            index, graph, spec, hub, spec.validate_params({"num_walks": 400})
+            index, spec.build_plan(graph, hub, params), spec, params
         )
         fresh = [np.asarray([hub] * 200)]
         result = plan.finalize(fresh)
@@ -447,15 +451,16 @@ class TestLookupAndCombine:
             if node not in set(index.indexed_nodes())
         )
         spec = SERVICE_METHODS["monte-carlo"]
-        plan = plan_from_index(
-            index, graph, spec, non_hub, spec.validate_params({"num_walks": 100})
-        )
-        assert plan is None
+        params = spec.validate_params({"num_walks": 100})
+        plan = spec.build_plan(graph, non_hub, params)
+        assert plan_from_index(index, plan, spec, params) is None
+        assert plan.estimated_walks == 100  # a miss leaves the plan as built
 
     def test_non_indexable_method_untouched(self, graph, index):
         spec = SERVICE_METHODS["tea+"]
         before = index.stats()["misses"]
-        assert plan_from_index(index, graph, spec, 0, {}) is None
+        plan = spec.build_plan(graph, 0, {})
+        assert plan_from_index(index, plan, spec, {}) is None
         assert index.stats()["misses"] == before
 
 
@@ -502,12 +507,14 @@ class TestServiceIntegration:
         request = normalize_request(
             "g", "monte-carlo", hub, {"num_walks": 500, "t": 5.0}, snapshot=snapshot
         )
-        assert estimate_walks(entry, request, snapshot=snapshot) == 300
+        plan, _ = build_plan(entry, request, snapshot=snapshot)
+        assert plan.estimated_walks == 300
         pinned = normalize_request(
             "g", "monte-carlo", hub, {"num_walks": 500, "t": 5.0},
             rng=3, snapshot=snapshot,
         )
-        assert estimate_walks(entry, pinned, snapshot=snapshot) == 500
+        plan, _ = build_plan(entry, pinned, snapshot=snapshot)
+        assert plan.estimated_walks == 500
 
     def test_pinned_requests_bypass_index(self, registry, index):
         hub = index.indexed_nodes()[0]
@@ -569,9 +576,9 @@ class TestStatisticalParity:
 
         runs = 4
         for _ in range(runs):
+            params = spec.validate_params({"num_walks": total})
             plan = plan_from_index(
-                index, graph, spec, hub,
-                spec.validate_params({"num_walks": total}),
+                index, spec.build_plan(graph, hub, params), spec, params
             )
             result = execute_plans(None, graph, [plan], rng)[0]
             counts += np.rint(result.to_dense(graph) * total) - stored_counts

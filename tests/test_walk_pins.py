@@ -253,9 +253,8 @@ PINNED_INDEX_HIT = (500, 2573, 755, 3296511913, 976906566)
 def test_index_hit_answer_is_pinned(dblp):
     graph, _ = dblp
     index = build_walk_index(graph, hubs=[42], walks_per_sketch=1000, rng=0)
-    plan = plan_from_index(
-        index, graph, resolve("monte-carlo"), 42, {"num_walks": 1500}
-    )
+    spec, params = resolve("monte-carlo"), {"num_walks": 1500}
+    plan = plan_from_index(index, spec.build_plan(graph, 42, params), spec, params)
     (result,) = execute_plans(
         "vectorized", graph, [plan], np.random.default_rng(31)
     )
