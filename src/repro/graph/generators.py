@@ -292,23 +292,28 @@ def chung_lu_graph(
     # the same draws and the same endpoints.
     cdf = np.cumsum(weights / total)
     cdf /= cdf[-1]
-    sources = _search_sorted_uniforms(cdf, rng.random(num_candidates))
-    targets = _search_sorted_uniforms(cdf, rng.random(num_candidates))
-    # dedupe drops the self-loops and repeated pairs among the candidates.
-    graph = Graph(n, np.column_stack((sources, targets)), dedupe=True)
+    # Both endpoint columns, sources then targets, drawn into the one
+    # (m, 2) array Graph reads; dedupe drops the self-loops and repeated
+    # pairs among the candidates.
+    candidates = np.empty((num_candidates, 2), dtype=np.int64)
+    for column in candidates.T:
+        _search_sorted_uniforms(cdf, rng.random(num_candidates), out=column)
+    graph = Graph(n, candidates, dedupe=True)
     return _largest_component(graph) if connected else graph
 
 
-def _search_sorted_uniforms(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """``cdf.searchsorted(uniforms, side="right")``, searched in sorted order.
+def _search_sorted_uniforms(
+    cdf: np.ndarray, uniforms: np.ndarray, *, out: np.ndarray
+) -> None:
+    """``out[:] = cdf.searchsorted(uniforms, side="right")``, in sorted order.
 
     Sorted needles let each binary search start where the previous one
-    ended, which on a large CDF is faster than the sort it costs.
+    ended, which on a large CDF is faster than the sort it costs.  Sorts
+    ``uniforms`` in place.
     """
     order = np.argsort(uniforms)
-    found = np.empty(uniforms.size, dtype=np.int64)
-    found[order] = cdf.searchsorted(uniforms[order], side="right")
-    return found
+    uniforms.sort()
+    out[order] = cdf.searchsorted(uniforms, side="right")
 
 
 def power_law_degree_sequence(

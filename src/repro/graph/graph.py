@@ -319,47 +319,58 @@ class Graph(GraphReads):
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise GraphError(f"edges must be (u, v) pairs, got shape {arr.shape}")
 
-        out_of_range = (arr < 0) | (arr >= n)
-        if out_of_range.any():
-            row, col = np.argwhere(out_of_range)[0]
+        if arr.size and (arr.min() < 0 or arr.max() >= n):
+            row, col = np.argwhere((arr < 0) | (arr >= n))[0]
             raise NodeNotFoundError(int(arr[row, col]), n)
 
-        loops = arr[:, 0] == arr[:, 1]
+        # Each edge as the key lo * n + hi, formed straight from the caller's
+        # array and sorted in place.  The row keys below are built from the
+        # keys and become the CSR's indices in place, so the build holds no
+        # more than the keys beside the arrays it returns.
+        u, v = arr[:, 0], arr[:, 1]
+        keys = np.minimum(u, v) * n + np.maximum(u, v)
+        loops = u == v
         if loops.any():
             if not dedupe:
                 first = int(np.flatnonzero(loops)[0])
                 raise GraphError(
                     f"self-loop ({arr[first, 0]}, {arr[first, 1]}) is not allowed"
                 )
-            arr = arr[~loops]
-
-        lo = np.minimum(arr[:, 0], arr[:, 1])
-        hi = np.maximum(arr[:, 0], arr[:, 1])
-        keys = lo * n + hi
-        sorted_keys = np.sort(keys)
-        repeated = sorted_keys[1:] == sorted_keys[:-1]
+            keys = keys[~loops]
+        keys.sort()
+        repeated = keys[1:] == keys[:-1]
         if repeated.any():
             if not dedupe:
-                order = np.argsort(keys, kind="stable")
-                first = int(order[1:][repeated].min())
+                # Name the first repeat in input order: only this error path
+                # needs the keys unsorted, so it forms them again.
+                in_order = np.minimum(u, v) * n + np.maximum(u, v)
+                first = int(np.argsort(in_order, kind="stable")[1:][repeated].min())
                 raise GraphError(f"duplicate edge ({arr[first, 0]}, {arr[first, 1]})")
-            lo, hi = np.divmod(sorted_keys[np.concatenate(([True], ~repeated))], n)
+            keys = keys[np.concatenate(([True], ~repeated))]
 
-        self._m = int(lo.size)
-        sources = np.concatenate([lo, hi])
-        targets = np.concatenate([hi, lo])
-        degrees = np.bincount(sources, minlength=n).astype(np.int64)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        # The pairs are unique here, so one sort of the key source * n +
-        # target groups the entries by source (the CSR layout) and leaves
-        # every adjacency slice sorted: neighbor iteration is deterministic.
-        order = np.argsort(sources * n + targets)
-        indices = targets[order]
+        m = self._m = int(keys.size)
+        # Row keys source * n + target of both orientations: lo -> hi is the
+        # key itself, hi -> lo is formed from its divmod.  The pairs are
+        # unique here, so one sort of the row keys groups the entries by
+        # source (the CSR layout) and leaves every adjacency slice sorted:
+        # neighbor iteration is deterministic.  The row pointers are where
+        # each source's keys start, and the targets are the keys mod n.
+        row_keys = np.empty(2 * m, dtype=np.int64)
+        row_keys[:m] = keys
+        flipped = row_keys[m:]
+        np.divmod(keys, n, out=(keys, flipped))
+        flipped *= n
+        flipped += keys
+        del keys
+        row_keys.sort()
+        starts = np.arange(n + 1, dtype=np.int64)
+        starts *= n
+        indptr = row_keys.searchsorted(starts)
+        np.remainder(row_keys, n, out=row_keys)
 
         self._indptr = indptr
-        self._indices = indices
-        self._degrees = degrees
+        self._indices = row_keys
+        self._degrees = np.diff(indptr)
         self._backing = None
 
     @property

@@ -211,8 +211,8 @@ class GraphRegistry:
     :meth:`mutate` (epoch-versioned edge batches, serialized per entry) and
     leave through :meth:`remove`.  Both invalidate downstream per-graph
     state through one code path: every hook registered with
-    :meth:`add_invalidation_hook` is called with the graph name (the
-    service wires the result cache's ``invalidate_group`` here).
+    :meth:`add_invalidation_hook` is called with the graph name (a running
+    service wires its result cache's ``invalidate_group`` here).
     """
 
     def __init__(self) -> None:
@@ -221,11 +221,35 @@ class GraphRegistry:
         self._invalidation_hooks: list = []
 
     def add_invalidation_hook(self, hook) -> None:
-        """Register ``hook(name)`` to run after a mutation or removal."""
-        self._invalidation_hooks.append(hook)
+        """Register ``hook(name)`` to run after a mutation or removal.
+
+        The registry holds ``hook``, and everything it references, until
+        :meth:`remove_invalidation_hook` is given the same object.
+        """
+        with self._lock:
+            self._invalidation_hooks.append(hook)
+
+    def remove_invalidation_hook(self, hook) -> bool:
+        """Unregister ``hook``; returns whether it was registered.
+
+        Matched by identity, so pass the object :meth:`add_invalidation_hook`
+        was given: each attribute read of a bound method makes a new one.  A
+        mutation or removal already under way may still call it once.
+        """
+        with self._lock:
+            for position, registered in enumerate(self._invalidation_hooks):
+                if registered is hook:
+                    del self._invalidation_hooks[position]
+                    return True
+        return False
 
     def _invalidate(self, name: str) -> None:
-        for hook in self._invalidation_hooks:
+        # Call a snapshot: a hook removed meanwhile (a service stopping
+        # during a mutation, or the hook itself) must not shift the list
+        # under the loop and skip the hook after it.
+        with self._lock:
+            hooks = tuple(self._invalidation_hooks)
+        for hook in hooks:
             hook(name)
 
     def mutate(self, name: str, *, add=(), remove=()) -> dict:

@@ -23,6 +23,8 @@ micro-batcher into one long-lived object:
 
 from __future__ import annotations
 
+import resource
+import sys
 import threading
 import time
 from collections import deque
@@ -66,6 +68,13 @@ DEFAULT_MAX_INFLIGHT_WALKS = 50_000_000
 #: Default per-query wall-clock budget (ms) when a request does not carry
 #: its own ``timeout_ms``.  ``None`` disables the service-level default.
 DEFAULT_QUERY_TIMEOUT_MS = 60_000.0
+
+
+def _peak_rss_bytes() -> int:
+    """This process's peak resident set size (``ru_maxrss``) in bytes."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux counts ru_maxrss in KiB, macOS in bytes.
+    return peak if sys.platform == "darwin" else peak * 1024
 
 
 @dataclass
@@ -335,11 +344,11 @@ class QueryService:
             if cache_entries > 0
             else None
         )
-        if self.cache is not None:
-            # One eviction path for "this graph changed": both unregister
-            # (GraphRegistry.remove) and edge mutations (GraphRegistry.mutate)
-            # fire the invalidation hooks, which drop the graph's cache group.
-            self.registry.add_invalidation_hook(self.cache.invalidate_group)
+        #: The hook this service registered with the registry, while it has
+        #: one; the cache is read and filled only then (see ``stop``).
+        self._cache_hook = None
+        self._hook_lock = threading.Lock()
+        self._hook_cache()
         self._max_inflight_walks = max_inflight_walks
         self._inflight_walks = 0
         self._inflight_lock = threading.Lock()
@@ -355,14 +364,42 @@ class QueryService:
     # Lifecycle
     # -------------------------------------------------------------- #
     def start(self) -> "QueryService":
-        """Start the dispatch thread (idempotent); returns ``self``."""
+        """Start the dispatch thread (idempotent); returns ``self``.
+
+        After :meth:`stop`, this also registers the cache's eviction hook
+        again, so the restarted service reads and fills its cache.
+        """
+        self._hook_cache()
         self._batcher.start()
         return self
 
     def stop(self) -> None:
-        """Stop dispatching; queued requests fail with :class:`ServiceExecutionError`."""
+        """Stop dispatching and let go of the result cache.
+
+        Queued requests fail with :class:`ServiceExecutionError`.  The
+        cache's eviction hook leaves the registry and the cache is emptied,
+        so the registry keeps nothing of a stopped service alive.  Until
+        :meth:`start` runs again the service neither reads nor fills its
+        cache: with no hook, an entry could outlive the removal and
+        re-registration of its graph.  Safe to call twice, and on a service
+        that was never started.
+        """
         self._batcher.stop()
+        with self._hook_lock:
+            hook, self._cache_hook = self._cache_hook, None
+            if hook is not None:
+                self.registry.remove_invalidation_hook(hook)
+                self.cache.clear()
         self.tracer.close()
+
+    def _hook_cache(self) -> None:
+        # One eviction path for "this graph changed": both unregister
+        # (GraphRegistry.remove) and edge mutations (GraphRegistry.mutate)
+        # fire the invalidation hooks, which drop the graph's cache group.
+        with self._hook_lock:
+            if self.cache is not None and self._cache_hook is None:
+                self._cache_hook = self.cache.invalidate_group
+                self.registry.add_invalidation_hook(self._cache_hook)
 
     def __enter__(self) -> "QueryService":
         return self.start()
@@ -421,7 +458,7 @@ class QueryService:
         )
         submitted_at = time.perf_counter()
 
-        if self.cache is not None and request.cache_eligible():
+        if self._cache_hook is not None and request.cache_eligible():
             hit = self.cache.get(request.cache_key())
             if hit is not None:
                 response = QueryResponse(
@@ -648,6 +685,11 @@ class QueryService:
                 "Random walks executed by dispatched batches.",
                 [Sample("service_walks_total", {}, float(walks))],
             ),
+            MetricFamily(
+                "process_peak_resident_bytes", "gauge",
+                "Peak resident set size of the serving process.",
+                [Sample("process_peak_resident_bytes", {}, float(_peak_rss_bytes()))],
+            ),
         ]
         if self.cache is not None:
             cache_stats = self.cache.stats()
@@ -752,7 +794,7 @@ class QueryService:
             batch_size=batch_size,
             snapshot=pending.snapshot,
         )
-        if self.cache is not None and pending.request.cache_eligible():
+        if self._cache_hook is not None and pending.request.cache_eligible():
             self.cache.put(pending.request.cache_key(), result)
         self.telemetry.record_response(
             response.latency_seconds, cached=False,

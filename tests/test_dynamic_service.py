@@ -114,6 +114,24 @@ class TestRegistryMutation:
         with pytest.raises(ServiceError, match="unknown graph"):
             registry.remove("g")
 
+    def test_a_hook_removing_itself_does_not_skip_the_next(self, graph):
+        # A service that stops during a mutation removes its hook while the
+        # hooks run; the hook registered after it must still be called.
+        registry = GraphRegistry()
+        registry.add_graph("g", graph)
+        calls = []
+
+        def once(name):
+            calls.append(("once", name))
+            assert registry.remove_invalidation_hook(once)
+
+        registry.add_invalidation_hook(once)
+        registry.add_invalidation_hook(lambda name: calls.append(("after", name)))
+        registry.mutate("g", add=[_absent_edge(graph)])
+        registry.mutate("g", add=[_absent_edge(graph, start=1)])
+        assert calls == [("once", "g"), ("after", "g"), ("after", "g")]
+        assert not registry.remove_invalidation_hook(once)
+
     def test_distinct_t_queries_keep_weight_tables_bounded(self, graph):
         cached_weights.cache_clear()
         registry = GraphRegistry()

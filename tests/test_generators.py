@@ -278,3 +278,34 @@ class TestPinnedCSR:
         from repro.bench.datasets import DATASETS
 
         assert set(DATASETS) <= set(PINNED_CSR)
+
+
+def _traced_peak(build):
+    """``build()`` and the peak bytes it allocated while it ran."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        built = build()
+        return built, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestBuildScratch:
+    """The CSR build holds one edge-sized scratch array at a time."""
+
+    def test_generated_graph_peaks_within_4x_its_csr(self):
+        from repro.service.registry import build_from_spec
+
+        graph, peak = _traced_peak(
+            lambda: build_from_spec("chung-lu,n=20000,gamma=2.5,seed=11")
+        )
+        assert peak <= 4 * graph.csr_nbytes, peak / graph.csr_nbytes
+
+    def test_deduped_pairs_peak_within_4x_the_input(self):
+        n = 100_000
+        pairs = np.random.default_rng(5).integers(0, n, size=(220_000, 2))
+        _, peak = _traced_peak(lambda: Graph(n, pairs, dedupe=True))
+        assert peak <= 4 * pairs.nbytes, peak / pairs.nbytes

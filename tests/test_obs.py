@@ -337,6 +337,12 @@ class TestServiceMetrics:
         assert types["query_latency_seconds"] == "histogram"
         assert types["kernel_seconds"] == "histogram"
         assert types["service_uptime_seconds"] == "gauge"
+        assert types["process_peak_resident_bytes"] == "gauge"
+        (peak,) = [
+            value for name, _, value in samples
+            if name == "process_peak_resident_bytes"
+        ]
+        assert peak >= 2**20  # bytes: ru_maxrss in KiB would read far less
         ok = [
             s for s in samples
             if s[0] == "queries_total"

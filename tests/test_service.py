@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
 import time
 import urllib.error
 import urllib.request
+import weakref
 
 import numpy as np
 import pytest
@@ -334,6 +336,84 @@ class TestQueryService:
         svc.stop()
         with pytest.raises(ServiceOverloadedError):
             svc.submit("grid", "monte-carlo", 0, {"num_walks": 10})
+
+    def test_stopped_services_release_their_caches(self, registry):
+        caches = []
+        for seed in range(3):
+            svc = QueryService(registry, rng=seed).start()
+            svc.query("grid", "monte-carlo", seed, {"num_walks": 100})
+            assert len(svc.cache) == 1
+            caches.append(weakref.ref(svc.cache))
+            svc.stop()
+            svc.stop()
+            del svc
+        gc.collect()
+        assert [cache() for cache in caches] == [None, None, None]
+
+    def test_a_restarted_service_hooks_its_cache_again(self, registry):
+        svc = QueryService(registry, rng=1).start()
+        try:
+            svc.query("grid", "monte-carlo", 0, {"num_walks": 100})
+            svc.stop()
+            assert len(svc.cache) == 0
+            svc.start()
+            svc.query("grid", "monte-carlo", 0, {"num_walks": 100})
+            assert len(svc.cache) == 1
+            graph = registry.get("grid").graph
+            absent = next(
+                v for v in range(1, graph.num_nodes) if not graph.has_edge(0, v)
+            )
+            registry.mutate("grid", add=[(0, absent)])
+            assert len(svc.cache) == 0
+        finally:
+            svc.stop()
+
+    def test_services_stopping_during_mutations_leave_no_hooks(self, registry):
+        """More threads than cores start and stop services, with a tiny
+        switch interval, while the graph mutates: every hook leaves the
+        registry, so no cache outlives its service."""
+        import sys
+
+        graph = registry.get("grid").graph
+        absent = next(v for v in range(1, graph.num_nodes) if not graph.has_edge(0, v))
+        caches, errors = [], []
+
+        def churn():
+            try:
+                for _ in range(15):
+                    svc = QueryService(registry, cache_entries=4).start()
+                    caches.append(weakref.ref(svc.cache))
+                    svc.stop()
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for _ in range(15):
+                registry.mutate("grid", add=[(0, absent)])
+                registry.mutate("grid", remove=[(0, absent)])
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(previous)
+        assert errors == []
+        gc.collect()
+        assert len(caches) == 4 * 15
+        assert all(cache() is None for cache in caches)
+
+    def test_a_stopped_service_answers_from_no_cache(self, registry):
+        svc = QueryService(registry)
+        svc.stop()  # never started
+        svc.stop()
+        first = svc.query("grid", "exact", 0)
+        second = svc.query("grid", "exact", 0)
+        assert not first.cached and not second.cached
+        assert len(svc.cache) == 0
 
     def test_cancelled_future_does_not_kill_the_dispatch_thread(self, service):
         # A client cancelling its future must not crash the batcher when it
