@@ -201,15 +201,17 @@ def test_service_throughput(results_dir):
                 2, batched, GRAPH_NAME, graph.num_nodes,
                 concurrency=concurrency, total_queries=QUERIES_PER_LEVEL,
             )
-            batch_stats = batched.stats()["batches"]
+            cycles = batched.stats()["queue"]["batcher"]
         levels.append(
             {
                 "concurrency": concurrency,
                 "sequential_qps": seq["qps"],
                 "batched_qps": fused["qps"],
                 "speedup": round(fused["qps"] / seq["qps"], 3),
-                "mean_batch_occupancy": batch_stats["mean_occupancy"],
-                "max_batch_occupancy": batch_stats["max_occupancy"],
+                "mean_batch_occupancy": round(
+                    cycles["collected"] / cycles["cycles"], 3
+                ) if cycles["cycles"] else 0.0,
+                "full_batches": cycles["full_batches"],
             }
         )
 

@@ -69,6 +69,15 @@ from repro.engine import backend_descriptions, default_backend_name, get_backend
 from repro.engine.parallel import WORKERS_ENV_VAR, ParallelBackend, default_worker_count
 from repro.exceptions import ReproError
 from repro.graph.io import load_edge_list
+from repro.obs import DEFAULT_RING_CAPACITY
+from repro.service.service import (
+    DEFAULT_BATCH_WAIT_SECONDS,
+    DEFAULT_CACHE_ENTRIES,
+    DEFAULT_MAX_BATCH,
+    DEFAULT_MAX_INFLIGHT_WALKS,
+    DEFAULT_MAX_PENDING,
+    DEFAULT_QUERY_TIMEOUT_MS,
+)
 
 #: Experiment names accepted by the ``experiment`` subcommand.
 EXPERIMENTS = {
@@ -199,23 +208,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="walk execution engine (default: process default)",
     )
     serve.add_argument(
-        "--max-batch", type=int, default=32,
-        help="max queries fused into one dispatch cycle (default 32)",
+        "--max-batch", type=int, default=DEFAULT_MAX_BATCH,
+        help="max queries fused into one dispatch cycle (default %(default)s)",
     )
     serve.add_argument(
-        "--batch-wait-ms", type=float, default=0.5,
-        help="straggler grace window per batch in ms (default 0.5)",
+        "--batch-wait-ms", type=float,
+        default=DEFAULT_BATCH_WAIT_SECONDS * 1000.0,
+        help="straggler grace window per batch in ms (default %(default)g)",
     )
     serve.add_argument(
-        "--max-pending", type=int, default=1024,
+        "--max-pending", type=int, default=DEFAULT_MAX_PENDING,
         help="bounded queue size; beyond it requests get HTTP 429",
     )
     serve.add_argument(
-        "--max-inflight-walks", type=int, default=50_000_000,
+        "--max-inflight-walks", type=int, default=DEFAULT_MAX_INFLIGHT_WALKS,
         help="admission cap on in-flight walks",
     )
     serve.add_argument(
-        "--cache-size", type=int, default=1024,
+        "--cache-size", type=int, default=DEFAULT_CACHE_ENTRIES,
         help="result cache entries (0 disables the cache)",
     )
     serve.add_argument(
@@ -223,9 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="result cache TTL in seconds (default: no expiry)",
     )
     serve.add_argument(
-        "--default-timeout-ms", type=float, default=60_000.0,
+        "--default-timeout-ms", type=float, default=DEFAULT_QUERY_TIMEOUT_MS,
         help="per-query deadline applied when a request carries no "
-        "timeout_ms of its own; <= 0 disables the default (default 60000)",
+        "timeout_ms of its own; <= 0 disables the default "
+        "(default %(default)g)",
     )
     serve.add_argument("--rng", type=int, default=None, help="batch RNG seed")
     serve.add_argument(
@@ -239,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--metrics", action=argparse.BooleanOptionalAction, default=True,
         help="expose the Prometheus text exposition at GET /metrics "
-        "(default on; --no-metrics disables the endpoint only — "
-        "collection continues unless --disable-obs)",
+        "(default on; --no-metrics disables the endpoint, not collection)",
     )
     serve.add_argument(
         "--slow-query-ms", type=float, default=1000.0,
@@ -252,13 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="slow-query JSONL destination (default: stderr)",
     )
     serve.add_argument(
-        "--trace-ring", type=int, default=256,
-        help="recent query traces kept for GET /trace/recent (default 256)",
+        "--trace-ring", type=int, default=DEFAULT_RING_CAPACITY,
+        help="recent query traces kept for GET /trace/recent "
+        "(default %(default)s)",
     )
     serve.add_argument(
         "--disable-obs", action="store_true",
-        help="turn off all observability (metrics recording, tracing, "
-        "engine profiling hooks) for this process",
+        help="turn off tracing and engine kernel profiling for this "
+        "process; request counts in /stats and /metrics go on",
     )
 
     trace = subparsers.add_parser(
@@ -902,7 +913,7 @@ def build_service_from_args(args: argparse.Namespace):
         cache_ttl_seconds=args.cache_ttl,
         default_timeout_ms=default_timeout_ms,
         rng=args.rng,
-        trace_capacity=getattr(args, "trace_ring", 256),
+        trace_capacity=args.trace_ring,
         slow_query_ms=slow_query_ms,
         slow_query_log=getattr(args, "slow_query_log", None),
     )

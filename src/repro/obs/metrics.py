@@ -271,8 +271,8 @@ class _Family:
         """Sum of child values whose labels match the given subset.
 
         For histograms the observation *count* is summed (the natural
-        "how many" reading).  This is what lets a label-free legacy view
-        (``Telemetry.snapshot``) be derived from labeled series.
+        "how many" reading).  ``QueryService.stats`` reads its request
+        totals off ``queries_total`` this way.
         """
         unknown = set(labelvalues) - set(self.labelnames)
         if unknown:

@@ -164,9 +164,10 @@ class _SpanScope:
 class TraceRecorder:
     """Bounded ring of finished traces plus the slow-query JSONL sink.
 
-    ``slow_query_ms=None`` disables the slow-query log; ``sink=None``
-    writes slow records to stderr.  The recorder owns the sink handle when
-    given a path and closes it on :meth:`close`.
+    ``slow_query_ms=None`` disables the slow-query log; with no
+    ``slow_query_log`` path, slow records go to stderr.  The sink opens at
+    construction; :meth:`close` closes it (a log file the recorder opened)
+    and :meth:`open` opens it again.
     """
 
     def __init__(
@@ -183,13 +184,18 @@ class TraceRecorder:
         self._recorded = 0
         self._slow = 0
         self._sink: IO[str] | None = None
-        self._owns_sink = False
-        if slow_query_ms is not None:
-            if slow_query_log is not None:
-                self._sink = open(slow_query_log, "a", encoding="utf-8")
-                self._owns_sink = True
-            else:
-                self._sink = sys.stderr
+        self.open()
+
+    def open(self) -> None:
+        """Open the slow-query sink, if there is one and it is closed."""
+        with self._lock:
+            if self.slow_query_ms is None or self._sink is not None:
+                return
+            self._sink = (
+                sys.stderr
+                if self.slow_query_log is None
+                else open(self.slow_query_log, "a", encoding="utf-8")
+            )
 
     def record(self, record: dict) -> None:
         """Add a finished trace record; spill to the slow log if it qualifies."""
@@ -230,8 +236,10 @@ class TraceRecorder:
             }
 
     def close(self) -> None:
+        """Close the slow-query sink; slow records are counted, not written,
+        until :meth:`open`."""
         with self._lock:
-            if self._owns_sink and self._sink is not None:
+            if self.slow_query_log is not None and self._sink is not None:
                 self._sink.close()
             self._sink = None
 

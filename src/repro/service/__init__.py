@@ -17,7 +17,7 @@ the ROADMAP's "heavy traffic" north star requires:
   drains the request queue and fuses the walk phases of concurrent queries
   into shared backend kernel batches (:func:`repro.engine.multi.execute_plans`).
 * :mod:`repro.service.service` — :class:`QueryService` (composition root,
-  admission control, telemetry).
+  admission control, request counts in its own metrics registry).
 * :mod:`repro.service.http` — a stdlib ``http.server`` JSON frontend
   (``repro-cli serve``).
 

@@ -15,9 +15,10 @@ client's next request arriving.
 
 The batcher is policy-free: what a "batch execution" means is injected by
 :class:`repro.service.service.QueryService` (walk fusion, finalizing,
-cache fills, telemetry).  Backpressure is a bounded queue — ``submit``
-raises :class:`~repro.exceptions.ServiceOverloadedError` instead of
-blocking, so overload surfaces to clients immediately rather than as
+cache fills, request counts).  Its cycle tallies (:meth:`MicroBatcher.stats`)
+are the service's only batch counts.  Backpressure is a bounded queue —
+``submit`` raises :class:`~repro.exceptions.ServiceOverloadedError` instead
+of blocking, so overload surfaces to clients immediately rather than as
 unbounded latency.
 """
 

@@ -9,8 +9,9 @@ Endpoints:
   when the query's deadline trips (body carries ``timeout_ms``,
   ``elapsed_ms`` and the partial-work counters), ``500`` for execution
   failures.
-* ``GET /stats`` — serving telemetry (latency, cache hit rate, batch
-  occupancy, walks/sec).
+* ``GET /stats`` — request totals and rate, cache hit rate, queue and
+  batcher state, walks run, walk-index and graph-storage state (latency
+  histograms are in ``/metrics``).
 * ``GET /metrics`` — the Prometheus text exposition of the service's
   labeled metrics registry (disable with ``make_server(...,
   metrics_enabled=False)`` / ``repro-cli serve --no-metrics``).

@@ -1,4 +1,4 @@
-"""The query service: composition root, admission control, telemetry.
+"""The query service: composition root, admission control, request counts.
 
 :class:`QueryService` wires the registry, result cache, planner and
 micro-batcher into one long-lived object:
@@ -16,9 +16,11 @@ micro-batcher into one long-lived object:
   their private generators, and each future is resolved with a
   :class:`QueryResponse`.  Every phase of a request reads the one graph
   snapshot ``submit`` took at admission.
-* :class:`Telemetry` tallies per-request latency, cache hit rate, batch
-  occupancy and walk throughput; ``stats()`` returns the JSON the ``/stats``
-  endpoint and the load harness consume.
+* each request's terminal path (answered, cached, failed, timed out,
+  rejected, dropped by ``stop``) counts it once in the service's own
+  metrics registry, ``queries_total{method,graph,outcome}`` and
+  ``query_latency_seconds``, which ``GET /metrics`` renders; ``stats()``
+  sums those series for the ``/stats`` JSON, so the two cannot disagree.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import resource
 import sys
 import threading
 import time
-from collections import deque
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass
 
@@ -65,8 +66,11 @@ from repro.utils.rng import RandomState, ensure_rng
 #: Default cap on the walks admitted but not yet run.
 DEFAULT_MAX_INFLIGHT_WALKS = 50_000_000
 
-#: Default per-query wall-clock budget (ms) when a request does not carry
-#: its own ``timeout_ms``.  ``None`` disables the service-level default.
+#: Default result-cache capacity in entries (0 disables the cache).
+DEFAULT_CACHE_ENTRIES = 1024
+
+#: The per-query budget (ms) ``repro-cli serve`` gives a request with no
+#: ``timeout_ms`` of its own (``QueryService``'s own default is none).
 DEFAULT_QUERY_TIMEOUT_MS = 60_000.0
 
 
@@ -112,163 +116,6 @@ class QueryResponse:
         }
 
 
-class Telemetry:
-    """Thread-safe serving metrics (latency, occupancy, walk throughput).
-
-    Request/latency counting lives in labeled metrics-registry series
-    (``queries_total{method,graph,outcome}`` and the
-    ``query_latency_seconds`` histogram) and :meth:`snapshot` is a
-    backward-compatible *view* over them: the scalar totals ``/stats``
-    always reported are derived by summing label children, so the two
-    surfaces can never disagree.  Percentiles and the windowed request rate
-    come from small bounded deques the exposition format cannot express.
-    """
-
-    #: Arrival history horizon for the windowed request rate (seconds).
-    RATE_WINDOW_SECONDS = 60.0
-
-    def __init__(
-        self,
-        *,
-        latency_window: int = 2048,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._lock = threading.Lock()
-        self._started = time.monotonic()
-        self._queries = self.registry.counter(
-            "queries_total",
-            "Queries by method, graph and terminal outcome "
-            "(ok|cached|error|timeout|rejected).",
-            ("method", "graph", "outcome"),
-        )
-        self._latency = self.registry.histogram(
-            "query_latency_seconds",
-            "End-to-end query latency, admission to response.",
-            ("method", "graph", "outcome"),
-        )
-        self._walks = 0
-        self._batches = 0
-        self._batched_requests = 0
-        self._max_occupancy = 0
-        self._batch_seconds = 0.0
-        self._latencies: deque[float] = deque(maxlen=latency_window)
-        # Arrival timestamps for the windowed rate; bounded so a burst
-        # cannot grow it without limit (at the cap the windowed rate
-        # saturates, which is the honest reading anyway).
-        self._arrivals: deque[float] = deque(maxlen=65536)
-
-    def record_response(
-        self,
-        latency_seconds: float,
-        *,
-        cached: bool,
-        method: str = "unknown",
-        graph: str = "unknown",
-    ) -> None:
-        outcome = "cached" if cached else "ok"
-        self._queries.labels(method=method, graph=graph, outcome=outcome).inc()
-        self._latency.labels(
-            method=method, graph=graph, outcome=outcome
-        ).observe(latency_seconds)
-        with self._lock:
-            self._latencies.append(latency_seconds)
-            self._arrivals.append(time.monotonic())
-
-    def record_rejection(
-        self, *, method: str = "unknown", graph: str = "unknown"
-    ) -> None:
-        self._queries.labels(
-            method=method, graph=graph, outcome="rejected"
-        ).inc()
-
-    def record_error(
-        self, *, method: str = "unknown", graph: str = "unknown"
-    ) -> None:
-        self._queries.labels(method=method, graph=graph, outcome="error").inc()
-
-    def record_timeout(
-        self,
-        *,
-        method: str = "unknown",
-        graph: str = "unknown",
-        latency_seconds: float | None = None,
-    ) -> None:
-        """A query tripped its deadline (counted apart from errors)."""
-        self._queries.labels(
-            method=method, graph=graph, outcome="timeout"
-        ).inc()
-        if latency_seconds is not None:
-            self._latency.labels(
-                method=method, graph=graph, outcome="timeout"
-            ).observe(latency_seconds)
-
-    def record_batch(self, occupancy: int, walks: int, seconds: float) -> None:
-        with self._lock:
-            self._batches += 1
-            self._batched_requests += occupancy
-            self._max_occupancy = max(self._max_occupancy, occupancy)
-            self._walks += walks
-            self._batch_seconds += seconds
-
-    def snapshot(self) -> dict:
-        """JSON-able metrics summary (the legacy ``/stats`` scalar view)."""
-        responses = int(self._queries.sum_matching(outcome="ok"))
-        cache_hits = int(self._queries.sum_matching(outcome="cached"))
-        rejected = int(self._queries.sum_matching(outcome="rejected"))
-        errors = int(self._queries.sum_matching(outcome="error"))
-        timeouts = int(self._queries.sum_matching(outcome="timeout"))
-        requests = responses + cache_hits
-        with self._lock:
-            now = time.monotonic()
-            uptime = max(now - self._started, 1e-9)
-            horizon = now - self.RATE_WINDOW_SECONDS
-            while self._arrivals and self._arrivals[0] < horizon:
-                self._arrivals.popleft()
-            window = min(uptime, self.RATE_WINDOW_SECONDS)
-            recent = len(self._arrivals)
-            latencies = sorted(self._latencies)
-            def _pct(p: float) -> float:
-                if not latencies:
-                    return 0.0
-                index = min(int(p * len(latencies)), len(latencies) - 1)
-                return latencies[index] * 1000.0
-            return {
-                "uptime_seconds": round(uptime, 3),
-                "requests_total": requests,
-                "requests_per_second": round(requests / uptime, 3),
-                "requests_per_second_60s": round(recent / window, 3),
-                "cache_hits_total": cache_hits,
-                "cache_hit_rate": round(cache_hits / requests, 4) if requests else 0.0,
-                "rejected_total": rejected,
-                "errors_total": errors,
-                "timeouts_total": timeouts,
-                "latency_ms": {
-                    "mean": round(
-                        sum(latencies) / len(latencies) * 1000.0, 3
-                    ) if latencies else 0.0,
-                    "p50": round(_pct(0.50), 3),
-                    "p95": round(_pct(0.95), 3),
-                    "p99": round(_pct(0.99), 3),
-                    "max": round(latencies[-1] * 1000.0, 3) if latencies else 0.0,
-                },
-                "batches": {
-                    "count": self._batches,
-                    "mean_occupancy": round(
-                        self._batched_requests / self._batches, 3
-                    ) if self._batches else 0.0,
-                    "max_occupancy": self._max_occupancy,
-                },
-                "walks": {
-                    "total": self._walks,
-                    "per_second_overall": round(self._walks / uptime, 1),
-                    "per_second_busy": round(
-                        self._walks / self._batch_seconds, 1
-                    ) if self._batch_seconds > 0 else 0.0,
-                },
-            }
-
-
 @dataclass
 class _Pending:
     """One request from admission to its response."""
@@ -302,11 +149,10 @@ class QueryService:
         batch_wait_seconds: float = DEFAULT_BATCH_WAIT_SECONDS,
         max_pending: int = DEFAULT_MAX_PENDING,
         max_inflight_walks: int = DEFAULT_MAX_INFLIGHT_WALKS,
-        cache_entries: int = 1024,
+        cache_entries: int = DEFAULT_CACHE_ENTRIES,
         cache_ttl_seconds: float | None = None,
         default_timeout_ms: float | None = None,
         rng: RandomState = None,
-        metrics_registry: MetricsRegistry | None = None,
         trace_capacity: int = obs.DEFAULT_RING_CAPACITY,
         slow_query_ms: float | None = None,
         slow_query_log: str | None = None,
@@ -318,13 +164,25 @@ class QueryService:
         self.default_timeout_ms = default_timeout_ms
         self._backend = get_backend(backend)
         self._rng = ensure_rng(rng)
-        #: Per-service metrics registry (so two services in one process do
-        #: not mix series); rendered by ``GET /metrics``.  Pass a shared
-        #: registry to aggregate several services into one exposition.
-        self.metrics = (
-            metrics_registry if metrics_registry is not None else MetricsRegistry()
+        #: This service's own metrics registry, rendered by ``GET /metrics``
+        #: and summed by ``stats()``.
+        self.metrics = MetricsRegistry()
+        self._started = time.monotonic()
+        self._queries = self.metrics.counter(
+            "queries_total",
+            "Queries by method, graph and terminal outcome "
+            "(ok|cached|error|timeout|rejected).",
+            ("method", "graph", "outcome"),
         )
-        self.telemetry = Telemetry(registry=self.metrics)
+        self._latency = self.metrics.histogram(
+            "query_latency_seconds",
+            "End-to-end query latency, admission to response.",
+            ("method", "graph", "outcome"),
+        )
+        self._walks = self.metrics.counter(
+            "service_walks_total",
+            "Random walks executed by dispatched batches.",
+        ).child()
         #: Recent-trace ring + slow-query JSONL sink (``GET /trace/recent``).
         self.tracer = TraceRecorder(
             capacity=trace_capacity,
@@ -367,22 +225,24 @@ class QueryService:
         """Start the dispatch thread (idempotent); returns ``self``.
 
         After :meth:`stop`, this also registers the cache's eviction hook
-        again, so the restarted service reads and fills its cache.
+        again and reopens the slow-query sink, so the restarted service
+        reads and fills its cache and writes its slow queries.
         """
         self._hook_cache()
+        self.tracer.open()
         self._batcher.start()
         return self
 
     def stop(self) -> None:
         """Stop dispatching and let go of the result cache.
 
-        Queued requests fail with :class:`ServiceExecutionError`.  The
-        cache's eviction hook leaves the registry and the cache is emptied,
-        so the registry keeps nothing of a stopped service alive.  Until
-        :meth:`start` runs again the service neither reads nor fills its
-        cache: with no hook, an entry could outlive the removal and
-        re-registration of its graph.  Safe to call twice, and on a service
-        that was never started.
+        Queued requests fail with :class:`ServiceExecutionError`, each
+        counted as an error with its trace recorded.  The cache's eviction
+        hook leaves the registry and the cache is emptied, so the registry
+        keeps nothing of a stopped service alive.  Until :meth:`start` runs
+        again the service neither reads nor fills its cache: with no hook,
+        an entry could outlive the removal and re-registration of its
+        graph.  Safe to call twice, and on a service that was never started.
         """
         self._batcher.stop()
         with self._hook_lock:
@@ -469,10 +329,7 @@ class QueryService:
                     batch_size=0,
                     snapshot=snapshot,
                 )
-                self.telemetry.record_response(
-                    response.latency_seconds, cached=True,
-                    method=request.method, graph=graph,
-                )
+                self._count(request, "cached", response.latency_seconds)
                 future: "Future[QueryResponse]" = Future()
                 future.set_result(response)
                 return future
@@ -502,12 +359,9 @@ class QueryService:
                     entry, request, snapshot=snapshot,
                     deadline=deadline, trace=trace,
                 )
-        except QueryTimeoutError as error:
-            self._fail_timeout(pending, error)
-            return pending.future
         except ReproError as error:
-            # Client-attributable: a bad parameter combination the schema
-            # could not see (HTTP 400).
+            # Client-attributable: a deadline trip (HTTP 504) or a bad
+            # parameter combination the schema could not see (HTTP 400).
             self._fail(pending, error)
             return pending.future
         except Exception as error:  # noqa: BLE001 - the future carries it
@@ -554,7 +408,6 @@ class QueryService:
         try:
             self._batcher.submit(pending)
         except ServiceOverloadedError:
-            self._release(pending)
             self._reject(pending)
             raise
         return pending.future
@@ -585,8 +438,30 @@ class QueryService:
             self.registry.remove(name)
 
     def stats(self) -> dict:
-        """Telemetry + cache + queue + index metrics (the ``/stats`` payload)."""
-        snapshot = self.telemetry.snapshot()
+        """Request totals + cache + queue + index state (the ``/stats`` payload).
+
+        The request totals sum ``queries_total`` over its label children,
+        and ``walks.total`` reads ``service_walks_total``: the series
+        ``GET /metrics`` renders, so the two endpoints agree.
+        """
+
+        def total(outcome: str) -> int:
+            return int(self._queries.sum_matching(outcome=outcome))
+
+        cache_hits = total("cached")
+        requests = total("ok") + cache_hits
+        uptime = max(time.monotonic() - self._started, 1e-9)
+        snapshot = {
+            "uptime_seconds": round(uptime, 3),
+            "requests_total": requests,
+            "requests_per_second": round(requests / uptime, 3),
+            "cache_hits_total": cache_hits,
+            "cache_hit_rate": round(cache_hits / requests, 4) if requests else 0.0,
+            "rejected_total": total("rejected"),
+            "errors_total": total("error"),
+            "timeouts_total": total("timeout"),
+            "walks": {"total": int(self._walks.value())},
+        }
         if self.cache is not None:
             cache_stats = self.cache.stats()
             # The cache groups by graph name; present that as "per_graph".
@@ -652,11 +527,8 @@ class QueryService:
     def _collect_service_metrics(self) -> list[MetricFamily]:
         """Scrape-time collector: service-level state the hot path already
         tracks elsewhere (no double counting on the request path)."""
-        tele = self.telemetry
-        with tele._lock:
-            uptime = time.monotonic() - tele._started
-            batches = tele._batches
-            walks = tele._walks
+        uptime = time.monotonic() - self._started
+        batches = self._batcher.stats()["cycles"]
         with self._inflight_lock:
             inflight = self._inflight_walks
         families = [
@@ -677,13 +549,8 @@ class QueryService:
             ),
             MetricFamily(
                 "service_batches_total", "counter",
-                "Dispatch cycles executed.",
+                "Dispatch cycles the micro-batcher collected.",
                 [Sample("service_batches_total", {}, float(batches))],
-            ),
-            MetricFamily(
-                "service_walks_total", "counter",
-                "Random walks executed by dispatched batches.",
-                [Sample("service_walks_total", {}, float(walks))],
             ),
             MetricFamily(
                 "process_peak_resident_bytes", "gauge",
@@ -756,23 +623,30 @@ class QueryService:
                 self._inflight_walks -= pending.walks
             pending.walks = 0
 
+    def _count(
+        self,
+        request: QueryRequest,
+        outcome: str,
+        latency_seconds: float | None = None,
+    ) -> None:
+        """Count a request's terminal outcome, once, and time it if timed."""
+        labels = {"method": request.method, "graph": request.graph, "outcome": outcome}
+        self._queries.labels(**labels).inc()
+        if latency_seconds is not None:
+            self._latency.labels(**labels).observe(latency_seconds)
+
     def _reject(self, pending: _Pending) -> None:
-        """Count an admission refusal (HTTP 429) and close its trace."""
-        self.telemetry.record_rejection(
-            method=pending.request.method, graph=pending.request.graph
-        )
+        """Refuse admission (HTTP 429): release, count, close the trace."""
+        self._release(pending)
+        self._count(pending.request, "rejected")
         self._finish_trace(pending, "rejected")
 
     def _drop_pending(self, pending: _Pending) -> None:
-        self._release(pending)
-        try:
-            pending.future.set_exception(
-                ServiceExecutionError(
-                    "service stopped before the request was dispatched"
-                )
-            )
-        except InvalidStateError:  # client cancelled while queued
-            pass
+        """Fail a request that ``stop()`` took off the queue undispatched."""
+        self._fail(
+            pending,
+            ServiceExecutionError("service stopped before the request was dispatched"),
+        )
 
     def _finish_trace(
         self, pending: _Pending, outcome: str, latency_ms: float | None = None
@@ -796,10 +670,7 @@ class QueryService:
         )
         if self._cache_hook is not None and pending.request.cache_eligible():
             self.cache.put(pending.request.cache_key(), result)
-        self.telemetry.record_response(
-            response.latency_seconds, cached=False,
-            method=pending.request.method, graph=pending.request.graph,
-        )
+        self._count(pending.request, "ok", response.latency_seconds)
         self._finish_trace(pending, "ok", response.latency_seconds * 1000.0)
         try:
             pending.future.set_result(response)
@@ -807,36 +678,29 @@ class QueryService:
             pass
 
     def _fail(self, pending: _Pending, error: Exception) -> None:
-        """Fail the request with ``error`` (HTTP 400 or 500), counted as an error."""
-        self._release(pending)
-        self.telemetry.record_error(
-            method=pending.request.method, graph=pending.request.graph
-        )
-        self._finish_trace(pending, "error")
-        try:
-            pending.future.set_exception(error)
-        except InvalidStateError:  # client cancelled mid-flight
-            pass
+        """Fail the request with ``error``.
 
-    def _fail_timeout(self, pending: _Pending, error: QueryTimeoutError) -> None:
-        """Deadline trips are accounted apart from errors (see ``/stats``)."""
+        A deadline trip (HTTP 504) counts as a timeout, apart from errors,
+        and its trace gains a ``deadline_hit`` marker; anything else (HTTP
+        400 or 500) counts as an error.
+        """
         self._release(pending)
-        elapsed_ms = getattr(error, "elapsed_ms", None)
-        self.telemetry.record_timeout(
-            method=pending.request.method,
-            graph=pending.request.graph,
-            latency_seconds=(
-                elapsed_ms / 1000.0 if elapsed_ms is not None else None
-            ),
-        )
-        if pending.trace is not None:
-            now = time.perf_counter()
-            pending.trace.add_span(
-                "deadline_hit", now, now,
-                timeout_ms=getattr(error, "timeout_ms", None),
-                elapsed_ms=elapsed_ms,
+        if isinstance(error, QueryTimeoutError):
+            elapsed_ms = error.elapsed_ms
+            self._count(
+                pending.request, "timeout",
+                elapsed_ms / 1000.0 if elapsed_ms is not None else None,
             )
-        self._finish_trace(pending, "timeout", elapsed_ms)
+            if pending.trace is not None:
+                now = time.perf_counter()
+                pending.trace.add_span(
+                    "deadline_hit", now, now,
+                    timeout_ms=error.timeout_ms, elapsed_ms=elapsed_ms,
+                )
+            self._finish_trace(pending, "timeout", elapsed_ms)
+        else:
+            self._count(pending.request, "error")
+            self._finish_trace(pending, "error")
         try:
             pending.future.set_exception(error)
         except InvalidStateError:  # client cancelled mid-flight
@@ -853,8 +717,6 @@ class QueryService:
             self._execute_batch_inner(batch)
 
     def _execute_batch_inner(self, batch: list[_Pending]) -> None:
-        started = time.perf_counter()
-        walks_executed = 0
         # Keyed by snapshot identity, not graph name or entry: plans built
         # against different graphs (a re-registered name, or epochs either
         # side of a mutation) must not share a walk phase.
@@ -879,7 +741,7 @@ class QueryService:
                 try:
                     pending.deadline.checkpoint()
                 except QueryTimeoutError as error:
-                    self._fail_timeout(pending, error)
+                    self._fail(pending, error)
                     continue
             if pending.request.pinned:
                 pinned.append(pending)
@@ -912,7 +774,7 @@ class QueryService:
                     counters = pending.plan.counters
                     counters.extras["deadline_hit"] = 1.0
                     member = pending.deadline
-                    self._fail_timeout(
+                    self._fail(
                         pending,
                         QueryTimeoutError(
                             member.timeout_ms,
@@ -930,8 +792,10 @@ class QueryService:
                 for pending in group:
                     self._fail(pending, wrapped)
                 continue
+            # Walks are counted before any future resolves, so a caller
+            # that reads stats() after its answer sees its walks.
+            self._walks.inc(sum(result.counters.random_walks for result in results))
             for pending, result in zip(group, results):
-                walks_executed += result.counters.random_walks
                 self._resolve(pending, result, batch_size=len(batch))
 
         for pending in pinned:
@@ -960,9 +824,6 @@ class QueryService:
                     trace.add_span(
                         "finalize", finalize_started, time.perf_counter()
                     )
-            except QueryTimeoutError as error:
-                self._fail_timeout(pending, error)
-                continue
             except Exception as error:  # noqa: BLE001 - future must not hang
                 wrapped = (
                     error
@@ -971,9 +832,5 @@ class QueryService:
                 )
                 self._fail(pending, wrapped)
                 continue
-            walks_executed += result.counters.random_walks
+            self._walks.inc(result.counters.random_walks)
             self._resolve(pending, result, batch_size=len(batch))
-
-        self.telemetry.record_batch(
-            len(batch), walks_executed, time.perf_counter() - started
-        )

@@ -335,6 +335,35 @@ class TestServeCommand:
         )
         assert build_service_from_args(args).default_timeout_ms is None
 
+    def test_flagless_serve_builds_the_services_own_defaults(self):
+        import inspect
+
+        from repro.cli import build_service_from_args
+        from repro.service import QueryService
+        from repro.service.service import DEFAULT_QUERY_TIMEOUT_MS
+
+        defaults = {
+            name: parameter.default
+            for name, parameter in inspect.signature(QueryService).parameters.items()
+        }
+        service = build_service_from_args(self._serve_args("--dataset", "dblp-sim"))
+        try:
+            stats = service.stats()
+            assert stats["queue"]["max_batch"] == defaults["max_batch"]
+            assert service._batcher._batch_wait == defaults["batch_wait_seconds"]
+            assert service._batcher._queue.maxsize == defaults["max_pending"]
+            assert service._max_inflight_walks == defaults["max_inflight_walks"]
+            assert stats["cache"]["max_entries"] == defaults["cache_entries"]
+            assert (
+                stats["observability"]["traces"]["ring_capacity"]
+                == defaults["trace_capacity"]
+            )
+            # QueryService bounds no request by default; serve does.
+            assert defaults["default_timeout_ms"] is None
+            assert service.default_timeout_ms == DEFAULT_QUERY_TIMEOUT_MS
+        finally:
+            service.stop()
+
     def test_build_service_registers_multiple_sources(self, tmp_path):
         from repro.cli import build_service_from_args
         from repro.graph.io import save_edge_list

@@ -20,7 +20,11 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.exceptions import ParameterError, QueryTimeoutError
+from repro.exceptions import (
+    ParameterError,
+    QueryTimeoutError,
+    ServiceOverloadedError,
+)
 from repro.obs.metrics import (
     CONTENT_TYPE,
     MetricsRegistry,
@@ -322,8 +326,7 @@ class TestServiceMetrics:
         stats = service.stats()
         assert stats["cache_hits_total"] == 1
         assert stats["cache_hit_rate"] == pytest.approx(0.5)
-        assert stats["requests_per_second_60s"] > 0.0
-        assert "p99" in stats["latency_ms"]
+        assert stats["requests_per_second"] > 0.0
         assert stats["observability"]["enabled"] is True
         assert stats["queue"]["batcher"]["cycles"] >= 1
         assert json.dumps(stats)
@@ -371,6 +374,50 @@ class TestServiceMetrics:
                 if s[0] == "queries_total" and s[1].get("outcome") == "timeout"
             ]
             assert timeouts and timeouts[0][2] == 1.0
+
+    def test_stats_and_metrics_agree(self, registry):
+        """One request per terminal outcome: each ``/stats`` total is its
+        ``queries_total`` sum, and the walk and batch counts are the
+        ``/metrics`` series."""
+        with QueryService(
+            registry, max_batch=4, max_inflight_walks=10_000
+        ) as service:
+            service.query("grid", "monte-carlo", 0, {"num_walks": 200})
+            assert service.query(
+                "grid", "monte-carlo", 0, {"num_walks": 200}
+            ).cached
+            with pytest.raises(ParameterError):  # the plan builder refuses
+                service.query("grid", "cluster-hkpr", 0)
+            with pytest.raises(QueryTimeoutError):
+                service.query(
+                    "grid", "monte-carlo", 1, {"num_walks": 200}, timeout_ms=0.01
+                )
+            with pytest.raises(ServiceOverloadedError):  # over the walk budget
+                service.submit("grid", "monte-carlo", 2, {"num_walks": 20_000})
+            stats = service.stats()
+            _, samples = parse_exposition(service.render_metrics())
+
+        def scraped(name, **labels):
+            return sum(
+                value for sample, sample_labels, value in samples
+                if sample == name
+                and all(sample_labels.get(k) == v for k, v in labels.items())
+            )
+
+        outcomes = {
+            outcome: scraped("queries_total", outcome=outcome)
+            for outcome in ("ok", "cached", "error", "timeout", "rejected")
+        }
+        assert outcomes == dict.fromkeys(outcomes, 1.0)
+        assert stats["requests_total"] == outcomes["ok"] + outcomes["cached"]
+        assert stats["cache_hits_total"] == outcomes["cached"]
+        assert stats["errors_total"] == outcomes["error"]
+        assert stats["timeouts_total"] == outcomes["timeout"]
+        assert stats["rejected_total"] == outcomes["rejected"]
+        assert stats["walks"]["total"] == scraped("service_walks_total") == 200
+        cycles = stats["queue"]["batcher"]["cycles"]
+        assert cycles >= 1
+        assert cycles == scraped("service_batches_total")
 
     def test_index_metrics_via_walk_index(self, registry):
         from repro.index import build_walk_index
@@ -460,6 +507,29 @@ class TestTracing:
         assert records[0]["method"] == "monte-carlo"
         assert any(span["name"] == "kernel" for span in records[0]["spans"])
 
+    @pytest.mark.parametrize("sink", ["file", "stderr"])
+    def test_a_restarted_service_writes_slow_queries_again(
+        self, registry, tmp_path, capsys, sink
+    ):
+        log_path = tmp_path / "slow.jsonl"
+        service = QueryService(
+            registry, max_batch=4, cache_entries=0, slow_query_ms=0.0,
+            slow_query_log=str(log_path) if sink == "file" else None,
+        )
+        for seed in (0, 1):  # start, query, stop; twice
+            with service:
+                service.query("grid", "monte-carlo", seed, {"num_walks": 100})
+        if sink == "file":
+            records = load_jsonl(log_path)
+        else:
+            records = [
+                json.loads(line)
+                for line in capsys.readouterr().err.splitlines()
+                if line.startswith("{")
+            ]
+        assert service.tracer.stats()["slow_total"] == 2
+        assert [record["seed_node"] for record in records] == [0, 1]
+
     def test_ring_is_bounded_and_newest_first(self, registry):
         with QueryService(registry, max_batch=4, trace_capacity=3) as service:
             for seed in range(5):
@@ -474,6 +544,8 @@ class TestTracing:
             with QueryService(registry, max_batch=4) as service:
                 service.query("grid", "monte-carlo", 0, {"num_walks": 100})
                 assert service.recent_traces() == []
+                # Request counts go on without tracing.
+                assert service.stats()["requests_total"] == 1
 
     def test_span_scope_and_summarize(self):
         trace = QueryTrace(graph="g", method="m", seed_node=1)

@@ -221,7 +221,7 @@ class TestQueryService:
         responses = [f.result(timeout=30) for f in futures]
         assert all(r.result.counters.random_walks == 200 for r in responses)
         # At least some dispatch cycles held more than one request.
-        assert service.stats()["batches"]["max_occupancy"] > 1
+        assert max(r.batch_size for r in responses) > 1
 
     def test_cache_hit_on_repeat(self, service):
         first = service.query("grid", "monte-carlo", 3, {"num_walks": 200})
@@ -322,8 +322,8 @@ class TestQueryService:
         service.query("grid", "monte-carlo", 0, {"num_walks": 100})
         stats = service.stats()
         for key in (
-            "uptime_seconds", "requests_total", "latency_ms", "batches",
-            "walks", "cache", "queue", "backend", "graphs", "inflight_walks",
+            "uptime_seconds", "requests_total", "walks", "cache", "queue",
+            "backend", "graphs", "inflight_walks",
         ):
             assert key in stats
         assert stats["walks"]["total"] >= 100
@@ -336,6 +336,42 @@ class TestQueryService:
         svc.stop()
         with pytest.raises(ServiceOverloadedError):
             svc.submit("grid", "monte-carlo", 0, {"num_walks": 10})
+
+    def test_stop_counts_and_traces_the_requests_it_drops(self):
+        """Requests still queued at ``stop()`` fail as errors: counted in
+        ``queries_total`` and traced, like every other terminal path."""
+        from repro import obs
+
+        registry = GraphRegistry()
+        registry.add_dataset("dblp-sim")
+        obs.set_obs_enabled(True)
+        svc = QueryService(registry, max_batch=1, cache_entries=0).start()
+        try:
+            futures = [
+                svc.submit("dblp-sim", "monte-carlo", seed, {"num_walks": 200_000})
+                for seed in range(20)
+            ]
+        finally:
+            svc.stop()
+            obs.set_obs_enabled(None)
+        answered = dropped = 0
+        for future in futures:
+            try:
+                future.result(timeout=30)
+                answered += 1
+            except ServiceExecutionError:
+                dropped += 1
+        stats = svc.stats()
+        assert dropped >= 1  # stop() found requests still queued
+        assert answered + stats["errors_total"] == 20
+        counted = sum(
+            float(line.rsplit(" ", 1)[1])
+            for line in svc.render_metrics().splitlines()
+            if line.startswith("queries_total{")
+        )
+        assert counted == 20
+        assert svc.tracer.stats()["recorded_total"] == 20
+        assert stats["inflight_walks"] == 0
 
     def test_stopped_services_release_their_caches(self, registry):
         caches = []
