@@ -73,7 +73,6 @@ def make_service(registry: GraphRegistry, *, max_batch: int) -> QueryService:
     return QueryService(
         registry,
         max_batch=max_batch,
-        batch_wait_seconds=0.0005 if max_batch > 1 else 0.0,
         cache_entries=0,
         rng=17,
     )

@@ -65,7 +65,6 @@ def make_service(registry: GraphRegistry, *, max_batch: int = MAX_BATCH):
     return QueryService(
         registry,
         max_batch=max_batch,
-        batch_wait_seconds=0.0005,
         cache_entries=0,
     )
 

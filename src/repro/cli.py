@@ -71,7 +71,6 @@ from repro.exceptions import ReproError
 from repro.graph.io import load_edge_list
 from repro.obs import DEFAULT_RING_CAPACITY
 from repro.service.service import (
-    DEFAULT_BATCH_WAIT_SECONDS,
     DEFAULT_CACHE_ENTRIES,
     DEFAULT_MAX_BATCH,
     DEFAULT_MAX_INFLIGHT_WALKS,
@@ -212,11 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max queries fused into one dispatch cycle (default %(default)s)",
     )
     serve.add_argument(
-        "--batch-wait-ms", type=float,
-        default=DEFAULT_BATCH_WAIT_SECONDS * 1000.0,
-        help="straggler grace window per batch in ms (default %(default)g)",
-    )
-    serve.add_argument(
         "--max-pending", type=int, default=DEFAULT_MAX_PENDING,
         help="bounded queue size; beyond it requests get HTTP 429",
     )
@@ -227,10 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--cache-size", type=int, default=DEFAULT_CACHE_ENTRIES,
         help="result cache entries (0 disables the cache)",
-    )
-    serve.add_argument(
-        "--cache-ttl", type=float, default=None,
-        help="result cache TTL in seconds (default: no expiry)",
     )
     serve.add_argument(
         "--default-timeout-ms", type=float, default=DEFAULT_QUERY_TIMEOUT_MS,
@@ -906,11 +896,9 @@ def build_service_from_args(args: argparse.Namespace):
         registry,
         backend=args.backend,
         max_batch=args.max_batch,
-        batch_wait_seconds=args.batch_wait_ms / 1000.0,
         max_pending=args.max_pending,
         max_inflight_walks=args.max_inflight_walks,
         cache_entries=args.cache_size,
-        cache_ttl_seconds=args.cache_ttl,
         default_timeout_ms=default_timeout_ms,
         rng=args.rng,
         trace_capacity=args.trace_ring,
@@ -943,12 +931,9 @@ def _run_serve(args: argparse.Namespace) -> int:
     print(f"walk workers    : {_worker_count_line()}")
     print(
         f"micro-batching  : max_batch={args.max_batch}, "
-        f"wait={args.batch_wait_ms}ms, max_pending={args.max_pending}"
+        f"max_pending={args.max_pending}"
     )
-    cache = "disabled" if args.cache_size == 0 else (
-        f"{args.cache_size} entries"
-        + (f", ttl={args.cache_ttl}s" if args.cache_ttl else "")
-    )
+    cache = "disabled" if args.cache_size == 0 else f"{args.cache_size} entries"
     print(f"result cache    : {cache}")
     timeout = (
         "disabled"

@@ -3,10 +3,10 @@
 Parsing a SNAP-style edge list costs minutes at the 10M+-edge scale (text
 decode, label compaction, CSR build), yet the resulting structure is just
 three flat ``int64`` arrays.  This module freezes those arrays into a
-binary container that :func:`numpy.memmap` can map directly, so a packed
-graph *loads* in milliseconds regardless of size and multiple processes
-share its pages through the OS page cache instead of re-pickling CSR
-arrays into shared memory.
+binary container that :func:`numpy.memmap` can map directly, so loading a
+packed graph costs one sequential read of its arrays, not a rebuild, and
+multiple processes share its pages through the OS page cache instead of
+re-pickling CSR arrays into shared memory.
 
 Layout (little-endian, all offsets from the start of the file)::
 
@@ -27,7 +27,11 @@ Layout (little-endian, all offsets from the start of the file)::
 Every array section starts on a 64-byte boundary (cache-line aligned, and
 trivially page-alignable by the mapper), arrays are stored exactly as the
 kernels consume them (``<i8``), and the header checksum catches truncated
-or bit-rotted headers before any array is interpreted.  The format is
+or bit-rotted headers before any array is interpreted.  The payload has no
+checksum; the reader checks that it describes a graph on ``n`` nodes
+instead (``indptr`` never decreases, ``degrees`` are its row lengths, every
+neighbor id is in ``[0, n)``), so a corrupt file is refused at load rather
+than answering queries with nodes that do not exist.  The format is
 versioned: readers reject files whose version they do not understand
 rather than misparsing them.
 """
@@ -159,9 +163,11 @@ def read_graph_binary(path: str | Path, *, mmap: bool = True) -> Graph:
     """Load an ``.rcsr`` graph, memory-mapped by default.
 
     With ``mmap=True`` the CSR arrays are read-only :func:`numpy.memmap`
-    views — the call returns in milliseconds and pages fault in lazily as
-    walks touch them (shared across processes through the page cache).
+    views, whose pages are shared across processes through the page cache.
     With ``mmap=False`` the arrays are read eagerly into private memory.
+    Either way the payload is checked once, which reads every page; a
+    payload that does not describe a graph on ``n`` nodes raises
+    :class:`~repro.exceptions.GraphError`.
     """
     path = Path(path)
     n, m, indptr_off, degrees_off, indices_off = _read_header(path)
@@ -194,8 +200,28 @@ def read_graph_binary(path: str | Path, *, mmap: bool = True) -> Graph:
         "m": m,
     }
     try:
-        return Graph.from_csr_arrays(
+        graph = Graph.from_csr_arrays(
             n, m, indptr, indices, degrees, backing=backing
         )
+        _check_payload(n, indptr, degrees, indices)
     except GraphError as exc:
         raise GraphError(f"{path}: corrupt .rcsr payload ({exc})") from exc
+    return graph
+
+
+def _check_payload(
+    n: int, indptr: np.ndarray, degrees: np.ndarray, indices: np.ndarray
+) -> None:
+    """Raise :class:`GraphError` unless the arrays describe a graph on ``n``
+    nodes."""
+    row_lengths = np.diff(indptr)
+    if row_lengths.size and row_lengths.min() < 0:
+        raise GraphError("indptr decreases")
+    if not np.array_equal(row_lengths, degrees):
+        raise GraphError("degrees differ from the indptr row lengths")
+    if indices.size:
+        low, high = int(indices.min()), int(indices.max())
+        if low < 0 or high >= n:
+            raise GraphError(
+                f"neighbor ids span [{low}, {high}], outside [0, {n})"
+            )

@@ -477,12 +477,14 @@ class Graph(GraphReads):
     ) -> "Graph":
         """Adopt pre-built CSR arrays without re-deriving them from edges.
 
-        This is the trusted fast path used by the ``.rcsr`` reader: the
-        arrays are taken as-is (possibly read-only memmap views — they are
-        never mutated after construction), and only O(1) structural
-        invariants are checked.  Full per-edge validation happened when the
-        graph was originally built; the container's header CRC guards
-        against bit rot in transit.
+        The arrays are taken as-is (possibly read-only memmap views — they
+        are never mutated after construction), and only O(1) structural
+        invariants are checked here: shapes, and ``indptr``'s endpoints.
+        Callers vouch for the contents.  The ``.rcsr`` reader checks every
+        section of a file before it trusts one
+        (:func:`~repro.graph.binfmt.read_graph_binary`), and
+        :meth:`~repro.dynamic.delta.DeltaGraph.compacted` builds its arrays
+        from a graph that was already checked.
         """
         n, m = int(n), int(m)
         if n < 0 or m < 0:
@@ -522,9 +524,9 @@ class Graph(GraphReads):
         """Load an ``.rcsr`` container, memory-mapped by default.
 
         With ``mmap=True`` (the default) the CSR arrays are read-only
-        :func:`numpy.memmap` views: loading is O(header) regardless of
-        graph size, and concurrent processes share the pages through the
-        OS page cache.
+        :func:`numpy.memmap` views: loading reads the arrays once to check
+        them and copies nothing, and concurrent processes share the pages
+        through the OS page cache.
         """
         from repro.graph.binfmt import read_graph_binary
 

@@ -7,9 +7,10 @@ the ROADMAP's "heavy traffic" north star requires:
 * :mod:`repro.service.registry` — :class:`GraphRegistry` loads or generates
   each graph once and keeps its CSR arrays and per-``t`` Poisson weight
   tables warm across requests.
-* :mod:`repro.service.cache` — :class:`ResultCache`, an LRU (+ optional
-  TTL) over finished query results, bypassed for requests that pin an RNG
-  seed (deterministic mode).
+* :mod:`repro.service.cache` — :class:`ResultCache`, an LRU over finished
+  query results that drops a graph's entries when the graph is mutated,
+  removed or registered again, bypassed for requests that pin an RNG seed
+  (deterministic mode).
 * :mod:`repro.service.planner` — request validation/normalization and the
   method registry mapping each estimator to its two-phase
   :class:`~repro.engine.multi.WalkPlan` form.

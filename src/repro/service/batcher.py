@@ -1,17 +1,10 @@
 """The micro-batcher: collect concurrent requests, dispatch them as one batch.
 
-One dispatch thread owns the request queue.  Each cycle it
-
-1. blocks for the first pending request,
-2. drains whatever else is already queued (no waiting), and
-3. grants a short grace window (``batch_wait_seconds``) for closed-loop
-   clients that are just re-submitting, until ``max_batch`` is reached.
-
-The drain-first/short-grace split matters: a fixed collection window adds
-its full length to every query's latency, while draining costs nothing and
-captures the natural concurrency of the workload — the grace window only
-papers over scheduler jitter between a response being delivered and the
-client's next request arriving.
+One dispatch thread owns the request queue.  Each cycle it blocks for the
+first pending request, drains whatever else is already queued, up to
+``max_batch``, and dispatches at once.  A batch is what arrived while the
+previous one ran: the natural concurrency of the workload.  No request
+waits for stragglers, so a lone request pays no collection delay.
 
 The batcher is policy-free: what a "batch execution" means is injected by
 :class:`repro.service.service.QueryService` (walk fusion, finalizing,
@@ -26,15 +19,12 @@ from __future__ import annotations
 
 import queue
 import threading
-import time
 from typing import Any, Callable
 
 from repro.exceptions import ParameterError, ServiceOverloadedError
 
 #: Default cap on requests fused into one dispatch cycle.
 DEFAULT_MAX_BATCH = 32
-#: Default grace window (seconds) for stragglers after the initial drain.
-DEFAULT_BATCH_WAIT_SECONDS = 0.0005
 #: Default bound on queued (admitted but not yet dispatched) requests.
 DEFAULT_MAX_PENDING = 1024
 
@@ -47,34 +37,24 @@ class MicroBatcher:
         execute_batch: Callable[[list[Any]], None],
         *,
         max_batch: int = DEFAULT_MAX_BATCH,
-        batch_wait_seconds: float = DEFAULT_BATCH_WAIT_SECONDS,
         max_pending: int = DEFAULT_MAX_PENDING,
         on_drop: Callable[[Any], None] | None = None,
     ) -> None:
         if max_batch < 1:
             raise ParameterError(f"max_batch must be >= 1, got {max_batch}")
-        if batch_wait_seconds < 0:
-            raise ParameterError(
-                f"batch_wait_seconds must be >= 0, got {batch_wait_seconds}"
-            )
         if max_pending < 1:
             raise ParameterError(f"max_pending must be >= 1, got {max_pending}")
         self._execute_batch = execute_batch
         self._max_batch = max_batch
-        self._batch_wait = batch_wait_seconds
         self._on_drop = on_drop
         self._queue: "queue.Queue[Any]" = queue.Queue(maxsize=max_pending)
         self._stop_event = threading.Event()
         self._thread: threading.Thread | None = None
         self._lock = threading.Lock()
-        # Collection-cycle accounting (how batches actually form): how many
-        # requests arrived in the initial drain vs only during the grace
-        # window — the number that tells whether the grace window earns its
-        # latency cost for the current workload.
+        # Collection-cycle accounting (how batches actually form).
         self._stats_lock = threading.Lock()
         self._cycles = 0
         self._collected = 0
-        self._grace_collected = 0
         self._full_batches = 0
 
     @property
@@ -137,22 +117,17 @@ class MicroBatcher:
         return self._queue.qsize()
 
     def stats(self) -> dict:
-        """Collection-cycle accounting (cycles, grace-window yield)."""
+        """Collection-cycle accounting: cycles, requests collected, and
+        cycles that filled ``max_batch``."""
         with self._stats_lock:
             return {
                 "cycles": self._cycles,
                 "collected": self._collected,
-                "grace_collected": self._grace_collected,
                 "full_batches": self._full_batches,
-                "grace_yield": (
-                    self._grace_collected / self._collected
-                    if self._collected
-                    else 0.0
-                ),
             }
 
     def _collect(self) -> list[Any]:
-        """One cycle's batch: block for the first item, drain, short grace."""
+        """One cycle's batch: block for the first item, drain the queue."""
         try:
             first = self._queue.get(timeout=0.05)
         except queue.Empty:
@@ -163,21 +138,9 @@ class MicroBatcher:
                 batch.append(self._queue.get_nowait())
             except queue.Empty:
                 break
-        drained = len(batch)
-        if self._batch_wait and len(batch) < self._max_batch:
-            deadline = time.perf_counter() + self._batch_wait
-            while len(batch) < self._max_batch:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(self._queue.get(timeout=remaining))
-                except queue.Empty:
-                    break
         with self._stats_lock:
             self._cycles += 1
             self._collected += len(batch)
-            self._grace_collected += len(batch) - drained
             if len(batch) >= self._max_batch:
                 self._full_batches += 1
         return batch

@@ -116,6 +116,10 @@ class QueryRequest:
     #: older epoch must never answer queries admitted after a mutation,
     #: even if eager group invalidation raced.
     epoch: int = 0
+    #: :attr:`~repro.service.registry.GraphEntry.registration` of the entry
+    #: the snapshot came from.  Part of the cache key for the same reason:
+    #: a name registered again starts again at epoch 0.
+    registration: int = 0
 
     @property
     def pinned(self) -> bool:
@@ -130,13 +134,15 @@ class QueryRequest:
         ``timeout_ms`` bounds execution time without changing the answer —
         a cached result is valid for any deadline.  Method aliases were
         resolved at normalization, so an aliased request shares the
-        canonical spelling's key.  The graph ``epoch`` *is* part of the
-        key: an edge mutation bumps the epoch, so results computed before
-        the mutation become unreachable even before the registry's eager
+        canonical spelling's key.  The graph's ``registration`` and
+        ``epoch`` *are* part of the key: registering the name again or
+        mutating its edges changes one of them, so results computed on the
+        older graph become unreachable even before the registry's eager
         per-graph invalidation hook has evicted them.
         """
         return (
             self.graph,
+            self.registration,
             self.epoch,
             self.method,
             self.seed_node,
@@ -169,6 +175,7 @@ def normalize_request(
     top_k=DEFAULT_TOP_K,
     timeout_ms=None,
     snapshot: Graph | None = None,
+    registration: int = 0,
 ) -> QueryRequest:
     """Validate raw request fields into a :class:`QueryRequest`.
 
@@ -177,9 +184,10 @@ def normalize_request(
     CLI and the library use — so every surface reports identical errors.
     ``snapshot`` (when provided) is the graph the request is admitted at:
     it validates the seed node, so bad requests are rejected at admission
-    rather than mid-batch, and its epoch becomes the request's.  The graph
-    name is checked where it is resolved: :meth:`GraphRegistry.get` treats
-    a non-string name as unknown.
+    rather than mid-batch, and its epoch becomes the request's, as the
+    ``registration`` of the entry it came from does.  The graph name is
+    checked where it is resolved: :meth:`GraphRegistry.get` treats a
+    non-string name as unknown.
     """
     if not isinstance(method, str):
         raise ServiceError(f"method must be a string, got {method!r}")
@@ -219,7 +227,7 @@ def normalize_request(
     return QueryRequest(
         graph=graph, method=spec.name, seed_node=seed_node,
         params=normalized, rng=rng, top_k=top_k, timeout_ms=timeout_ms,
-        epoch=getattr(snapshot, "epoch", 0),
+        epoch=getattr(snapshot, "epoch", 0), registration=registration,
     )
 
 

@@ -115,6 +115,10 @@ class GraphEntry:
     name: str
     graph: Graph
     source: str
+    #: Which :meth:`GraphRegistry.add_graph` call made this entry: unique
+    #: within its registry, so a name registered again gets a new one.
+    #: Recorded in cache keys beside ``epoch``, which starts again at 0.
+    registration: int
     #: How the CSR arrays are held: ``in-memory`` (built by the caller),
     #: ``generated``, ``edge-list`` (parsed from text), ``binary`` (.rcsr
     #: read eagerly) or ``mmap`` (.rcsr memory-mapped — resident bytes are
@@ -208,20 +212,23 @@ class GraphRegistry:
 
     Registration happens through ``add_*`` methods; lookups after startup
     are lock-protected dictionary reads.  Graphs mutate through
-    :meth:`mutate` (epoch-versioned edge batches, serialized per entry) and
-    leave through :meth:`remove`.  Both invalidate downstream per-graph
-    state through one code path: every hook registered with
-    :meth:`add_invalidation_hook` is called with the graph name (a running
-    service wires its result cache's ``invalidate_group`` here).
+    :meth:`mutate` (epoch-versioned edge batches, serialized per entry),
+    leave through :meth:`remove` and are replaced by registering the name
+    again.  All three invalidate downstream per-graph state through one
+    code path: every hook registered with :meth:`add_invalidation_hook` is
+    called with the graph name (a running service wires its result cache's
+    ``invalidate_group`` here).
     """
 
     def __init__(self) -> None:
         self._entries: dict[str, GraphEntry] = {}
         self._lock = threading.Lock()
         self._invalidation_hooks: list = []
+        self._registrations = 0
 
     def add_invalidation_hook(self, hook) -> None:
-        """Register ``hook(name)`` to run after a mutation or removal.
+        """Register ``hook(name)`` to run after a mutation, removal or
+        replacement of the graph registered as ``name``.
 
         The registry holds ``hook``, and everything it references, until
         :meth:`remove_invalidation_hook` is given the same object.
@@ -234,7 +241,8 @@ class GraphRegistry:
 
         Matched by identity, so pass the object :meth:`add_invalidation_hook`
         was given: each attribute read of a bound method makes a new one.  A
-        mutation or removal already under way may still call it once.
+        mutation, removal or replacement already under way may still call
+        it once.
         """
         with self._lock:
             for position, registered in enumerate(self._invalidation_hooks):
@@ -296,16 +304,25 @@ class GraphRegistry:
         storage: str = "in-memory",
         load_seconds: float = 0.0,
     ) -> GraphEntry:
-        """Register an already-built graph under ``name`` (overwrites)."""
-        entry = GraphEntry(
-            name=name,
-            graph=graph,
-            source=source,
-            storage=storage,
-            load_seconds=load_seconds,
-        )
+        """Register an already-built graph under ``name``.
+
+        A graph already registered as ``name`` is replaced, and the
+        invalidation hooks run once the new entry is installed.
+        """
         with self._lock:
+            self._registrations += 1
+            entry = GraphEntry(
+                name=name,
+                graph=graph,
+                source=source,
+                registration=self._registrations,
+                storage=storage,
+                load_seconds=load_seconds,
+            )
+            replaced = name in self._entries
             self._entries[name] = entry
+        if replaced:
+            self._invalidate(name)
         return entry
 
     def add_dataset(self, dataset: str, *, name: str | None = None) -> GraphEntry:

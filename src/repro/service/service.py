@@ -17,10 +17,11 @@ micro-batcher into one long-lived object:
   :class:`QueryResponse`.  Every phase of a request reads the one graph
   snapshot ``submit`` took at admission.
 * each request's terminal path (answered, cached, failed, timed out,
-  rejected, dropped by ``stop``) counts it once in the service's own
-  metrics registry, ``queries_total{method,graph,outcome}`` and
-  ``query_latency_seconds``, which ``GET /metrics`` renders; ``stats()``
-  sums those series for the ``/stats`` JSON, so the two cannot disagree.
+  rejected, cancelled while queued, dropped by ``stop``) counts it once
+  in the service's own metrics registry,
+  ``queries_total{method,graph,outcome}`` and ``query_latency_seconds``,
+  which ``GET /metrics`` renders; ``stats()`` sums those series for the
+  ``/stats`` JSON, so the two cannot disagree.
 """
 
 from __future__ import annotations
@@ -46,12 +47,7 @@ from repro.graph.graph import Graph
 from repro.hkpr.result import HKPRResult
 from repro.obs.metrics import MetricFamily, MetricsRegistry, Sample, use_registry
 from repro.obs.trace import QueryTrace, TraceRecorder
-from repro.service.batcher import (
-    DEFAULT_BATCH_WAIT_SECONDS,
-    DEFAULT_MAX_BATCH,
-    DEFAULT_MAX_PENDING,
-    MicroBatcher,
-)
+from repro.service.batcher import DEFAULT_MAX_BATCH, DEFAULT_MAX_PENDING, MicroBatcher
 from repro.service.cache import ResultCache
 from repro.service.planner import (
     DEFAULT_TOP_K,
@@ -146,11 +142,9 @@ class QueryService:
         *,
         backend: str | Backend | None = None,
         max_batch: int = DEFAULT_MAX_BATCH,
-        batch_wait_seconds: float = DEFAULT_BATCH_WAIT_SECONDS,
         max_pending: int = DEFAULT_MAX_PENDING,
         max_inflight_walks: int = DEFAULT_MAX_INFLIGHT_WALKS,
         cache_entries: int = DEFAULT_CACHE_ENTRIES,
-        cache_ttl_seconds: float | None = None,
         default_timeout_ms: float | None = None,
         rng: RandomState = None,
         trace_capacity: int = obs.DEFAULT_RING_CAPACITY,
@@ -194,11 +188,7 @@ class QueryService:
             # Cache keys start with the graph name (see
             # QueryRequest.cache_key), so grouping by key[0] yields the
             # per-graph hit/miss/eviction breakdown /stats reports.
-            ResultCache(
-                cache_entries,
-                ttl_seconds=cache_ttl_seconds,
-                group_of=lambda key: str(key[0]),
-            )
+            ResultCache(cache_entries, group_of=lambda key: str(key[0]))
             if cache_entries > 0
             else None
         )
@@ -213,7 +203,6 @@ class QueryService:
         self._batcher = MicroBatcher(
             self._execute_batch,
             max_batch=max_batch,
-            batch_wait_seconds=batch_wait_seconds,
             max_pending=max_pending,
             on_drop=self._drop_pending,
         )
@@ -315,6 +304,7 @@ class QueryService:
         request = normalize_request(
             graph, method, seed_node, params, rng=rng, top_k=top_k,
             timeout_ms=timeout_ms, snapshot=snapshot,
+            registration=entry.registration,
         )
         submitted_at = time.perf_counter()
 
@@ -724,10 +714,14 @@ class QueryService:
         pinned: list[_Pending] = []
         for pending in batch:
             # Claim the future before doing any work: a client that already
-            # cancelled gets skipped, and a RUNNING future can no longer be
+            # cancelled gets skipped (counted as an error, like a request
+            # stop() drops), and a RUNNING future can no longer be
             # cancelled out from under _resolve/_fail.
             if not pending.future.set_running_or_notify_cancel():
-                self._release(pending)
+                self._fail(
+                    pending,
+                    ServiceExecutionError("request cancelled before dispatch"),
+                )
                 continue
             if pending.trace is not None:
                 pending.trace.add_span(

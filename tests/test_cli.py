@@ -350,7 +350,6 @@ class TestServeCommand:
         try:
             stats = service.stats()
             assert stats["queue"]["max_batch"] == defaults["max_batch"]
-            assert service._batcher._batch_wait == defaults["batch_wait_seconds"]
             assert service._batcher._queue.maxsize == defaults["max_pending"]
             assert service._max_inflight_walks == defaults["max_inflight_walks"]
             assert stats["cache"]["max_entries"] == defaults["cache_entries"]

@@ -17,9 +17,15 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro import estimate
 from repro.dynamic import DeltaGraph, default_compaction_threshold
 from repro.exceptions import GraphError, ServiceError, WalkIndexError
-from repro.graph.generators import chung_lu_graph, power_law_degree_sequence
+from repro.graph.generators import (
+    chung_lu_graph,
+    power_law_degree_sequence,
+    ring_graph,
+    star_graph,
+)
 from repro.graph.graph import Graph
 from repro.hkpr.poisson import cached_weights
 from repro.index import build_walk_index
@@ -379,6 +385,60 @@ class TestServiceMutation:
         service.mutate_graph("g", add=[_absent_edge(graph)])
         exposition = service.render_metrics()
         assert 'index_stale_total{graph="g"} 1' in exposition
+
+
+class TestReRegistration:
+    """A name registered again names a new graph: no answer cached for the
+    graph it replaced is served for it, though both start at epoch 0."""
+
+    @pytest.fixture
+    def service(self):
+        registry = GraphRegistry()
+        registry.add_graph("g", ring_graph(30))
+        with QueryService(registry, max_batch=4, cache_entries=32, rng=5) as svc:
+            yield svc
+
+    def test_replacing_add_graph_evicts_and_rekeys(self, service):
+        ring = service.query("g", "exact", 0, top_k=3)
+        assert service.query("g", "exact", 0, top_k=3).cached
+        service.registry.add_graph("g", star_graph(30))
+        assert len(service.cache) == 0  # the replacement ran the hooks
+        star = service.query("g", "exact", 0, top_k=3)
+        assert not star.cached
+        assert star.request.epoch == ring.request.epoch == 0
+        assert star.request.cache_key() != ring.request.cache_key()
+        expected = estimate(star.snapshot, 0, method="exact").top(star.snapshot, 3)
+        assert star.to_dict()["top"] == expected != ring.to_dict()["top"]
+
+    def test_an_answer_resolved_after_the_swap_is_keyed_to_its_own_graph(
+        self, service, monkeypatch
+    ):
+        import repro.service.service as service_module
+
+        # Hold the dispatch thread inside the walk phase of a request
+        # admitted on the ring while the name is removed and re-added.
+        entered, release = threading.Event(), threading.Event()
+        execute_plans = service_module.execute_plans
+
+        def held(*args, **kwargs):
+            entered.set()
+            release.wait(timeout=30)
+            return execute_plans(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "execute_plans", held)
+        params = {"num_walks": 2_000}
+        future = service.submit("g", "monte-carlo", 0, params)
+        assert entered.wait(timeout=30)
+        service.remove_graph("g")
+        service.registry.add_graph("g", star_graph(30))
+        release.set()
+        ring = future.result(timeout=30)
+        assert ring.snapshot.num_edges == 30
+        assert len(service.cache) == 1  # stored after the hooks ran
+        star = service.query("g", "monte-carlo", 0, params)
+        assert not star.cached
+        assert star.snapshot is service.registry.get("g").graph
+        assert star.request.cache_key() != ring.request.cache_key()
 
 
 class TestInvalidateGroup:

@@ -149,6 +149,35 @@ class TestHeaderValidation:
         with pytest.raises(GraphError, match="corrupt .rcsr payload"):
             read_graph_binary(path)
 
+    @pytest.mark.parametrize(
+        "neighbor", [lambda n: -3, lambda n: n + 5], ids=["-3", "n+5"]
+    )
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_rejects_neighbor_ids_outside_the_graph(
+        self, graph, packed, neighbor, mmap
+    ):
+        # A header and indptr that check out, over one neighbor id of node
+        # 42 that names no node: refused at load, not walked to or ranked.
+        offset = read_graph_binary(packed).backing["offsets"]["indices"]
+        slot = int(graph.indptr[42])
+        _corrupt(
+            packed, offset + 8 * slot,
+            np.int64(neighbor(graph.num_nodes)).tobytes(),
+        )
+        with pytest.raises(GraphError, match=r"corrupt .rcsr payload \(neighbor ids"):
+            read_graph_binary(packed, mmap=mmap)
+
+    @pytest.mark.parametrize(
+        "section, node, message",
+        [("indptr", 1, "indptr decreases"), ("degrees", 3, "degrees differ")],
+    )
+    def test_rejects_rows_that_disagree(self, graph, packed, section, node, message):
+        offset = read_graph_binary(packed).backing["offsets"][section]
+        value = 2 * graph.num_edges if section == "indptr" else graph.degrees[node] + 1
+        _corrupt(packed, offset + 8 * node, np.int64(value).tobytes())
+        with pytest.raises(GraphError, match=message):
+            read_graph_binary(packed)
+
 
 class TestFromCsrArrays:
     def test_rejects_wrong_shapes(self):

@@ -373,6 +373,40 @@ class TestQueryService:
         assert svc.tracer.stats()["recorded_total"] == 20
         assert stats["inflight_walks"] == 0
 
+    def test_requests_cancelled_while_queued_count_as_errors(self):
+        """A request whose client cancels it in the queue fails as an error
+        when the dispatch thread reaches it: counted and traced."""
+        from repro import obs
+
+        registry = GraphRegistry()
+        registry.add_dataset("dblp-sim")
+        obs.set_obs_enabled(True)
+        svc = QueryService(registry, max_batch=1, cache_entries=0).start()
+        try:
+            futures = [
+                svc.submit("dblp-sim", "monte-carlo", seed, {"num_walks": 100_000})
+                for seed in range(10)
+            ]
+            cancelled = sum(future.cancel() for future in futures[1:9])
+            # FIFO with one request per cycle: once the last answers, every
+            # cancelled request ahead of it has been taken off the queue.
+            futures[0].result(timeout=60)
+            futures[9].result(timeout=60)
+        finally:
+            svc.stop()
+            obs.set_obs_enabled(None)
+        stats = svc.stats()
+        assert cancelled >= 1
+        assert stats["errors_total"] == cancelled
+        counted = sum(
+            float(line.rsplit(" ", 1)[1])
+            for line in svc.render_metrics().splitlines()
+            if line.startswith("queries_total{")
+        )
+        assert counted == 10
+        assert svc.tracer.stats()["recorded_total"] == 10
+        assert stats["inflight_walks"] == 0
+
     def test_stopped_services_release_their_caches(self, registry):
         caches = []
         for seed in range(3):

@@ -8,19 +8,6 @@ from repro.exceptions import ParameterError
 from repro.service.cache import ResultCache
 
 
-class FakeClock:
-    """Injectable monotonic clock for deterministic TTL tests."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-
 class TestLRUEviction:
     def test_capacity_evicts_least_recently_used(self):
         cache = ResultCache(max_entries=2)
@@ -59,43 +46,6 @@ class TestLRUEviction:
         assert len(cache) == 0
         assert cache.get("a") is None
 
-    def test_invalidate(self):
-        cache = ResultCache(max_entries=4)
-        cache.put("a", 1)
-        assert cache.invalidate("a") is True
-        assert cache.invalidate("a") is False
-        assert cache.get("a") is None
-
-
-class TestTTL:
-    def test_entries_expire(self):
-        clock = FakeClock()
-        cache = ResultCache(max_entries=8, ttl_seconds=10.0, clock=clock)
-        cache.put("a", 1)
-        clock.advance(9.0)
-        assert cache.get("a") == 1
-        clock.advance(2.0)  # 11s since insert
-        assert cache.get("a") is None
-        stats = cache.stats()
-        assert stats["expirations"] == 1
-        assert stats["entries"] == 0  # expired entries are dropped eagerly
-
-    def test_put_resets_age(self):
-        clock = FakeClock()
-        cache = ResultCache(max_entries=8, ttl_seconds=10.0, clock=clock)
-        cache.put("a", 1)
-        clock.advance(8.0)
-        cache.put("a", 2)
-        clock.advance(8.0)
-        assert cache.get("a") == 2
-
-    def test_no_ttl_means_no_expiry(self):
-        clock = FakeClock()
-        cache = ResultCache(max_entries=8, clock=clock)
-        cache.put("a", 1)
-        clock.advance(1e9)
-        assert cache.get("a") == 1
-
 
 class TestStatsAndValidation:
     def test_hit_rate(self):
@@ -112,5 +62,3 @@ class TestStatsAndValidation:
     def test_invalid_parameters(self):
         with pytest.raises(ParameterError):
             ResultCache(max_entries=0)
-        with pytest.raises(ParameterError):
-            ResultCache(max_entries=4, ttl_seconds=0.0)
